@@ -1,9 +1,14 @@
 """Local F-invariants at F_p-rational maximal ideals.
 
-The point is translated to the origin, so lengths of point-primary
-quotients can be computed globally in the polynomial ring (the quotient is
-supported at the single point).  Rational points have trivial residue-field
-degree, so every normalization exponent is the local dimension d.
+The ideal stays in its presentation coordinates; the point a enters only
+through its maximal ideal m_a = (x_i - a_i).  Over F_p the Frobenius
+bracket of m_a is generator-wise, (x_i - a_i)^q = x_i^q - a_i, so
+m_a^[q] = (x_i^q - a_i) is as sparse as m_a itself.  Every quotient the
+invariants measure, S/(I + m_a^[q]) for lambda_e and nu and
+S/(m_a^[q] : K) for a_e, is supported at the single point a, so its length
+over the polynomial ring S is the length over the local ring.  Rational
+points have trivial residue-field degree, so every normalization exponent
+is the local dimension d.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotPrimaryError, ZeroIdealError
+from .errors import NotPrimaryError, NotStabilizedError, ZeroIdealError
 from .ideal import (
     INFINITE,
     Budget,
@@ -33,7 +38,12 @@ HL_TOLERANCE = Fraction(5, 100)
 
 
 class LocalRingAtPoint:
-    """R = S/I localized at a rational point of V(I)."""
+    """R = S/I localized at a rational point a of V(I).
+
+    ideal0 is I in presentation coordinates and m0 = (x_i - a_i) is the
+    maximal ideal of a; bracket_power(m0, q) = (x_i^q - a_i).  Ideals of
+    S/I passed to the invariants (J, a) are read in the same coordinates.
+    """
 
     __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d")
 
@@ -48,20 +58,13 @@ class LocalRingAtPoint:
         self.ring = ring
         self.gens = gens
         self.point = point
-        shifted = [g.shift(point) for g in gens]
-        for g in shifted:
-            assert g.is_zero() or any(g.lm()), "translated ideal not inside m"
-        self.ideal0 = Ideal(ring, shifted)
-        self.m0 = Ideal(ring, ring.gens())
+        self.ideal0 = Ideal(ring, gens)
+        self.m0 = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
         self.d = ring.nvars if self.ideal0.is_zero() else krull_dim(self.ideal0)
 
     @property
     def p(self) -> int:
         return self.ring.p
-
-    def translate(self, J: Ideal) -> Ideal:
-        """Move an ideal of the presentation ring into origin coordinates."""
-        return Ideal(self.ring, [g.shift(self.point) for g in J.gens])
 
     def __repr__(self):
         return f"LocalRingAtPoint({self.ideal0!r} at {self.point})"
@@ -128,12 +131,10 @@ def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None,
         raise ValueError("e must be non-negative")
     q = L.p**e
     if J is None:
-        J0 = L.m0
-    else:
-        J0 = L.translate(J)
-        if length(ideal_sum(L.ideal0, J0), budget) == INFINITE:
-            raise NotPrimaryError("J is not primary to the point modulo I")
-    lam = length(ideal_sum(L.ideal0, bracket_power(J0, q)), budget)
+        J = L.m0
+    elif length(ideal_sum(L.ideal0, J), budget) == INFINITE:
+        raise NotPrimaryError("J is not primary to the point modulo I")
+    lam = length(ideal_sum(L.ideal0, bracket_power(J, q)), budget)
     if lam == INFINITE:
         raise NotPrimaryError("J is not primary to the point modulo I")
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
@@ -270,14 +271,13 @@ def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int,
     if t < 0:
         raise ValueError("t must be non-negative")
     budget = budget or Budget()
-    a0 = L.translate(a)
-    if not any(not normal_form(g, L.ideal0, budget).is_zero() for g in a0.gens):
+    if not any(not normal_form(g, L.ideal0, budget).is_zero() for g in a.gens):
         raise ZeroIdealError("pair ideal is zero modulo I")
     q = L.p**e
     n_mult = math.ceil(t * (q - 1))
     mq = bracket_power(L.m0, q)
     K = _frobenius_colon(L, q, budget)
-    mult = ideal_product(ideal_power(a0, n_mult), K)
+    mult = ideal_product(ideal_power(a, n_mult), K)
     if len(mult.gens) == 1:
         u = mult.gens[0]
         a_e = q**L.ring.nvars - length(ideal_sum(mq, Ideal(L.ring, (u,))), budget)
@@ -292,11 +292,10 @@ def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int,
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = budget or Budget()
-    a0 = L.translate(a)
-    if not any(not normal_form(g, L.ideal0, budget).is_zero() for g in a0.gens):
+    if not any(not normal_form(g, L.ideal0, budget).is_zero() for g in a.gens):
         raise ZeroIdealError("nu of the zero ideal")
-    for g in a0.gens:
-        if g.evaluate((0,) * L.ring.nvars) != 0:
+    for g in a.gens:
+        if g.evaluate(L.point) != 0:
             raise ValueError("a must be contained in the maximal ideal")
     q = L.p**e
     M = ideal_sum(L.ideal0, bracket_power(L.m0, q))
@@ -304,7 +303,7 @@ def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int,
 
     def contained(r: int) -> bool:
         return all(
-            normal_form(g, M, budget).is_zero() for g in ideal_power(a0, r).gens
+            normal_form(g, M, budget).is_zero() for g in ideal_power(a, r).gens
         )
 
     lo, hi = 0, L.ring.nvars * (q - 1) + 1  # m^(n(q-1)+1) lies in m^[q]
@@ -362,9 +361,9 @@ def classify(L: LocalRingAtPoint, e_max: int = 2, tol: float = 1e-2,
     hk = hk_estimate(L, e_max, tol, budget)
     fsig = fsig_estimate(L, e_max, tol, budget)
     try:
-        hs = hilbert_samuel(L.ideal0, n_max, None, budget)
+        hs = hilbert_samuel(L.ideal0, n_max, L.m0.gens, budget)
         e_hs: Fraction | None = hs.multiplicity
-    except Exception:
+    except (NotStabilizedError, NotPrimaryError):
         e_hs = None
     threshold = None
     predicted = None

@@ -705,7 +705,14 @@ def hilbert_samuel(
     I: Ideal, n_max: int, m_gens=None, budget=None
 ) -> HilbertSamuelResult:
     """Hilbert-Samuel multiplicity e(S/I at m) from the difference table of
-    n -> length(S/(I + m^n)), m defaulting to the origin maximal ideal.
+    n -> length(S/(I + m^n)).
+
+    m_gens generates the maximal ideal of the point; when omitted it is
+    (x_1, ..., x_n), the origin's, which is wrong for any other point.  At a
+    rational point a pass (x_i - a_i): S/(I + m^n) is then supported at a,
+    so its length over S is the local length.  d is the Krull dimension of
+    S/I, which is the local dimension only when a component of V(I) of top
+    dimension passes through the point.
 
     The d-th finite differences of the length function equal d! times the
     leading coefficient once the polynomial regime is reached; the value is

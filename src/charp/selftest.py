@@ -1,8 +1,9 @@
 """Built-in golden corpus and property mini-suites for `charp selftest`.
 
 Covers the regular rings, the coordinate-cross curve xy, the quadric cone
-xy - z^2, the Fermat cubics at p in {5, 7}, and the F_p x F_p product,
-plus randomized algebra properties.  Any violation makes the run fail.
+xy - z^2 (at its vertex and at a smooth point off the origin), the Fermat
+cubics at p in {5, 7}, and the F_p x F_p product, plus randomized algebra
+properties.  Any violation makes the run fail.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ def _local(p, names, srcs, point=None):
 
 def _checks():
     yield "kunz exactness, regular rings", _check_kunz
+    yield "smooth points off the origin: lambda_e = a_e = q^d", _check_smooth_off_origin
     yield "node lambda(e) = 2q - 1 and limit 2", _check_node
     yield "quadric cone estimates and multiplicity bound", _check_quadric
     yield "Fedder dichotomy for the Fermat cubic", _check_fedder
@@ -71,6 +73,13 @@ def _check_kunz():
     assert all(hk_function(L, e).lam == 5 ** (2 * e) for e in (1, 2, 3))
     L = _local(7, ("x", "y", "z"), [])
     assert all(hk_function(L, e).lam == 7 ** (3 * e) for e in (1, 2))
+
+
+def _check_smooth_off_origin():
+    L = _local(7, ("x", "y", "z"), ["x*y - z^2"], (1, 4, 2))
+    for e in (1, 2):
+        q = 7**e
+        assert hk_function(L, e).lam == splitting_number(L, e).a_e == q**L.d
 
 
 def _check_node():
