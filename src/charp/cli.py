@@ -8,63 +8,8 @@ import sys
 from pathlib import Path
 
 from .errors import ParseError
-from .jobs import TASK_KINDS, parse_job_file, run_job
+from .jobs import TASKS, parse_job_file, run_job
 from .report import report_to_json, report_to_tsv
-
-_EXPLANATIONS = {
-    "hk": (
-        "lambda_e = dim_k S/(I + m^[q]), q = p^e, normalized by q^d.\n"
-        "The limit of lambda_e/q^d is the Hilbert-Kunz multiplicity (Monsky);\n"
-        "lambda_e >= q^d with equality iff the point is regular (Kunz)."
-    ),
-    "fsig": (
-        "a_e = lambda(S/(m^[q] : (I^[q]:I))), the rank of the largest free\n"
-        "direct summand of the e-th Frobenius pushforward; s_e = a_e/q^d\n"
-        "converges to the F-signature (Tucker). s = 1 iff regular\n"
-        "(Huneke-Leuschke); s > 0 iff strongly F-regular (Aberbach-Leuschke)."
-    ),
-    "fedder": (
-        "F-pure iff (I^[p] : I) is not contained in m^[p] (Fedder's criterion);\n"
-        "for a hypersurface f this reads f^(p-1) not in m^[p]."
-    ),
-    "pair": (
-        "a_e(R, a^t) = lambda(S/(m^[q] : a^ceil(t(q-1)) * (I^[q]:I))):\n"
-        "splitting numbers of the Cartier subalgebra scaled by powers of a\n"
-        "(Blickle-Schwede-Tucker); t = 0 recovers the plain splitting numbers."
-    ),
-    "nu": (
-        "nu(q) = max{r : a^r not in m^[q] + I}; the growth of nu(q)/q locates\n"
-        "the F-pure threshold and guides t-grids for pair sweeps."
-    ),
-    "global_hk": (
-        "max of the local Hilbert-Kunz estimates over sampled primes on the\n"
-        "gamma-attaining locus; a lower bound for the global value under\n"
-        "incomplete sampling.  Off-locus samples are excluded."
-    ),
-    "global_fsig": (
-        "min of the local F-signature estimates over sampled primes; exactly 0\n"
-        "whenever some component misses the global gamma.  An upper bound for\n"
-        "the global value under incomplete sampling."
-    ),
-    "semicontinuity": (
-        "checks lambda_e(special) >= lambda_e(P) for nearby rational points on\n"
-        "one equidimensional component: upper semicontinuity of the normalized\n"
-        "bracket-power length (Shepherd-Barron / Smirnov style)."
-    ),
-    "flat_check": (
-        "adjoins k free variables (flat extension with regular closed fiber)\n"
-        "and verifies lambda_T(e) = q^k * lambda_R(e) and s_e(T) = s_e(R)\n"
-        "integer-exactly for each e (Kunz's flat comparison with equality)."
-    ),
-    "classify": (
-        "flags: regular (lambda_1 = p^d, exact), F-pure (Fedder),\n"
-        "small-multiplicity prediction e_HK <= 1 + max{1/d!, 1/e(R)}\n"
-        "(strongly F-regular and Gorenstein), and the bound\n"
-        "(e(R)-1)(1-s) >= e_HK - 1 (Huneke-Leuschke).  Limit-based flags are\n"
-        "estimate-based, never proofs."
-    ),
-}
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -89,7 +34,7 @@ def main(argv=None) -> int:
     sub.add_parser("selftest", help="run the built-in corpus and properties")
 
     exp_p = sub.add_parser("explain", help="print the formula a task computes")
-    exp_p.add_argument("task", choices=sorted(TASK_KINDS))
+    exp_p.add_argument("task", choices=sorted(TASKS))
 
     args = parser.parse_args(argv)
 
@@ -100,7 +45,7 @@ def main(argv=None) -> int:
 
     if args.command == "explain":
         print(f"{args.task}:")
-        print(_EXPLANATIONS[args.task])
+        print(TASKS[args.task].explain)
         return 0
 
     # run

@@ -14,7 +14,7 @@ is the local dimension d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NotPrimaryError, NotStabilizedError, ZeroIdealError
@@ -101,6 +101,7 @@ class LimitEstimate:
     raw: tuple
     successive_diffs: tuple
     confidence: str
+    records: tuple = ()  # the HKRecords or SplitRecords behind raw
 
 
 def _extrapolate(values, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
@@ -146,8 +147,9 @@ def hk_estimate(L: LocalRingAtPoint, e_max: int, tol: float = 1e-2,
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
     budget = budget or Budget()
-    values = [hk_function(L, e, None, budget).normalized for e in range(1, e_max + 1)]
-    return _extrapolate(values, L.p, tol, lo=1)
+    recs = [hk_function(L, e, None, budget) for e in range(1, e_max + 1)]
+    est = _extrapolate([r.normalized for r in recs], L.p, tol, lo=1)
+    return replace(est, records=tuple(recs))
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +251,12 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int, tol: float = 1e-2,
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
     budget = budget or Budget()
-    first = splitting_number(L, 1, budget)
-    if first.a_e == 0:
-        return LimitEstimate(Fraction(0), 1, (Fraction(0),), (), "exact")
-    values = [first.s_e]
-    for e in range(2, e_max + 1):
-        values.append(splitting_number(L, e, budget).s_e)
-    return _extrapolate(values, L.p, tol, lo=0, hi=1)
+    recs = [splitting_number(L, 1, budget)]
+    if recs[0].a_e == 0:
+        return LimitEstimate(Fraction(0), 1, (Fraction(0),), (), "exact", tuple(recs))
+    recs += [splitting_number(L, e, budget) for e in range(2, e_max + 1)]
+    est = _extrapolate([r.s_e for r in recs], L.p, tol, lo=0, hi=1)
+    return replace(est, records=tuple(recs))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +356,9 @@ def classify(L: LocalRingAtPoint, e_max: int = 2, tol: float = 1e-2,
     F-purity, the small-multiplicity threshold 1 + max{1/d!, 1/e(R)}, and
     the multiplicity bound (e(R)-1)(1-s) >= e_HK - 1 on the estimates."""
     budget = budget or Budget()
-    lam1 = hk_function(L, 1, None, budget)
-    regular = lam1.lam == L.p**L.d
-    f_pure = fedder_is_fpure(L, budget)
     hk = hk_estimate(L, e_max, tol, budget)
+    regular = hk.records[0].lam == L.p**L.d
+    f_pure = fedder_is_fpure(L, budget)
     fsig = fsig_estimate(L, e_max, tol, budget)
     try:
         hs = hilbert_samuel(L.ideal0, n_max, L.m0.gens, budget)

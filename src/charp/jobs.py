@@ -1,7 +1,9 @@
-"""Job files: parsing, validation, and task execution.
+"""Job files, the task registry, validation, and task execution.
 
 Two encodings share one schema: a sectioned key-value text format (grammar
-in the README) and JSON.  Unknown keys are hard errors so typos cannot
+in the README) and JSON.  One key-type table converts text values and
+type-checks JSON values, and one registry (`TASKS`) holds each task kind's
+keys, runner and explanation.  Unknown keys are hard errors so typos cannot
 silently change a run.  Tasks are independent and may run in a process
 pool; results are reassembled in task order, so reports do not depend on
 scheduling.
@@ -13,17 +15,17 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import CharpError, ParseError
 from .finv import (
+    HKRecord,
     classify,
     fedder_is_fpure,
     fsig_estimate,
     hk_estimate,
-    hk_function,
     nu_invariant,
     pair_splitting_number,
-    splitting_number,
 )
 from .gf import field_new
 from .ideal import Budget, Ideal
@@ -33,39 +35,76 @@ from .spectrum import (
     RingComponent,
     RingPresentation,
     flat_extension_check,
-    gamma_data,
     global_fsig,
     global_hk,
     semicontinuity_probe,
 )
 
-TASK_KINDS = (
-    "hk", "fsig", "fedder", "pair", "nu",
-    "global_hk", "global_fsig", "semicontinuity", "flat_check", "classify",
-)
+# ---------------------------------------------------------------------------
+# key types: text values are converted and JSON values checked by one table
+
+
+def _gens(text: str) -> list:
+    return [g.strip() for g in text.split(";") if g.strip()]
+
+
+def _sample(text: str) -> dict:
+    # component:(a,b,c), with () for 0-variable components
+    comp, sep, coords = text.partition(":")
+    coords = coords.strip()
+    if not (sep and coords.startswith("(") and coords.endswith(")")):
+        raise ValueError(text)
+    inner = coords[1:-1].strip()
+    return {"component": int(comp),
+            "point": [int(c) for c in inner.split(",")] if inner else []}
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # bool is not an integer here
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(check(x) for x in v)
+
+
+def _is_sample(v) -> bool:
+    return (isinstance(v, dict) and set(v) == {"component", "point"}
+            and _is_int(v["component"]) and _list_of(_is_int)(v["point"]))
+
+
+class _KeyType(NamedTuple):
+    from_text: Callable  # raises ValueError on malformed text
+    check: Callable  # accepts the decoded JSON value
+    expected: str
+
+
+_INT = _KeyType(int, _is_int, "an integer")
+_NAMES = _KeyType(str.split, _list_of(lambda v: isinstance(v, str)), "a list of strings")
+_POLYS = _KeyType(_gens, _NAMES.check, "a list of polynomial strings")
+_SAMPLES = _KeyType(lambda text: [_sample(tok) for tok in text.split()],
+                   _list_of(_is_sample), "a list of samples comp:(c1,c2,...)")
+
+_KEY_TYPES = {
+    **dict.fromkeys(("p", "jobs", "budget_monomials", "budget_basis",
+                     "budget_pairs", "component", "e", "e_max", "extra_vars"), _INT),
+    "tolerance": _KeyType(float, lambda v: type(v) in (int, float), "a number"),
+    "vars": _NAMES,
+    "ideal": _POLYS,
+    "a": _POLYS,
+    "min_primes": _KeyType(lambda text: [g for g in map(_gens, text.split("|")) if g],
+                          _list_of(_POLYS.check), "a list of lists of polynomial strings"),
+    "point": _KeyType(lambda text: [int(tok) for tok in text.replace(",", " ").split()],
+                     _list_of(_is_int), "a list of integers"),
+    "t": _KeyType(str, lambda v: isinstance(v, str), "a rational string such as 1/2"),
+    "t_grid": _KeyType(str.split, _NAMES.check, "a list of rational strings"),
+    "samples": _SAMPLES,
+    "nearby": _SAMPLES,
+    "special": _KeyType(_sample, _is_sample, "a sample comp:(c1,c2,...)"),
+}
 
 _JOB_KEYS = {"p", "tolerance", "budget_monomials", "budget_basis",
              "budget_pairs", "jobs"}
 _COMPONENT_KEYS = {"vars", "ideal", "min_primes"}
-_TASK_KEYS = {
-    "hk": {"component", "point", "e_max", "tolerance"},
-    "fsig": {"component", "point", "e_max", "tolerance"},
-    "fedder": {"component", "point"},
-    "pair": {"component", "point", "a", "t", "t_grid", "e_max", "tolerance"},
-    "nu": {"component", "point", "a", "e"},
-    "global_hk": {"samples", "e_max", "tolerance"},
-    "global_fsig": {"samples", "e_max", "tolerance"},
-    "semicontinuity": {"special", "nearby", "e"},
-    "flat_check": {"component", "point", "extra_vars", "e_max", "a", "t"},
-    "classify": {"component", "point", "e_max", "tolerance"},
-}
-_TASK_REQUIRED = {
-    "pair": {"a"},
-    "nu": {"a"},
-    "global_hk": {"samples"},
-    "global_fsig": {"samples"},
-    "semicontinuity": {"special", "nearby"},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +142,11 @@ def parse_job_text(text: str) -> dict:
                 target_keys = _COMPONENT_KEYS
             elif header.startswith("task"):
                 kind = header[4:].strip()
-                if kind not in TASK_KINDS:
+                if kind not in TASKS:
                     raise ParseError(f"line {lineno}: unknown task kind '{kind}'")
                 target = {"kind": kind}
                 job["tasks"].append(target)
-                target_keys = _TASK_KEYS[kind] | {"kind"}
+                target_keys = TASKS[kind].keys
             else:
                 raise ParseError(f"line {lineno}: unknown section '[{header}]'")
             continue
@@ -120,68 +159,28 @@ def parse_job_text(text: str) -> dict:
             raise ParseError(f"line {lineno}: unknown key '{key}'")
         if key in target:
             raise ParseError(f"line {lineno}: duplicate key '{key}'")
-        target[key] = _parse_value(key, value, lineno)
+        try:
+            target[key] = _KEY_TYPES[key].from_text(value)
+        except ValueError:
+            raise ParseError(f"line {lineno}: '{key}' must be "
+                             f"{_KEY_TYPES[key].expected}, got '{value}'") from None
     return job
 
 
-def _parse_value(key: str, value: str, lineno: int):
-    if key in ("p", "jobs", "budget_monomials", "budget_basis", "budget_pairs",
-               "component", "e", "e_max", "extra_vars"):
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(f"line {lineno}: '{key}' must be an integer") from None
-    if key == "tolerance":
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"line {lineno}: tolerance must be a number") from None
-    if key == "vars":
-        return value.split()
-    if key in ("ideal", "a"):
-        return [g.strip() for g in value.split(";") if g.strip()]
-    if key == "min_primes":
-        primes = []
-        for chunk in value.split("|"):
-            gens = [g.strip() for g in chunk.split(";") if g.strip()]
-            if gens:
-                primes.append(gens)
-        return primes
-    if key == "point":
-        return [int(tok) for tok in value.replace(",", " ").split()]
-    if key == "t":
-        return value
-    if key == "t_grid":
-        return value.split()
-    if key in ("samples", "nearby"):
-        return [_parse_sample(tok, lineno) for tok in value.split()]
-    if key == "special":
-        return _parse_sample(value, lineno)
-    raise ParseError(f"line {lineno}: unhandled key '{key}'")
-
-
-def _parse_sample(tok: str, lineno: int) -> dict:
-    # component:(a,b,c), with () for 0-variable components
-    if ":" not in tok:
-        raise ParseError(f"line {lineno}: sample '{tok}' must be comp:(coords)")
-    comp, _, coords = tok.partition(":")
-    coords = coords.strip()
-    if not (coords.startswith("(") and coords.endswith(")")):
-        raise ParseError(f"line {lineno}: sample '{tok}' must be comp:(coords)")
-    inner = coords[1:-1].strip()
-    point = [int(c) for c in inner.split(",")] if inner else []
-    try:
-        return {"component": int(comp), "point": point}
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad sample '{tok}'") from None
+def _check_keys(where: str, entry, allowed) -> None:
+    """Reject a non-mapping entry, unknown keys and values of the wrong type."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where} must be a mapping")
+    unknown = set(entry) - allowed
+    if unknown:
+        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+    for key in sorted(entry.keys() & _KEY_TYPES.keys()):
+        if not _KEY_TYPES[key].check(entry[key]):
+            raise ParseError(f"{where}: '{key}' must be {_KEY_TYPES[key].expected}")
 
 
 def validate_job(job: dict) -> dict:
-    if not isinstance(job, dict):
-        raise ParseError("job must be a mapping")
-    unknown = set(job) - (_JOB_KEYS | {"components", "tasks"})
-    if unknown:
-        raise ParseError(f"unknown job keys: {sorted(unknown)}")
+    _check_keys("job", job, _JOB_KEYS | {"components", "tasks"})
     if "p" not in job:
         raise ParseError("job is missing the characteristic 'p'")
     try:
@@ -189,25 +188,23 @@ def validate_job(job: dict) -> dict:
     except Exception as exc:
         raise ParseError(f"NotPrime: {exc}") from None
     components = job.get("components", [])
+    tasks = job.setdefault("tasks", [])
+    if not isinstance(components, list) or not isinstance(tasks, list):
+        raise ParseError("'components' and 'tasks' must be lists")
     if not components:
         raise ParseError("job declares no components")
     for i, comp in enumerate(components):
-        unknown = set(comp) - _COMPONENT_KEYS
-        if unknown:
-            raise ParseError(f"component {i}: unknown keys {sorted(unknown)}")
+        _check_keys(f"component {i}", comp, _COMPONENT_KEYS)
         comp.setdefault("vars", [])
         comp.setdefault("ideal", [])
-    for i, task in enumerate(job.get("tasks", [])):
-        kind = task.get("kind")
-        if kind not in TASK_KINDS:
+    for i, task in enumerate(tasks):
+        kind = task.get("kind") if isinstance(task, dict) else None
+        if not isinstance(kind, str) or kind not in TASKS:
             raise ParseError(f"task {i}: unknown kind '{kind}'")
-        unknown = set(task) - (_TASK_KEYS[kind] | {"kind"})
-        if unknown:
-            raise ParseError(f"task {i} ({kind}): unknown keys {sorted(unknown)}")
-        missing = _TASK_REQUIRED.get(kind, set()) - set(task)
+        _check_keys(f"task {i} ({kind})", task, TASKS[kind].keys | {"kind"})
+        missing = TASKS[kind].required - set(task)
         if missing:
             raise ParseError(f"task {i} ({kind}): missing keys {sorted(missing)}")
-    job.setdefault("tasks", [])
     return job
 
 
@@ -222,10 +219,7 @@ def build_presentation(job: dict) -> RingPresentation:
         gens = [ring.parse(src) for src in spec.get("ideal", [])]
         primes = None
         if spec.get("min_primes"):
-            primes = [
-                Ideal(ring, [ring.parse(src) for src in gens_src])
-                for gens_src in spec["min_primes"]
-            ]
+            primes = [_ideal(ring, gens_src) for gens_src in spec["min_primes"]]
         comps.append(RingComponent(ring, gens, primes))
     return RingPresentation(comps)
 
@@ -273,7 +267,12 @@ def _tolerance_for(job: dict, task: dict, overrides: dict) -> float:
 
 
 def run_task(job: dict, index: int, overrides: dict | None = None) -> dict:
-    """Execute one task; returns a JSON-able result with TSV rows."""
+    """Execute one task; returns a JSON-able result with TSV rows.
+
+    A failure of any kind stays inside this task's entry, so the other
+    tasks still complete; an exception the engine does not document is
+    reported as an internal error.
+    """
     overrides = overrides or {}
     task = job["tasks"][index]
     kind = task["kind"]
@@ -281,17 +280,19 @@ def run_task(job: dict, index: int, overrides: dict | None = None) -> dict:
     tol = _tolerance_for(job, task, overrides)
     out = {"index": index, "kind": kind, "status": "ok", "rows": []}
     try:
-        R = build_presentation(job)
-        _dispatch(kind, R, job, task, out, tol, budget)
-    except CharpError as exc:
+        TASKS[kind].run(build_presentation(job), task, out, tol, budget)
+    except (CharpError, ValueError, ZeroDivisionError) as exc:
         out["status"] = "error"
         out["error"] = f"{type(exc).__name__}: {exc}"
-    except (ValueError, ZeroDivisionError) as exc:
+    except Exception as exc:
         out["status"] = "error"
-        out["error"] = f"{type(exc).__name__}: {exc}"
+        out["error"] = f"internal error: {type(exc).__name__}: {exc}"
     out["budget"] = budget.snapshot()
     return out
 
+
+# ---------------------------------------------------------------------------
+# task runners: run(R, task, out, tol, budget) fills the result entry `out`
 
 def _component(R: RingPresentation, index: int):
     if not 0 <= index < len(R.components):
@@ -332,134 +333,204 @@ def _row(task_label, component, point, e, q, lam=None, norm=None,
     }
 
 
-def _dispatch(kind, R, job, task, out, tol, budget):
-    if kind == "hk":
-        L, ci, point = _local(R, task)
-        e_max = task.get("e_max", 2)
-        for e in range(1, e_max + 1):
-            rec = hk_function(L, e, None, budget)
-            out["rows"].append(_row("hk", ci, point, rec.e, rec.q,
-                                    rec.lam, rec.normalized))
-        out["estimate"] = _estimate_payload(hk_estimate(L, e_max, tol, budget))
-    elif kind == "fsig":
-        L, ci, point = _local(R, task)
-        e_max = task.get("e_max", 2)
-        est = fsig_estimate(L, e_max, tol, budget)
-        for e in range(1, est.e_used + 1):
-            rec = splitting_number(L, e, budget)
-            out["rows"].append(_row("fsig", ci, point, rec.e, rec.q,
-                                    a_e=rec.a_e, s_e=rec.s_e))
-        out["estimate"] = _estimate_payload(est)
-    elif kind == "fedder":
-        L, ci, point = _local(R, task)
-        out["f_pure"] = fedder_is_fpure(L, budget)
-    elif kind == "pair":
-        L, ci, point = _local(R, task)
-        ring = L.ring
-        a = Ideal(ring, [ring.parse(src) for src in task["a"]])
-        ts = task.get("t_grid") or [task.get("t", "0")]
-        e_max = task.get("e_max", 2)
-        out["pair"] = []
-        for t_src in ts:
-            t = Fraction(t_src)
-            recs = [pair_splitting_number(L, a, t, e, budget)
-                    for e in range(1, e_max + 1)]
-            for rec in recs:
-                out["rows"].append(_row(f"pair t={t}", ci, point, rec.e, rec.q,
-                                        a_e=rec.a_e, s_e=rec.s_e))
-            out["pair"].append({
-                "t": str(t),
-                "s_e": [_fraction_cell(rec.s_e) for rec in recs],
-            })
-    elif kind == "nu":
-        L, ci, point = _local(R, task)
-        ring = L.ring
-        a = Ideal(ring, [ring.parse(src) for src in task["a"]])
-        out["nu"] = nu_invariant(L, a, task.get("e", 1), budget)
-    elif kind in ("global_hk", "global_fsig"):
-        samples = _samples(R, task["samples"])
-        fn = global_hk if kind == "global_hk" else global_fsig
-        res = fn(R, samples, task.get("e_max", 2), tol, budget)
-        gd = gamma_data(R)
-        out["gamma"] = {
-            "dims": list(gd.dims),
-            "gamma": gd.gamma,
-            "z_components": list(gd.z_components),
-            "z_is_spec": gd.z_is_spec,
-        }
-        out["value"] = _fraction_cell(res.value)
-        out["exact"] = res.exact
-        out["bound_note"] = res.note
-        out["arg_sample"] = None if res.arg_sample is None else {
-            "component": res.arg_sample.component,
-            "point": list(res.arg_sample.point),
-        }
-        out["excluded_samples"] = [
-            {"component": s.component, "point": list(s.point)}
-            for s in res.excluded
-        ]
-        for s, est in res.per_sample:
-            d = R.components[s.component].dim()
-            for e, v in enumerate(est.raw, start=1):
-                q = R.p**e
-                if kind == "global_hk":
-                    out["rows"].append(_row(kind, s.component, s.point, e, q,
-                                            lam=int(v * q**d), norm=v))
-                else:
-                    out["rows"].append(_row(kind, s.component, s.point, e, q,
-                                            a_e=int(v * q**d), s_e=v))
-    elif kind == "semicontinuity":
-        special = _samples(R, [task["special"]])[0]
-        nearby = _samples(R, task["nearby"])
-        rep = semicontinuity_probe(R, special, nearby, task.get("e", 1), budget)
-        out["ok"] = rep.ok
-        out["note"] = rep.note
-        ci = special.component
-        d = R.components[ci].dim()
-        out["rows"].append(_row("semicontinuity:special", ci, special.point,
-                                rep.e, rep.q,
-                                lam=int(rep.special_value * rep.q**d),
-                                norm=rep.special_value))
-        for s, lam, norm in rep.rows:
-            out["rows"].append(_row("semicontinuity:nearby", ci, s.point,
-                                    rep.e, rep.q, lam=lam, norm=norm))
-        if not rep.ok:
-            out["status"] = "error"
-            out["error"] = rep.note
-    elif kind == "flat_check":
-        L, ci, point = _local(R, task)
-        pair = None
-        if task.get("a"):
-            a = Ideal(L.ring, [L.ring.parse(src) for src in task["a"]])
-            pair = (a, Fraction(task.get("t", "0")))
-        rep = flat_extension_check(L, task.get("extra_vars", 1),
-                                   task.get("e_max", 2), pair, budget)
-        out["ok"] = rep.ok
-        for e, q, lam_r, lam_t, s_r, s_t, lam_ok, s_ok in rep.rows:
-            out["rows"].append(_row("flat_check:base", ci, point, e, q,
-                                    lam=lam_r, norm=Fraction(lam_r, q**L.d),
-                                    a_e=None, s_e=s_r))
-            ext_point = tuple(point) + (0,) * rep.n_extra_vars
-            out["rows"].append(_row("flat_check:ext", ci, ext_point, e, q,
-                                    lam=lam_t,
-                                    norm=Fraction(lam_t, q**(L.d + rep.n_extra_vars)),
-                                    a_e=None, s_e=s_t))
-        out["pair_rows"] = [
-            {"e": e, "q": q, "s_base": _fraction_cell(sr),
-             "s_ext": _fraction_cell(st), "equal": ok}
-            for e, q, sr, st, ok in rep.pair_rows
-        ]
-        if not rep.ok:
-            out["status"] = "error"
-            out["error"] = "flat extension comparison failed"
-    elif kind == "classify":
-        L, ci, point = _local(R, task)
-        flags = classify(L, task.get("e_max", 2), tol, budget=budget)
-        out["flags"] = flags.as_dict()
-        out["flags"]["hk"] = _estimate_payload(flags.hk)
-        out["flags"]["fsig"] = _estimate_payload(flags.fsig)
-    else:  # pragma: no cover - validate_job keeps this unreachable
-        raise ParseError(f"unknown task kind '{kind}'")
+def _record_rows(label, component, point, records) -> list:
+    """One row per HKRecord or SplitRecord."""
+    return [
+        _row(label, component, point, r.e, r.q, lam=r.lam, norm=r.normalized)
+        if isinstance(r, HKRecord) else
+        _row(label, component, point, r.e, r.q, a_e=r.a_e, s_e=r.s_e)
+        for r in records
+    ]
+
+
+def _ideal(ring: PolyRing, sources) -> Ideal:
+    return Ideal(ring, [ring.parse(src) for src in sources])
+
+
+def _run_estimate(R, task, out, tol, budget):
+    L, ci, point = _local(R, task)
+    estimate = hk_estimate if task["kind"] == "hk" else fsig_estimate
+    est = estimate(L, task.get("e_max", 2), tol, budget)
+    out["rows"] += _record_rows(task["kind"], ci, point, est.records)
+    out["estimate"] = _estimate_payload(est)
+
+
+def _run_fedder(R, task, out, tol, budget):
+    L, _, _ = _local(R, task)
+    out["f_pure"] = fedder_is_fpure(L, budget)
+
+
+def _run_pair(R, task, out, tol, budget):
+    L, ci, point = _local(R, task)
+    a = _ideal(L.ring, task["a"])
+    out["pair"] = []
+    for t_src in task.get("t_grid") or [task.get("t", "0")]:
+        t = Fraction(t_src)
+        recs = [pair_splitting_number(L, a, t, e, budget)
+                for e in range(1, task.get("e_max", 2) + 1)]
+        out["rows"] += _record_rows(f"pair t={t}", ci, point, recs)
+        out["pair"].append({
+            "t": str(t),
+            "s_e": [_fraction_cell(rec.s_e) for rec in recs],
+        })
+
+
+def _run_nu(R, task, out, tol, budget):
+    L, _, _ = _local(R, task)
+    out["nu"] = nu_invariant(L, _ideal(L.ring, task["a"]), task.get("e", 1), budget)
+
+
+def _run_global(R, task, out, tol, budget):
+    kind = task["kind"]
+    samples = _samples(R, task["samples"])
+    fn = global_hk if kind == "global_hk" else global_fsig
+    res = fn(R, samples, task.get("e_max", 2), tol, budget)
+    gd = res.gamma
+    out["gamma"] = {
+        "dims": list(gd.dims),
+        "gamma": gd.gamma,
+        "z_components": list(gd.z_components),
+        "z_is_spec": gd.z_is_spec,
+    }
+    out["value"] = _fraction_cell(res.value)
+    out["exact"] = res.exact
+    out["bound_note"] = res.note
+    out["arg_sample"] = None if res.arg_sample is None else {
+        "component": res.arg_sample.component,
+        "point": list(res.arg_sample.point),
+    }
+    out["excluded_samples"] = [
+        {"component": s.component, "point": list(s.point)}
+        for s in res.excluded
+    ]
+    for s, est in res.per_sample:
+        out["rows"] += _record_rows(kind, s.component, s.point, est.records)
+
+
+def _run_semicontinuity(R, task, out, tol, budget):
+    special = _samples(R, [task["special"]])[0]
+    nearby = _samples(R, task["nearby"])
+    rep = semicontinuity_probe(R, special, nearby, task.get("e", 1), budget)
+    out["ok"] = rep.ok
+    out["note"] = rep.note
+    ci = special.component
+    out["rows"].append(_row("semicontinuity:special", ci, special.point,
+                            rep.e, rep.q, lam=rep.special_lam,
+                            norm=rep.special_value))
+    for s, lam, norm in rep.rows:
+        out["rows"].append(_row("semicontinuity:nearby", ci, s.point,
+                                rep.e, rep.q, lam=lam, norm=norm))
+    if not rep.ok:
+        out["status"] = "error"
+        out["error"] = rep.note
+
+
+def _run_flat_check(R, task, out, tol, budget):
+    L, ci, point = _local(R, task)
+    pair = None
+    if task.get("a"):
+        pair = (_ideal(L.ring, task["a"]), Fraction(task.get("t", "0")))
+    rep = flat_extension_check(L, task.get("extra_vars", 1),
+                               task.get("e_max", 2), pair, budget)
+    out["ok"] = rep.ok
+    for e, q, lam_r, lam_t, s_r, s_t, lam_ok, s_ok in rep.rows:
+        out["rows"].append(_row("flat_check:base", ci, point, e, q,
+                                lam=lam_r, norm=Fraction(lam_r, q**L.d),
+                                a_e=None, s_e=s_r))
+        ext_point = tuple(point) + (0,) * rep.n_extra_vars
+        out["rows"].append(_row("flat_check:ext", ci, ext_point, e, q,
+                                lam=lam_t,
+                                norm=Fraction(lam_t, q**(L.d + rep.n_extra_vars)),
+                                a_e=None, s_e=s_t))
+    out["pair_rows"] = [
+        {"e": e, "q": q, "s_base": _fraction_cell(sr),
+         "s_ext": _fraction_cell(st), "equal": ok}
+        for e, q, sr, st, ok in rep.pair_rows
+    ]
+    if not rep.ok:
+        out["status"] = "error"
+        out["error"] = "flat extension comparison failed"
+
+
+def _run_classify(R, task, out, tol, budget):
+    L, _, _ = _local(R, task)
+    flags = classify(L, task.get("e_max", 2), tol, budget=budget)
+    out["flags"] = flags.as_dict()
+    out["flags"]["hk"] = _estimate_payload(flags.hk)
+    out["flags"]["fsig"] = _estimate_payload(flags.fsig)
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+class TaskKind(NamedTuple):
+    keys: frozenset  # besides "kind"
+    required: frozenset
+    run: Callable
+    explain: str  # printed by `charp explain <kind>`
+
+
+_LOCAL = frozenset({"component", "point"})
+_LIMIT = _LOCAL | {"e_max", "tolerance"}
+_NONE = frozenset()
+
+TASKS = {
+    "hk": TaskKind(_LIMIT, _NONE, _run_estimate, (
+        "lambda_e = dim_k S/(I + m^[q]), q = p^e, normalized by q^d.\n"
+        "The limit of lambda_e/q^d is the Hilbert-Kunz multiplicity (Monsky);\n"
+        "lambda_e >= q^d with equality iff the point is regular (Kunz)."
+    )),
+    "fsig": TaskKind(_LIMIT, _NONE, _run_estimate, (
+        "a_e = lambda(S/(m^[q] : (I^[q]:I))), the rank of the largest free\n"
+        "direct summand of the e-th Frobenius pushforward; s_e = a_e/q^d\n"
+        "converges to the F-signature (Tucker). s = 1 iff regular\n"
+        "(Huneke-Leuschke); s > 0 iff strongly F-regular (Aberbach-Leuschke)."
+    )),
+    "fedder": TaskKind(_LOCAL, _NONE, _run_fedder, (
+        "F-pure iff (I^[p] : I) is not contained in m^[p] (Fedder's criterion);\n"
+        "for a hypersurface f this reads f^(p-1) not in m^[p]."
+    )),
+    "pair": TaskKind(_LIMIT | {"a", "t", "t_grid"}, frozenset({"a"}), _run_pair, (
+        "a_e(R, a^t) = lambda(S/(m^[q] : a^ceil(t(q-1)) * (I^[q]:I))):\n"
+        "splitting numbers of the Cartier subalgebra scaled by powers of a\n"
+        "(Blickle-Schwede-Tucker); t = 0 recovers the plain splitting numbers."
+    )),
+    "nu": TaskKind(_LOCAL | {"a", "e"}, frozenset({"a"}), _run_nu, (
+        "nu(q) = max{r : a^r not in m^[q] + I}; the growth of nu(q)/q locates\n"
+        "the F-pure threshold and guides t-grids for pair sweeps."
+    )),
+    "global_hk": TaskKind(frozenset({"samples", "e_max", "tolerance"}),
+                          frozenset({"samples"}), _run_global, (
+        "max of the local Hilbert-Kunz estimates over sampled primes on the\n"
+        "gamma-attaining locus; a lower bound for the global value under\n"
+        "incomplete sampling.  Off-locus samples are excluded."
+    )),
+    "global_fsig": TaskKind(frozenset({"samples", "e_max", "tolerance"}),
+                            frozenset({"samples"}), _run_global, (
+        "min of the local F-signature estimates over sampled primes; exactly 0\n"
+        "whenever some component misses the global gamma.  An upper bound for\n"
+        "the global value under incomplete sampling."
+    )),
+    "semicontinuity": TaskKind(frozenset({"special", "nearby", "e"}),
+                               frozenset({"special", "nearby"}), _run_semicontinuity, (
+        "checks lambda_e(special) >= lambda_e(P) for nearby rational points on\n"
+        "one equidimensional component: upper semicontinuity of the normalized\n"
+        "bracket-power length (Shepherd-Barron / Smirnov style)."
+    )),
+    "flat_check": TaskKind(_LOCAL | {"extra_vars", "e_max", "a", "t"}, _NONE,
+                           _run_flat_check, (
+        "adjoins k free variables (flat extension with regular closed fiber)\n"
+        "and verifies lambda_T(e) = q^k * lambda_R(e) and s_e(T) = s_e(R)\n"
+        "integer-exactly for each e (Kunz's flat comparison with equality)."
+    )),
+    "classify": TaskKind(_LIMIT, _NONE, _run_classify, (
+        "flags: regular (lambda_1 = p^d, exact), F-pure (Fedder),\n"
+        "small-multiplicity prediction e_HK <= 1 + max{1/d!, 1/e(R)}\n"
+        "(strongly F-regular and Gorenstein), and the bound\n"
+        "(e(R)-1)(1-s) >= e_HK - 1 (Huneke-Leuschke).  Limit-based flags are\n"
+        "estimate-based, never proofs."
+    )),
+}
 
 
 def _run_task_star(args):

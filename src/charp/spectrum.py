@@ -134,6 +134,7 @@ class GlobalInvariantResult:
     per_sample: tuple
     excluded: tuple
     note: str
+    gamma: GammaData
 
 
 def global_hk(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
@@ -166,6 +167,7 @@ def global_hk(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
         excluded=excluded,
         note="max over sampled primes: a lower bound for the global value "
              "under incomplete sampling",
+        gamma=gd,
     )
 
 
@@ -186,6 +188,7 @@ def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
             excluded=tuple(samples),
             note="exact 0: a component misses the global gamma, so free "
                  "summands are asymptotically negligible",
+            gamma=gd,
         )
     samples = list(samples)
     if not samples:
@@ -208,6 +211,7 @@ def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
         excluded=(),
         note="min over sampled primes: an upper bound for the global value "
              "under incomplete sampling",
+        gamma=gd,
     )
 
 
@@ -219,6 +223,7 @@ class SemicontinuityReport:
     e: int
     q: int
     special: PrimeSample
+    special_lam: int
     special_value: Fraction
     rows: tuple
     ok: bool
@@ -251,7 +256,8 @@ def semicontinuity_probe(R: RingPresentation, special: PrimeSample, nearby,
     note = "upper semicontinuity holds on the sample" if ok else \
         "VIOLATION: semicontinuity failed; this indicates an engine bug"
     return SemicontinuityReport(
-        e=e, q=sp.q, special=special, special_value=sp.normalized,
+        e=e, q=sp.q, special=special, special_lam=sp.lam,
+        special_value=sp.normalized,
         rows=tuple(rows), ok=ok, note=note,
     )
 

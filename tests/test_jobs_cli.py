@@ -1,14 +1,19 @@
 """Job files, reports, determinism, exit codes, CLI surface."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+from charp.cli import main
 from charp.errors import ParseError
-from charp.jobs import parse_job_file, parse_job_text, run_job, validate_job
+from charp.jobs import TASKS, parse_job_file, parse_job_text, run_job, validate_job
 from charp.report import report_to_json, report_to_tsv
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 QUADRIC_JOB = """\
 # quadric cone at the origin
@@ -82,6 +87,61 @@ def test_json_job_equivalent(tmp_path):
     r1 = run_job(parse_job_file(str(p1)))
     r2 = run_job(parse_job_file(str(p2)))
     assert r1["tasks"][0]["rows"] == r2["tasks"][0]["rows"]
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("task", "e_max", "2"),
+    ("task", "e_max", True),
+    ("task", "point", "0 0 0"),
+    ("task", "tolerance", "0.01"),
+    ("component", "vars", "x y z"),
+    ("component", "ideal", "x*y - z^2"),
+])
+def test_json_values_are_type_checked(tmp_path, capsys, where, key, value):
+    job_json = {
+        "p": 7,
+        "components": [{"vars": ["x", "y", "z"], "ideal": ["x*y - z^2"]}],
+        "tasks": [{"kind": "fedder"},
+                  {"kind": "hk", "point": [0, 0, 0], "e_max": 2}],
+    }
+    if where == "task":
+        job_json["tasks"][1][key] = value
+        label = "task 1 (hk)"
+    else:
+        job_json["components"][0][key] = value
+        label = "component 0"
+    with pytest.raises(ParseError, match=re.escape(f"{label}: '{key}' must be")):
+        validate_job(json.loads(json.dumps(job_json)))
+    path = _write(tmp_path, json.dumps(job_json), "bad.json")
+    assert main(["run", str(path)]) == 1
+    assert f"{label}: '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "bad.report.json").exists()
+
+
+@pytest.mark.parametrize("job", [
+    [1, 2],
+    {"p": 5, "components": {"vars": []}},
+    {"p": 5, "components": ["x"]},
+    {"p": 5, "components": [{}], "tasks": ["hk"]},
+    {"p": 5, "components": [{}], "tasks": [{"kind": ["hk"]}]},
+    {"p": 5, "components": [{}], "tasks": [{"kind": "global_hk",
+                                             "samples": [{"component": 0}]}]},
+])
+def test_malformed_json_structure_is_parse_error(job):
+    with pytest.raises(ParseError):
+        validate_job(job)
+
+
+@pytest.mark.parametrize("kind, line, key", [
+    ("hk", "point = 1 a 2", "point"),
+    ("global_hk", "samples = 0:(a,b)", "samples"),
+    ("semicontinuity", "special = x:(0)", "special"),
+    ("hk", "e_max = two", "e_max"),
+])
+def test_text_conversion_errors_name_their_line(kind, line, key):
+    text = f"p = 5\n[component]\nvars = x y\nideal =\n[task {kind}]\n{line}\n"
+    with pytest.raises(ParseError, match=f"^line 6: '{key}' must be"):
+        parse_job_text(text)
 
 
 def test_sample_syntax():
@@ -173,6 +233,26 @@ def test_budget_error_isolated_to_task():
     assert report["tasks"][1]["status"] == "ok"  # other tasks complete
 
 
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_unexpected_exception_is_task_error(monkeypatch, tmp_path, capsys, n_jobs):
+    def broken(*args):
+        raise TypeError("boom")
+
+    monkeypatch.setitem(TASKS, "fedder", TASKS["fedder"]._replace(run=broken))
+    text = ("p = 5\n[component]\nvars = x y\nideal = x*y\n"
+            "[task fedder]\npoint = 0 0\n[task hk]\npoint = 0 0\ne_max = 2\n")
+    report = run_job(validate_job(parse_job_text(text)), jobs=n_jobs)
+    assert report["status"] == "error"
+    assert report["tasks"][0]["error"] == "internal error: TypeError: boom"
+    assert report["tasks"][1]["status"] == "ok"
+    assert [r["lambda"] for r in report["tasks"][1]["rows"]] == [9, 49]
+    path = _write(tmp_path, text)
+    assert main(["run", str(path), "--jobs", str(n_jobs)]) == 2
+    assert "internal error: TypeError: boom" in capsys.readouterr().err
+    saved = json.loads((tmp_path / "job.report.json").read_text())
+    assert saved["tasks"][1]["status"] == "ok"
+
+
 def test_parallel_jobs_match_sequential():
     job = validate_job(parse_job_text(QUADRIC_JOB))
     seq = run_job(job, jobs=1)
@@ -256,27 +336,59 @@ def test_cli_env_budget_cap(tmp_path):
     assert res.returncode == 2  # capped budget makes the hk task fail
 
 
-def test_cli_explain():
+# a fragment of each kind's current explanation
+EXPLAIN_FRAGMENTS = {
+    "hk": "Kunz",
+    "fsig": "F-signature",
+    "fedder": "m^[p]",
+    "pair": "Blickle-Schwede-Tucker",
+    "nu": "F-pure threshold",
+    "global_hk": "lower bound",
+    "global_fsig": "upper bound",
+    "semicontinuity": "upper semicontinuity",
+    "flat_check": "flat extension",
+    "classify": "Huneke-Leuschke",
+}
+
+
+def test_cli_explain(capsys):
     res = _cli(["explain", "fedder"])
     assert res.returncode == 0
     assert "m^[p]" in res.stdout
-    res = _cli(["explain", "hk"])
-    assert "Kunz" in res.stdout
+    assert set(EXPLAIN_FRAGMENTS) == set(TASKS)
+    for kind, fragment in EXPLAIN_FRAGMENTS.items():
+        assert main(["explain", kind]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{kind}:\n") and fragment in out, kind
+
+
+def test_task_kinds_agree_across_readme_cli_and_registry(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    grammar = readme[readme.index("KIND       :="):]
+    grammar = grammar[:grammar.index("```")]
+    readme_kinds = re.findall(r"'(\w+)'", grammar)
+    with pytest.raises(SystemExit):
+        main(["explain", "no_such_kind"])
+    choices = re.findall(r"\w+", capsys.readouterr().err.split("choose from")[1])
+    assert sorted(readme_kinds) == sorted(choices) == sorted(TASKS)
+    assert len(readme_kinds) == len(set(readme_kinds))
 
 
 def test_demo_jobs_run_clean(tmp_path):
-    import pathlib
+    """The committed demo reports are the oracle: a rerun gives the same TSV."""
     import shutil
 
-    demo = pathlib.Path(__file__).resolve().parent.parent / "demo"
-    for name in ("quadric.charp", "product.charp"):
-        src = demo / name
+    demo = ROOT / "demo"
+    for name in ("quadric", "product"):
+        src = demo / f"{name}.charp"
         if not src.exists():
             pytest.skip("demo jobs not present")
-        path = tmp_path / name
+        path = tmp_path / f"{name}.charp"
         shutil.copy(src, path)
         res = _cli(["run", str(path)])
         assert res.returncode == 0, res.stderr
+        assert ((tmp_path / f"{name}.report.tsv").read_bytes()
+                == (demo / f"{name}.report.tsv").read_bytes()), name
 
 
 def test_cli_run_byte_identical(tmp_path):
