@@ -6,8 +6,8 @@ class CharpError(Exception):
 
 
 class NotPrimeError(CharpError):
-    def __init__(self, p):
-        super().__init__(f"{p} is not prime")
+    def __init__(self, p, why="is not prime"):
+        super().__init__(f"{p} {why}")
         self.p = p
 
 

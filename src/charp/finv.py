@@ -9,6 +9,11 @@ S/(m_a^[q] : K) for a_e, is supported at the single point a, so its length
 over the polynomial ring S is the length over the local ring.  Rational
 points have trivial residue-field degree, so every normalization exponent
 is the local dimension d.
+
+F-purity, splitting numbers and pairs read one multiplier (I^[q] : I): by
+Fedder's lemma (F^(q-1)), F = f_1...f_c, when the generators are a complete
+intersection at the point, else a colon by elimination.  Splitting numbers
+of a complete intersection walk a chain of colons by F^(p-1) alone.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .ideal import (
     length,
     normal_form,
 )
-from .poly import PolyRing
+from .poly import PolyRing, poly_pow
 
 HL_TOLERANCE = Fraction(5, 100)
 
@@ -155,89 +160,75 @@ def hk_estimate(L: LocalRingAtPoint, e_max: int, tol: float = 1e-2,
 # ---------------------------------------------------------------------------
 # Frobenius splitting
 
-def _frobenius_colon(L: LocalRingAtPoint, q: int, budget: Budget) -> Ideal:
-    """(I^[q] : I); the unit ideal when I = 0, by the colon-by-zero convention."""
-    return colon(bracket_power(L.ideal0, q), L.ideal0, budget)
+def _is_ci(L: LocalRingAtPoint) -> bool:
+    """The c generators of I are a regular sequence at the point if c = n - d:
+    c bounds the local height, so it is c and the local dimension is d.  A
+    complete intersection of local dimension below d is missed; a
+    non-complete intersection never passes."""
+    return len(L.ideal0.gens) == L.ring.nvars - L.d
 
 
-def _hypersurface_step_ideal(L: LocalRingAtPoint) -> Ideal:
-    from .poly import poly_pow
-
-    f = L.ideal0.gens[0]
-    return Ideal(L.ring, (poly_pow(f, L.p - 1),))
-
-
-def _splitting_ideal_chain(L: LocalRingAtPoint, e: int, budget: Budget) -> Ideal:
-    """Splitting ideal of a hypersurface by iterated colon: over the
-    polynomial ring (m^[pq] : f^(pq-1)) = ((m^[q] : f^(q-1))^[p] : f^(p-1)),
-    so only the small multiplier f^(p-1) ever enters a colon."""
-    U = _hypersurface_step_ideal(L)
-    J = L.m0
-    for _ in range(e):
-        J = colon(bracket_power(J, L.p), U, budget)
-    return J
+def _multiplier(L: LocalRingAtPoint, q: int, budget: Budget) -> Ideal:
+    """(I^[q] : I) up to I^[q], which lies in m^[q]: Fedder's (F^(q-1)) for a
+    complete intersection (F = 1 for I = 0), else the colon."""
+    if not _is_ci(L):
+        return colon(bracket_power(L.ideal0, q), L.ideal0, budget)
+    F = L.ring.one()
+    for f in L.ideal0.gens:
+        F = F * f
+    return Ideal(L.ring, (poly_pow(F, q - 1),))
 
 
-def _splitting_length_chain(L: LocalRingAtPoint, e: int, budget: Budget) -> int:
-    """lambda(S/I_e) along the same chain, one length per step:
-    lambda(S/(J^[p] : u)) = p^n * lambda(S/J) - lambda(S/(J^[p] + u))."""
-    U = _hypersurface_step_ideal(L)
+def _colon_length(M: Ideal, lam: int, U: Ideal, budget: Budget) -> int:
+    """lambda(S/(M : U)) from lam = lambda(S/M); a principal U = (u) needs no
+    colon, by the exact sequence 0 -> S/(M:u) -u-> S/M -> S/(M+(u)) -> 0."""
+    if len(U.gens) == 1:
+        return lam - length(ideal_sum(M, U), budget)
+    return length(colon(M, U, budget), budget)
+
+
+def _splitting_step(L: LocalRingAtPoint, e: int, budget: Budget):
+    """(M, lambda(S/M), U) with I_e = (M : U).  A complete intersection walks
+    J_0 = m, J_k = (J_(k-1)^[p] : F^(p-1)) to M = J_(e-1)^[p]: Frobenius is
+    flat over S, so J_e = (m^[q] : F^(q-1)).  Otherwise M = m^[q]."""
+    if not _is_ci(L):
+        q = L.p**e
+        return bracket_power(L.m0, q), q**L.ring.nvars, _multiplier(L, q, budget)
+    U = _multiplier(L, L.p, budget)
     pn = L.p**L.ring.nvars
-    lam = 1  # lambda(S/m)
-    J = L.m0
-    for step in range(1, e + 1):
-        lam = pn * lam - length(ideal_sum(bracket_power(J, L.p), U), budget)
-        if step < e:
-            J = colon(bracket_power(J, L.p), U, budget)
-    return lam
+    M, lam = bracket_power(L.m0, L.p), pn
+    for _ in range(e - 1):
+        lam = pn * _colon_length(M, lam, U, budget)
+        M = bracket_power(colon(M, U, budget), L.p)
+    return M, lam, U
 
 
 def fedder_is_fpure(L: LocalRingAtPoint, budget: Budget | None = None) -> bool:
     """Fedder's criterion: F-pure iff (I^[p] : I) is not inside m^[p]."""
     budget = budget or Budget()
-    K = _frobenius_colon(L, L.p, budget)
-    mq = bracket_power(L.m0, L.p)
-    return any(not normal_form(g, mq, budget).is_zero() for g in K.gens)
+    mp = bracket_power(L.m0, L.p)
+    K = _multiplier(L, L.p, budget)
+    return any(not normal_form(g, mp, budget).is_zero() for g in K.gens)
 
 
 def splitting_ideal(L: LocalRingAtPoint, e: int, budget: Budget | None = None) -> Ideal:
-    """Lift of I_e: elements whose Frobenius images all land in m.
-
-    Computed as (m^[q] : (I^[q] : I)) over the polynomial presentation; for
-    a hypersurface the same ideal is reached by the iterated small colon of
-    _splitting_ideal_chain.
-    """
+    """Lift of I_e = (m^[q] : (I^[q] : I)): the elements whose Frobenius
+    images all land in m."""
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = budget or Budget()
-    if len(L.ideal0.gens) == 1:
-        return _splitting_ideal_chain(L, e, budget)
-    q = L.p**e
-    K = _frobenius_colon(L, q, budget)
-    return colon(bracket_power(L.m0, q), K, budget)
+    M, _, U = _splitting_step(L, e, budget)
+    return colon(M, U, budget)
 
 
 def splitting_number(L: LocalRingAtPoint, e: int,
                      budget: Budget | None = None) -> SplitRecord:
-    """a_e = lambda(R/I_e), normalized by q^d.
-
-    Hypersurfaces walk the iterated-colon chain, converting each colon
-    length into the exact difference lambda(S/(M:u)) = lambda(S/M) -
-    lambda(S/(M+u)); other presentations take the colon ideal's length
-    directly.
-    """
+    """a_e = lambda(R/I_e), normalized by q^d."""
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = budget or Budget()
     q = L.p**e
-    if len(L.ideal0.gens) == 1:
-        a_e = _splitting_length_chain(L, e, budget)
-    elif L.ideal0.is_zero():
-        a_e = q**L.ring.nvars  # regular ambient point: F-split of full rank
-    else:
-        mq = bracket_power(L.m0, q)
-        K = _frobenius_colon(L, q, budget)
-        a_e = length(colon(mq, K, budget), budget)
+    a_e = _colon_length(*_splitting_step(L, e, budget), budget)
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 
@@ -275,21 +266,18 @@ def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int,
     if not any(not normal_form(g, L.ideal0, budget).is_zero() for g in a.gens):
         raise ZeroIdealError("pair ideal is zero modulo I")
     q = L.p**e
-    n_mult = math.ceil(t * (q - 1))
-    mq = bracket_power(L.m0, q)
-    K = _frobenius_colon(L, q, budget)
-    mult = ideal_product(ideal_power(a, n_mult), K)
-    if len(mult.gens) == 1:
-        u = mult.gens[0]
-        a_e = q**L.ring.nvars - length(ideal_sum(mq, Ideal(L.ring, (u,))), budget)
-    else:
-        a_e = length(colon(mq, mult, budget), budget)
+    mq = bracket_power(L.m0, q)  # first: it rejects a q past the exponent bound
+    U = ideal_product(ideal_power(a, math.ceil(t * (q - 1))), _multiplier(L, q, budget))
+    a_e = _colon_length(mq, q**L.ring.nvars, U, budget)
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 
 def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int,
                  budget: Budget | None = None) -> int:
-    """nu(q) = max{r >= 0 : a^r not inside m^[q] + I}, by binary search."""
+    """nu(q) = max{r >= 0 : a^r not inside M = I + m^[q]}, in one pass:
+    V_0 = {1}, V_r = echelon{NF_M(g v) : g in a, v in V_(r-1)} spans the
+    r-fold generator products mod M, so a^r lies in M iff V_r = 0.  Each
+    |V_r| <= lambda(S/M) is charged to the box budget."""
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = budget or Budget()
@@ -298,24 +286,21 @@ def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int,
     for g in a.gens:
         if g.evaluate(L.point) != 0:
             raise ValueError("a must be contained in the maximal ideal")
-    q = L.p**e
-    M = ideal_sum(L.ideal0, bracket_power(L.m0, q))
-    M.groebner_basis(budget)
-
-    def contained(r: int) -> bool:
-        return all(
-            normal_form(g, M, budget).is_zero() for g in ideal_power(a, r).gens
-        )
-
-    lo, hi = 0, L.ring.nvars * (q - 1) + 1  # m^(n(q-1)+1) lies in m^[q]
-    assert contained(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if contained(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    M = ideal_sum(L.ideal0, bracket_power(L.m0, L.p**e))
+    r, V = 0, [L.ring.one()]
+    while True:
+        pivots: dict = {}  # leading monomial -> monic echelon vector
+        for g in a.gens:
+            for v in V:
+                w = normal_form(g * v, M, budget)
+                while not w.is_zero() and w.lm() in pivots:
+                    w = w - pivots[w.lm()].scale(w.lc())
+                if not w.is_zero():
+                    pivots[w.lm()] = w.monic()
+        if not pivots:
+            return r
+        budget.charge_box(len(pivots))
+        r, V = r + 1, list(pivots.values())
 
 
 # ---------------------------------------------------------------------------

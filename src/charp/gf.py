@@ -29,10 +29,11 @@ class FieldContext:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        # the range check comes first: trial division of a large p takes hours
+        if p >= 2**31:
+            raise NotPrimeError(p, "is outside the supported range p < 2^31")
         if not _is_prime(p):
             raise NotPrimeError(p)
-        if p >= 2**31:
-            raise NotPrimeError(p)  # out of the supported machine range
         self.p = p
 
     def normalize(self, a: int) -> int:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .errors import (
+    ExponentOverflowError,
     NotAPowerOfPError,
     NotPrimaryError,
     NotStabilizedError,
@@ -30,6 +31,7 @@ from .errors import (
     UnitIdealError,
 )
 from .poly import (
+    EXPONENT_LIMIT,
     MonomialOrder,
     Polynomial,
     PolyRing,
@@ -491,6 +493,8 @@ def bracket_power(I: Ideal, q: int) -> Ideal:
     p = I.ring.p
     if q < 1:
         raise NotAPowerOfPError(q, p)
+    if q > EXPONENT_LIMIT:
+        raise ExponentOverflowError("Frobenius power q exceeds 32-bit bound")
     m = q
     while m % p == 0:
         m //= p

@@ -26,9 +26,9 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 
 def mono_scale(a: tuple, n: int) -> tuple:
     out = tuple(x * n for x in a)
-    for e in out:
-        if e > EXPONENT_LIMIT:
-            raise ExponentOverflowError(f"exponent {e} exceeds 32-bit bound")
+    if any(e > EXPONENT_LIMIT for e in out):
+        # the exponent itself may be too long to format
+        raise ExponentOverflowError("scaled exponent exceeds 32-bit bound")
     return out
 
 

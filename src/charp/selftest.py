@@ -2,8 +2,9 @@
 
 Covers the regular rings, the coordinate-cross curve xy, the quadric cone
 xy - z^2 (at its vertex and at a smooth point off the origin), the Fermat
-cubics at p in {5, 7}, and the F_p x F_p product, plus randomized algebra
-properties.  Any violation makes the run fail.
+cubics at p in {5, 7}, the codimension-2 complete intersection
+(xy - z^2, zw - u^2) over F_3, and the F_p x F_p product, plus randomized
+algebra properties.  Any violation makes the run fail.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .finv import (
     fsig_estimate,
     hk_estimate,
     hk_function,
+    nu_invariant,
     pair_splitting_number,
     splitting_number,
 )
@@ -57,6 +59,8 @@ def _checks():
     yield "node lambda(e) = 2q - 1 and limit 2", _check_node
     yield "quadric cone estimates and multiplicity bound", _check_quadric
     yield "Fedder dichotomy for the Fermat cubic", _check_fedder
+    yield "codimension-2 complete intersection: a_1 = 5, a_2 = 97", _check_ci
+    yield "nu of the maximal ideal of the F_3 quadric at e = 3", _check_nu
     yield "product rings: global max and the zero rule", _check_products
     yield "flat extension equalities", _check_flat
     yield "semicontinuity at the cone point", _check_semicontinuity
@@ -108,6 +112,17 @@ def _check_fedder():
     L5 = _local(5, ("x", "y", "z"), ["x^3+y^3+z^3"])
     assert fedder_is_fpure(L7) and splitting_number(L7, 1).a_e > 0
     assert not fedder_is_fpure(L5) and splitting_number(L5, 1).a_e == 0
+
+
+def _check_ci():
+    L = _local(3, ("x", "y", "z", "w", "u"), ["x*y - z^2", "z*w - u^2"])
+    assert [splitting_number(L, e).a_e for e in (1, 2)] == [5, 97]
+    assert fedder_is_fpure(L)
+
+
+def _check_nu():
+    L = _local(3, ("x", "y", "z"), ["x*y - z^2"])
+    assert nu_invariant(L, L.m0, 3) == 39  # 3(q - 1)/2
 
 
 def _check_products():

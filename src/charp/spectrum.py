@@ -152,12 +152,7 @@ def global_hk(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
     for s in included:
         L = R.components[s.component].local_at(s.point)
         per.append((s, hk_estimate(L, e_max, tol, budget)))
-    best = max(per, key=lambda t: (t[1].value,))
-    # deterministic argmax: first sample attaining the max
-    for s, est in per:
-        if est.value == best[1].value:
-            best = (s, est)
-            break
+    best = max(per, key=lambda t: t[1].value)  # the first sample attaining it
     return GlobalInvariantResult(
         value=best[1].value,
         exact=best[1].confidence == "exact",
@@ -197,11 +192,7 @@ def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
     for s in samples:
         L = R.components[s.component].local_at(s.point)
         per.append((s, fsig_estimate(L, e_max, tol, budget)))
-    best = min(per, key=lambda t: (t[1].value,))
-    for s, est in per:
-        if est.value == best[1].value:
-            best = (s, est)
-            break
+    best = min(per, key=lambda t: t[1].value)  # the first sample attaining it
     return GlobalInvariantResult(
         value=best[1].value,
         exact=best[1].confidence == "exact",

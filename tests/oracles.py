@@ -2,14 +2,15 @@
 
 Everything here avoids the engine's Groebner machinery: dense F_p linear
 algebra (numpy), direct box enumeration, and exponent arithmetic on
-monomial ideals.
+monomial ideals.  The one exception is nu_binary_search, an earlier
+engine route kept to cross-check its replacement.
 """
 
 from itertools import product
 
 import numpy as np
 
-from charp.ideal import Ideal
+from charp.ideal import Ideal, bracket_power, ideal_power, ideal_sum, normal_form
 from charp.poly import PolyRing, mono_div, mono_mul
 
 
@@ -140,3 +141,22 @@ def random_nonzero_poly(rng, ring: PolyRing, max_deg=3, max_terms=4):
         f = random_poly(rng, ring, max_deg, max_terms)
         if not f.is_zero():
             return f
+
+
+def nu_binary_search(L, a: Ideal, e: int) -> int:
+    """nu(q) = max{r : a^r not inside m^[q] + I} by binary search over the
+    generators of a^r, which m^(n(q-1)+1), inside m^[q], bounds."""
+    M = ideal_sum(L.ideal0, bracket_power(L.m0, L.p**e))
+
+    def contained(r: int) -> bool:
+        return all(normal_form(g, M).is_zero() for g in ideal_power(a, r).gens)
+
+    lo, hi = 0, L.ring.nvars * (L.p**e - 1) + 1
+    assert contained(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if contained(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo

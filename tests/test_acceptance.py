@@ -289,3 +289,10 @@ def test_criterion_9_property_suites():
 
         assert instances >= 200, f"only {instances} randomized instances"
         print(f"\n  property instances exercised: {instances}")
+
+
+def test_selftest_passes():
+    from charp.selftest import run_selftest
+
+    lines = []
+    assert run_selftest(lines.append) == 0, "\n".join(lines)

@@ -2,14 +2,17 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from charp.errors import NotPrimaryError, ZeroIdealError
 from charp.gf import field_new
-from charp.ideal import Ideal, ideal_equal, length
+from charp.ideal import Budget, Ideal, ideal_equal, length
 from charp.finv import (
     LocalRingAtPoint,
+    _is_ci,
+    _multiplier,
     classify,
     fedder_is_fpure,
     fsig_estimate,
@@ -254,15 +257,37 @@ def test_splitting_chain_equals_direct_definition():
     assert splitting_number(L, 2).a_e == length(direct)
 
 
+def _random_cis(rng, R, point, count):
+    """Random (f, g) of degree <= 2 over R, vanishing at the point, that
+    form a complete intersection there (the multiplier route's test)."""
+    monos = [m for m in product(range(3), repeat=R.nvars) if 0 < sum(m) <= 2]
+    out = []
+    while len(out) < count:
+        gens = []
+        for _ in range(2):
+            f = R.from_dict({rng.choice(monos): rng.randint(1, R.p - 1)
+                             for _ in range(rng.randint(1, 3))})
+            gens.append(f - R.const(f.evaluate(point)))
+        if any(f.is_zero() for f in gens):
+            continue
+        L = LocalRingAtPoint(R, gens, point)
+        if _is_ci(L):
+            out.append(L)
+    return out
+
+
 def test_splitting_chain_random_hypersurfaces():
+    # hypersurfaces and codimension-2 complete intersections, at the origin
+    # and off it, against the definition (m^[q] : (I^[q] : I)); Fedder
+    # against the colon's own normal-form test
     import random
 
-    from charp.ideal import bracket_power, colon
+    from charp.ideal import bracket_power, colon, normal_form
 
     rng = random.Random(77)
     R = PolyRing(field_new(3), ("x", "y"))
-    checked = 0
-    while checked < 10:
+    cases = []
+    while len(cases) < 10:
         d = {}
         for _ in range(rng.randint(1, 3)):
             m = (rng.randint(0, 2), rng.randint(0, 2))
@@ -271,11 +296,43 @@ def test_splitting_chain_random_hypersurfaces():
         f = R.from_dict(d)
         if f.is_zero():
             continue
-        L = LocalRingAtPoint(R, [f], (0, 0))
-        K = colon(bracket_power(L.ideal0, 9), L.ideal0)
-        direct = length(colon(bracket_power(L.m0, 9), K))
-        assert splitting_number(L, 2).a_e == direct
-        checked += 1
+        cases.append((LocalRingAtPoint(R, [f], (0, 0)), (2,)))
+    R3 = PolyRing(field_new(3), ("x", "y", "z"))
+    rng = random.Random(2)
+    cases += [(L, (1, 2)) for L in _random_cis(rng, R3, (0, 0, 0), 3)]
+    cases += [(L, (1, 2)) for L in _random_cis(rng, R3, (1, 2, 1), 3)]
+    for L, es in cases:
+        assert _is_ci(L)
+        for e in es:
+            q = 3**e
+            K = colon(bracket_power(L.ideal0, q), L.ideal0)
+            direct = colon(bracket_power(L.m0, q), K)
+            assert splitting_number(L, e).a_e == length(direct), (L, e)
+            assert ideal_equal(splitting_ideal(L, e), direct), (L, e)
+        K = colon(bracket_power(L.ideal0, 3), L.ideal0)
+        mp = bracket_power(L.m0, 3)
+        assert fedder_is_fpure(L) == any(not normal_form(g, mp).is_zero() for g in K.gens)
+
+
+@pytest.mark.parametrize("p, names, srcs, point", [
+    # a redundant generator list: I = (f) is a hypersurface with two generators
+    (3, ("x", "y", "z"), ["x*y - z^2", "(x*y - z^2)*(x + y)"], (0, 0, 0)),
+    # a complete intersection of local dimension 1 inside a surface
+    (5, ("x", "y", "z"), ["x*z", "y*z"], (0, 0, 1)),
+])
+def test_non_ci_presentations_take_the_colon_route(p, names, srcs, point):
+    from charp.ideal import bracket_power, colon
+
+    L = local(p, names, srcs, point)
+    assert not _is_ci(L)
+    K = colon(bracket_power(L.ideal0, p), L.ideal0)
+    assert _multiplier(L, p, Budget()).gens == K.gens
+    for e in (1, 2):
+        q = p**e
+        K = colon(bracket_power(L.ideal0, q), L.ideal0)
+        direct = colon(bracket_power(L.m0, q), K)
+        assert splitting_number(L, e).a_e == length(direct)
+        assert ideal_equal(splitting_ideal(L, e), direct)
 
 
 def test_quadric_splitting_values():
@@ -450,6 +507,40 @@ def test_nu_bruteforce_cross_check():
         expected = r
         r += 1
     assert nu_invariant(L, a, 1) == expected
+
+
+@pytest.mark.parametrize("p, names, srcs, point, a, e", [
+    (5, ("x",), [], (0,), ["x"], 1),
+    (5, ("x",), [], (0,), ["x"], 2),
+    (5, ("x",), [], (0,), ["x^2"], 1),
+    (5, ("x", "y"), [], (0, 0), ["x^2", "x*y", "y^2"], 1),
+    (3, ("x", "y"), ["x*y"], (0, 0), ["x + y"], 1),
+    (5, ("x", "y", "z"), ["x*y - z^2"], (1, 4, 2), ["z - 2"], 2),
+    (3, ("x", "y", "z", "w"), ["x*z - y^2", "y*w - z^2", "x*w - y*z"],
+     (1, 1, 1, 1), ["w - 1"], 2),
+    (5, ("x", "y", "z"), ["x*y - z^2"], (0, 0, 0), ["x", "y", "z"], 1),
+    # a = m_a off the origin: dense powers on the oracle's route
+    (5, ("x", "y", "z"), ["x*y - z^2"], (1, 4, 2), None, 1),
+    (3, ("x", "y", "z", "w"), ["x*z - y^2", "y*w - z^2", "x*w - y*z"],
+     (1, 1, 1, 1), None, 1),
+])
+def test_nu_matches_binary_search_oracle(p, names, srcs, point, a, e):
+    from oracles import nu_binary_search
+
+    L = local(p, names, srcs, point)
+    a = L.m0 if a is None else Ideal(L.ring, [L.ring.parse(s) for s in a])
+    assert nu_invariant(L, a, e) == nu_binary_search(L, a, e)
+
+
+def test_nu_pass_is_charged_to_the_box_budget():
+    from charp.errors import ResourceBudgetError
+
+    L = local(3, ("x", "y", "z"), ["x*y - z^2"])
+    budget = Budget()
+    assert nu_invariant(L, L.m0, 2, budget) == 12  # 3(q - 1)/2
+    assert budget.used_box > 1
+    with pytest.raises(ResourceBudgetError):
+        nu_invariant(L, L.m0, 2, Budget(max_box=2))
 
 
 # -- classify ----------------------------------------------------------------

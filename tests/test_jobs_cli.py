@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -302,6 +303,25 @@ def test_cli_composite_p_exits_1(tmp_path):
     res = _cli(["run", str(path)])
     assert res.returncode == 1
     assert "NotPrime" in res.stderr or "not prime" in res.stderr
+
+
+def test_cli_large_prime_rejected_at_once(tmp_path, capsys):
+    # 2^61 - 1 is prime but out of range; trial division of it never ends
+    path = _write(tmp_path, f"p = {2**61 - 1}\n[component]\nvars = x\nideal =\n")
+    t0 = time.perf_counter()
+    assert main(["run", str(path)]) == 1
+    assert time.perf_counter() - t0 < 0.5
+    assert "outside the supported range" in capsys.readouterr().err
+
+
+def test_huge_exponent_is_a_task_error(tmp_path, capsys):
+    path = _write(tmp_path, "p = 5\n[component]\nvars = x\nideal =\n"
+                            "[task nu]\npoint = 0\na = x\ne = 100000\n")
+    t0 = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1
+    saved = json.loads((tmp_path / "job.report.json").read_text())
+    assert saved["tasks"][0]["error"].startswith("ExponentOverflowError: ")
 
 
 def test_cli_parse_error_exits_1(tmp_path):

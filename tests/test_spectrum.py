@@ -163,6 +163,18 @@ def test_jacobian_certified_samples_give_unit_globals():
     assert not is_smooth_point(comp, (0, 0, 0))
 
 
+def test_global_ties_pick_the_first_sample():
+    # every sample is smooth, so all estimates tie at 1: the extremum is
+    # attained first by the first sample
+    R = RingPresentation([component(5, ("x", "y", "z"), ["x*y - z^2"])])
+    samples = [PrimeSample(0, (1, 4, 2)), PrimeSample(0, (1, 1, 1)),
+               PrimeSample(0, (4, 1, 2))]
+    for fn in (global_hk, global_fsig):
+        res = fn(R, samples, 2)
+        assert res.value == 1
+        assert res.arg_sample == samples[0]
+
+
 # -- semicontinuity ----------------------------------------------------------
 
 def test_semicontinuity_quadric():
