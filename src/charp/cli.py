@@ -7,7 +7,6 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ParseError
 from .jobs import TASKS, parse_job_file, run_job
 from .report import report_to_json, report_to_tsv
 
@@ -51,10 +50,7 @@ def main(argv=None) -> int:
     # run
     try:
         job = parse_job_file(str(args.job))
-    except (ParseError, OSError) as exc:
-        print(f"charp: job parse error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # malformed structure
+    except Exception as exc:  # ParseError, OSError, or an undecodable file
         print(f"charp: job parse error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 
 from .errors import (
     ExponentOverflowError,
@@ -38,6 +38,7 @@ from .poly import (
     mono_degree,
     mono_div,
     monomial_count_box,
+    poly_pow,
 )
 
 INFINITE = math.inf
@@ -141,9 +142,6 @@ class _Engine:
         hi = self._grevlex_key(t[:k])
         lo = self._grevlex_key(t[k:])
         return (hi << ((self.n - k + 1) * B)) | lo
-
-    def key(self, t: tuple) -> int:
-        return self._key(t)
 
     def degree(self, m: int) -> int:
         return sum(self.unpack(m))
@@ -477,13 +475,15 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_power(I: Ideal, n: int) -> Ideal:
+    """I^n generated by the products of n generators, each product taken
+    as f_i^k_i over its distinct factors, so f^n costs O(log n) products."""
     if n == 0:
         return Ideal(I.ring, (I.ring.one(),))
     gens = []
-    for combo in combinations_with_replacement(I.gens, n):
+    for combo in combinations_with_replacement(range(len(I.gens)), n):
         g = I.ring.one()
-        for f in combo:
-            g = g * f
+        for i, run in groupby(combo):
+            g = g * poly_pow(I.gens[i], len(list(run)))
         gens.append(g)
     return Ideal(I.ring, gens)
 

@@ -246,7 +246,7 @@ def _point_label(point) -> str:
     return "(" + ",".join(str(a) for a in point) + ")"
 
 
-def _budget_for(job: dict, task: dict, overrides: dict) -> Budget:
+def _budget_for(job: dict, overrides: dict) -> Budget:
     box = overrides.get("budget_monomials") or job.get("budget_monomials") or 1_000_000
     env_cap = overrides.get("env_budget_monomials")
     if env_cap is not None:
@@ -276,7 +276,7 @@ def run_task(job: dict, index: int, overrides: dict | None = None) -> dict:
     overrides = overrides or {}
     task = job["tasks"][index]
     kind = task["kind"]
-    budget = _budget_for(job, task, overrides)
+    budget = _budget_for(job, overrides)
     tol = _tolerance_for(job, task, overrides)
     out = {"index": index, "kind": kind, "status": "ok", "rows": []}
     try:

@@ -46,10 +46,6 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_gcd(a: tuple, b: tuple) -> tuple:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def mono_degree(a: tuple) -> int:
     return sum(a)
 

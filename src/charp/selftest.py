@@ -1,16 +1,16 @@
-"""Built-in golden corpus and property mini-suites for `charp selftest`.
-
-Covers the regular rings, the coordinate-cross curve xy, the quadric cone
-xy - z^2 (at its vertex and at a smooth point off the origin), the Fermat
-cubics at p in {5, 7}, the codimension-2 complete intersection
-(xy - z^2, zw - u^2) over F_3, and the F_p x F_p product, plus randomized
-algebra properties.  Any violation makes the run fail.
-"""
+"""The golden corpus of `charp selftest`, which the acceptance tests read too:
+`CORPUS` rows (a local ring at a rational point and the values it pins,
+asserted by `check_case`), the non-local checks, and the property families,
+each taking an `rng` and an instance count."""
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 
 from .finv import (
     LocalRingAtPoint,
@@ -27,6 +27,7 @@ from .gf import field_new
 from .ideal import (
     Ideal,
     bracket_power,
+    colon,
     ideal_contains_ideal,
     ideal_equal,
     ideal_power,
@@ -47,211 +48,217 @@ from .spectrum import (
 )
 
 
-def _local(p, names, srcs, point=None):
-    R = PolyRing(field_new(p), tuple(names))
-    gens = [R.parse(s) for s in srcs]
-    return LocalRingAtPoint(R, gens, point or (0,) * len(names))
+def local_ring(p, vars_, ideal=(), point=None) -> LocalRingAtPoint:
+    """F_p[vars_]/(ideal) at `point` (the origin by default); `vars_` reads "x y"."""
+    R = PolyRing(field_new(p), tuple(vars_.split()))
+    return LocalRingAtPoint(R, [R.parse(s) for s in ideal], point or (0,) * R.nvars)
 
 
-def _checks():
-    yield "kunz exactness, regular rings", _check_kunz
-    yield "smooth points off the origin: lambda_e = a_e = q^d", _check_smooth_off_origin
-    yield "node lambda(e) = 2q - 1 and limit 2", _check_node
-    yield "quadric cone estimates and multiplicity bound", _check_quadric
-    yield "Fedder dichotomy for the Fermat cubic", _check_fedder
-    yield "codimension-2 complete intersection: a_1 = 5, a_2 = 97", _check_ci
-    yield "nu of the maximal ideal of the F_3 quadric at e = 3", _check_nu
-    yield "product rings: global max and the zero rule", _check_products
-    yield "flat extension equalities", _check_flat
-    yield "semicontinuity at the cone point", _check_semicontinuity
-    yield "pair splittings: t = 0, explicit 1-variable, monotone grid", _check_pairs
-    yield "property suite: bracket-power laws", _check_bracket_laws
-    yield "property suite: sandwich containments", _check_sandwich
-    yield "property suite: Buchberger certificates", _check_certificates
-    yield "property suite: colon defining property", _check_colon
-    yield "property suite: node additivity", _check_additivity
+@dataclass(frozen=True)
+class Case:
+    """One corpus row: a local ring and the values it pins."""
+    criterion: int  # the acceptance criterion that owns the row
+    p: int
+    vars: str
+    ideal: tuple = ()
+    point: tuple | None = None  # the origin when None
+    lam: dict = field(default_factory=dict)  # e -> lambda_e
+    a: dict = field(default_factory=dict)  # e -> a_e
+    fedder: bool | None = None  # F-pure, and a_1 > 0 exactly then
+    nu: tuple | None = None  # (generators of a, e, nu)
+    hk: tuple | None = None  # (limit, tolerance, e_max) of the estimate
+    fsig: tuple | None = None
+    hs: int | None = None  # Hilbert-Samuel multiplicity; the HL bound must hold
+
+    def local(self) -> LocalRingAtPoint:
+        return local_ring(self.p, self.vars, self.ideal, self.point)
+
+    def __str__(self):
+        ideal = f"/({', '.join(self.ideal)})" if self.ideal else ""
+        point = ",".join(map(str, self.point or (0,) * len(self.vars.split())))
+        return f"F_{self.p}[{','.join(self.vars.split())}]{ideal} at ({point})"
 
 
-def _check_kunz():
-    L = _local(5, ("x", "y"), [])
-    assert all(hk_function(L, e).lam == 5 ** (2 * e) for e in (1, 2, 3))
-    L = _local(7, ("x", "y", "z"), [])
-    assert all(hk_function(L, e).lam == 7 ** (3 * e) for e in (1, 2))
+_QUADRIC = ("x*y - z^2",)
+
+CORPUS = (
+    # 1. Kunz: lambda_e = q^d exactly on regular local rings, a_e too
+    Case(1, 5, "x y", lam={1: 5**2, 2: 5**4, 3: 5**6}),
+    Case(1, 7, "x y z", lam={1: 7**3, 2: 7**6}),
+    Case(1, 7, "x y z", _QUADRIC, (1, 4, 2), lam={1: 7**2, 2: 7**4}, a={1: 7**2, 2: 7**4}),
+    # 2. the node: lambda_e = 2q - 1, e_HK = 2, a_1 = 1, s = 0
+    *(Case(2, p, "x y", ("x*y",), lam={e: 2 * p**e - 1 for e in (1, 2, 3)}, a={1: 1},
+           hk=(2, 0, 3), fsig=(0, 0, 2))
+      for p in (3, 5, 7)),
+    # 3. the quadric cone: e_HK = 3/2 (Monsky 1983), s = 1/2, e(R) = 2;
+    #    over F_3, nu(m) = 3(q - 1)/2 at e = 3
+    *(Case(3, p, "x y z", _QUADRIC, hk=(Fraction(3, 2), Fraction(1, 20), 2),
+           fsig=(Fraction(1, 2), Fraction(1, 20), 2), hs=2,
+           nu=(("x", "y", "z"), 3, 39) if p == 3 else None)
+      for p in (3, 5, 7)),
+    # 4. Fedder: the Fermat cubic is F-pure iff p = 1 mod 3; a codim-2 CI
+    Case(4, 7, "x y z", ("x^3+y^3+z^3",), fedder=True),
+    Case(4, 5, "x y z", ("x^3+y^3+z^3",), fedder=False),
+    Case(4, 3, "x y z w u", (*_QUADRIC, "z*w - u^2"), a={1: 5, 2: 97}, fedder=True),
+)
 
 
-def _check_smooth_off_origin():
-    L = _local(7, ("x", "y", "z"), ["x*y - z^2"], (1, 4, 2))
-    for e in (1, 2):
-        q = 7**e
-        assert hk_function(L, e).lam == splitting_number(L, e).a_e == q**L.d
+def check_case(case: Case) -> None:
+    """Assert every value `case` pins."""
+    L = case.local()
+    for e, lam in case.lam.items():
+        assert (got := hk_function(L, e).lam) == lam, f"lambda_{e} = {got}, expected {lam}"
+    for e, a_e in case.a.items():
+        assert (got := splitting_number(L, e).a_e) == a_e, f"a_{e} = {got}, expected {a_e}"
+    if case.fedder is not None:
+        assert fedder_is_fpure(L) is case.fedder, "Fedder's criterion"
+        assert (splitting_number(L, 1).a_e > 0) is case.fedder, "a_1 > 0 against Fedder"
+    if case.nu is not None:
+        gens, e, nu = case.nu
+        a = Ideal(L.ring, [L.ring.parse(g) for g in gens])
+        assert (got := nu_invariant(L, a, e)) == nu, f"nu at e = {e} is {got}, expected {nu}"
+    for name, estimate, lim in (("hk", hk_estimate, case.hk), ("fsig", fsig_estimate, case.fsig)):
+        if lim is not None:
+            value, tol, e_max = lim
+            got = estimate(L, e_max).value
+            assert abs(got - value) <= tol, f"{name} limit {got}, expected {value}"
+    if case.hs is not None:
+        flags = classify(L, case.hk[2])
+        assert flags.hilbert_samuel == case.hs, f"e(R) = {flags.hilbert_samuel}"
+        assert flags.hl_satisfied and flags.hl_near_equality, flags.hl_note
 
 
-def _check_node():
-    for p in (3, 5, 7):
-        L = _local(p, ("x", "y"), ["x*y"])
-        assert all(hk_function(L, e).lam == 2 * p**e - 1 for e in (1, 2, 3))
-        assert hk_estimate(L, 3).value == 2
-        assert splitting_number(L, 1).a_e == 1
-        assert fsig_estimate(L, 2).value == 0
-
-
-def _check_quadric():
-    for p in (5, 7):
-        L = _local(p, ("x", "y", "z"), ["x*y - z^2"])
-        hk = hk_estimate(L, 2)
-        fs = fsig_estimate(L, 2)
-        assert abs(float(hk.value) - 1.5) < 0.05
-        assert abs(float(fs.value) - 0.5) < 0.05
-        flags = classify(L, 2)
-        assert flags.hilbert_samuel == 2
-        assert flags.hl_satisfied and flags.hl_near_equality
-
-
-def _check_fedder():
-    L7 = _local(7, ("x", "y", "z"), ["x^3+y^3+z^3"])
-    L5 = _local(5, ("x", "y", "z"), ["x^3+y^3+z^3"])
-    assert fedder_is_fpure(L7) and splitting_number(L7, 1).a_e > 0
-    assert not fedder_is_fpure(L5) and splitting_number(L5, 1).a_e == 0
-
-
-def _check_ci():
-    L = _local(3, ("x", "y", "z", "w", "u"), ["x*y - z^2", "z*w - u^2"])
-    assert [splitting_number(L, e).a_e for e in (1, 2)] == [5, 97]
-    assert fedder_is_fpure(L)
-
-
-def _check_nu():
-    L = _local(3, ("x", "y", "z"), ["x*y - z^2"])
-    assert nu_invariant(L, L.m0, 3) == 39  # 3(q - 1)/2
-
-
-def _check_products():
-    point = RingComponent(PolyRing(field_new(5), ()), [])
-    line = RingComponent(PolyRing(field_new(5), ("x",)), [])
-    pp = RingPresentation([point, RingComponent(PolyRing(field_new(5), ()), [])])
+def check_products() -> None:
+    """Two points: e_HK = 1; a line and a point: s = 0 (the point misses gamma)."""
+    F5 = field_new(5)
+    pt = RingComponent(PolyRing(F5, ()), [])
+    pp = RingPresentation([pt, RingComponent(PolyRing(F5, ()), [])])
     gd = gamma_data(pp)
-    assert gd.z_components == (0, 1)
+    assert gd.z_components == (0, 1) and gd.z_is_spec
     res = global_hk(pp, [PrimeSample(0, ()), PrimeSample(1, ())], 2)
     assert res.value == 1 and res.exact
-    lp = RingPresentation([line, point])
+    lp = RingPresentation([RingComponent(PolyRing(F5, ("x",)), []), pt])
     res = global_fsig(lp, [PrimeSample(0, (0,))], 2)
     assert res.value == 0 and res.exact
 
 
-def _check_flat():
+def check_flat() -> None:
+    """Adjoining a free variable scales lambda_e by q and keeps s_e, e <= 2."""
+    for L in (local_ring(5, "x y z", _QUADRIC), local_ring(3, "x y", ("x*y",)),
+              local_ring(5, "x y", ("x*y",))):
+        rep = flat_extension_check(L, 1, 2)
+        assert rep.ok
+        for _, q, lam_r, lam_t, s_r, s_t, _, _ in rep.rows:
+            assert lam_t == q * lam_r and s_t == s_r
+
+
+def check_semicontinuity(points=((1, 1, 1), (1, 4, 2), (4, 1, 2), (4, 4, 1))) -> None:
+    """Normalized lambda_1 is 1 at smooth points of the F_5 cone, more at 0;
+    the default points are (s^2, t^2, st) for (s, t) = (1, 1), (1, 2), (2, 1), (2, 3)."""
     R = PolyRing(field_new(5), ("x", "y", "z"))
-    L = LocalRingAtPoint(R, [R.parse("x*y - z^2")], (0, 0, 0))
-    assert flat_extension_check(L, 1, 2).ok
-    R2 = PolyRing(field_new(3), ("x", "y"))
-    L2 = LocalRingAtPoint(R2, [R2.parse("x*y")], (0, 0))
-    assert flat_extension_check(L2, 1, 2).ok
+    cone = RingPresentation([RingComponent(R, [R.parse(_QUADRIC[0])])])
+    rep = semicontinuity_probe(cone, PrimeSample(0, (0, 0, 0)),
+                               [PrimeSample(0, pt) for pt in points], 1)
+    assert rep.ok and len(rep.rows) == len(points)
+    assert all(norm == 1 < rep.special_value for _, _, norm in rep.rows)
 
 
-def _check_semicontinuity():
-    comp = RingComponent(
-        PolyRing(field_new(5), ("x", "y", "z")),
-        [PolyRing(field_new(5), ("x", "y", "z")).parse("x*y - z^2")],
-    )
-    R = RingPresentation([comp])
-    nearby = [PrimeSample(0, ((s * s) % 5, (t * t) % 5, (s * t) % 5))
-              for s, t in [(1, 1), (1, 2), (2, 1), (2, 3), (3, 4)]]
-    rep = semicontinuity_probe(R, PrimeSample(0, (0, 0, 0)), nearby, 1)
-    assert rep.ok and rep.special_value > 1
-    assert all(norm == 1 for _, _, norm in rep.rows)
-
-
-def _check_pairs():
-    import math
-
-    for p, names, srcs in [(5, ("x", "y"), ["x*y"]),
-                           (7, ("x", "y", "z"), ["x*y - z^2"]),
-                           (5, ("x",), [])]:
-        L = _local(p, names, srcs)
-        a = Ideal(L.ring, (L.ring.gen(0),))
+def check_pairs() -> None:
+    """t = 0 gives a_1 back; the explicit F_p[x] colon at t = 1/2; monotone in t."""
+    for L in [case.local() for case in CORPUS] + [local_ring(p, "x") for p in (5, 7)]:
+        a = Ideal(L.ring, L.m0.gens[:1])
         assert pair_splitting_number(L, a, 0, 1) == splitting_number(L, 1)
     for p in (5, 7):
-        L = _local(p, ("x",), [])
-        a = Ideal(L.ring, (L.ring.gen(0),))
-        q = p * p
-        rec = pair_splitting_number(L, a, Fraction(1, 2), 2)
-        assert rec.a_e == q - math.ceil((q - 1) / 2)
-        assert abs(float(rec.s_e) - 0.5) <= 1 / p
-    L = _local(5, ("x", "y"), [])
-    a = Ideal(L.ring, (L.ring.gen(0),))
-    grid = [pair_splitting_number(L, a, t, 1).a_e
-            for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)]
+        L = local_ring(p, "x")
+        rec = pair_splitting_number(L, Ideal(L.ring, L.m0.gens), Fraction(1, 2), 2)
+        assert rec.a_e == rec.q - math.ceil((rec.q - 1) / 2)
+        assert abs(rec.s_e - Fraction(1, 2)) <= Fraction(1, p)
+    L = local_ring(5, "x y")
+    a = Ideal(L.ring, L.m0.gens[:1])
+    grid = [pair_splitting_number(L, a, Fraction(k, 4), 1).a_e for k in range(5)]
     assert grid == sorted(grid, reverse=True)
 
 
-def _rand_poly(rng, ring, max_deg=2, max_terms=3):
+def rand_poly(rng, ring, max_terms=3):
+    """A nonzero polynomial of partial degrees <= 2 with up to max_terms terms."""
     d = {}
     for _ in range(rng.randint(1, max_terms)):
-        mono = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
+        mono = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
         d[mono] = rng.randint(1, ring.p - 1)
-    f = ring.from_dict(d)
-    return f if not f.is_zero() else ring.one()
+    return ring.from_dict(d)
 
 
-def _check_bracket_laws():
-    rng = random.Random(101)
-    for p in (2, 3):
-        R = PolyRing(field_new(p), ("x", "y"))
-        for _ in range(8):
-            A = Ideal(R, [_rand_poly(rng, R) for _ in range(2)])
-            B = Ideal(R, [_rand_poly(rng, R) for _ in range(2)])
-            assert ideal_equal(bracket_power(bracket_power(A, p), p),
-                               bracket_power(A, p * p))
-            assert ideal_equal(bracket_power(ideal_sum(A, B), p),
-                               ideal_sum(bracket_power(A, p), bracket_power(B, p)))
+def instance_rings(count, primes=(2, 3, 5)):
+    """F_p[x, y] for each of `count` instances, in equal blocks per prime."""
+    rings = [PolyRing(field_new(p), ("x", "y")) for p in primes]
+    return [rings[i * len(primes) // count] for i in range(count)]
 
 
-def _check_sandwich():
-    rng = random.Random(103)
-    for p in (2, 3):
-        R = PolyRing(field_new(p), ("x", "y"))
-        for _ in range(6):
-            s = rng.randint(1, 2)
-            A = Ideal(R, [_rand_poly(rng, R) for _ in range(s)])
-            br = bracket_power(A, p)
-            assert ideal_contains_ideal(br, ideal_power(A, s * p))
-            assert ideal_contains_ideal(ideal_power(A, p), br)
+def bracket_laws(rng, count) -> None:
+    """(A^[p])^[p] = A^[p^2], (A + B)^[p] = A^[p] + B^[p] and it contains A^[p]."""
+    for R in instance_rings(count):
+        A = Ideal(R, [rand_poly(rng, R) for _ in range(2)])
+        B = Ideal(R, [rand_poly(rng, R) for _ in range(2)])
+        A_p, B_p = bracket_power(A, R.p), bracket_power(B, R.p)
+        assert ideal_equal(bracket_power(A_p, R.p), bracket_power(A, R.p**2))
+        sum_p = bracket_power(ideal_sum(A, B), R.p)
+        assert ideal_equal(sum_p, ideal_sum(A_p, B_p))
+        assert ideal_contains_ideal(sum_p, A_p)
 
 
-def _check_certificates():
-    rng = random.Random(107)
-    R = PolyRing(field_new(3), ("x", "y"))
-    for _ in range(8):
-        J = Ideal(R, [_rand_poly(rng, R) for _ in range(2)])
-        gb = J.groebner_basis()
-        for i in range(len(gb)):
-            for j in range(i + 1, len(gb)):
-                assert normal_form(s_polynomial(gb[i], gb[j]), J).is_zero()
+def sandwich(rng, count) -> None:
+    """A^(s p) in A^[p] in A^p for A with s generators."""
+    for R in instance_rings(count):
+        s = rng.randint(1, 2)
+        A = Ideal(R, [rand_poly(rng, R, max_terms=2) for _ in range(s)])
+        br = bracket_power(A, R.p)
+        assert ideal_contains_ideal(br, ideal_power(A, s * R.p))
+        assert ideal_contains_ideal(ideal_power(A, R.p), br)
 
 
-def _check_colon():
-    from .ideal import colon
-
-    rng = random.Random(109)
-    R = PolyRing(field_new(3), ("x", "y"))
-    for _ in range(6):
-        A = Ideal(R, [_rand_poly(rng, R) for _ in range(2)])
-        B = Ideal(R, [_rand_poly(rng, R)])
-        C = colon(A, B)
-        for g in C.gens:
-            for h in B.gens:
-                assert normal_form(g * h, A).is_zero()
+def certificates(rng, count) -> None:
+    """Every S-polynomial of a computed basis reduces to zero."""
+    for R in instance_rings(count):
+        J = Ideal(R, [rand_poly(rng, R) for _ in range(rng.randint(1, 3))])
+        for f, g in combinations(J.groebner_basis(), 2):
+            assert normal_form(s_polynomial(f, g), J).is_zero()
 
 
-def _check_additivity():
-    # lambda_{xy}(e) = lambda_x(e) + lambda_y(e) - 1 at every e <= 3
-    for p in (3, 5, 7):
-        R = PolyRing(field_new(p), ("x", "y"))
-        Lxy = LocalRingAtPoint(R, [R.parse("x*y")], (0, 0))
-        Lx = LocalRingAtPoint(R, [R.parse("x")], (0, 0))
-        Ly = LocalRingAtPoint(R, [R.parse("y")], (0, 0))
-        for e in (1, 2, 3):
-            lam = hk_function(Lxy, e).lam
-            assert lam == hk_function(Lx, e).lam + hk_function(Ly, e).lam - 1
+def colon_property(rng, count) -> None:
+    """(A : B) B lies in A, over F_3."""
+    for R in instance_rings(count, (3,)):
+        A = Ideal(R, [rand_poly(rng, R) for _ in range(2)])
+        B = Ideal(R, [rand_poly(rng, R)])
+        assert all(normal_form(g * h, A).is_zero() for g in colon(A, B).gens for h in B.gens)
+
+
+def node_additivity(rng, count) -> None:
+    """lambda_xy(e) = lambda_x(e) + lambda_y(e) - 1 over fixed (p, e); no rng draws."""
+    pairs = [(p, e) for p in (3, 5, 7) for e in (1, 2, 3)]
+    for p, e in (pairs[i % len(pairs)] for i in range(count)):
+        lam = [hk_function(local_ring(p, "x y", (g,)), e).lam for g in ("x*y", "x", "y")]
+        assert lam[0] == lam[1] + lam[2] - 1
+
+
+# (name, family, instances per selftest run)
+PROPERTIES = (
+    ("bracket-power laws", bracket_laws, 16),
+    ("sandwich containments", sandwich, 12),
+    ("Buchberger certificates", certificates, 12),
+    ("colon defining property", colon_property, 6),
+    ("node additivity", node_additivity, 9),
+)
+
+
+def _checks():
+    for case in CORPUS:
+        yield str(case), partial(check_case, case)
+    yield "product rings: global max and the zero rule", check_products
+    yield "flat extension equalities", check_flat
+    yield "semicontinuity at the cone point", check_semicontinuity
+    yield "pair splittings: t = 0, explicit 1-variable, monotone grid", check_pairs
+    for name, family, count in PROPERTIES:
+        yield f"property suite: {name}", partial(family, random.Random(101), count)
 
 
 def run_selftest(out=print) -> int:

@@ -100,12 +100,9 @@ class PrimeSample:
 @dataclass(frozen=True)
 class GammaData:
     dims: tuple
-    alpha_at_closed_point: tuple
-    gammas: tuple
     gamma: int
     z_components: tuple
     z_is_spec: bool
-    primes_checked: tuple
 
 
 def gamma_data(R: RingPresentation) -> GammaData:
@@ -116,12 +113,9 @@ def gamma_data(R: RingPresentation) -> GammaData:
     z = tuple(i for i, d in enumerate(dims) if d == gamma)
     return GammaData(
         dims=dims,
-        alpha_at_closed_point=(0,) * len(dims),
-        gammas=dims,
         gamma=gamma,
         z_components=z,
         z_is_spec=len(z) == len(dims),
-        primes_checked=tuple(c.primes_checked for c in R.components),
     )
 
 

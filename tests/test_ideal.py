@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -462,3 +463,16 @@ def test_ideal_product_and_power():
     A = I(R, "x", "y")
     assert ideal_equal(ideal_product(A, A), ideal_power(A, 2))
     assert length(ideal_sum(ideal_power(A, 3), Ideal(R, ()))) == 6
+    # the generators of the one-factor-at-a-time product loop, in its order
+    rng = random.Random(31)
+    for _ in range(60):
+        Rp = ring(rng.choice((2, 3, 5)), ("x", "y"))
+        gens = [random_nonzero_poly(rng, Rp) for _ in range(rng.randint(1, 3))]
+        n = rng.randint(0, 6)
+        loop = []
+        for combo in combinations_with_replacement(gens, n):
+            g = Rp.one()
+            for f in combo:
+                g = g * f
+            loop.append(g)
+        assert ideal_power(Ideal(Rp, gens), n).gens == tuple(loop)

@@ -1,6 +1,7 @@
 """Job files, reports, determinism, exit codes, CLI surface."""
 
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -282,9 +283,12 @@ def test_json_identical_modulo_wall_time():
 
 # -- CLI ---------------------------------------------------------------------
 
-def _cli(args, **kw):
+def _cli(args, env=None):
+    """Run the CLI in a child process that imports charp from this checkout."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "charp.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=env)
 
 
 def test_cli_run_writes_reports(tmp_path):
@@ -324,6 +328,17 @@ def test_huge_exponent_is_a_task_error(tmp_path, capsys):
     assert saved["tasks"][0]["error"].startswith("ExponentOverflowError: ")
 
 
+def test_huge_pair_power_hits_the_box_budget_quickly(tmp_path):
+    # a^ceil(t(q-1)) by repeated squaring: the box budget stops e = 10 at once
+    path = _write(tmp_path, "p = 5\n[component]\nvars = x\nideal =\n[task pair]\n"
+                            "point = 0\na = x\nt_grid = 1/2\ne_max = 100000\n")
+    t0 = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - t0 < 2
+    saved = json.loads((tmp_path / "job.report.json").read_text())
+    assert saved["tasks"][0]["error"].startswith("ResourceBudgetError: ")
+
+
 def test_cli_parse_error_exits_1(tmp_path):
     path = _write(tmp_path, "p = 5\nnonsense\n")
     res = _cli(["run", str(path)])
@@ -348,8 +363,6 @@ def test_cli_json_only(tmp_path):
 
 
 def test_cli_env_budget_cap(tmp_path):
-    import os
-
     path = _write(tmp_path, QUADRIC_JOB, "q2.charp")
     env = dict(os.environ, CHARP_BUDGET_MONOMIALS="10")
     res = _cli(["run", str(path)], env=env)
