@@ -12,8 +12,11 @@ is the local dimension d.
 
 F-purity, splitting numbers and pairs read one multiplier (I^[q] : I): by
 Fedder's lemma (F^(q-1)), F = f_1...f_c, when the generators are a complete
-intersection at the point, else a colon by elimination.  Splitting numbers
-of a complete intersection walk a chain of colons by F^(p-1) alone.
+intersection at the point, else a colon by elimination.  Every splitting
+number is one length difference, a_e = lambda(S/M) - lambda(S/(M + U)) for
+the splitting ideal I_e = (M : U); no colon ideal is built for it.  A
+complete intersection walks a chain of colons by F^(p-1) to M, and
+`splitting_ideal` builds I_e itself as the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class LocalRingAtPoint:
         self.point = point
         self.ideal0 = Ideal(ring, gens)
         self.m0 = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
-        self.d = ring.nvars if self.ideal0.is_zero() else krull_dim(self.ideal0)
+        self.d = krull_dim(self.ideal0)
 
     @property
     def p(self) -> int:
@@ -131,18 +134,27 @@ def _extrapolate(values, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
 
 def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None,
                 budget: Budget | None = None) -> HKRecord:
-    """lambda(R/J^[q]R) for q = p^e, J defaulting to the maximal ideal."""
+    """lambda(R/J^[q]R) for q = p^e, J defaulting to the maximal ideal.
+
+    J must be primary to the point modulo I: S/(I + J) has a finite length
+    l >= 1, and m^[p^k] lies in I + J for the least p^k >= l (as m^l does
+    when a is its only support), so l is the local length."""
     budget = budget or Budget()
     if e < 0:
         raise ValueError("e must be non-negative")
     q = L.p**e
     if J is None:
         J = L.m0
-    elif length(ideal_sum(L.ideal0, J), budget) == INFINITE:
-        raise NotPrimaryError("J is not primary to the point modulo I")
+    else:
+        IJ = ideal_sum(L.ideal0, J)
+        ell = length(IJ, budget)
+        pk = 1
+        while pk < ell < INFINITE:
+            pk *= L.p
+        if not 1 <= ell < INFINITE or \
+                length(ideal_sum(IJ, bracket_power(L.m0, pk)), budget) != ell:
+            raise NotPrimaryError("J is not primary to the point modulo I")
     lam = length(ideal_sum(L.ideal0, bracket_power(J, q)), budget)
-    if lam == INFINITE:
-        raise NotPrimaryError("J is not primary to the point modulo I")
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
 
 
@@ -179,18 +191,15 @@ def _multiplier(L: LocalRingAtPoint, q: int, budget: Budget) -> Ideal:
     return Ideal(L.ring, (poly_pow(F, q - 1),))
 
 
-def _colon_length(M: Ideal, lam: int, U: Ideal, budget: Budget) -> int:
-    """lambda(S/(M : U)) from lam = lambda(S/M); a principal U = (u) needs no
-    colon, by the exact sequence 0 -> S/(M:u) -u-> S/M -> S/(M+(u)) -> 0."""
-    if len(U.gens) == 1:
-        return lam - length(ideal_sum(M, U), budget)
-    return length(colon(M, U, budget), budget)
-
-
 def _splitting_step(L: LocalRingAtPoint, e: int, budget: Budget):
-    """(M, lambda(S/M), U) with I_e = (M : U).  A complete intersection walks
-    J_0 = m, J_k = (J_(k-1)^[p] : F^(p-1)) to M = J_(e-1)^[p]: Frobenius is
-    flat over S, so J_e = (m^[q] : F^(q-1)).  Otherwise M = m^[q]."""
+    """(M, lambda(S/M), U) with I_e = (M : U) and
+    lambda(S/I_e) = lambda(S/M) - lambda(S/(M + U)).  A complete intersection
+    walks J_0 = m, J_k = (J_(k-1)^[p] : F^(p-1)) to M = J_(e-1)^[p]:
+    Frobenius is flat over S, so J_e = (m^[q] : F^(q-1)).  Otherwise
+    M = m^[q].  The difference is exact on both routes: U = (u) is principal
+    on the first, and 0 -> S/(M:u) -u-> S/M -> S/(M+(u)) -> 0 is exact; on the
+    second S/m^[q] is an Artinian complete intersection, hence Gorenstein,
+    and Matlis duality gives lambda(0 :_A U) = lambda(A/UA) over A = S/M."""
     if not _is_ci(L):
         q = L.p**e
         return bracket_power(L.m0, q), q**L.ring.nvars, _multiplier(L, q, budget)
@@ -198,7 +207,7 @@ def _splitting_step(L: LocalRingAtPoint, e: int, budget: Budget):
     pn = L.p**L.ring.nvars
     M, lam = bracket_power(L.m0, L.p), pn
     for _ in range(e - 1):
-        lam = pn * _colon_length(M, lam, U, budget)
+        lam = pn * (lam - length(ideal_sum(M, U), budget))
         M = bracket_power(colon(M, U, budget), L.p)
     return M, lam, U
 
@@ -213,7 +222,8 @@ def fedder_is_fpure(L: LocalRingAtPoint, budget: Budget | None = None) -> bool:
 
 def splitting_ideal(L: LocalRingAtPoint, e: int, budget: Budget | None = None) -> Ideal:
     """Lift of I_e = (m^[q] : (I^[q] : I)): the elements whose Frobenius
-    images all land in m."""
+    images all land in m.  The invariants only need its length, which
+    `splitting_number` reads without this colon; the ideal is the oracle."""
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = budget or Budget()
@@ -228,7 +238,8 @@ def splitting_number(L: LocalRingAtPoint, e: int,
         raise ValueError("e must be at least 1")
     budget = budget or Budget()
     q = L.p**e
-    a_e = _colon_length(*_splitting_step(L, e, budget), budget)
+    M, lam, U = _splitting_step(L, e, budget)
+    a_e = lam - length(ideal_sum(M, U), budget)
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 
@@ -256,7 +267,8 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int, tol: float = 1e-2,
 def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int,
                           budget: Budget | None = None) -> SplitRecord:
     """Splitting number of the pair (R, a^t):
-    a_e = lambda(S / (m^[q] : a^ceil(t(q-1)) * (I^[q]:I)))."""
+    a_e = lambda(S / (m^[q] : U)) = q^n - lambda(S / (m^[q] + U)) for
+    U = a^ceil(t(q-1)) * (I^[q]:I), by duality on S/m^[q]."""
     if e < 1:
         raise ValueError("e must be at least 1")
     t = Fraction(t)
@@ -268,7 +280,7 @@ def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int,
     q = L.p**e
     mq = bracket_power(L.m0, q)  # first: it rejects a q past the exponent bound
     U = ideal_product(ideal_power(a, math.ceil(t * (q - 1))), _multiplier(L, q, budget))
-    a_e = _colon_length(mq, q**L.ring.nvars, U, budget)
+    a_e = q**L.ring.nvars - length(ideal_sum(mq, U), budget)
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
 
@@ -613,21 +613,6 @@ def _count_standard(gens, bounds, cache):
     return total
 
 
-def _leading_data(I: Ideal, budget):
-    """(leading monomials, per-variable pure-power bounds or None)."""
-    gb = I.groebner_basis(budget)
-    lts = [g.lm() for g in gb]
-    n = I.ring.nvars
-    bounds = [None] * n
-    for m in lts:
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    return lts, bounds
-
-
 def length(I: Ideal, budget=None):
     """dim_{F_p} S/I: the number of standard monomials, or INFINITE.
 
@@ -638,7 +623,14 @@ def length(I: Ideal, budget=None):
     budget = budget or Budget()
     if I.is_unit(budget):
         return 0
-    lts, bounds = _leading_data(I, budget)
+    lts = [g.lm() for g in I.groebner_basis(budget)]
+    bounds = [None] * I.ring.nvars
+    for m in lts:
+        support = [i for i, e in enumerate(m) if e]
+        if len(support) == 1:
+            i = support[0]
+            if bounds[i] is None or m[i] < bounds[i]:
+                bounds[i] = m[i]
     if any(b is None for b in bounds):
         return INFINITE
     budget.charge_box(monomial_count_box(bounds))
@@ -650,34 +642,6 @@ def length(I: Ideal, budget=None):
     ]
     gens = tuple(_minimalize_monomials(mixed))
     return _count_standard(gens, bounds_t, {})
-
-
-@dataclass
-class StandardMonomialBasis:
-    """Monomials outside the leading-term ideal; a basis of S/I when finite."""
-
-    monomials: tuple
-    is_finite: bool
-    ideal: Ideal = field(repr=False, default=None)
-
-
-def standard_monomial_basis(I: Ideal, budget=None) -> StandardMonomialBasis:
-    budget = budget or Budget()
-    if I.is_unit(budget):
-        return StandardMonomialBasis((), True, I)
-    lts, bounds = _leading_data(I, budget)
-    if any(b is None for b in bounds):
-        return StandardMonomialBasis((), False, I)
-    budget.charge_box(monomial_count_box(bounds))
-    from itertools import product as iproduct
-
-    lts_min = _minimalize_monomials(lts)
-    out = []
-    for m in iproduct(*[range(b) for b in bounds]):
-        if not any(mono_div(m, g) is not None for g in lts_min):
-            out.append(m)
-    out.sort(key=I.ring.order.key)
-    return StandardMonomialBasis(tuple(out), True, I)
 
 
 def krull_dim(I: Ideal, budget=None) -> int:

@@ -27,16 +27,19 @@ from .poly import PolyRing
 
 
 class RingComponent:
-    """One factor F_p[vars]/I of a product presentation."""
+    """One factor F_p[vars]/I of a product presentation, with I and the
+    dimension of S/I."""
 
-    __slots__ = ("ring", "gens", "declared_min_primes", "primes_checked")
+    __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes",
+                 "primes_checked")
 
     def __init__(self, ring: PolyRing, gens, declared_min_primes=None):
         self.ring = ring
         self.gens = tuple(gens)
-        ideal = Ideal(ring, self.gens)
-        if ideal.gens and ideal.is_unit():
+        self.ideal = Ideal(ring, self.gens)
+        if self.ideal.is_unit():
             raise ValueError("component ideal is the unit ideal")
+        self.dim = krull_dim(self.ideal)
         self.declared_min_primes = tuple(declared_min_primes or ())
         self.primes_checked = False
         if self.declared_min_primes:
@@ -49,14 +52,6 @@ class RingComponent:
                             "declared minimal prime does not contain the ideal"
                         )
             self.primes_checked = True  # containment and properness only
-
-    def ideal(self) -> Ideal:
-        return Ideal(self.ring, self.gens)
-
-    def dim(self) -> int:
-        if not self.gens:
-            return self.ring.nvars
-        return krull_dim(self.ideal())
 
     def local_at(self, point) -> LocalRingAtPoint:
         return LocalRingAtPoint(self.ring, self.gens, point)
@@ -108,7 +103,7 @@ class GammaData:
 def gamma_data(R: RingPresentation) -> GammaData:
     """Per-component dimension = gamma (rational closed points have alpha 0),
     the global gamma as their max, and the components attaining it."""
-    dims = tuple(c.dim() for c in R.components)
+    dims = tuple(c.dim for c in R.components)
     gamma = max(dims)
     z = tuple(i for i, d in enumerate(dims) if d == gamma)
     return GammaData(
@@ -257,7 +252,7 @@ def is_smooth_point(comp: RingComponent, point) -> bool:
     rows = []
     for g in comp.gens:
         rows.append([g.derivative(j).evaluate(point) for j in range(comp.ring.nvars)])
-    codim = comp.ring.nvars - comp.dim()
+    codim = comp.ring.nvars - comp.dim
     return _modp_rank(rows, p) == codim
 
 

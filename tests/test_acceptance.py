@@ -3,10 +3,14 @@ line and enforcing its stated tolerance and time budget.  Cases and engine
 assertions come from `charp.selftest`; only the oracle cross-checks live here."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -145,5 +149,26 @@ def test_selftest_reports_a_wrong_value(monkeypatch):
     assert selftest.run_selftest(lines.append) == 1
     assert lines.pop() == "selftest: 1 FAILURE(S)"
     assert [line for line in lines if not line.startswith("ok    ")] == \
-        [f"FAIL  {ci}: AssertionError: a_2 = {ci.a[2]}, expected {ci.a[2] + 1}"]
+        [f"FAIL  {ci}: SelftestError: a_2 = {ci.a[2]}, expected {ci.a[2] + 1}"]
     assert len(lines) == len(selftest.CORPUS) + 4 + len(selftest.PROPERTIES)
+
+
+def test_selftest_fails_a_wrong_value_under_optimize():
+    # `python -O` strips `assert` statements (the child's own `assert False`
+    # proves it ran optimized); the corpus checks must still fail
+    code = "\n".join([
+        "import dataclasses, sys",
+        "from charp import selftest",
+        "assert False",
+        "case = dataclasses.replace(selftest.CORPUS[0], lam={1: 26})",
+        "try:",
+        "    selftest.check_case(case)",
+        "except selftest.SelftestError as exc:",
+        "    sys.exit(f'SelftestError: {exc}')",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.strip() == "SelftestError: lambda_1 = 25, expected 26"

@@ -101,6 +101,16 @@ def test_hk_custom_ideal_and_primary_check():
         hk_function(L, 1, Ideal(R, (R.parse("x"),)))
 
 
+@pytest.mark.parametrize("src", ["x + 4", "x*(x + 4)"])
+def test_hk_rejects_an_ideal_supported_off_the_point(src):
+    # over F_5 at the origin, (x + 4, y) is the maximal ideal of (1, 0), and
+    # (x(x + 4), y) meets both points: lambda_1 would read 25 and 50
+    L = local(5, ("x", "y"), [])
+    R = L.ring
+    with pytest.raises(NotPrimaryError):
+        hk_function(L, 1, Ideal(R, (R.parse(src), R.parse("y"))))
+
+
 def test_hk_custom_ideal_translates_with_the_point():
     # J given in presentation coordinates: the maximal ideal of the point
     # (1,2) over F_5 is (x + 4, y + 3); its bracket lengths match q^2
@@ -314,11 +324,16 @@ def test_splitting_chain_random_hypersurfaces():
         assert fedder_is_fpure(L) == any(not normal_form(g, mp).is_zero() for g in K.gens)
 
 
+_TWISTED_CUBIC = (("x", "y", "z", "w"), ["x*z - y^2", "y*w - z^2", "x*w - y*z"])
+
+
 @pytest.mark.parametrize("p, names, srcs, point", [
     # a redundant generator list: I = (f) is a hypersurface with two generators
     (3, ("x", "y", "z"), ["x*y - z^2", "(x*y - z^2)*(x + y)"], (0, 0, 0)),
     # a complete intersection of local dimension 1 inside a surface
     (5, ("x", "y", "z"), ["x*z", "y*z"], (0, 0, 1)),
+    # the twisted cubic cone: three generators, codimension 2
+    (3, *_TWISTED_CUBIC, (0, 0, 0, 0)),
 ])
 def test_non_ci_presentations_take_the_colon_route(p, names, srcs, point):
     from charp.ideal import bracket_power, colon
@@ -333,6 +348,24 @@ def test_non_ci_presentations_take_the_colon_route(p, names, srcs, point):
         direct = colon(bracket_power(L.m0, q), K)
         assert splitting_number(L, e).a_e == length(direct)
         assert ideal_equal(splitting_ideal(L, e), direct)
+
+
+@pytest.mark.parametrize("names, srcs, a, t", [
+    (*_TWISTED_CUBIC, ("x", "w"), Fraction(0)),
+    (*_TWISTED_CUBIC, ("x", "w"), Fraction(1, 3)),
+    (("x", "y", "z"), ["x*y - z^2"], ("x", "y"), Fraction(1, 2)),
+])
+def test_pair_splitting_number_matches_the_colon(names, srcs, a, t):
+    from charp.ideal import bracket_power, colon, ideal_power, ideal_product
+
+    L = local(3, names, srcs)
+    a = Ideal(L.ring, [L.ring.parse(g) for g in a])
+    for e in (1, 2):
+        q = 3**e
+        K = colon(bracket_power(L.ideal0, q), L.ideal0)
+        U = ideal_product(ideal_power(a, math.ceil(t * (q - 1))), K)
+        direct = length(colon(bracket_power(L.m0, q), U))
+        assert pair_splitting_number(L, a, t, e).a_e == direct, e
 
 
 def test_quadric_splitting_values():

@@ -27,11 +27,11 @@ from charp.ideal import (
     length,
     normal_form,
     s_polynomial,
-    standard_monomial_basis,
 )
 from charp.poly import PolyRing
 
 from oracles import (
+    box_monomials,
     ideal_from_monomials,
     monomial_colon_oracle,
     quotient_length_bruteforce,
@@ -380,10 +380,13 @@ def test_length_monotone_in_containment():
 
 def test_standard_monomial_basis():
     R = ring(3, ("x", "y"))
-    B = standard_monomial_basis(I(R, "x*y", "x^3", "y^3"))
-    assert B.is_finite
-    assert set(B.monomials) == {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)}
-    assert not standard_monomial_basis(I(R, "x")).is_finite
+    J = I(R, "x*y", "x^3", "y^3")
+    lms = [g.lm() for g in J.groebner_basis()]
+    basis = [m for m in box_monomials((3, 3))
+             if not any(all(a >= b for a, b in zip(m, lm)) for lm in lms)]
+    assert set(basis) == {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)}
+    assert length(J) == len(basis) == 5
+    assert length(I(R, "x")) == INFINITE
 
 
 def test_count_recursion_matches_enumeration():
