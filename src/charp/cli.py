@@ -7,7 +7,7 @@ import os
 import sys
 from pathlib import Path
 
-from .jobs import TASKS, parse_job_file, run_job
+from .jobs import TASKS, parse_job_file, positive_int, run_job
 from .report import report_to_json, report_to_tsv
 
 def main(argv=None) -> int:
@@ -59,12 +59,15 @@ def main(argv=None) -> int:
         "budget_monomials": args.budget_monomials,
         "jobs": args.jobs,
     }
+    if args.budget_monomials is not None and args.budget_monomials < 1:
+        print("charp: --budget-monomials must be an integer >= 1", file=sys.stderr)
+        return 1
     env_cap = os.environ.get("CHARP_BUDGET_MONOMIALS")
     if env_cap is not None:
         try:
-            overrides["env_budget_monomials"] = int(env_cap)
+            overrides["env_budget_monomials"] = positive_int(env_cap)
         except ValueError:
-            print("charp: CHARP_BUDGET_MONOMIALS must be an integer",
+            print("charp: CHARP_BUDGET_MONOMIALS must be an integer >= 1",
                   file=sys.stderr)
             return 1
 

@@ -17,6 +17,13 @@ number is one length difference, a_e = lambda(S/M) - lambda(S/(M + U)) for
 the splitting ideal I_e = (M : U); no colon ideal is built for it.  A
 complete intersection walks a chain of colons by F^(p-1) to M, and
 `splitting_ideal` builds I_e itself as the oracle the tests compare against.
+
+A LocalRingAtPoint takes an Ideal that may already hold its Groebner basis
+and caches its own Frobenius data write-once, as an Ideal caches its basis:
+the multiplier per q and the walk's steps per e, so every reader of a_e or
+(I^[q] : I) on one ring computes each once.  Cached work is charged to the
+budget of its first caller, and a step is stored only once it completes, so
+a budget error leaves the ring consistent.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from .ideal import (
     length,
     normal_form,
 )
-from .poly import PolyRing, poly_pow
+from .poly import poly_pow
 
 HL_TOLERANCE = Fraction(5, 100)
 
@@ -51,24 +58,28 @@ class LocalRingAtPoint:
     ideal0 is I in presentation coordinates and m0 = (x_i - a_i) is the
     maximal ideal of a; bracket_power(m0, q) = (x_i^q - a_i).  Ideals of
     S/I passed to the invariants (J, a) are read in the same coordinates.
+    Like an Ideal's Groebner basis, the Frobenius data is a write-once
+    cache: the multiplier (I^[q] : I) per q and the splitting steps per e.
     """
 
-    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d")
+    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_mult", "_steps")
 
-    def __init__(self, ring: PolyRing, gens, point):
+    def __init__(self, ideal: Ideal, point):
+        ring = ideal.ring
         point = tuple(ring.field.normalize(a) for a in point)
         if len(point) != ring.nvars:
             raise ValueError("point arity does not match the ring")
-        gens = tuple(gens)
-        for g in gens:
+        for g in ideal.gens:
             if g.evaluate(point) != 0:
                 raise ValueError(f"generator {g} does not vanish at {point}")
         self.ring = ring
-        self.gens = gens
+        self.gens = ideal.gens
         self.point = point
-        self.ideal0 = Ideal(ring, gens)
+        self.ideal0 = ideal
         self.m0 = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
-        self.d = krull_dim(self.ideal0)
+        self.d = krull_dim(ideal)
+        self._mult: dict = {}  # q -> (I^[q] : I)
+        self._steps: dict = {}  # e -> (M, lambda(S/M), U, a_e)
 
     @property
     def p(self) -> int:
@@ -182,34 +193,39 @@ def _is_ci(L: LocalRingAtPoint) -> bool:
 
 def _multiplier(L: LocalRingAtPoint, q: int, budget: Budget) -> Ideal:
     """(I^[q] : I) up to I^[q], which lies in m^[q]: Fedder's (F^(q-1)) for a
-    complete intersection (F = 1 for I = 0), else the colon."""
-    if not _is_ci(L):
-        return colon(bracket_power(L.ideal0, q), L.ideal0, budget)
-    F = L.ring.one()
-    for f in L.ideal0.gens:
-        F = F * f
-    return Ideal(L.ring, (poly_pow(F, q - 1),))
+    complete intersection (F = 1 for I = 0), else the colon.  Cached on L."""
+    if q not in L._mult:
+        if _is_ci(L):
+            F = math.prod(L.ideal0.gens, start=L.ring.one())
+            L._mult[q] = Ideal(L.ring, (poly_pow(F, q - 1),))
+        else:
+            L._mult[q] = colon(bracket_power(L.ideal0, q), L.ideal0, budget)
+    return L._mult[q]
 
 
 def _splitting_step(L: LocalRingAtPoint, e: int, budget: Budget):
-    """(M, lambda(S/M), U) with I_e = (M : U) and
-    lambda(S/I_e) = lambda(S/M) - lambda(S/(M + U)).  A complete intersection
-    walks J_0 = m, J_k = (J_(k-1)^[p] : F^(p-1)) to M = J_(e-1)^[p]:
-    Frobenius is flat over S, so J_e = (m^[q] : F^(q-1)).  Otherwise
-    M = m^[q].  The difference is exact on both routes: U = (u) is principal
-    on the first, and 0 -> S/(M:u) -u-> S/M -> S/(M+(u)) -> 0 is exact; on the
-    second S/m^[q] is an Artinian complete intersection, hence Gorenstein,
-    and Matlis duality gives lambda(0 :_A U) = lambda(A/UA) over A = S/M."""
-    if not _is_ci(L):
-        q = L.p**e
-        return bracket_power(L.m0, q), q**L.ring.nvars, _multiplier(L, q, budget)
-    U = _multiplier(L, L.p, budget)
-    pn = L.p**L.ring.nvars
-    M, lam = bracket_power(L.m0, L.p), pn
-    for _ in range(e - 1):
-        lam = pn * (lam - length(ideal_sum(M, U), budget))
-        M = bracket_power(colon(M, U, budget), L.p)
-    return M, lam, U
+    """(M, lambda(S/M), U, a_e) with I_e = (M : U) and
+    a_e = lambda(S/I_e) = lambda(S/M) - lambda(S/(M + U)), cached on L.  A
+    complete intersection walks J_0 = m, J_k = (J_(k-1)^[p] : F^(p-1)) to
+    M = J_(e-1)^[p]: Frobenius is flat over S, so J_e = (m^[q] : F^(q-1)),
+    and the walk's next lambda(S/M) = lambda(S/J_e^[p]) is p^n a_e.
+    Otherwise M = m^[q].  The difference is exact on both routes: U = (u) is
+    principal on the first, and 0 -> S/(M:u) -u-> S/M -> S/(M+(u)) -> 0 is
+    exact; on the second S/m^[q] is an Artinian complete intersection, hence
+    Gorenstein, and Matlis duality gives lambda(0 :_A U) = lambda(A/UA) over
+    A = S/M.  A step is stored only once it completes."""
+    p, n = L.p, L.ring.nvars
+    for k in range(1, e + 1) if _is_ci(L) else (e,):
+        if k in L._steps:
+            continue
+        if k == 1 or not _is_ci(L):
+            q = p**k
+            M, lam, U = bracket_power(L.m0, q), q**n, _multiplier(L, q, budget)
+        else:
+            M0, _, U, a = L._steps[k - 1]
+            M, lam = bracket_power(colon(M0, U, budget), p), p**n * a
+        L._steps[k] = (M, lam, U, lam - length(ideal_sum(M, U), budget))
+    return L._steps[e]
 
 
 def fedder_is_fpure(L: LocalRingAtPoint, budget: Budget | None = None) -> bool:
@@ -227,7 +243,7 @@ def splitting_ideal(L: LocalRingAtPoint, e: int, budget: Budget | None = None) -
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = budget or Budget()
-    M, _, U = _splitting_step(L, e, budget)
+    M, _, U, _ = _splitting_step(L, e, budget)
     return colon(M, U, budget)
 
 
@@ -238,8 +254,7 @@ def splitting_number(L: LocalRingAtPoint, e: int,
         raise ValueError("e must be at least 1")
     budget = budget or Budget()
     q = L.p**e
-    M, lam, U = _splitting_step(L, e, budget)
-    a_e = lam - length(ideal_sum(M, U), budget)
+    a_e = _splitting_step(L, e, budget)[3]
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 

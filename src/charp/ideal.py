@@ -406,14 +406,16 @@ def _buchberger(gens, ring: PolyRing, budget: Budget):
 # ideals
 
 class Ideal:
-    """Generator list with a write-once cache of its reduced Groebner basis."""
+    """Generator list with a write-once cache of its reduced Groebner basis
+    and of that basis packed for the reduction engine."""
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_packed")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
+        self._packed = None
 
     def groebner_basis(self, budget: Budget | None = None):
         if self._gb is None:
@@ -450,8 +452,9 @@ def normal_form(f: Polynomial, I: Ideal, budget=None) -> Polynomial:
     """The unique fully reduced remainder of f modulo I."""
     gb = I.groebner_basis(budget)
     eng = _engine(I.ring)
-    basis = [eng.plist(g) for g in gb]
-    return eng.to_poly(_reduce_full(eng.plist(f), basis, eng))
+    if I._packed is None:
+        I._packed = [eng.plist(g) for g in gb]
+    return eng.to_poly(_reduce_full(eng.plist(f), I._packed, eng))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -78,15 +78,23 @@ class _KeyType(NamedTuple):
     expected: str
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
 _INT = _KeyType(int, _is_int, "an integer")
+_POSITIVE = _KeyType(positive_int, lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _NAMES = _KeyType(str.split, _list_of(lambda v: isinstance(v, str)), "a list of strings")
 _POLYS = _KeyType(_gens, _NAMES.check, "a list of polynomial strings")
 _SAMPLES = _KeyType(lambda text: [_sample(tok) for tok in text.split()],
                    _list_of(_is_sample), "a list of samples comp:(c1,c2,...)")
 
 _KEY_TYPES = {
-    **dict.fromkeys(("p", "jobs", "budget_monomials", "budget_basis",
-                     "budget_pairs", "component", "e", "e_max", "extra_vars"), _INT),
+    **dict.fromkeys(("p", "jobs", "component", "e", "e_max", "extra_vars"), _INT),
+    **dict.fromkeys(("budget_monomials", "budget_basis", "budget_pairs"), _POSITIVE),
     "tolerance": _KeyType(float, lambda v: type(v) in (int, float), "a number"),
     "vars": _NAMES,
     "ideal": _POLYS,
@@ -247,13 +255,17 @@ def _point_label(point) -> str:
 
 
 def _budget_for(job: dict, overrides: dict) -> Budget:
-    box = overrides.get("budget_monomials") or job.get("budget_monomials") or 1_000_000
+    """Caps from the overrides, then the job, then the defaults; every cap
+    given is >= 1, as parsing checks."""
+    box = overrides.get("budget_monomials")
+    if box is None:
+        box = job.get("budget_monomials", 1_000_000)
     env_cap = overrides.get("env_budget_monomials")
     if env_cap is not None:
         box = min(box, env_cap)
     return Budget(
-        max_basis=job.get("budget_basis") or 2000,
-        max_pairs=job.get("budget_pairs") or 200_000,
+        max_basis=job.get("budget_basis", 2000),
+        max_pairs=job.get("budget_pairs", 200_000),
         max_box=box,
     )
 

@@ -62,7 +62,8 @@ def _expect(ok, message: str) -> None:
 def local_ring(p, vars_, ideal=(), point=None) -> LocalRingAtPoint:
     """F_p[vars_]/(ideal) at `point` (the origin by default); `vars_` reads "x y"."""
     R = PolyRing(field_new(p), tuple(vars_.split()))
-    return LocalRingAtPoint(R, [R.parse(s) for s in ideal], point or (0,) * R.nvars)
+    return LocalRingAtPoint(Ideal(R, [R.parse(s) for s in ideal]),
+                            point or (0,) * R.nvars)
 
 
 @dataclass(frozen=True)

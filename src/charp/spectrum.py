@@ -30,8 +30,7 @@ class RingComponent:
     """One factor F_p[vars]/I of a product presentation, with I and the
     dimension of S/I."""
 
-    __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes",
-                 "primes_checked")
+    __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes")
 
     def __init__(self, ring: PolyRing, gens, declared_min_primes=None):
         self.ring = ring
@@ -41,20 +40,17 @@ class RingComponent:
             raise ValueError("component ideal is the unit ideal")
         self.dim = krull_dim(self.ideal)
         self.declared_min_primes = tuple(declared_min_primes or ())
-        self.primes_checked = False
-        if self.declared_min_primes:
-            for Q in self.declared_min_primes:
-                if Q.is_unit():
-                    raise ValueError("declared minimal prime is the unit ideal")
-                for g in self.gens:
-                    if not normal_form(g, Q).is_zero():
-                        raise ValueError(
-                            "declared minimal prime does not contain the ideal"
-                        )
-            self.primes_checked = True  # containment and properness only
+        for Q in self.declared_min_primes:  # containment and properness only
+            if Q.is_unit():
+                raise ValueError("declared minimal prime is the unit ideal")
+            for g in self.gens:
+                if not normal_form(g, Q).is_zero():
+                    raise ValueError(
+                        "declared minimal prime does not contain the ideal"
+                    )
 
     def local_at(self, point) -> LocalRingAtPoint:
-        return LocalRingAtPoint(self.ring, self.gens, point)
+        return LocalRingAtPoint(self.ideal, point)
 
     def __repr__(self):
         return f"RingComponent(F_{self.ring.p}[{','.join(self.ring.names)}]/({', '.join(map(str, self.gens))}))"
@@ -126,6 +122,21 @@ class GlobalInvariantResult:
     gamma: GammaData
 
 
+def _sweep(R: RingPresentation, samples, estimate, e_max: int, tol: float,
+           budget: Budget) -> tuple:
+    """(sample, local estimate) per sample, one local ring each."""
+    return tuple((s, estimate(R.components[s.component].local_at(s.point),
+                              e_max, tol, budget)) for s in samples)
+
+
+def _extremum(per, pick, excluded, note, gd) -> GlobalInvariantResult:
+    """The result at the first sample attaining pick (max or min)."""
+    s, est = pick(per, key=lambda t: t[1].value)
+    return GlobalInvariantResult(value=est.value, exact=est.confidence == "exact",
+                                 estimate=est, arg_sample=s, per_sample=per,
+                                 excluded=excluded, note=note, gamma=gd)
+
+
 def global_hk(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
               budget: Budget | None = None) -> GlobalInvariantResult:
     """Max of the local Hilbert-Kunz estimates over the sampled primes on
@@ -137,22 +148,9 @@ def global_hk(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
     excluded = tuple(s for s in samples if s.component not in gd.z_components)
     if not included:
         raise ValueError("no samples lie on a gamma-attaining component")
-    per = []
-    for s in included:
-        L = R.components[s.component].local_at(s.point)
-        per.append((s, hk_estimate(L, e_max, tol, budget)))
-    best = max(per, key=lambda t: t[1].value)  # the first sample attaining it
-    return GlobalInvariantResult(
-        value=best[1].value,
-        exact=best[1].confidence == "exact",
-        estimate=best[1],
-        arg_sample=best[0],
-        per_sample=tuple(per),
-        excluded=excluded,
-        note="max over sampled primes: a lower bound for the global value "
-             "under incomplete sampling",
-        gamma=gd,
-    )
+    return _extremum(_sweep(R, included, hk_estimate, e_max, tol, budget), max,
+                     excluded, "max over sampled primes: a lower bound for the "
+                     "global value under incomplete sampling", gd)
 
 
 def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
@@ -164,35 +162,16 @@ def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
     gd = gamma_data(R)
     if not gd.z_is_spec:
         return GlobalInvariantResult(
-            value=Fraction(0),
-            exact=True,
-            estimate=None,
-            arg_sample=None,
-            per_sample=(),
-            excluded=tuple(samples),
+            value=Fraction(0), exact=True, estimate=None, arg_sample=None,
+            per_sample=(), excluded=tuple(samples), gamma=gd,
             note="exact 0: a component misses the global gamma, so free "
-                 "summands are asymptotically negligible",
-            gamma=gd,
-        )
+                 "summands are asymptotically negligible")
     samples = list(samples)
     if not samples:
         raise ValueError("global_fsig needs at least one sample")
-    per = []
-    for s in samples:
-        L = R.components[s.component].local_at(s.point)
-        per.append((s, fsig_estimate(L, e_max, tol, budget)))
-    best = min(per, key=lambda t: t[1].value)  # the first sample attaining it
-    return GlobalInvariantResult(
-        value=best[1].value,
-        exact=best[1].confidence == "exact",
-        estimate=best[1],
-        arg_sample=best[0],
-        per_sample=tuple(per),
-        excluded=(),
-        note="min over sampled primes: an upper bound for the global value "
-             "under incomplete sampling",
-        gamma=gd,
-    )
+    return _extremum(_sweep(R, samples, fsig_estimate, e_max, tol, budget), min,
+                     (), "min over sampled primes: an upper bound for the "
+                     "global value under incomplete sampling", gd)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +291,7 @@ def flat_extension_check(L: LocalRingAtPoint, n_extra_vars: int, e_max: int,
     def lift(f):
         return ext.from_dict({m + (0,) * n_extra_vars: c for m, c in f.terms})
 
-    LT = LocalRingAtPoint(ext, [lift(g) for g in L.gens],
+    LT = LocalRingAtPoint(Ideal(ext, [lift(g) for g in L.gens]),
                           L.point + (0,) * n_extra_vars)
     rows = []
     ok = True

@@ -33,13 +33,13 @@ def local(p, names, srcs, point=None):
     gens = [R.parse(s) for s in srcs]
     if point is None:
         point = (0,) * len(names)
-    return LocalRingAtPoint(R, gens, point)
+    return LocalRingAtPoint(Ideal(R, gens), point)
 
 
 def test_point_must_lie_on_variety():
     R = PolyRing(field_new(5), ("x", "y"))
     with pytest.raises(ValueError):
-        LocalRingAtPoint(R, [R.parse("x*y")], (1, 1))
+        LocalRingAtPoint(Ideal(R, [R.parse("x*y")]), (1, 1))
 
 
 def test_translation_off_origin():
@@ -280,7 +280,7 @@ def _random_cis(rng, R, point, count):
             gens.append(f - R.const(f.evaluate(point)))
         if any(f.is_zero() for f in gens):
             continue
-        L = LocalRingAtPoint(R, gens, point)
+        L = LocalRingAtPoint(Ideal(R, gens), point)
         if _is_ci(L):
             out.append(L)
     return out
@@ -306,7 +306,7 @@ def test_splitting_chain_random_hypersurfaces():
         f = R.from_dict(d)
         if f.is_zero():
             continue
-        cases.append((LocalRingAtPoint(R, [f], (0, 0)), (2,)))
+        cases.append((LocalRingAtPoint(Ideal(R, [f]), (0, 0)), (2,)))
     R3 = PolyRing(field_new(3), ("x", "y", "z"))
     rng = random.Random(2)
     cases += [(L, (1, 2)) for L in _random_cis(rng, R3, (0, 0, 0), 3)]
@@ -598,3 +598,69 @@ def test_classify_non_fpure_cubic():
     flags = classify(local(5, ("x", "y", "z"), ["x^3+y^3+z^3"]))
     assert not flags.f_pure
     assert flags.fsig.value == 0
+
+
+# -- the Frobenius cache on the local ring -----------------------------------
+
+def _counted(monkeypatch):
+    """Count the colon and length calls made through `charp.finv`."""
+    import charp.finv as finv
+
+    calls = {"colon": 0, "length": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(finv, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(finv, name, counted)
+    return calls
+
+
+def test_fsig_walks_the_ci_chain_once(monkeypatch):
+    # a_(e+1)'s lambda(S/M) is p^n a_e, and each J_e is one colon
+    L = local(3, ("x", "y", "z"), ["x*y - z^2"])
+    calls = _counted(monkeypatch)
+    est = fsig_estimate(L, 4)
+    assert [r.a_e for r in est.records] == [5, 41, 365, 3281]
+    assert calls == {"colon": 3, "length": 4}
+
+
+def test_classify_reads_one_multiplier_per_q(monkeypatch):
+    # Fedder and a_1 share (I^[3] : I); a_2 adds (I^[9] : I)
+    L = local(3, *_TWISTED_CUBIC)
+    calls = _counted(monkeypatch)
+    flags = classify(L)
+    assert flags.f_pure and [r.a_e for r in flags.fsig.records] == [3, 27]
+    assert calls["colon"] == 2
+
+
+def test_pair_grid_reads_one_multiplier_per_q(monkeypatch):
+    L = local(3, *_TWISTED_CUBIC)
+    a = Ideal(L.ring, [L.ring.parse("x"), L.ring.parse("w")])
+    calls = _counted(monkeypatch)
+    for t in (Fraction(0), Fraction(1, 3)):
+        for e in (1, 2):
+            pair_splitting_number(L, a, t, e)
+    assert calls == {"colon": 2, "length": 4}
+
+
+@pytest.mark.parametrize("p, names, srcs", [
+    (3, ("x", "y", "z"), ["x*y - z^2"]),
+    (3, *_TWISTED_CUBIC),
+])
+def test_splitting_steps_out_of_order_match_a_fresh_ring(p, names, srcs):
+    L = local(p, names, srcs)
+    late = splitting_number(L, 3)
+    assert [splitting_number(L, e) for e in (1, 2)] == \
+        [splitting_number(local(p, names, srcs), e) for e in (1, 2)]
+    assert late == splitting_number(local(p, names, srcs), 3)
+
+
+def test_budget_error_mid_walk_leaves_the_cache_consistent():
+    from charp.errors import ResourceBudgetError
+
+    L = local(3, ("x", "y", "z"), ["x*y - z^2"])
+    with pytest.raises(ResourceBudgetError):
+        # e = 3's colon completes; its length's box of 6075 does not
+        splitting_number(L, 3, Budget(max_box=1000))
+    assert sorted(L._steps) == [1, 2]
+    assert [r.a_e for r in fsig_estimate(L, 4).records] == [5, 41, 365, 3281]

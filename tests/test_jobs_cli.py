@@ -369,6 +369,36 @@ def test_cli_env_budget_cap(tmp_path):
     assert res.returncode == 2  # capped budget makes the hk task fail
 
 
+# unchecked, a cap of 0 would fall back to the default and a negative one
+# would fail every task
+@pytest.mark.parametrize("key, value", [
+    ("budget_monomials", 0), ("budget_pairs", -1), ("budget_basis", 0),
+])
+def test_budget_keys_below_1_are_parse_errors(tmp_path, capsys, key, value):
+    text = QUADRIC_JOB.replace("tolerance = 0.01", f"{key} = {value}")
+    job_json = validate_job(parse_job_text(QUADRIC_JOB)) | {key: value}
+    for path in (_write(tmp_path, text), _write(tmp_path, json.dumps(job_json), "job.json")):
+        assert main(["run", str(path)]) == 1
+        assert f"'{key}' must be an integer >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.report.*"))
+
+
+@pytest.mark.parametrize("args, env", [
+    (["--budget-monomials", "-5"], None),
+    (["--budget-monomials", "0"], None),
+    ([], "0"),
+    ([], "-3"),
+    ([], "ten"),
+])
+def test_cli_budget_below_1_exits_1(tmp_path, monkeypatch, capsys, args, env):
+    if env is not None:
+        monkeypatch.setenv("CHARP_BUDGET_MONOMIALS", env)
+    path = _write(tmp_path, QUADRIC_JOB)
+    assert main(["run", str(path)] + args) == 1
+    assert "must be an integer >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.report.*"))
+
+
 # a fragment of each kind's current explanation
 EXPLAIN_FRAGMENTS = {
     "hk": "Kunz",

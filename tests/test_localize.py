@@ -38,9 +38,10 @@ def _both_routes(p, ring, point):
     names, srcs = ring
     R = _ring(p, names)
     gens = [R.parse(s) for s in srcs]
-    L = LocalRingAtPoint(R, gens, point)
+    L = LocalRingAtPoint(Ideal(R, gens), point)
     a = Ideal(R, (L.m0.gens[-1],))
-    origin = LocalRingAtPoint(R, [g.shift(point) for g in gens], (0,) * len(point))
+    origin = LocalRingAtPoint(Ideal(R, [g.shift(point) for g in gens]),
+                              (0,) * len(point))
     return L, origin, a, Ideal(R, [g.shift(point) for g in a.gens])
 
 
@@ -79,8 +80,9 @@ def test_twisted_cubic_e2_matches_translation():
 def test_singular_point_off_the_origin_matches_the_origin():
     # g(x) = f(x - a) has the cone point of f = xy - z^2 at a = (1, 2, 3)
     R = _ring(5, QUADRIC[0])
-    f = LocalRingAtPoint(R, [R.parse("x*y - z^2")], (0, 0, 0))
-    g = LocalRingAtPoint(R, [R.parse("(x - 1)*(y - 2) - (z - 3)^2")], (1, 2, 3))
+    f = LocalRingAtPoint(Ideal(R, [R.parse("x*y - z^2")]), (0, 0, 0))
+    g = LocalRingAtPoint(Ideal(R, [R.parse("(x - 1)*(y - 2) - (z - 3)^2")]),
+                         (1, 2, 3))
 
     def invariants(L, a):
         return (
@@ -99,13 +101,13 @@ def test_singular_point_off_the_origin_matches_the_origin():
 
 def test_nu_rejects_an_ideal_outside_the_point():
     R = _ring(5, QUADRIC[0])
-    L = LocalRingAtPoint(R, [R.parse("x*y - z^2")], (1, 1, 1))
+    L = LocalRingAtPoint(Ideal(R, [R.parse("x*y - z^2")]), (1, 1, 1))
     with pytest.raises(ValueError):
         nu_invariant(L, Ideal(R, (R.parse("x"),)), 1)
 
 
 def test_classify_smooth_point_off_the_origin():
     R = _ring(5, QUADRIC[0])
-    flags = classify(LocalRingAtPoint(R, [R.parse("x*y - z^2")], (1, 4, 2)))
+    flags = classify(LocalRingAtPoint(Ideal(R, [R.parse("x*y - z^2")]), (1, 4, 2)))
     assert flags.regular
     assert flags.hilbert_samuel == 1

@@ -67,7 +67,7 @@ def test_characteristics_must_match():
 
 def test_declared_primes_sanity():
     c = component(5, ("x", "y"), ["x*y"], primes=[["x"], ["y"]])
-    assert c.primes_checked
+    assert len(c.declared_min_primes) == 2
     with pytest.raises(ValueError):
         component(5, ("x", "y"), ["x*y"], primes=[["x + 1"]])
 
@@ -236,7 +236,7 @@ def test_jacobian_triage():
 
 def test_flat_extension_quadric():
     R = PolyRing(field_new(5), ("x", "y", "z"))
-    L = LocalRingAtPoint(R, [R.parse("x*y - z^2")], (0, 0, 0))
+    L = LocalRingAtPoint(Ideal(R, [R.parse("x*y - z^2")]), (0, 0, 0))
     rep = flat_extension_check(L, 1, 2)
     assert rep.ok
     for e, q, lam_r, lam_t, s_r, s_t, lam_ok, s_ok in rep.rows:
@@ -246,11 +246,11 @@ def test_flat_extension_quadric():
 
 def test_flat_extension_node_and_regular():
     R = PolyRing(field_new(3), ("x", "y"))
-    L = LocalRingAtPoint(R, [R.parse("x*y")], (0, 0))
+    L = LocalRingAtPoint(Ideal(R, [R.parse("x*y")]), (0, 0))
     rep = flat_extension_check(L, 1, 2)
     assert rep.ok
     R2 = PolyRing(field_new(5), ("x",))
-    L2 = LocalRingAtPoint(R2, [], (0,))
+    L2 = LocalRingAtPoint(Ideal(R2, []), (0,))
     rep2 = flat_extension_check(L2, 2, 2)
     assert rep2.ok
     for e, q, lam_r, lam_t, s_r, s_t, _, _ in rep2.rows:
@@ -259,7 +259,7 @@ def test_flat_extension_node_and_regular():
 
 def test_flat_extension_pair_version():
     R = PolyRing(field_new(5), ("x", "y"))
-    L = LocalRingAtPoint(R, [], (0, 0))
+    L = LocalRingAtPoint(Ideal(R, []), (0, 0))
     a = Ideal(R, (R.parse("x"),))
     rep = flat_extension_check(L, 1, 2, pair=(a, Fraction(1, 2)))
     assert rep.ok
@@ -268,6 +268,6 @@ def test_flat_extension_pair_version():
 
 def test_flat_extension_avoids_name_collisions():
     R = PolyRing(field_new(5), ("t1", "t2"))
-    L = LocalRingAtPoint(R, [R.parse("t1*t2")], (0, 0))
+    L = LocalRingAtPoint(Ideal(R, [R.parse("t1*t2")]), (0, 0))
     rep = flat_extension_check(L, 1, 1)
     assert rep.ok
