@@ -7,11 +7,19 @@ import os
 import sys
 from pathlib import Path
 
-from .jobs import TASKS, parse_job_file, positive_int, run_job
+from .jobs import CAP_VARIABLE, TASKS, parse_job_file, run_job
 from .report import report_to_json, report_to_tsv
 
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is malformed input (exit 1); exit 2 means a task failed
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="charp",
         description="Exact F-invariants of F_p[x..]/I presentations: "
                     "Hilbert-Kunz functions, Frobenius splitting numbers, "
@@ -21,12 +29,10 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run a job file and write reports")
     run_p.add_argument("job", type=Path)
-    run_p.add_argument("--tolerance", type=float, default=None,
-                       help="override the convergence tolerance")
-    run_p.add_argument("--budget-monomials", type=int, default=None,
-                       help="cap on any standard-monomial box")
-    run_p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for independent tasks")
+    # the values stay text: the job layer's key table checks them
+    run_p.add_argument("--tolerance", help="override the convergence tolerance")
+    run_p.add_argument("--budget-monomials", help="cap on any standard-monomial box")
+    run_p.add_argument("--jobs", help="worker processes for independent tasks")
     run_p.add_argument("--json-only", action="store_true",
                        help="skip the TSV report")
 
@@ -48,30 +54,14 @@ def main(argv=None) -> int:
         return 0
 
     # run
+    flags = {key: getattr(args, key) for key in ("tolerance", "budget_monomials", "jobs")}
     try:
-        job = parse_job_file(str(args.job))
+        job = parse_job_file(str(args.job), flags, os.environ.get(CAP_VARIABLE))
     except Exception as exc:  # ParseError, OSError, or an undecodable file
         print(f"charp: job parse error: {exc}", file=sys.stderr)
         return 1
 
-    overrides = {
-        "tolerance": args.tolerance,
-        "budget_monomials": args.budget_monomials,
-        "jobs": args.jobs,
-    }
-    if args.budget_monomials is not None and args.budget_monomials < 1:
-        print("charp: --budget-monomials must be an integer >= 1", file=sys.stderr)
-        return 1
-    env_cap = os.environ.get("CHARP_BUDGET_MONOMIALS")
-    if env_cap is not None:
-        try:
-            overrides["env_budget_monomials"] = positive_int(env_cap)
-        except ValueError:
-            print("charp: CHARP_BUDGET_MONOMIALS must be an integer >= 1",
-                  file=sys.stderr)
-            return 1
-
-    report = run_job(job, overrides)
+    report = run_job(job)
 
     base = args.job
     stem = base.with_suffix("") if base.suffix else base

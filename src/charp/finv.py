@@ -123,6 +123,10 @@ class LimitEstimate:
     records: tuple = ()  # the HKRecords or SplitRecords behind raw
 
 
+# the last step below which an estimate is labelled 'converged'
+DEFAULT_TOLERANCE = 1e-2
+
+
 def _extrapolate(values, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
     values = [Fraction(v) for v in values]
     diffs = tuple(b - a for a, b in zip(values, values[1:]))
@@ -169,7 +173,7 @@ def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None,
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
 
 
-def hk_estimate(L: LocalRingAtPoint, e_max: int, tol: float = 1e-2,
+def hk_estimate(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
                 budget: Budget | None = None) -> LimitEstimate:
     """Normalized Hilbert-Kunz sequence with a 1/q-model extrapolation."""
     if e_max < 2:
@@ -258,7 +262,7 @@ def splitting_number(L: LocalRingAtPoint, e: int,
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 
-def fsig_estimate(L: LocalRingAtPoint, e_max: int, tol: float = 1e-2,
+def fsig_estimate(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
                   budget: Budget | None = None) -> LimitEstimate:
     """F-signature estimate from the normalized splitting numbers.
 
@@ -362,7 +366,7 @@ class DiagnosticFlags:
         }
 
 
-def classify(L: LocalRingAtPoint, e_max: int = 2, tol: float = 1e-2,
+def classify(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
              n_max: int = 8, budget: Budget | None = None) -> DiagnosticFlags:
     """Diagnostic flags: exact regularity test (lambda_1 = p^d), Fedder
     F-purity, the small-multiplicity threshold 1 + max{1/d!, 1/e(R)}, and

@@ -39,32 +39,10 @@ class FieldContext:
     def normalize(self, a: int) -> int:
         return a % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in F_p")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, n: int) -> int:
-        return pow(a % self.p, n, self.p)
-
-    def frobenius(self, a: int, e: int = 1) -> int:
-        """a ** p**e; the identity map since F_p is perfect."""
-        return pow(a % self.p, self.p**e, self.p)
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and other.p == self.p

@@ -667,31 +667,27 @@ def krull_dim(I: Ideal, budget=None) -> int:
 @dataclass
 class HilbertSamuelResult:
     multiplicity: Fraction
-    exact: bool
     dim: int
     lengths: tuple
 
 
-def hilbert_samuel(
-    I: Ideal, n_max: int, m_gens=None, budget=None
-) -> HilbertSamuelResult:
+def hilbert_samuel(I: Ideal, n_max: int, m_gens, budget=None) -> HilbertSamuelResult:
     """Hilbert-Samuel multiplicity e(S/I at m) from the difference table of
     n -> length(S/(I + m^n)).
 
-    m_gens generates the maximal ideal of the point; when omitted it is
-    (x_1, ..., x_n), the origin's, which is wrong for any other point.  At a
-    rational point a pass (x_i - a_i): S/(I + m^n) is then supported at a,
-    so its length over S is the local length.  d is the Krull dimension of
-    S/I, which is the local dimension only when a component of V(I) of top
-    dimension passes through the point.
+    m_gens generates the maximal ideal of the point: (x_i - a_i) at a
+    rational point a.  S/(I + m^n) is then supported at a, so its length
+    over S is the local length; a point off V(I) raises NotPrimaryError.
+    d is the Krull dimension of S/I, which is the local dimension only when
+    a component of V(I) of top dimension passes through the point.
 
     The d-th finite differences of the length function equal d! times the
     leading coefficient once the polynomial regime is reached; the value is
-    flagged exact when the last two d-th differences agree.
+    returned when the last two d-th differences agree.
     """
     budget = budget or Budget()
     ring = I.ring
-    m = Ideal(ring, tuple(m_gens) if m_gens is not None else tuple(ring.gens()))
+    m = Ideal(ring, tuple(m_gens))
     d = krull_dim(I, budget)
     if n_max < d + 1:
         raise NotStabilizedError(n_max)
@@ -700,10 +696,12 @@ def hilbert_samuel(
         lam = length(ideal_sum(I, ideal_power(m, n)), budget)
         if lam == INFINITE:
             raise NotPrimaryError("m is not primary to the point modulo I")
+        if lam == 0:
+            raise NotPrimaryError("the point of m is not on V(I)")
         lengths.append(lam)
     diffs = list(lengths)
     for _ in range(d):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     if len(diffs) < 2 or diffs[-1] != diffs[-2]:
         raise NotStabilizedError(n_max)
-    return HilbertSamuelResult(Fraction(diffs[-1]), True, d, tuple(lengths))
+    return HilbertSamuelResult(Fraction(diffs[-1]), d, tuple(lengths))

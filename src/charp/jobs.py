@@ -12,6 +12,7 @@ scheduling.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -19,6 +20,7 @@ from typing import Callable, NamedTuple
 
 from .errors import CharpError, ParseError
 from .finv import (
+    DEFAULT_TOLERANCE,
     HKRecord,
     classify,
     fedder_is_fpure,
@@ -74,28 +76,37 @@ def _is_sample(v) -> bool:
 
 class _KeyType(NamedTuple):
     from_text: Callable  # raises ValueError on malformed text
-    check: Callable  # accepts the decoded JSON value
+    check: Callable  # accepts a valid value, decoded from JSON or converted text
     expected: str
+    default: object = None  # an absent key's value, where that is a constant
 
 
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise ValueError(text)
-    return n
+def _int(default=None) -> _KeyType:
+    return _KeyType(int, _is_int, "an integer", default)
 
 
-_INT = _KeyType(int, _is_int, "an integer")
-_POSITIVE = _KeyType(positive_int, lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+def _positive(default) -> _KeyType:
+    return _KeyType(int, lambda v: _is_int(v) and v >= 1, "an integer >= 1", default)
+
+
 _NAMES = _KeyType(str.split, _list_of(lambda v: isinstance(v, str)), "a list of strings")
 _POLYS = _KeyType(_gens, _NAMES.check, "a list of polynomial strings")
 _SAMPLES = _KeyType(lambda text: [_sample(tok) for tok in text.split()],
                    _list_of(_is_sample), "a list of samples comp:(c1,c2,...)")
 
+# the one table of settings: type, valid range and constant default of each key
 _KEY_TYPES = {
-    **dict.fromkeys(("p", "jobs", "component", "e", "e_max", "extra_vars"), _INT),
-    **dict.fromkeys(("budget_monomials", "budget_basis", "budget_pairs"), _POSITIVE),
-    "tolerance": _KeyType(float, lambda v: type(v) in (int, float), "a number"),
+    "p": _int(),
+    "jobs": _positive(1),
+    "budget_monomials": _positive(Budget.max_box),
+    "budget_basis": _positive(Budget.max_basis),
+    "budget_pairs": _positive(Budget.max_pairs),
+    "tolerance": _KeyType(float, lambda v: type(v) in (int, float) and 0 < v < math.inf,
+                          "a finite number > 0", DEFAULT_TOLERANCE),
+    "component": _int(0),
+    "e": _int(1),
+    "e_max": _int(2),
+    "extra_vars": _int(1),
     "vars": _NAMES,
     "ideal": _POLYS,
     "a": _POLYS,
@@ -103,7 +114,7 @@ _KEY_TYPES = {
                           _list_of(_POLYS.check), "a list of lists of polynomial strings"),
     "point": _KeyType(lambda text: [int(tok) for tok in text.replace(",", " ").split()],
                      _list_of(_is_int), "a list of integers"),
-    "t": _KeyType(str, lambda v: isinstance(v, str), "a rational string such as 1/2"),
+    "t": _KeyType(str, lambda v: isinstance(v, str), "a rational string such as 1/2", "0"),
     "t_grid": _KeyType(str.split, _NAMES.check, "a list of rational strings"),
     "samples": _SAMPLES,
     "nearby": _SAMPLES,
@@ -113,22 +124,35 @@ _KEY_TYPES = {
 _JOB_KEYS = {"p", "tolerance", "budget_monomials", "budget_basis",
              "budget_pairs", "jobs"}
 _COMPONENT_KEYS = {"vars", "ideal", "min_primes"}
+CAP_VARIABLE = "CHARP_BUDGET_MONOMIALS"  # caps budget_monomials from the environment
+
+
+def _convert(key: str, text: str, where: str):
+    """A text value as its key's type, or a ParseError naming `where`."""
+    kt = _KEY_TYPES[key]
+    try:
+        value = kt.from_text(text)
+        if kt.check(value):
+            return value
+    except ValueError:
+        pass
+    raise ParseError(f"{where}: '{key}' must be {kt.expected}, got '{text}'")
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-def parse_job_file(path: str) -> dict:
+def parse_job_file(path: str, flags: dict | None = None, cap: str | None = None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             job = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON job file: {exc}") from None
-        return validate_job(job)
-    return validate_job(parse_job_text(text))
+    else:
+        job = parse_job_text(text)
+    return validate_job(job, flags, cap)
 
 
 def parse_job_text(text: str) -> dict:
@@ -167,11 +191,7 @@ def parse_job_text(text: str) -> dict:
             raise ParseError(f"line {lineno}: unknown key '{key}'")
         if key in target:
             raise ParseError(f"line {lineno}: duplicate key '{key}'")
-        try:
-            target[key] = _KEY_TYPES[key].from_text(value)
-        except ValueError:
-            raise ParseError(f"line {lineno}: '{key}' must be "
-                             f"{_KEY_TYPES[key].expected}, got '{value}'") from None
+        target[key] = _convert(key, value, f"line {lineno}")
     return job
 
 
@@ -187,7 +207,24 @@ def _check_keys(where: str, entry, allowed) -> None:
             raise ParseError(f"{where}: '{key}' must be {_KEY_TYPES[key].expected}")
 
 
-def validate_job(job: dict) -> dict:
+def _resolve(entry: dict, keys, flags: dict, outer: dict) -> None:
+    """Each key's value: the flag's, the entry's, the outer entry's or the default."""
+    for key in keys:
+        if key in flags:
+            entry[key] = flags[key]
+        elif key not in entry:
+            default = outer.get(key, _KEY_TYPES[key].default)
+            if default is not None:
+                entry[key] = default
+
+
+def validate_job(job: dict, flags: dict | None = None, cap: str | None = None) -> dict:
+    """Check a decoded job and resolve every setting that has a default, in
+    place: the flag (`flags` maps a key to its `--key` text or None), then
+    the task, then the job, then the table; `cap`, the text of CAP_VARIABLE,
+    caps budget_monomials.  Flags and cap are checked like `key = value`."""
+    flags = {key: _convert(key, text, "--" + key.replace("_", "-"))
+             for key, text in (flags or {}).items() if text is not None}
     _check_keys("job", job, _JOB_KEYS | {"components", "tasks"})
     if "p" not in job:
         raise ParseError("job is missing the characteristic 'p'")
@@ -213,6 +250,12 @@ def validate_job(job: dict) -> dict:
         missing = TASKS[kind].required - set(task)
         if missing:
             raise ParseError(f"task {i} ({kind}): missing keys {sorted(missing)}")
+    _resolve(job, _JOB_KEYS, flags, {})
+    if cap is not None:
+        job["budget_monomials"] = min(job["budget_monomials"],
+                                      _convert("budget_monomials", cap, CAP_VARIABLE))
+    for task in tasks:
+        _resolve(task, TASKS[task["kind"]].keys, flags, job)
     return job
 
 
@@ -223,8 +266,8 @@ def build_presentation(job: dict) -> RingPresentation:
     field = field_new(job["p"])
     comps = []
     for spec in job["components"]:
-        ring = PolyRing(field, tuple(spec.get("vars", [])))
-        gens = [ring.parse(src) for src in spec.get("ideal", [])]
+        ring = PolyRing(field, tuple(spec["vars"]))
+        gens = [ring.parse(src) for src in spec["ideal"]]
         primes = None
         if spec.get("min_primes"):
             primes = [_ideal(ring, gens_src) for gens_src in spec["min_primes"]]
@@ -254,45 +297,20 @@ def _point_label(point) -> str:
     return "(" + ",".join(str(a) for a in point) + ")"
 
 
-def _budget_for(job: dict, overrides: dict) -> Budget:
-    """Caps from the overrides, then the job, then the defaults; every cap
-    given is >= 1, as parsing checks."""
-    box = overrides.get("budget_monomials")
-    if box is None:
-        box = job.get("budget_monomials", 1_000_000)
-    env_cap = overrides.get("env_budget_monomials")
-    if env_cap is not None:
-        box = min(box, env_cap)
-    return Budget(
-        max_basis=job.get("budget_basis", 2000),
-        max_pairs=job.get("budget_pairs", 200_000),
-        max_box=box,
-    )
-
-
-def _tolerance_for(job: dict, task: dict, overrides: dict) -> float:
-    if overrides.get("tolerance") is not None:
-        return overrides["tolerance"]
-    if task.get("tolerance") is not None:
-        return task["tolerance"]
-    return job.get("tolerance", 1e-2)
-
-
-def run_task(job: dict, index: int, overrides: dict | None = None) -> dict:
+def run_task(job: dict, index: int) -> dict:
     """Execute one task; returns a JSON-able result with TSV rows.
 
     A failure of any kind stays inside this task's entry, so the other
     tasks still complete; an exception the engine does not document is
     reported as an internal error.
     """
-    overrides = overrides or {}
     task = job["tasks"][index]
     kind = task["kind"]
-    budget = _budget_for(job, overrides)
-    tol = _tolerance_for(job, task, overrides)
+    budget = Budget(max_basis=job["budget_basis"], max_pairs=job["budget_pairs"],
+                    max_box=job["budget_monomials"])
     out = {"index": index, "kind": kind, "status": "ok", "rows": []}
     try:
-        TASKS[kind].run(build_presentation(job), task, out, tol, budget)
+        TASKS[kind].run(build_presentation(job), task, out, budget)
     except (CharpError, ValueError, ZeroDivisionError) as exc:
         out["status"] = "error"
         out["error"] = f"{type(exc).__name__}: {exc}"
@@ -304,7 +322,7 @@ def run_task(job: dict, index: int, overrides: dict | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# task runners: run(R, task, out, tol, budget) fills the result entry `out`
+# task runners: run(R, task, out, budget) fills the result entry `out`
 
 def _component(R: RingPresentation, index: int):
     if not 0 <= index < len(R.components):
@@ -314,7 +332,7 @@ def _component(R: RingPresentation, index: int):
 
 
 def _local(R: RingPresentation, task: dict):
-    ci = task.get("component", 0)
+    ci = task["component"]
     comp = _component(R, ci)
     point = task.get("point")
     if point is None:
@@ -359,27 +377,27 @@ def _ideal(ring: PolyRing, sources) -> Ideal:
     return Ideal(ring, [ring.parse(src) for src in sources])
 
 
-def _run_estimate(R, task, out, tol, budget):
+def _run_estimate(R, task, out, budget):
     L, ci, point = _local(R, task)
     estimate = hk_estimate if task["kind"] == "hk" else fsig_estimate
-    est = estimate(L, task.get("e_max", 2), tol, budget)
+    est = estimate(L, task["e_max"], task["tolerance"], budget)
     out["rows"] += _record_rows(task["kind"], ci, point, est.records)
     out["estimate"] = _estimate_payload(est)
 
 
-def _run_fedder(R, task, out, tol, budget):
+def _run_fedder(R, task, out, budget):
     L, _, _ = _local(R, task)
     out["f_pure"] = fedder_is_fpure(L, budget)
 
 
-def _run_pair(R, task, out, tol, budget):
+def _run_pair(R, task, out, budget):
     L, ci, point = _local(R, task)
     a = _ideal(L.ring, task["a"])
     out["pair"] = []
-    for t_src in task.get("t_grid") or [task.get("t", "0")]:
+    for t_src in task.get("t_grid") or [task["t"]]:
         t = Fraction(t_src)
         recs = [pair_splitting_number(L, a, t, e, budget)
-                for e in range(1, task.get("e_max", 2) + 1)]
+                for e in range(1, task["e_max"] + 1)]
         out["rows"] += _record_rows(f"pair t={t}", ci, point, recs)
         out["pair"].append({
             "t": str(t),
@@ -387,16 +405,16 @@ def _run_pair(R, task, out, tol, budget):
         })
 
 
-def _run_nu(R, task, out, tol, budget):
+def _run_nu(R, task, out, budget):
     L, _, _ = _local(R, task)
-    out["nu"] = nu_invariant(L, _ideal(L.ring, task["a"]), task.get("e", 1), budget)
+    out["nu"] = nu_invariant(L, _ideal(L.ring, task["a"]), task["e"], budget)
 
 
-def _run_global(R, task, out, tol, budget):
+def _run_global(R, task, out, budget):
     kind = task["kind"]
     samples = _samples(R, task["samples"])
     fn = global_hk if kind == "global_hk" else global_fsig
-    res = fn(R, samples, task.get("e_max", 2), tol, budget)
+    res = fn(R, samples, task["e_max"], task["tolerance"], budget)
     gd = res.gamma
     out["gamma"] = {
         "dims": list(gd.dims),
@@ -419,10 +437,10 @@ def _run_global(R, task, out, tol, budget):
         out["rows"] += _record_rows(kind, s.component, s.point, est.records)
 
 
-def _run_semicontinuity(R, task, out, tol, budget):
+def _run_semicontinuity(R, task, out, budget):
     special = _samples(R, [task["special"]])[0]
     nearby = _samples(R, task["nearby"])
-    rep = semicontinuity_probe(R, special, nearby, task.get("e", 1), budget)
+    rep = semicontinuity_probe(R, special, nearby, task["e"], budget)
     out["ok"] = rep.ok
     out["note"] = rep.note
     ci = special.component
@@ -437,13 +455,12 @@ def _run_semicontinuity(R, task, out, tol, budget):
         out["error"] = rep.note
 
 
-def _run_flat_check(R, task, out, tol, budget):
+def _run_flat_check(R, task, out, budget):
     L, ci, point = _local(R, task)
     pair = None
     if task.get("a"):
-        pair = (_ideal(L.ring, task["a"]), Fraction(task.get("t", "0")))
-    rep = flat_extension_check(L, task.get("extra_vars", 1),
-                               task.get("e_max", 2), pair, budget)
+        pair = (_ideal(L.ring, task["a"]), Fraction(task["t"]))
+    rep = flat_extension_check(L, task["extra_vars"], task["e_max"], pair, budget)
     out["ok"] = rep.ok
     for e, q, lam_r, lam_t, s_r, s_t, lam_ok, s_ok in rep.rows:
         out["rows"].append(_row("flat_check:base", ci, point, e, q,
@@ -464,9 +481,9 @@ def _run_flat_check(R, task, out, tol, budget):
         out["error"] = "flat extension comparison failed"
 
 
-def _run_classify(R, task, out, tol, budget):
+def _run_classify(R, task, out, budget):
     L, _, _ = _local(R, task)
-    flags = classify(L, task.get("e_max", 2), tol, budget=budget)
+    flags = classify(L, task["e_max"], task["tolerance"], budget=budget)
     out["flags"] = flags.as_dict()
     out["flags"]["hk"] = _estimate_payload(flags.hk)
     out["flags"]["fsig"] = _estimate_payload(flags.fsig)
@@ -545,32 +562,30 @@ TASKS = {
 }
 
 
-def _run_task_star(args):
-    job, index, overrides = args
-    return run_task(job, index, overrides)
+def _pool_task(job: dict, index: int) -> dict:
+    # the pool's entry point, picklable even when `run_task` is rebound to a wrapper
+    return run_task(job, index)
 
 
-def run_job(job: dict, overrides: dict | None = None, jobs: int = 1) -> dict:
-    """Execute all tasks; deterministic report regardless of scheduling."""
-    overrides = overrides or {}
+def run_job(job: dict) -> dict:
+    """Execute all tasks of a validated job with job["jobs"] worker
+    processes; the report does not depend on scheduling."""
     t0 = time.time()
     n = len(job["tasks"])
-    jobs = max(1, overrides.get("jobs") or job.get("jobs") or jobs)
-    if jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task_star,
-                                    [(job, i, overrides) for i in range(n)]))
+    if job["jobs"] > 1 and n > 1:
+        # a forked pool starts all its workers at once: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(job["jobs"], n)) as pool:
+            results = list(pool.map(_pool_task, [job] * n, range(n)))
     else:
-        results = [run_task(job, i, overrides) for i in range(n)]
+        results = [run_task(job, i) for i in range(n)]
     results.sort(key=lambda r: r["index"])
-    report = {
+    return {
         "p": job["p"],
         "components": [
-            {"vars": c.get("vars", []), "ideal": c.get("ideal", [])}
+            {"vars": c["vars"], "ideal": c["ideal"]}
             for c in job["components"]
         ],
         "tasks": results,
         "status": "error" if any(r["status"] != "ok" for r in results) else "ok",
         "wall_time_s": round(time.time() - t0, 3),
     }
-    return report

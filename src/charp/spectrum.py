@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finv import (
-    LimitEstimate,
+    DEFAULT_TOLERANCE,
     LocalRingAtPoint,
     fsig_estimate,
     hk_estimate,
@@ -84,9 +84,6 @@ class PrimeSample:
     component: int
     point: tuple
 
-    def label(self) -> str:
-        return f"c{self.component}:({','.join(map(str, self.point))})"
-
 
 @dataclass(frozen=True)
 class GammaData:
@@ -114,7 +111,6 @@ def gamma_data(R: RingPresentation) -> GammaData:
 class GlobalInvariantResult:
     value: Fraction
     exact: bool
-    estimate: LimitEstimate | None
     arg_sample: PrimeSample | None
     per_sample: tuple
     excluded: tuple
@@ -133,11 +129,11 @@ def _extremum(per, pick, excluded, note, gd) -> GlobalInvariantResult:
     """The result at the first sample attaining pick (max or min)."""
     s, est = pick(per, key=lambda t: t[1].value)
     return GlobalInvariantResult(value=est.value, exact=est.confidence == "exact",
-                                 estimate=est, arg_sample=s, per_sample=per,
-                                 excluded=excluded, note=note, gamma=gd)
+                                 arg_sample=s, per_sample=per, excluded=excluded,
+                                 note=note, gamma=gd)
 
 
-def global_hk(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
+def global_hk(R: RingPresentation, samples, e_max: int, tol: float = DEFAULT_TOLERANCE,
               budget: Budget | None = None) -> GlobalInvariantResult:
     """Max of the local Hilbert-Kunz estimates over the sampled primes on
     gamma-attaining components; off-locus samples are excluded.  The result
@@ -153,7 +149,7 @@ def global_hk(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
                      "global value under incomplete sampling", gd)
 
 
-def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
+def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = DEFAULT_TOLERANCE,
                 budget: Budget | None = None) -> GlobalInvariantResult:
     """Min of the local F-signature estimates over the sampled primes, or
     exactly 0 whenever some component misses the global gamma (the free-rank
@@ -162,7 +158,7 @@ def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = 1e-2,
     gd = gamma_data(R)
     if not gd.z_is_spec:
         return GlobalInvariantResult(
-            value=Fraction(0), exact=True, estimate=None, arg_sample=None,
+            value=Fraction(0), exact=True, arg_sample=None,
             per_sample=(), excluded=tuple(samples), gamma=gd,
             note="exact 0: a component misses the global gamma, so free "
                  "summands are asymptotically negligible")

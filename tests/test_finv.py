@@ -579,14 +579,14 @@ def test_nu_pass_is_charged_to_the_box_budget():
 # -- classify ----------------------------------------------------------------
 
 def test_classify_regular():
-    flags = classify(local(5, ("x", "y"), []))
+    flags = classify(local(5, ("x", "y"), []), 2)
     assert flags.regular and flags.f_pure
     assert flags.hilbert_samuel == 1
     assert flags.hl_satisfied and flags.hl_note.startswith("vacuous")
 
 
 def test_classify_quadric():
-    flags = classify(local(7, ("x", "y", "z"), ["x*y - z^2"]))
+    flags = classify(local(7, ("x", "y", "z"), ["x*y - z^2"]), 2)
     assert not flags.regular
     assert flags.f_pure
     assert flags.hilbert_samuel == 2
@@ -595,7 +595,7 @@ def test_classify_quadric():
 
 
 def test_classify_non_fpure_cubic():
-    flags = classify(local(5, ("x", "y", "z"), ["x^3+y^3+z^3"]))
+    flags = classify(local(5, ("x", "y", "z"), ["x^3+y^3+z^3"]), 2)
     assert not flags.f_pure
     assert flags.fsig.value == 0
 
@@ -628,7 +628,7 @@ def test_classify_reads_one_multiplier_per_q(monkeypatch):
     # Fedder and a_1 share (I^[3] : I); a_2 adds (I^[9] : I)
     L = local(3, *_TWISTED_CUBIC)
     calls = _counted(monkeypatch)
-    flags = classify(L)
+    flags = classify(L, 2)
     assert flags.f_pure and [r.a_e for r in flags.fsig.records] == [3, 27]
     assert calls["colon"] == 2
 

@@ -7,7 +7,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from charp.errors import NotAPowerOfPError, ResourceBudgetError, UnitIdealError
+from charp.errors import (
+    NotAPowerOfPError,
+    NotPrimaryError,
+    ResourceBudgetError,
+    UnitIdealError,
+)
 from charp.gf import field_new
 from charp.ideal import (
     INFINITE,
@@ -431,34 +436,35 @@ def test_krull_dim_unit_errors():
 
 def test_hilbert_samuel_regular():
     R = ring(5, ("x", "y"))
-    res = hilbert_samuel(Ideal(R, ()), 5)
-    assert res.multiplicity == 1 and res.exact
+    res = hilbert_samuel(Ideal(R, ()), 5, R.gens())
+    assert res.multiplicity == 1
     # lambda(R/m^n) = n(n+1)/2
     assert res.lengths == (0, 1, 3, 6, 10, 15)
 
 
 def test_hilbert_samuel_quadric():
     R = ring(5)
-    res = hilbert_samuel(I(R, "x*y - z^2"), 6)
-    assert res.multiplicity == 2 and res.exact
+    res = hilbert_samuel(I(R, "x*y - z^2"), 6, R.gens())
+    assert res.multiplicity == 2
     # lambda(R/m^n) = n^2, verified by the engine's length oracle at n=2..6
     assert res.lengths == (0, 1, 4, 9, 16, 25, 36)
 
 
 def test_hilbert_samuel_artinian_convention():
     R = PolyRing(field_new(5), ("x",))
-    res = hilbert_samuel(I(R, "x^2"), 4)
+    res = hilbert_samuel(I(R, "x^2"), 4, R.gens())
     assert res.dim == 0
     assert res.multiplicity == Fraction(2)
 
 
 def test_hilbert_samuel_explicit_m():
-    # passing the origin maximal ideal explicitly matches the default
+    # the node (x-1)(y-2) has e = 2 at its own point; the origin is off V(I)
     R = ring(5, ("x", "y"))
-    J = I(R, "x*y")
-    default = hilbert_samuel(J, 6)
-    explicit = hilbert_samuel(J, 6, m_gens=(R.parse("x"), R.parse("y")))
-    assert default == explicit
+    J = I(R, "(x + 4)*(y + 3)")
+    res = hilbert_samuel(J, 6, (R.parse("x + 4"), R.parse("y + 3")))
+    assert res.multiplicity == 2 and res.dim == 1
+    with pytest.raises(NotPrimaryError, match="not on V"):
+        hilbert_samuel(J, 6, R.gens())
 
 
 def test_ideal_product_and_power():

@@ -1,6 +1,7 @@
 """Job files, reports, determinism, exit codes, CLI surface."""
 
 import json
+import math
 import os
 import pathlib
 import re
@@ -10,9 +11,17 @@ import time
 
 import pytest
 
+import charp.jobs
 from charp.cli import main
 from charp.errors import ParseError
-from charp.jobs import TASKS, parse_job_file, parse_job_text, run_job, validate_job
+from charp.jobs import (
+    _KEY_TYPES,
+    TASKS,
+    parse_job_file,
+    parse_job_text,
+    run_job,
+    validate_job,
+)
 from charp.report import report_to_json, report_to_tsv
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -243,7 +252,9 @@ def test_unexpected_exception_is_task_error(monkeypatch, tmp_path, capsys, n_job
     monkeypatch.setitem(TASKS, "fedder", TASKS["fedder"]._replace(run=broken))
     text = ("p = 5\n[component]\nvars = x y\nideal = x*y\n"
             "[task fedder]\npoint = 0 0\n[task hk]\npoint = 0 0\ne_max = 2\n")
-    report = run_job(validate_job(parse_job_text(text)), jobs=n_jobs)
+    job = validate_job(parse_job_text(text))
+    job["jobs"] = n_jobs
+    report = run_job(job)
     assert report["status"] == "error"
     assert report["tasks"][0]["error"] == "internal error: TypeError: boom"
     assert report["tasks"][1]["status"] == "ok"
@@ -257,9 +268,30 @@ def test_unexpected_exception_is_task_error(monkeypatch, tmp_path, capsys, n_job
 
 def test_parallel_jobs_match_sequential():
     job = validate_job(parse_job_text(QUADRIC_JOB))
-    seq = run_job(job, jobs=1)
-    par = run_job(job, jobs=2)
+    seq = run_job(job)
+    par = run_job(job | {"jobs": 2})
     assert report_to_tsv(seq) == report_to_tsv(par)
+
+
+def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(charp.jobs, "ProcessPoolExecutor", InlinePool)
+    report = run_job(validate_job(parse_job_text(QUADRIC_JOB), {"jobs": "64"}))
+    assert report["status"] == "ok" and sizes == [2]
 
 
 # -- determinism ---------------------------------------------------------------
@@ -399,6 +431,55 @@ def test_cli_budget_below_1_exits_1(tmp_path, monkeypatch, capsys, args, env):
     assert not list(tmp_path.glob("*.report.*"))
 
 
+# every source of a setting goes through the key table: a bad value is exit 1
+# with the table's message, and no report is written
+@pytest.mark.parametrize("key, args, job_line, json_value", [
+    *[pytest.param("tolerance", ["--tolerance", v], None, None, id=f"--tolerance {v}")
+      for v in ("abc", "-1", "0", "nan", "inf")],
+    *[pytest.param("jobs", ["--jobs", v], None, None, id=f"--jobs {v}") for v in ("0", "-5", "x")],
+    pytest.param("jobs", [], "jobs = 0", None, id="jobs = 0"),
+    pytest.param("tolerance", [], "tolerance = -1", None, id="tolerance = -1"),
+    pytest.param("tolerance", [], None, math.nan, id="json tolerance NaN"),
+])
+def test_bad_settings_exit_1_from_every_source(tmp_path, capsys, key, args, job_line,
+                                               json_value):
+    if json_value is None:
+        text = QUADRIC_JOB if job_line is None else QUADRIC_JOB.replace(
+            "tolerance = 0.01", job_line)
+        path = _write(tmp_path, text)
+    else:
+        job = validate_job(parse_job_text(QUADRIC_JOB)) | {key: json_value}
+        path = _write(tmp_path, json.dumps(job), "job.json")
+    assert main(["run", str(path)] + args) == 1
+    assert f"'{key}' must be {_KEY_TYPES[key].expected}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.report.*"))
+
+
+def test_settings_precedence_flag_task_job_default():
+    text = QUADRIC_JOB.replace("[task hk]\n", "[task hk]\ntolerance = 0.5\n")
+    job = validate_job(parse_job_text(text))
+    assert [t["tolerance"] for t in job["tasks"]] == [0.5, 0.01]
+    assert job["jobs"] == _KEY_TYPES["jobs"].default
+    job = validate_job(parse_job_text(text), {"tolerance": "0.2", "jobs": None}, "50")
+    assert [t["tolerance"] for t in job["tasks"]] == [0.2, 0.2]
+    assert job["budget_monomials"] == 50  # the variable caps the default
+    job = validate_job(parse_job_text(text), {"budget_monomials": "40"}, "50")
+    assert job["budget_monomials"] == 40
+
+
+@pytest.mark.parametrize("args, code", [
+    (["run"], 1),
+    (["run", "job.charp", "--no-such-flag"], 1),
+    ([], 1),
+    (["--help"], 0),
+    (["run", "--help"], 0),
+])
+def test_usage_errors_exit_1(args, code):
+    res = _cli(args)
+    assert res.returncode == code, res.stderr
+    assert ("usage:" in res.stderr) == (code == 1)
+
+
 # a fragment of each kind's current explanation
 EXPLAIN_FRAGMENTS = {
     "hk": "Kunz",
@@ -435,6 +516,20 @@ def test_task_kinds_agree_across_readme_cli_and_registry(capsys):
     choices = re.findall(r"\w+", capsys.readouterr().err.split("choose from")[1])
     assert sorted(readme_kinds) == sorted(choices) == sorted(TASKS)
     assert len(readme_kinds) == len(set(readme_kinds))
+
+
+def test_readme_key_table_defaults_match_key_types():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| key | where | value | default |"):]
+    table = table[:table.index("\n\n")].splitlines()[2:]
+    defaults = {}
+    for line in table:
+        key, _, _, default = (cell.strip() for cell in line.strip(" |").split(" | "))
+        defaults[key.strip("`")] = re.fullmatch(r"`([^`]*)`", default)
+    assert sorted(defaults) == sorted(_KEY_TYPES)
+    for key, literal in defaults.items():
+        kt = _KEY_TYPES[key]
+        assert (None if literal is None else kt.from_text(literal[1])) == kt.default, key
 
 
 def test_demo_jobs_run_clean(tmp_path):

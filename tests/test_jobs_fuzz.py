@@ -2,6 +2,7 @@
 task error (exit 2), never in an exception out of the parser or the CLI."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,8 @@ JUNK = st.one_of(
 )
 POLYS = st.lists(st.sampled_from(["x", "y", "x*y", "x^2 - y^3", "x + 1", "1", "0",
                                   "z", "x +"]), max_size=2)
+# valid tolerances and the negative, zero and NaN ones the key table rejects
+TOLERANCES = st.one_of(st.floats(0, 1), st.floats(-1, 0), st.just(math.nan))
 RATIONALS = st.sampled_from(["0", "1/2", "1", "-1", "1/0", "a"])
 SAMPLE = st.fixed_dictionaries({"component": st.integers(-1, 2),
                                 "point": st.lists(st.integers(-1, 3), max_size=3)})
@@ -35,7 +38,7 @@ TASK_VALUES = {
     "point": st.lists(st.integers(-1, 3), max_size=3),
     "e": st.integers(-1, 2),
     "e_max": st.integers(0, 3),
-    "tolerance": st.floats(0, 1),
+    "tolerance": TOLERANCES,
     "a": POLYS,
     "t": RATIONALS,
     "t_grid": st.lists(RATIONALS, max_size=2),
@@ -63,7 +66,8 @@ def _entry(draw, values: dict, required=frozenset()) -> dict:
 @st.composite
 def json_jobs(draw):
     job = _entry(draw, {"p": st.sampled_from([2, 3, 5, 2, 3, 5, 4]),
-                        "tolerance": st.floats(0, 1),
+                        "tolerance": TOLERANCES,
+                        "jobs": st.integers(-1, 2),
                         "budget_basis": st.integers(1, 50),
                         "budget_pairs": st.integers(1, 500)}, {"p"})
     job["components"] = [

@@ -91,7 +91,7 @@ def test_singular_point_off_the_origin_matches_the_origin():
             fedder_is_fpure(L),
             nu_invariant(L, L.m0, 1),
             pair_splitting_number(L, Ideal(R, (R.parse(a),)), Fraction(1, 2), 2).a_e,
-            classify(L).as_dict(),
+            classify(L, 2).as_dict(),
         )
 
     at_origin = invariants(f, "x")
@@ -108,6 +108,6 @@ def test_nu_rejects_an_ideal_outside_the_point():
 
 def test_classify_smooth_point_off_the_origin():
     R = _ring(5, QUADRIC[0])
-    flags = classify(LocalRingAtPoint(Ideal(R, [R.parse("x*y - z^2")]), (1, 4, 2)))
+    flags = classify(LocalRingAtPoint(Ideal(R, [R.parse("x*y - z^2")]), (1, 4, 2)), 2)
     assert flags.regular
     assert flags.hilbert_samuel == 1
