@@ -8,9 +8,9 @@ from that.
 
 Inside the engine a monomial is a single integer with one bit-field per
 variable, so multiplication is integer addition and divisibility is a
-guarded subtraction; order keys are packed the same way and combine
-additively under multiplication (with a constant correction), which keeps
-the reduction loop free of tuple traffic.  Public polynomials keep their
+guarded subtraction.  Order keys are the ring's `MonomialOrder.key`, which
+is linear, so the key of a product is the sum of the keys; this keeps the
+reduction loop free of tuple traffic.  Public polynomials keep their
 exponent-tuple form.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby
 
@@ -31,6 +31,7 @@ from .errors import (
     UnitIdealError,
 )
 from .poly import (
+    _FIELD_BITS,
     EXPONENT_LIMIT,
     MonomialOrder,
     Polynomial,
@@ -42,9 +43,6 @@ from .poly import (
 )
 
 INFINITE = math.inf
-
-_FIELD_BITS = 40
-_FIELD_CAP = 1 << (_FIELD_BITS - 1)
 
 
 @dataclass
@@ -74,23 +72,16 @@ class Budget:
             raise ResourceBudgetError("standard monomial box", n, self.max_box)
 
     def snapshot(self) -> dict:
-        return {
-            "max_basis": self.max_basis,
-            "max_pairs": self.max_pairs,
-            "max_box": self.max_box,
-            "used_basis": self.used_basis,
-            "used_pairs": self.used_pairs,
-            "used_box": self.used_box,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # packed-monomial engine
 
 class _Engine:
-    """Packed-integer monomial codec and order keys for one ring."""
+    """Packed-integer monomial codec for one ring; keys are its order's."""
 
-    __slots__ = ("ring", "n", "p", "guard", "kcorr", "kind", "block")
+    __slots__ = ("ring", "n", "p", "guard", "key")
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
@@ -101,11 +92,7 @@ class _Engine:
         self.guard = 0
         for j in range(n):
             self.guard |= 1 << (j * B + B - 1)
-        self.kind = ring.order.kind
-        self.block = ring.order.block
-        # key(m1*m2) = key(m1) + key(m2) - kcorr for every supported order,
-        # and key(1) = kcorr by taking m1 = m2 = 1
-        self.kcorr = self._key((0,) * n)
+        self.key = ring.order.key
 
     def pack(self, t: tuple) -> int:
         B = _FIELD_BITS
@@ -119,33 +106,6 @@ class _Engine:
         mask = (1 << B) - 1
         return tuple((m >> (j * B)) & mask for j in range(self.n))
 
-    def _grevlex_key(self, t: tuple) -> int:
-        B = _FIELD_BITS
-        c = _FIELD_CAP - 1
-        n = len(t)
-        key = sum(t) << (n * B)
-        for j, e in enumerate(t):
-            key |= (c - e) << (j * B)
-        return key
-
-    def _key(self, t: tuple) -> int:
-        B = _FIELD_BITS
-        if self.kind == "lex":
-            n = len(t)
-            key = 0
-            for j, e in enumerate(t):
-                key |= e << ((n - 1 - j) * B)
-            return key
-        if self.kind == "grevlex":
-            return self._grevlex_key(t)
-        k = self.block
-        hi = self._grevlex_key(t[:k])
-        lo = self._grevlex_key(t[k:])
-        return (hi << ((self.n - k + 1) * B)) | lo
-
-    def degree(self, m: int) -> int:
-        return sum(self.unpack(m))
-
     def div(self, a: int, b: int):
         """a / b as packed monomials, or None."""
         t = (a | self.guard) - b
@@ -153,15 +113,10 @@ class _Engine:
             return t ^ self.guard
         return None
 
-    def lcm(self, a: int, b: int) -> int:
-        ta, tb = self.unpack(a), self.unpack(b)
-        return self.pack(tuple(max(x, y) for x, y in zip(ta, tb)))
-
     def plist(self, f: Polynomial):
-        """[(key, packed_mono, coeff)] descending; terms are ring-sorted."""
-        out = [(self._key(m), self.pack(m), c) for m, c in f.terms]
-        out.sort(key=lambda t: t[0], reverse=True)
-        return out
+        """[(key, packed_mono, coeff)], descending like f's terms."""
+        key, pack = self.key, self.pack
+        return [(key(m), pack(m), c) for m, c in f.terms]
 
     def to_poly(self, terms) -> Polynomial:
         return Polynomial(
@@ -173,18 +128,16 @@ _ENGINES: dict = {}
 
 
 def _engine(ring: PolyRing) -> _Engine:
-    key = (ring.p, ring.names, ring.order.kind, ring.order.block)
-    eng = _ENGINES.get(key)
+    eng = _ENGINES.get(ring)
     if eng is None:
         eng = _Engine(ring)
-        _ENGINES[key] = eng
+        _ENGINES[ring] = eng
     return eng
 
 
-def _shift_scale(terms, skey, smono, coef, p, kcorr):
-    """coef * x^s * terms; keys combine additively."""
-    delta = skey - kcorr
-    return [(k + delta, m + smono, (c * coef) % p) for k, m, c in terms]
+def _shift_scale(terms, skey, smono, coef, p):
+    """coef * x^s * terms, given key(x^s) and packed x^s."""
+    return [(k + skey, m + smono, (c * coef) % p) for k, m, c in terms]
 
 
 def _sub(fl, gl, p):
@@ -300,7 +253,6 @@ class _Geobucket:
 def _reduce_full(fl, basis, eng: _Engine):
     """Full normal form of fl against basis entries (key, mono, coeff) lists."""
     p = eng.p
-    kcorr = eng.kcorr
     div = eng.div
     out = []
     bucket = _Geobucket(p)
@@ -330,40 +282,43 @@ def _reduce_full(fl, basis, eng: _Engine):
             tails[idx] = tail
         if tail:
             s = m0 - terms[0][1]
-            skey = k0 - terms[0][0] + kcorr
-            bucket.add_desc(_shift_scale(tail, skey, s, (-c0) % p, p, kcorr))
+            skey = k0 - terms[0][0]
+            bucket.add_desc(_shift_scale(tail, skey, s, (-c0) % p, p))
     return out
 
 
 def _buchberger(gens, ring: PolyRing, budget: Budget):
     eng = _engine(ring)
     field = ring.field
+    p = eng.p
+    key, pack = eng.key, eng.pack
     basis: list = []
-    heap: list = []
+    leads: list = []  # unpacked leading monomial of each basis element
+    heap: list = []  # (deg, key, i, k, packed) of each pair's lcm; (i, k) is unique
     done: set = set()
 
-    def push_pairs(k):
-        mk = basis[k][0][1]
+    def add(r):
+        basis.append(_monic(r, field))
+        budget.charge_basis(len(basis))
+        k = len(basis) - 1
+        tk = eng.unpack(r[0][1])
+        leads.append(tk)
         for i in range(k):
-            l = eng.lcm(basis[i][0][1], mk)
-            heapq.heappush(heap, (eng.degree(l), eng._key(eng.unpack(l)), i, k))
+            t = tuple(map(max, leads[i], tk))
+            heapq.heappush(heap, (sum(t), key(t), i, k, pack(t)))
 
     for f in gens:
         if f.is_zero():
             continue
         r = _reduce_full(eng.plist(f), basis, eng)
         if r:
-            basis.append(_monic(r, field))
-            budget.charge_basis(len(basis))
-            push_pairs(len(basis) - 1)
+            add(r)
 
     while heap:
         budget.charge_pair()
-        _, _, i, j = heapq.heappop(heap)
+        _, lkey, i, j, l = heapq.heappop(heap)
         done.add((i, j))
-        mi, mj = basis[i][0][1], basis[j][0][1]
-        l = eng.lcm(mi, mj)
-        if l == mi + mj:
+        if l == basis[i][0][1] + basis[j][0][1]:
             continue  # coprime leading terms
         chained = False
         for k in range(len(basis)):
@@ -377,17 +332,12 @@ def _buchberger(gens, ring: PolyRing, budget: Budget):
                     break
         if chained:
             continue
-        p = eng.p
-        kcorr = eng.kcorr
-        lkey = eng._key(eng.unpack(l))
         fi, fj = basis[i], basis[j]
-        a = _shift_scale(fi, lkey - fi[0][0] + kcorr, l - fi[0][1], 1, p, kcorr)
-        b = _shift_scale(fj, lkey - fj[0][0] + kcorr, l - fj[0][1], 1, p, kcorr)
+        a = _shift_scale(fi, lkey - fi[0][0], l - fi[0][1], 1, p)
+        b = _shift_scale(fj, lkey - fj[0][0], l - fj[0][1], 1, p)
         r = _reduce_full(_sub(a, b, p), basis, eng)
         if r:
-            basis.append(_monic(r, field))
-            budget.charge_basis(len(basis))
-            push_pairs(len(basis) - 1)
+            add(r)
 
     # reduce: minimalize leading terms, then tail-reduce sequentially
     basis.sort(key=lambda t: t[0][0])
@@ -522,9 +472,7 @@ def exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
         if s is None:
             raise ValueError("exact_divide: dividend not in the principal ideal")
         quot[eng.unpack(s)] = (quot.get(eng.unpack(s), 0) + c0) % p
-        work = _sub(
-            work, _shift_scale(glist, k0 - lt_key + eng.kcorr, s, c0, p, eng.kcorr), p
-        )
+        work = _sub(work, _shift_scale(glist, k0 - lt_key, s, c0, p), p)
     return ring.from_dict(quot).scale(ginv)
 
 

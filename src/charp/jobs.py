@@ -65,6 +65,13 @@ def _is_int(v) -> bool:
     return type(v) is int  # bool is not an integer here
 
 
+def _is_rational(v) -> bool:
+    try:
+        return isinstance(v, str) and Fraction(v) >= 0
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
+        return False
+
+
 def _list_of(check):
     return lambda v: isinstance(v, list) and all(check(x) for x in v)
 
@@ -104,9 +111,9 @@ _KEY_TYPES = {
     "tolerance": _KeyType(float, lambda v: type(v) in (int, float) and 0 < v < math.inf,
                           "a finite number > 0", DEFAULT_TOLERANCE),
     "component": _int(0),
-    "e": _int(1),
-    "e_max": _int(2),
-    "extra_vars": _int(1),
+    "e": _positive(1),
+    "e_max": _positive(2),
+    "extra_vars": _positive(1),
     "vars": _NAMES,
     "ideal": _POLYS,
     "a": _POLYS,
@@ -114,8 +121,8 @@ _KEY_TYPES = {
                           _list_of(_POLYS.check), "a list of lists of polynomial strings"),
     "point": _KeyType(lambda text: [int(tok) for tok in text.replace(",", " ").split()],
                      _list_of(_is_int), "a list of integers"),
-    "t": _KeyType(str, lambda v: isinstance(v, str), "a rational string such as 1/2", "0"),
-    "t_grid": _KeyType(str.split, _NAMES.check, "a list of rational strings"),
+    "t": _KeyType(str, _is_rational, "a rational string >= 0 such as 1/2", "0"),
+    "t_grid": _KeyType(str.split, _list_of(_is_rational), "a list of rational strings >= 0"),
     "samples": _SAMPLES,
     "nearby": _SAMPLES,
     "special": _KeyType(_sample, _is_sample, "a sample comp:(c1,c2,...)"),

@@ -7,6 +7,8 @@ printed output are canonical.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import ExponentOverflowError, ParseError, UnknownVariableError
 from .gf import FieldContext
 
@@ -64,6 +66,16 @@ def monomial_count_box(bounds) -> int:
 # ---------------------------------------------------------------------------
 # monomial orders
 
+# bits per exponent, in the order weights and in the Groebner engine's packed
+# monomials (whose guard bit needs exponents below 2**(_FIELD_BITS - 1))
+_FIELD_BITS = 40
+
+
+def _grevlex_weights(n: int) -> list:
+    top = 1 << (n * _FIELD_BITS)
+    return [top - (1 << (j * _FIELD_BITS)) for j in range(n)]
+
+
 class MonomialOrder:
     """Total order on exponent tuples, compatible with multiplication and
     with 1 as least element.
@@ -71,9 +83,20 @@ class MonomialOrder:
     kind is one of 'lex', 'grevlex', 'elim'; 'elim' compares a leading block
     of variables first (grevlex within each block), which eliminates the
     block variables in Groebner bases.
+
+    Every kind is one integer weight vector w, and key(t) = sum_j t_j * w_j
+    (B = _FIELD_BITS bits per exponent):
+      lex      w_j = 2^((n-1-j)B)
+      grevlex  w_j = 2^(nB) - 2^(jB), i.e. key = deg(t) * 2^(nB) - packed(t)
+      elim     the grevlex weights of the block, times 2^((n-k+1)B), then
+               the grevlex weights of the other n-k variables.
+    The key orders monomials exactly while every exponent is below 2^B and,
+    for elim, the degree in the last n-k variables is too; both hold for
+    exponents up to EXPONENT_LIMIT = 2^31 - 1 with fewer than 2^(B-31)
+    variables.  The key is linear: key(a*b) = key(a) + key(b), key(1) = 0.
     """
 
-    __slots__ = ("kind", "nvars", "block")
+    __slots__ = ("kind", "nvars", "block", "weights")
 
     def __init__(self, kind: str, nvars: int, block: int = 0):
         if kind not in ("lex", "grevlex", "elim"):
@@ -83,6 +106,16 @@ class MonomialOrder:
         self.kind = kind
         self.nvars = nvars
         self.block = block
+        B = _FIELD_BITS
+        if kind == "lex":
+            w = [1 << ((nvars - 1 - j) * B) for j in range(nvars)]
+        elif kind == "grevlex":
+            w = _grevlex_weights(nvars)
+        else:
+            hi = 1 << ((nvars - block + 1) * B)
+            w = [x * hi for x in _grevlex_weights(block)]
+            w += _grevlex_weights(nvars - block)
+        self.weights = tuple(w)
 
     @staticmethod
     def lex(nvars: int) -> "MonomialOrder":
@@ -96,14 +129,9 @@ class MonomialOrder:
     def elimination(nvars: int, block: int) -> "MonomialOrder":
         return MonomialOrder("elim", nvars, block)
 
-    def key(self, mono: tuple):
+    def key(self, mono: tuple) -> int:
         """Sort key: bigger key = bigger monomial."""
-        if self.kind == "lex":
-            return mono
-        if self.kind == "grevlex":
-            return _grevlex_key(mono)
-        k = self.block
-        return (_grevlex_key(mono[:k]), _grevlex_key(mono[k:]))
+        return sum(map(mul, mono, self.weights))
 
     def __eq__(self, other):
         return (
@@ -119,10 +147,6 @@ class MonomialOrder:
         if self.kind == "elim":
             return f"MonomialOrder(elim, block={self.block})"
         return f"MonomialOrder({self.kind})"
-
-
-def _grevlex_key(mono: tuple):
-    return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +262,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m, _ in self.terms)
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
@@ -315,6 +336,7 @@ class Polynomial:
         if c == 0:
             return self.ring.zero()
         p = self.ring.p
+        # the order key is linear, so shifted terms stay sorted
         return Polynomial(
             self.ring,
             tuple((mono_mul(m, mono), (c0 * c) % p) for m, c0 in self.terms),
@@ -325,6 +347,7 @@ class Polynomial:
 
     def frobenius_power(self, q: int) -> "Polynomial":
         """self**q for q a power of p, by the term-wise Frobenius (c^q = c in F_p)."""
+        # key(q*t) = q*key(t): the terms stay sorted
         return Polynomial(
             self.ring, tuple((mono_scale(m, q), c) for m, c in self.terms)
         )

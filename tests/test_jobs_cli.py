@@ -431,24 +431,49 @@ def test_cli_budget_below_1_exits_1(tmp_path, monkeypatch, capsys, args, env):
     assert not list(tmp_path.glob("*.report.*"))
 
 
+def _bad_task_key(kind, key, text, value):
+    """A task's bad setting, once as a `key = text` line and once as a JSON value."""
+    return [pytest.param(key, [], kind, f"{key} = {text}", None, id=f"{kind} {key} = {text}"),
+            pytest.param(key, [], kind, None, value, id=f"json {kind} {key} {json.dumps(value)}")]
+
+
 # every source of a setting goes through the key table: a bad value is exit 1
-# with the table's message, and no report is written
-@pytest.mark.parametrize("key, args, job_line, json_value", [
-    *[pytest.param("tolerance", ["--tolerance", v], None, None, id=f"--tolerance {v}")
+# with the table's message, and no report is written.  A job-level line
+# replaces the job's tolerance line; a task-level one is a new task of `kind`.
+@pytest.mark.parametrize("key, args, kind, line, json_value", [
+    *[pytest.param("tolerance", ["--tolerance", v], None, None, None, id=f"--tolerance {v}")
       for v in ("abc", "-1", "0", "nan", "inf")],
-    *[pytest.param("jobs", ["--jobs", v], None, None, id=f"--jobs {v}") for v in ("0", "-5", "x")],
-    pytest.param("jobs", [], "jobs = 0", None, id="jobs = 0"),
-    pytest.param("tolerance", [], "tolerance = -1", None, id="tolerance = -1"),
-    pytest.param("tolerance", [], None, math.nan, id="json tolerance NaN"),
+    *[pytest.param("jobs", ["--jobs", v], None, None, None, id=f"--jobs {v}")
+      for v in ("0", "-5", "x")],
+    pytest.param("jobs", [], None, "jobs = 0", None, id="jobs = 0"),
+    pytest.param("tolerance", [], None, "tolerance = -1", None, id="tolerance = -1"),
+    pytest.param("tolerance", [], None, None, math.nan, id="json tolerance NaN"),
+    # unchecked, e_max = 0 gave no rows (and flat_check ok: true), e = 0 gave q = 1,
+    # and t = 1/0 a ZeroDivisionError inside the task
+    *_bad_task_key("pair", "e_max", "0", 0),
+    *_bad_task_key("flat_check", "e_max", "-1", -1),
+    *_bad_task_key("semicontinuity", "e", "0", 0),
+    *_bad_task_key("flat_check", "extra_vars", "0", 0),
+    *_bad_task_key("pair", "t", "1/0", "1/0"),
+    *_bad_task_key("pair", "t", "-1/2", "-1/2"),
+    *_bad_task_key("pair", "t_grid", "0 1/0", ["0", "1/0"]),
+    *_bad_task_key("pair", "t_grid", "1/2 x", ["1/2", "x"]),
 ])
-def test_bad_settings_exit_1_from_every_source(tmp_path, capsys, key, args, job_line,
+def test_bad_settings_exit_1_from_every_source(tmp_path, capsys, key, args, kind, line,
                                                json_value):
     if json_value is None:
-        text = QUADRIC_JOB if job_line is None else QUADRIC_JOB.replace(
-            "tolerance = 0.01", job_line)
+        text = QUADRIC_JOB
+        if kind is not None:
+            text += f"\n[task {kind}]\n{line}\n"
+        elif line is not None:
+            text = text.replace("tolerance = 0.01", line)
         path = _write(tmp_path, text)
     else:
-        job = validate_job(parse_job_text(QUADRIC_JOB)) | {key: json_value}
+        job = validate_job(parse_job_text(QUADRIC_JOB))
+        if kind is None:
+            job[key] = json_value
+        else:
+            job["tasks"].append({"kind": kind, key: json_value})
         path = _write(tmp_path, json.dumps(job), "job.json")
     assert main(["run", str(path)] + args) == 1
     assert f"'{key}' must be {_KEY_TYPES[key].expected}" in capsys.readouterr().err
@@ -533,7 +558,9 @@ def test_readme_key_table_defaults_match_key_types():
 
 
 def test_demo_jobs_run_clean(tmp_path):
-    """The committed demo reports are the oracle: a rerun gives the same TSV."""
+    """The committed demo reports are the oracle: a rerun gives the same TSV,
+    and the same JSON but for wall_time_s, so every budget counter (and with
+    it the Buchberger pair order) is pinned too."""
     import shutil
 
     demo = ROOT / "demo"
@@ -547,6 +574,11 @@ def test_demo_jobs_run_clean(tmp_path):
         assert res.returncode == 0, res.stderr
         assert ((tmp_path / f"{name}.report.tsv").read_bytes()
                 == (demo / f"{name}.report.tsv").read_bytes()), name
+        got, want = (json.loads((d / f"{name}.report.json").read_text(encoding="utf-8"))
+                     for d in (tmp_path, demo))
+        got.pop("wall_time_s")
+        want.pop("wall_time_s")
+        assert got == want, name
 
 
 def test_cli_run_byte_identical(tmp_path):

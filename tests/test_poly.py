@@ -1,12 +1,14 @@
 """Sparse polynomial arithmetic, monomial orders, and the parser."""
 
 import random
+from operator import add
 
 import pytest
 
 from charp.errors import ExponentOverflowError, ParseError, UnknownVariableError
 from charp.gf import field_new
 from charp.poly import (
+    EXPONENT_LIMIT,
     MonomialOrder,
     PolyRing,
     mono_mul,
@@ -32,7 +34,7 @@ def test_parse_basic():
 def test_parse_fermat_cubic():
     R = ring(7)
     f = R.parse("x^3+y^3+z^3")
-    assert f.num_terms() == 3
+    assert len(f.terms) == 3
     assert f.degree() == 3
 
 
@@ -194,6 +196,48 @@ def test_elimination_order_blocks():
     order = MonomialOrder.elimination(3, 1)
     # anything with the first variable beats anything without
     assert order.key((1, 0, 0)) > order.key((0, 9, 9))
+
+
+# textbook comparators: 1 when a > b, -1 when a < b, 0 when a == b
+def _lex_cmp(a, b):
+    for x, y in zip(a, b):
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
+def _grevlex_cmp(a, b):
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):  # the last differing exponent
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def _elim_cmp(k):
+    return lambda a, b: _grevlex_cmp(a[:k], b[:k]) or _grevlex_cmp(a[k:], b[k:])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_key_matches_textbook_comparators(n):
+    rng = random.Random(n)
+    exponents = (lambda: rng.randint(0, 3), lambda: EXPONENT_LIMIT - rng.randint(0, 3),
+                 lambda: rng.randint(0, EXPONENT_LIMIT))
+    monos = [(0,) * n] + [tuple(rng.choice(exponents)() for _ in range(n))
+                          for _ in range(60)]
+    orders = [(MonomialOrder.lex(n), _lex_cmp), (MonomialOrder.grevlex(n), _grevlex_cmp)]
+    orders += [(MonomialOrder.elimination(n, k), _elim_cmp(k)) for k in range(1, n)]
+    for order, cmp in orders:
+        key = order.key
+        assert key((0,) * n) == 0
+        for a in monos:
+            ka = key(a)
+            assert type(ka) is int
+            for b in monos:
+                kb = key(b)
+                assert (ka > kb) - (ka < kb) == cmp(a, b), (order, a, b)
+                assert key(tuple(map(add, a, b))) == ka + kb
 
 
 def test_terms_sorted_descending():
