@@ -12,6 +12,13 @@ guarded subtraction.  Order keys are the ring's `MonomialOrder.key`, which
 is linear, so the key of a product is the sum of the keys; this keeps the
 reduction loop free of tuple traffic.  Public polynomials keep their
 exponent-tuple form.
+
+Polynomial terms are summed in one place, `_TermSum`: a dict from order key
+to term plus a max-heap of the keys (Monagan & Pearce, CASC 2007).  Normal
+forms reduce into it, each S-polynomial is the sum of its two shifted
+tails, and `exact_divide` pops its quotient terms from it.  The key is
+injective on the exponents the engine admits, and the remainder against a
+fixed ordered basis does not depend on how the running sum is stored.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import heapq
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby, islice
 
 from .errors import (
     ExponentOverflowError,
@@ -135,38 +142,6 @@ def _engine(ring: PolyRing) -> _Engine:
     return eng
 
 
-def _shift_scale(terms, skey, smono, coef, p):
-    """coef * x^s * terms, given key(x^s) and packed x^s."""
-    return [(k + skey, m + smono, (c * coef) % p) for k, m, c in terms]
-
-
-def _sub(fl, gl, p):
-    """fl - gl for descending packed term lists."""
-    out = []
-    i, j = 0, 0
-    nf, ng = len(fl), len(gl)
-    while i < nf and j < ng:
-        kf, kg = fl[i][0], gl[j][0]
-        if kf > kg:
-            out.append(fl[i])
-            i += 1
-        elif kg > kf:
-            kk, mg, cg = gl[j]
-            out.append((kk, mg, (-cg) % p))
-            j += 1
-        else:
-            c = (fl[i][2] - gl[j][2]) % p
-            if c:
-                out.append((fl[i][0], fl[i][1], c))
-            i += 1
-            j += 1
-    out.extend(fl[i:])
-    for k in range(j, ng):
-        kk, mg, cg = gl[k]
-        out.append((kk, mg, (-cg) % p))
-    return out
-
-
 def _monic(terms, field):
     c = terms[0][2]
     if c == 1:
@@ -176,93 +151,53 @@ def _monic(terms, field):
     return [(k, m, (cc * inv) % p) for k, m, cc in terms]
 
 
-def _merge_add(a, b, p):
-    """a + b for ascending term lists."""
-    out = []
-    i, j = 0, 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ka, kb = a[i][0], b[j][0]
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-        elif kb < ka:
-            out.append(b[j])
-            j += 1
-        else:
-            c = (a[i][2] + b[j][2]) % p
-            if c:
-                out.append((ka, a[i][1], c))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+class _TermSum:
+    """A running sum of packed terms: a dict from order key to the term
+    (key, mono, coeff) of that key, and a max-heap (negated) holding each
+    dict key once.  Keys are injective on packed monomials, so equal keys
+    are like terms."""
 
+    __slots__ = ("p", "terms", "heap")
 
-class _Geobucket:
-    """Sum-of-buckets accumulator; subtracting a short reducer touches only
-    a short bucket, which keeps long division passes near-linear."""
-
-    __slots__ = ("p", "buckets")
-
-    def __init__(self, p):
+    def __init__(self, p, terms=()):
+        """The sum of a descending term list; it holds, and pops, the list's
+        own tuples until they are added to."""
         self.p = p
-        self.buckets: list = []  # ascending term lists, bucket i holds <= 4<<i
+        self.terms: dict = {t[0]: t for t in terms}
+        self.heap: list = [-t[0] for t in terms]  # ascending, so a heap
 
-    def add_desc(self, terms):
-        """Add a descending term list."""
-        if not terms:
-            return
-        cur = terms[::-1]
-        i = 0
-        while (4 << i) < len(cur):
-            i += 1
-        while len(self.buckets) <= i:
-            self.buckets.append([])
-        cur = _merge_add(self.buckets[i], cur, self.p)
-        self.buckets[i] = []
-        while len(cur) > (4 << i):
-            i += 1
-            while len(self.buckets) <= i:
-                self.buckets.append([])
-            cur = _merge_add(self.buckets[i], cur, self.p)
-            self.buckets[i] = []
-        self.buckets[i] = cur
+    def add(self, terms, skey, smono, coef):
+        """Add coef * x^s * terms, given key(x^s) and packed x^s."""
+        p, acc, heap = self.p, self.terms, self.heap
+        push = heapq.heappush
+        for k, m, c in terms:
+            k += skey
+            old = acc.get(k)
+            if old is None:
+                acc[k] = (k, m + smono, c * coef % p)
+                push(heap, -k)
+            else:
+                acc[k] = (k, old[1], (old[2] + c * coef) % p)
 
-    def pop_max(self):
-        """Remove and return the leading (key, mono, coeff), or None."""
-        p = self.p
-        while True:
-            best_key = -1
-            best_i = -1
-            for i, b in enumerate(self.buckets):
-                if b and b[-1][0] > best_key:
-                    best_key = b[-1][0]
-                    best_i = i
-            if best_i < 0:
-                return None
-            key, mono, coeff = self.buckets[best_i].pop()
-            for b in self.buckets:
-                if b and b[-1][0] == key:
-                    coeff = (coeff + b.pop()[2]) % p
-            if coeff:
-                return (key, mono, coeff)
+    def pop(self):
+        """Remove and return the leading nonzero term, or None."""
+        acc, heap = self.terms, self.heap
+        while heap:
+            t = acc.pop(-heapq.heappop(heap))
+            if t[2]:
+                return t
+        return None
 
 
-def _reduce_full(fl, basis, eng: _Engine):
-    """Full normal form of fl against basis entries (key, mono, coeff) lists."""
+def _reduce_full(acc: _TermSum, basis, eng: _Engine):
+    """Full normal form of the sum in acc against basis entries, each a
+    monic descending (key, mono, coeff) list; returns the remainder as such
+    a list."""
     p = eng.p
     div = eng.div
     out = []
-    bucket = _Geobucket(p)
-    bucket.add_desc(list(fl))
     seen: dict = {}  # packed mono -> basis index or -1 (irreducible)
-    tails: dict = {}
-    while True:
-        head = bucket.pop_max()
-        if head is None:
-            break
+    while (head := acc.pop()) is not None:
         k0, m0, c0 = head
         idx = seen.get(m0)
         if idx is None:
@@ -276,14 +211,7 @@ def _reduce_full(fl, basis, eng: _Engine):
             out.append(head)
             continue
         terms = basis[idx]
-        tail = tails.get(idx)
-        if tail is None:
-            tail = terms[1:]
-            tails[idx] = tail
-        if tail:
-            s = m0 - terms[0][1]
-            skey = k0 - terms[0][0]
-            bucket.add_desc(_shift_scale(tail, skey, s, (-c0) % p, p))
+        acc.add(islice(terms, 1, None), k0 - terms[0][0], m0 - terms[0][1], p - c0)
     return out
 
 
@@ -310,7 +238,7 @@ def _buchberger(gens, ring: PolyRing, budget: Budget):
     for f in gens:
         if f.is_zero():
             continue
-        r = _reduce_full(eng.plist(f), basis, eng)
+        r = _reduce_full(_TermSum(p, eng.plist(f)), basis, eng)
         if r:
             add(r)
 
@@ -332,10 +260,12 @@ def _buchberger(gens, ring: PolyRing, budget: Budget):
                     break
         if chained:
             continue
+        # the S-polynomial's leading terms cancel, so only the tails are added
         fi, fj = basis[i], basis[j]
-        a = _shift_scale(fi, lkey - fi[0][0], l - fi[0][1], 1, p)
-        b = _shift_scale(fj, lkey - fj[0][0], l - fj[0][1], 1, p)
-        r = _reduce_full(_sub(a, b, p), basis, eng)
+        acc = _TermSum(p)
+        acc.add(islice(fi, 1, None), lkey - fi[0][0], l - fi[0][1], 1)
+        acc.add(islice(fj, 1, None), lkey - fj[0][0], l - fj[0][1], p - 1)
+        r = _reduce_full(acc, basis, eng)
         if r:
             add(r)
 
@@ -347,7 +277,7 @@ def _buchberger(gens, ring: PolyRing, budget: Budget):
             minimal.append(terms)
     for idx in range(len(minimal)):
         others = minimal[:idx] + minimal[idx + 1 :]
-        minimal[idx] = _monic(_reduce_full(minimal[idx], others, eng), field)
+        minimal[idx] = _monic(_reduce_full(_TermSum(p, minimal[idx]), others, eng), field)
     minimal.sort(key=lambda t: t[0][0], reverse=True)
     return tuple(eng.to_poly(t) for t in minimal)
 
@@ -404,7 +334,7 @@ def normal_form(f: Polynomial, I: Ideal, budget=None) -> Polynomial:
     eng = _engine(I.ring)
     if I._packed is None:
         I._packed = [eng.plist(g) for g in gb]
-    return eng.to_poly(_reduce_full(eng.plist(f), I._packed, eng))
+    return eng.to_poly(_reduce_full(_TermSum(eng.p, eng.plist(f)), I._packed, eng))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -457,23 +387,23 @@ def bracket_power(I: Ideal, q: int) -> Ideal:
 
 
 def exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
-    """h / g for h in the principal ideal (g)."""
+    """h / g for h in the principal ideal (g), by division with one running
+    remainder; each quotient term is popped from it exactly once."""
     ring = h.ring
     eng = _engine(ring)
     p = ring.p
     glist = _monic(eng.plist(g), ring.field)
-    ginv = ring.field.inv(g.lc())
-    work = eng.plist(h)
     lt_key, lt_mono = glist[0][0], glist[0][1]
-    quot: dict = {}
-    while work:
-        k0, m0, c0 = work[0]
+    work = _TermSum(p, eng.plist(h))
+    quot = []  # descending: each new leading term is below the last
+    while (head := work.pop()) is not None:
+        k0, m0, c0 = head
         s = eng.div(m0, lt_mono)
         if s is None:
             raise ValueError("exact_divide: dividend not in the principal ideal")
-        quot[eng.unpack(s)] = (quot.get(eng.unpack(s), 0) + c0) % p
-        work = _sub(work, _shift_scale(glist, k0 - lt_key, s, c0, p), p)
-    return ring.from_dict(quot).scale(ginv)
+        quot.append((k0 - lt_key, s, c0))
+        work.add(islice(glist, 1, None), k0 - lt_key, s, p - c0)
+    return eng.to_poly(quot).scale(ring.field.inv(g.lc()))
 
 
 def intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:

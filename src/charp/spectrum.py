@@ -273,13 +273,20 @@ def flat_extension_check(L: LocalRingAtPoint, n_extra_vars: int, e_max: int,
     if n_extra_vars < 1:
         raise ValueError("need at least one extra variable")
     budget = budget or Budget()
+    # every box counted over the extension holds at least p^k monomials (the
+    # q-th powers of the k new variables alone); charge that first, a factor
+    # p at a time, so a huge k stops at the first power of p past the cap
+    box = 1
+    for _ in range(n_extra_vars):
+        box *= L.p
+        budget.charge_box(box)
     ring = L.ring
-    names = list(ring.names)
+    names = set(ring.names)
     extra = []
     i = 1
     while len(extra) < n_extra_vars:
         cand = f"t{i}"
-        if cand not in names and cand not in extra:
+        if cand not in names:
             extra.append(cand)
         i += 1
     ext = ring.extend(extra)

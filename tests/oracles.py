@@ -143,6 +143,27 @@ def random_nonzero_poly(rng, ring: PolyRing, max_deg=3, max_terms=4):
             return f
 
 
+def textbook_remainder(f, divisors):
+    """Remainder of f on division by the divisors, in Polynomial arithmetic:
+    the leading term still left is cancelled with the first divisor, in list
+    order, whose leading monomial divides it, or else moved to the remainder.
+    Modulo a Groebner basis the remainder is unique, whatever the strategy."""
+    ring = f.ring
+    rem = ring.zero()
+    while not f.is_zero():
+        m, c = f.terms[0]
+        for g in divisors:
+            s = mono_div(m, g.lm())
+            if s is not None:
+                f = f - g.mul_monomial(s, c * ring.field.inv(g.lc()))
+                break
+        else:
+            lead = ring.monomial(m, c)
+            rem = rem + lead
+            f = f - lead
+    return rem
+
+
 def nu_binary_search(L, a: Ideal, e: int) -> int:
     """nu(q) = max{r : a^r not inside m^[q] + I} by binary search over the
     generators of a^r, which m^(n(q-1)+1), inside m^[q], bounds."""

@@ -33,7 +33,7 @@ from charp.ideal import (
     normal_form,
     s_polynomial,
 )
-from charp.poly import PolyRing
+from charp.poly import MonomialOrder, PolyRing
 
 from oracles import (
     box_monomials,
@@ -42,6 +42,7 @@ from oracles import (
     quotient_length_bruteforce,
     random_nonzero_poly,
     standard_count_bruteforce,
+    textbook_remainder,
 )
 
 
@@ -157,6 +158,31 @@ def test_normal_form_membership_and_idempotence():
         g = random_nonzero_poly(rng, R)
         nf = normal_form(g, J)
         assert normal_form(nf, J) == nf
+
+
+ORDERS = {
+    "lex": MonomialOrder.lex(3),
+    "grevlex": MonomialOrder.grevlex(3),
+    "elim": MonomialOrder.elimination(3, 1),
+}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_normal_form_matches_textbook_division(p, order):
+    # g = (p-1)f + r*f_1 makes f + g = r*f_1 a member, so the sum's terms cancel
+    rng = random.Random(100 * p + len(order))
+    R = PolyRing(field_new(p), ("x", "y", "z"), ORDERS[order])
+    for _ in range(8):
+        gens = [random_nonzero_poly(rng, R) for _ in range(rng.randint(1, 3))]
+        J = Ideal(R, gens)
+        gb = J.groebner_basis()
+        f = random_nonzero_poly(rng, R, max_terms=6)
+        g = f.scale(p - 1) + random_nonzero_poly(rng, R) * gens[0]
+        for h in (f, g, f + g):
+            assert normal_form(h, J) == textbook_remainder(h, gb)
+        assert normal_form(f + g, J).is_zero()
+        assert normal_form(f + g, J) == normal_form(f, J) + normal_form(g, J)
 
 
 def test_membership_matches_dense_linear_algebra():
@@ -312,10 +338,26 @@ def test_colon_defining_property_random():
 
 
 def test_exact_divide():
+    # a divisor with a constant term, a monomial divisor and the unit
     R = ring(5)
-    f = R.parse("x*y - z^2")
-    g = R.parse("x^2 + 3*y")
-    assert exact_divide(f * g, g) == f
+    for f, g in [("x*y - z^2", "x^2 + 3*y"), ("x^3 - y*z + 2*x + 1", "2*x*y + z + 3"),
+                 ("x^3 - y*z + 2*x + 1", "4*x^2*z"), ("x^3 - y*z + 2*x + 1", "1")]:
+        f, g = R.parse(f), R.parse(g)
+        assert exact_divide(f * g, g) == f
+    # random products in each order
+    rng = random.Random(3)
+    for order in ORDERS.values():
+        R = PolyRing(field_new(5), ("x", "y", "z"), order)
+        for _ in range(10):
+            f = random_nonzero_poly(rng, R, max_terms=6)
+            g = random_nonzero_poly(rng, R, max_terms=6)
+            assert exact_divide(f * g, g) == f
+
+
+def test_exact_divide_outside_the_principal_ideal():
+    R = ring(5)
+    with pytest.raises(ValueError, match="not in the principal ideal"):
+        exact_divide(R.parse("x*y + z"), R.parse("x"))
 
 
 def test_intersect_principal():

@@ -371,6 +371,21 @@ def test_huge_pair_power_hits_the_box_budget_quickly(tmp_path):
     assert saved["tasks"][0]["error"].startswith("ResourceBudgetError: ")
 
 
+@pytest.mark.parametrize("k", [600, 10**9])
+def test_many_extra_vars_hit_the_box_budget_at_once(tmp_path, k):
+    # every box over the extension holds at least 3^k monomials; that bound is
+    # charged before the extended ring is built, one factor 3 at a time
+    path = _write(tmp_path, "p = 3\n[component]\nvars = x y\nideal = x*y\n[task flat_check]\n"
+                            f"point = 0 0\nextra_vars = {k}\ne_max = 1\n")
+    t0 = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - t0 < 2
+    saved = json.loads((tmp_path / "job.report.json").read_text())
+    assert saved["tasks"][0]["error"] == (
+        "ResourceBudgetError: resource budget exceeded: "
+        "standard monomial box used 1594323 > limit 1000000")
+
+
 def test_cli_parse_error_exits_1(tmp_path):
     path = _write(tmp_path, "p = 5\nnonsense\n")
     res = _cli(["run", str(path)])
