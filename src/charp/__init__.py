@@ -10,7 +10,6 @@ from .ideal import (
     bracket_power,
     colon,
     groebner,
-    hilbert_samuel,
     krull_dim,
     length,
     normal_form,
@@ -22,6 +21,7 @@ from .finv import (
     fsig_estimate,
     hk_estimate,
     hk_function,
+    multiplicity,
     nu_invariant,
     pair_splitting_number,
     splitting_ideal,
@@ -42,10 +42,10 @@ __all__ = [
     "FieldContext", "field_new",
     "MonomialOrder", "Polynomial", "PolyRing", "parse_poly", "poly_pow",
     "Budget", "Ideal", "bracket_power", "colon", "groebner",
-    "hilbert_samuel", "krull_dim", "length", "normal_form",
+    "krull_dim", "length", "normal_form",
     "LocalRingAtPoint", "classify", "fedder_is_fpure", "fsig_estimate",
-    "hk_estimate", "hk_function", "nu_invariant", "pair_splitting_number",
-    "splitting_ideal", "splitting_number",
+    "hk_estimate", "hk_function", "multiplicity", "nu_invariant",
+    "pair_splitting_number", "splitting_ideal", "splitting_number",
     "PrimeSample", "RingComponent", "RingPresentation",
     "flat_extension_check", "gamma_data", "global_fsig", "global_hk",
     "semicontinuity_probe",

@@ -58,13 +58,5 @@ class NotPrimaryError(CharpError):
     """The chosen ideal is not primary to the maximal ideal of the point."""
 
 
-class NotStabilizedError(CharpError):
-    def __init__(self, n_max):
-        super().__init__(
-            f"Hilbert-Samuel difference table did not stabilize by n_max={n_max}"
-        )
-        self.n_max = n_max
-
-
 class ZeroIdealError(CharpError):
     pass

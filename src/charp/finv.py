@@ -8,7 +8,9 @@ invariants measure, S/(I + m_a^[q]) for lambda_e and nu and
 S/(m_a^[q] : K) for a_e, is supported at the single point a, so its length
 over the polynomial ring S is the length over the local ring.  Rational
 points have trivial residue-field degree, so every normalization exponent
-is the local dimension d.
+is the local dimension d = dim R_m: dim(S/I) when n - dim(S/I) generators
+present I (a complete intersection is unmixed), else read, with e(R_m),
+from the leading ideal of one standard basis of I at the point.
 
 F-purity, splitting numbers and pairs read one multiplier (I^[q] : I): by
 Fedder's lemma (F^(q-1)), F = f_1...f_c, when the generators are a complete
@@ -32,20 +34,22 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import NotPrimaryError, NotStabilizedError, ZeroIdealError
+from .errors import NotPrimaryError, ZeroIdealError
 from .ideal import (
     INFINITE,
     Budget,
     Ideal,
     bracket_power,
     colon,
-    hilbert_samuel,
     ideal_power,
     ideal_product,
     ideal_sum,
     krull_dim,
+    largest_free_sets,
     length,
+    local_leading_monomials,
     normal_form,
+    standard_count,
 )
 from .poly import poly_pow
 
@@ -58,11 +62,12 @@ class LocalRingAtPoint:
     ideal0 is I in presentation coordinates and m0 = (x_i - a_i) is the
     maximal ideal of a; bracket_power(m0, q) = (x_i^q - a_i).  Ideals of
     S/I passed to the invariants (J, a) are read in the same coordinates.
-    Like an Ideal's Groebner basis, the Frobenius data is a write-once
-    cache: the multiplier (I^[q] : I) per q and the splitting steps per e.
+    Like an Ideal's Groebner basis, the local data is a write-once cache:
+    the standard basis's leading monomials, the multiplier (I^[q] : I) per
+    q and the splitting steps per e.
     """
 
-    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_mult", "_steps")
+    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_leads", "_mult", "_steps")
 
     def __init__(self, ideal: Ideal, point):
         ring = ideal.ring
@@ -77,9 +82,14 @@ class LocalRingAtPoint:
         self.point = point
         self.ideal0 = ideal
         self.m0 = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
-        self.d = krull_dim(ideal)
+        self._leads = None  # leading monomials of the standard basis at a
         self._mult: dict = {}  # q -> (I^[q] : I)
         self._steps: dict = {}  # e -> (M, lambda(S/M), U, a_e)
+        d = krull_dim(ideal)
+        if len(ideal.gens) != ring.nvars - d:  # else unmixed: every point has d
+            self._leads = local_leading_monomials(ideal, point, Budget())
+            d = len(largest_free_sets(self._leads, ring.nvars)[0])
+        self.d = d
 
     @property
     def p(self) -> int:
@@ -87,6 +97,21 @@ class LocalRingAtPoint:
 
     def __repr__(self):
         return f"LocalRingAtPoint({self.ideal0!r} at {self.point})"
+
+
+def multiplicity(L: LocalRingAtPoint, budget: Budget | None = None) -> int:
+    """e(R), that of S/L for the leading ideal L at the point: by the
+    associativity formula, the sum over L's largest free sets U of the
+    standard monomials of L in the other variables once x_U is set to 1."""
+    budget = budget or Budget()
+    if L._leads is None:
+        L._leads = local_leading_monomials(L.ideal0, L.point, budget)
+    n, total = L.ring.nvars, 0
+    for U in largest_free_sets(L._leads, n):
+        rest = [j for j in range(n) if j not in U]
+        total += standard_count([tuple(m[j] for j in rest) for m in L._leads], len(rest),
+                                budget)
+    return total
 
 
 @dataclass(frozen=True)
@@ -170,6 +195,8 @@ def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None,
                 length(ideal_sum(IJ, bracket_power(L.m0, pk)), budget) != ell:
             raise NotPrimaryError("J is not primary to the point modulo I")
     lam = length(ideal_sum(L.ideal0, bracket_power(J, q)), budget)
+    if lam < q**L.d:
+        raise RuntimeError(f"lambda_{e} = {lam} < q^d = {q**L.d} breaks Kunz's bound")
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
 
 
@@ -188,10 +215,9 @@ def hk_estimate(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
 # Frobenius splitting
 
 def _is_ci(L: LocalRingAtPoint) -> bool:
-    """The c generators of I are a regular sequence at the point if c = n - d:
-    c bounds the local height, so it is c and the local dimension is d.  A
-    complete intersection of local dimension below d is missed; a
-    non-complete intersection never passes."""
+    """The c generators of I are a regular sequence at the point iff
+    c = n - d: c bounds the local height n - d, and S_m is Cohen-Macaulay.
+    A redundant generator list never passes."""
     return len(L.ideal0.gens) == L.ring.nvars - L.d
 
 
@@ -228,7 +254,10 @@ def _splitting_step(L: LocalRingAtPoint, e: int, budget: Budget):
         else:
             M0, _, U, a = L._steps[k - 1]
             M, lam = bracket_power(colon(M0, U, budget), p), p**n * a
-        L._steps[k] = (M, lam, U, lam - length(ideal_sum(M, U), budget))
+        a = lam - length(ideal_sum(M, U), budget)
+        if not 0 <= a <= p**(k * L.d):
+            raise RuntimeError(f"a_{k} = {a} is outside [0, q^d = {p**(k * L.d)}]")
+        L._steps[k] = (M, lam, U, a)
     return L._steps[e]
 
 
@@ -343,31 +372,23 @@ class DiagnosticFlags:
     f_pure: bool
     hk: LimitEstimate
     fsig: LimitEstimate
-    hilbert_samuel: Fraction | None
-    threshold: Fraction | None
-    predicted_sfr_gorenstein: bool | None
-    hl_satisfied: bool | None
+    hilbert_samuel: int
+    threshold: Fraction
+    predicted_sfr_gorenstein: bool
+    hl_satisfied: bool
     hl_near_equality: bool | None
     hl_note: str
     basis: str = "limit flags are estimate-based, never proved"
 
     def as_dict(self) -> dict:
-        return {
-            "regular": self.regular,
-            "f_pure": self.f_pure,
-            "hilbert_samuel": None if self.hilbert_samuel is None
-            else str(self.hilbert_samuel),
-            "threshold": None if self.threshold is None else str(self.threshold),
-            "predicted_sfr_gorenstein": self.predicted_sfr_gorenstein,
-            "hl_satisfied": self.hl_satisfied,
-            "hl_near_equality": self.hl_near_equality,
-            "hl_note": self.hl_note,
-            "basis": self.basis,
-        }
+        """The flags without the estimates, multiplicity and threshold as text."""
+        out = {k: v for k, v in vars(self).items() if k not in ("hk", "fsig")}
+        return {**out, "hilbert_samuel": str(self.hilbert_samuel),
+                "threshold": str(self.threshold)}
 
 
 def classify(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
-             n_max: int = 8, budget: Budget | None = None) -> DiagnosticFlags:
+             budget: Budget | None = None) -> DiagnosticFlags:
     """Diagnostic flags: exact regularity test (lambda_1 = p^d), Fedder
     F-purity, the small-multiplicity threshold 1 + max{1/d!, 1/e(R)}, and
     the multiplicity bound (e(R)-1)(1-s) >= e_HK - 1 on the estimates."""
@@ -376,29 +397,16 @@ def classify(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
     regular = hk.records[0].lam == L.p**L.d
     f_pure = fedder_is_fpure(L, budget)
     fsig = fsig_estimate(L, e_max, tol, budget)
-    try:
-        hs = hilbert_samuel(L.ideal0, n_max, L.m0.gens, budget)
-        e_hs: Fraction | None = hs.multiplicity
-    except (NotStabilizedError, NotPrimaryError):
-        e_hs = None
-    threshold = None
-    predicted = None
-    hl_satisfied = None
-    hl_near = None
-    hl_note = "hilbert_samuel unavailable"
-    if e_hs is not None:
-        threshold = 1 + max(Fraction(1, math.factorial(L.d)), Fraction(1, e_hs))
-        predicted = hk.value <= threshold
-        if e_hs == 1:
-            hl_satisfied = True
-            hl_near = None
-            hl_note = "vacuous (e(R) = 1)"
-        else:
-            lhs = (e_hs - 1) * (1 - fsig.value)
-            rhs = hk.value - 1
-            hl_satisfied = lhs >= rhs - HL_TOLERANCE
-            hl_near = abs(lhs - rhs) <= HL_TOLERANCE
-            hl_note = f"(e-1)(1-s) = {lhs}, e_HK - 1 = {rhs}"
+    e_hs = multiplicity(L, budget)
+    threshold = 1 + max(Fraction(1, math.factorial(L.d)), Fraction(1, e_hs))
+    if e_hs == 1:
+        hl_satisfied, hl_near, hl_note = True, None, "vacuous (e(R) = 1)"
+    else:
+        lhs = (e_hs - 1) * (1 - fsig.value)
+        rhs = hk.value - 1
+        hl_satisfied = lhs >= rhs - HL_TOLERANCE
+        hl_near = abs(lhs - rhs) <= HL_TOLERANCE
+        hl_note = f"(e-1)(1-s) = {lhs}, e_HK - 1 = {rhs}"
     return DiagnosticFlags(
         regular=regular,
         f_pure=f_pure,
@@ -406,7 +414,7 @@ def classify(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
         fsig=fsig,
         hilbert_samuel=e_hs,
         threshold=threshold,
-        predicted_sfr_gorenstein=predicted,
+        predicted_sfr_gorenstein=hk.value <= threshold,
         hl_satisfied=hl_satisfied,
         hl_near_equality=hl_near,
         hl_note=hl_note,

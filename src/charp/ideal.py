@@ -26,14 +26,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby, islice
 
 from .errors import (
     ExponentOverflowError,
     NotAPowerOfPError,
-    NotPrimaryError,
-    NotStabilizedError,
     ResourceBudgetError,
     UnitIdealError,
 )
@@ -494,19 +491,14 @@ def _count_standard(gens, bounds, cache):
     return total
 
 
-def length(I: Ideal, budget=None):
-    """dim_{F_p} S/I: the number of standard monomials, or INFINITE.
-
-    Pure-power leading terms give the box; remaining leading terms are
-    excluded by a threshold recursion over the variables, so the cost scales
-    with the generator structure rather than the box volume.
-    """
+def standard_count(lms, n: int, budget=None):
+    """The number of monomials in n variables divisible by none of the
+    exponent tuples lms, or INFINITE.  Pure powers give the box; a threshold
+    recursion over the variables excludes the rest, so the cost scales with
+    the generator structure rather than the box volume."""
     budget = budget or Budget()
-    if I.is_unit(budget):
-        return 0
-    lts = [g.lm() for g in I.groebner_basis(budget)]
-    bounds = [None] * I.ring.nvars
-    for m in lts:
+    bounds = [None] * n
+    for m in lms:
         support = [i for i, e in enumerate(m) if e]
         if len(support) == 1:
             i = support[0]
@@ -518,68 +510,56 @@ def length(I: Ideal, budget=None):
     bounds_t = tuple(bounds)
     mixed = [
         m
-        for m in lts
+        for m in lms
         if sum(1 for e in m if e) != 1 and all(e < b for e, b in zip(m, bounds_t))
     ]
     gens = tuple(_minimalize_monomials(mixed))
     return _count_standard(gens, bounds_t, {})
 
 
+def length(I: Ideal, budget=None):
+    """dim_{F_p} S/I: the number of standard monomials, or INFINITE."""
+    budget = budget or Budget()
+    if I.is_unit(budget):
+        return 0
+    lms = [g.lm() for g in I.groebner_basis(budget)]
+    return standard_count(lms, I.ring.nvars, budget)
+
+
+def largest_free_sets(lms, n: int) -> list:
+    """The largest sets U of variables (index tuples) supporting none of the
+    non-constant monomials lms: their size is dim S/(lms), and they index
+    its minimal primes of that dimension, (x_j : j not in U)."""
+    supports = {frozenset(i for i, e in enumerate(m) if e) for m in lms}
+    for size in range(n, -1, -1):
+        free = [U for U in combinations(range(n), size)
+                if not any(s <= frozenset(U) for s in supports)]
+        if free:
+            return free
+    raise ValueError("a constant monomial supports every set")
+
+
 def krull_dim(I: Ideal, budget=None) -> int:
-    """Dimension of S/I: the largest number of variables supporting no
-    leading-term generator (combinatorial dimension of the leading ideal)."""
+    """Dimension of S/I: that of its leading ideal."""
     budget = budget or Budget()
     if I.is_unit(budget):
         raise UnitIdealError("krull_dim of the unit ideal")
-    gb = I.groebner_basis(budget)
-    supports = {frozenset(i for i, e in enumerate(g.lm()) if e) for g in gb}
-    n = I.ring.nvars
-    for size in range(n, -1, -1):
-        for combo in combinations(range(n), size):
-            u = frozenset(combo)
-            if not any(s <= u for s in supports):
-                return size
-    raise AssertionError("unreachable: empty subset always independent")
+    lms = [g.lm() for g in I.groebner_basis(budget)]
+    return len(largest_free_sets(lms, I.ring.nvars)[0])
 
 
-@dataclass
-class HilbertSamuelResult:
-    multiplicity: Fraction
-    dim: int
-    lengths: tuple
-
-
-def hilbert_samuel(I: Ideal, n_max: int, m_gens, budget=None) -> HilbertSamuelResult:
-    """Hilbert-Samuel multiplicity e(S/I at m) from the difference table of
-    n -> length(S/(I + m^n)).
-
-    m_gens generates the maximal ideal of the point: (x_i - a_i) at a
-    rational point a.  S/(I + m^n) is then supported at a, so its length
-    over S is the local length; a point off V(I) raises NotPrimaryError.
-    d is the Krull dimension of S/I, which is the local dimension only when
-    a component of V(I) of top dimension passes through the point.
-
-    The d-th finite differences of the length function equal d! times the
-    leading coefficient once the polynomial regime is reached; the value is
-    returned when the last two d-th differences agree.
-    """
-    budget = budget or Budget()
+def local_leading_monomials(I: Ideal, point, budget=None) -> tuple:
+    """Generators of the leading ideal L of I at a rational point of V(I)
+    for a local degree order in x - point, which has the Hilbert-Samuel
+    function of the local ring there.  Lazard's method (Greuel-Pfister, A
+    Singular Introduction to Commutative Algebra, 1.7): translate, then
+    homogenize with t, and keep the x-parts of the leading monomials of a
+    Groebner basis in the 'lazard' order."""
     ring = I.ring
-    m = Ideal(ring, tuple(m_gens))
-    d = krull_dim(I, budget)
-    if n_max < d + 1:
-        raise NotStabilizedError(n_max)
-    lengths = [0]
-    for n in range(1, n_max + 1):
-        lam = length(ideal_sum(I, ideal_power(m, n)), budget)
-        if lam == INFINITE:
-            raise NotPrimaryError("m is not primary to the point modulo I")
-        if lam == 0:
-            raise NotPrimaryError("the point of m is not on V(I)")
-        lengths.append(lam)
-    diffs = list(lengths)
-    for _ in range(d):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    if len(diffs) < 2 or diffs[-1] != diffs[-2]:
-        raise NotStabilizedError(n_max)
-    return HilbertSamuelResult(Fraction(diffs[-1]), d, tuple(lengths))
+    hom = PolyRing(ring.field, ("#t",) + ring.names, MonomialOrder("lazard", ring.nvars + 1))
+    gens = []
+    for g in I.gens:
+        f = g.shift(point)
+        top = f.degree()
+        gens.append(hom.from_dict({(top - sum(m),) + m: c for m, c in f.terms}))
+    return tuple(g.lm()[1:] for g in Ideal(hom, gens).groebner_basis(budget))

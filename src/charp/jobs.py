@@ -318,7 +318,7 @@ def run_task(job: dict, index: int) -> dict:
     out = {"index": index, "kind": kind, "status": "ok", "rows": []}
     try:
         TASKS[kind].run(build_presentation(job), task, out, budget)
-    except (CharpError, ValueError, ZeroDivisionError) as exc:
+    except (CharpError, ValueError) as exc:
         out["status"] = "error"
         out["error"] = f"{type(exc).__name__}: {exc}"
     except Exception as exc:
@@ -544,8 +544,8 @@ TASKS = {
     "global_fsig": TaskKind(frozenset({"samples", "e_max", "tolerance"}),
                             frozenset({"samples"}), _run_global, (
         "min of the local F-signature estimates over sampled primes; exactly 0\n"
-        "whenever some component misses the global gamma.  An upper bound for\n"
-        "the global value under incomplete sampling."
+        "whenever some component or sampled local ring misses the global gamma.\n"
+        "An upper bound for the global value under incomplete sampling."
     )),
     "semicontinuity": TaskKind(frozenset({"special", "nearby", "e"}),
                                frozenset({"special", "nearby"}), _run_semicontinuity, (

@@ -80,9 +80,11 @@ class MonomialOrder:
     """Total order on exponent tuples, compatible with multiplication and
     with 1 as least element.
 
-    kind is one of 'lex', 'grevlex', 'elim'; 'elim' compares a leading block
-    of variables first (grevlex within each block), which eliminates the
-    block variables in Groebner bases.
+    kind is one of 'lex', 'grevlex', 'elim', 'lazard'; 'elim' compares a
+    leading block of variables first (grevlex within each block), which
+    eliminates the block variables in Groebner bases.  'lazard' orders
+    k[t, x_1..x_m] by degree, then the larger power of t, then grevlex in x
+    (Lazard's method, `ideal.local_leading_monomials`).
 
     Every kind is one integer weight vector w, and key(t) = sum_j t_j * w_j
     (B = _FIELD_BITS bits per exponent):
@@ -90,16 +92,17 @@ class MonomialOrder:
       grevlex  w_j = 2^(nB) - 2^(jB), i.e. key = deg(t) * 2^(nB) - packed(t)
       elim     the grevlex weights of the block, times 2^((n-k+1)B), then
                the grevlex weights of the other n-k variables.
+      lazard   t: 2^((m+4)B) + 2^((m+2)B), x_j: 2^((m+4)B) + grevlex w_j.
     The key orders monomials exactly while every exponent is below 2^B and,
-    for elim, the degree in the last n-k variables is too; both hold for
-    exponents up to EXPONENT_LIMIT = 2^31 - 1 with fewer than 2^(B-31)
-    variables.  The key is linear: key(a*b) = key(a) + key(b), key(1) = 0.
+    for elim (lazard), the degree in the last n-k (all) variables is too;
+    both hold for exponents up to EXPONENT_LIMIT = 2^31 - 1 with fewer than
+    2^(B-31) variables.  The key is linear: key(a*b) = key(a) + key(b), key(1) = 0.
     """
 
     __slots__ = ("kind", "nvars", "block", "weights")
 
     def __init__(self, kind: str, nvars: int, block: int = 0):
-        if kind not in ("lex", "grevlex", "elim"):
+        if kind not in ("lex", "grevlex", "elim", "lazard"):
             raise ValueError(f"unknown monomial order kind '{kind}'")
         if kind == "elim" and not (0 < block < nvars):
             raise ValueError("elimination block must be a proper prefix")
@@ -111,6 +114,9 @@ class MonomialOrder:
             w = [1 << ((nvars - 1 - j) * B) for j in range(nvars)]
         elif kind == "grevlex":
             w = _grevlex_weights(nvars)
+        elif kind == "lazard":
+            top = 1 << ((nvars + 3) * B)
+            w = [top + g for g in [1 << ((nvars + 1) * B)] + _grevlex_weights(nvars - 1)]
         else:
             hi = 1 << ((nvars - block + 1) * B)
             w = [x * hi for x in _grevlex_weights(block)]

@@ -2,10 +2,10 @@
 
 Each component is F_p[x_1..x_n]/I with F_p-rational sample points, so the
 residue-field degree correction vanishes at every sampled prime and each
-component's normalization exponent is its dimension.  The global Hilbert-
-Kunz value is a max and the global F-signature a min over the sampled
-primes, with the locus bookkeeping deciding when the minimum collapses to
-an exact zero.
+sample's normalization exponent is its local dimension.  The global
+Hilbert-Kunz value is a max and the global F-signature a min over the
+sampled primes, with the locus bookkeeping deciding when the minimum
+collapses to an exact zero.
 """
 
 from __future__ import annotations
@@ -118,11 +118,14 @@ class GlobalInvariantResult:
     gamma: GammaData
 
 
-def _sweep(R: RingPresentation, samples, estimate, e_max: int, tol: float,
-           budget: Budget) -> tuple:
-    """(sample, local estimate) per sample, one local ring each."""
-    return tuple((s, estimate(R.components[s.component].local_at(s.point),
-                              e_max, tol, budget)) for s in samples)
+def _locals(R: RingPresentation, samples) -> list:
+    """(sample, local ring) per sample."""
+    return [(s, R.components[s.component].local_at(s.point)) for s in samples]
+
+
+def _sweep(rings, estimate, e_max: int, tol: float, budget: Budget) -> tuple:
+    """(sample, local estimate) per (sample, local ring)."""
+    return tuple((s, estimate(L, e_max, tol, budget)) for s, L in rings)
 
 
 def _extremum(per, pick, excluded, note, gd) -> GlobalInvariantResult:
@@ -135,16 +138,19 @@ def _extremum(per, pick, excluded, note, gd) -> GlobalInvariantResult:
 
 def global_hk(R: RingPresentation, samples, e_max: int, tol: float = DEFAULT_TOLERANCE,
               budget: Budget | None = None) -> GlobalInvariantResult:
-    """Max of the local Hilbert-Kunz estimates over the sampled primes on
-    gamma-attaining components; off-locus samples are excluded.  The result
-    is a lower bound for the global value when sampling is incomplete."""
+    """Max of the local Hilbert-Kunz estimates over the sampled primes of
+    local dimension gamma; off-locus samples (on a component below gamma,
+    or at a point of lower local dimension) are excluded.  The result is a
+    lower bound for the global value when sampling is incomplete."""
     budget = budget or Budget()
     gd = gamma_data(R)
-    included = [s for s in samples if s.component in gd.z_components]
-    excluded = tuple(s for s in samples if s.component not in gd.z_components)
+    rings = _locals(R, [s for s in samples if s.component in gd.z_components])
+    included = [(s, L) for s, L in rings if L.d == gd.gamma]
+    kept = {s for s, _ in included}
+    excluded = tuple(s for s in samples if s not in kept)
     if not included:
-        raise ValueError("no samples lie on a gamma-attaining component")
-    return _extremum(_sweep(R, included, hk_estimate, e_max, tol, budget), max,
+        raise ValueError("no samples lie on the gamma-attaining locus")
+    return _extremum(_sweep(included, hk_estimate, e_max, tol, budget), max,
                      excluded, "max over sampled primes: a lower bound for the "
                      "global value under incomplete sampling", gd)
 
@@ -152,20 +158,24 @@ def global_hk(R: RingPresentation, samples, e_max: int, tol: float = DEFAULT_TOL
 def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = DEFAULT_TOLERANCE,
                 budget: Budget | None = None) -> GlobalInvariantResult:
     """Min of the local F-signature estimates over the sampled primes, or
-    exactly 0 whenever some component misses the global gamma (the free-rank
-    of every module then grows a full power of p too slowly)."""
+    exactly 0 whenever some component, or the local ring at some sample,
+    misses the global gamma (the free-rank of every module then grows a
+    full power of p too slowly)."""
     budget = budget or Budget()
     gd = gamma_data(R)
-    if not gd.z_is_spec:
+    samples = list(samples)
+    rings = _locals(R, samples) if gd.z_is_spec else []
+    low = [s for s, L in rings if L.d < gd.gamma]
+    if low or not gd.z_is_spec:
+        miss = f"the local ring at {low[0].point}" if low else "a component"
         return GlobalInvariantResult(
             value=Fraction(0), exact=True, arg_sample=None,
             per_sample=(), excluded=tuple(samples), gamma=gd,
-            note="exact 0: a component misses the global gamma, so free "
+            note=f"exact 0: {miss} misses the global gamma, so free "
                  "summands are asymptotically negligible")
-    samples = list(samples)
     if not samples:
         raise ValueError("global_fsig needs at least one sample")
-    return _extremum(_sweep(R, samples, fsig_estimate, e_max, tol, budget), min,
+    return _extremum(_sweep(rings, fsig_estimate, e_max, tol, budget), min,
                      (), "min over sampled primes: an upper bound for the "
                      "global value under incomplete sampling", gd)
 
@@ -215,43 +225,6 @@ def semicontinuity_probe(R: RingPresentation, special: PrimeSample, nearby,
         special_value=sp.normalized,
         rows=tuple(rows), ok=ok, note=note,
     )
-
-
-def is_smooth_point(comp: RingComponent, point) -> bool:
-    """Jacobian triage at a rational point: full-rank Jacobian certifies a
-    regular point cheaply; the length test stays the ground truth."""
-    if not comp.gens:
-        return True
-    point = tuple(comp.ring.field.normalize(a) for a in point)
-    p = comp.ring.p
-    rows = []
-    for g in comp.gens:
-        rows.append([g.derivative(j).evaluate(point) for j in range(comp.ring.nvars)])
-    codim = comp.ring.nvars - comp.dim
-    return _modp_rank(rows, p) == codim
-
-
-def _modp_rank(rows, p) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                c = rows[r][col]
-                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

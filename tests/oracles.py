@@ -2,15 +2,16 @@
 
 Everything here avoids the engine's Groebner machinery: dense F_p linear
 algebra (numpy), direct box enumeration, and exponent arithmetic on
-monomial ideals.  The one exception is nu_binary_search, an earlier
-engine route kept to cross-check its replacement.
+monomial ideals.  The exceptions are earlier engine routes kept to
+cross-check their replacements: nu_binary_search, hilbert_samuel_table and
+the Jacobian test is_smooth_point.
 """
 
 from itertools import product
 
 import numpy as np
 
-from charp.ideal import Ideal, bracket_power, ideal_power, ideal_sum, normal_form
+from charp.ideal import Ideal, bracket_power, ideal_power, ideal_sum, length, normal_form
 from charp.poly import PolyRing, mono_div, mono_mul
 
 
@@ -181,3 +182,30 @@ def nu_binary_search(L, a: Ideal, e: int) -> int:
         else:
             lo = mid
     return lo
+
+
+def hilbert_samuel_table(I: Ideal, point, n_max: int):
+    """(dim, e) of S/I at a rational point of V(I) from the difference table
+    of n -> lambda(S/(I + m^n)), n <= n_max, or None if it has not settled.
+    The function is a polynomial of degree dim with leading coefficient
+    e/dim! for large n, so its dim-th differences end in the constant e;
+    dim is taken as the least order whose last three differences agree.
+    That stopping rule is a guess: a larger n_max can change the answer."""
+    ring = I.ring
+    m = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
+    diffs = [0] + [length(ideal_sum(I, ideal_power(m, n))) for n in range(1, n_max + 1)]
+    for dim in range(ring.nvars + 1):
+        if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
+            return dim, diffs[-1]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return None
+
+
+def is_smooth_point(comp, point) -> bool:
+    """Jacobian criterion at a rational point of a component: the local ring
+    is regular iff the Jacobian of the generators has rank n - dim there,
+    the local codimension."""
+    L = comp.local_at(point)
+    rows = [[g.derivative(j).evaluate(L.point) for j in range(L.ring.nvars)]
+            for g in L.gens]
+    return modp_rank(rows, L.p) == L.ring.nvars - L.d

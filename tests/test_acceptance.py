@@ -19,9 +19,14 @@ from charp.finv import hk_estimate
 from charp.gf import field_new
 from charp.ideal import colon, ideal_equal
 from charp.poly import PolyRing, poly_pow
-from charp.spectrum import RingComponent, is_smooth_point
+from charp.spectrum import RingComponent
 
-from oracles import ideal_from_monomials, monomial_colon_oracle, standard_count_bruteforce
+from oracles import (
+    ideal_from_monomials,
+    is_smooth_point,
+    monomial_colon_oracle,
+    standard_count_bruteforce,
+)
 
 
 @contextmanager

@@ -133,6 +133,36 @@ def test_kunz_lower_bound_and_regular_equivalence():
         assert eq1 == eq2 == (not gens)
 
 
+def test_bounds_are_checked_at_run_time():
+    # a wrong d breaks Kunz's lambda_e >= q^d, or a_e <= q^d
+    L = local(5, ("x", "y"), [])
+    L.d += 1
+    with pytest.raises(RuntimeError, match="Kunz"):
+        hk_function(L, 1)
+    L = local(5, ("x", "y"), [])
+    L.d -= 1
+    with pytest.raises(RuntimeError, match=r"a_1 = 25 is outside \[0, q\^d = 5\]"):
+        splitting_number(L, 1)
+
+
+def test_a_broken_bound_is_an_internal_error(monkeypatch):
+    from charp.jobs import run_task, validate_job
+    from charp.spectrum import RingComponent
+
+    local_at = RingComponent.local_at
+
+    def wrong_dim(self, point):
+        L = local_at(self, point)
+        L.d += 1
+        return L
+
+    monkeypatch.setattr(RingComponent, "local_at", wrong_dim)
+    job = validate_job({"p": 5, "components": [{"vars": ["x", "y"]}],
+                        "tasks": [{"kind": "hk"}]})
+    assert run_task(job, 0)["error"] == ("internal error: RuntimeError: lambda_1 = 25 "
+                                         "< q^d = 125 breaks Kunz's bound")
+
+
 def test_hk_sandwich():
     # lambda(R/m^(sq)) >= lambda(R/m^[q]) >= lambda(R/m^q), s = #gens of m
     from charp.ideal import bracket_power, ideal_power, ideal_sum
@@ -330,8 +360,8 @@ _TWISTED_CUBIC = (("x", "y", "z", "w"), ["x*z - y^2", "y*w - z^2", "x*w - y*z"])
 @pytest.mark.parametrize("p, names, srcs, point", [
     # a redundant generator list: I = (f) is a hypersurface with two generators
     (3, ("x", "y", "z"), ["x*y - z^2", "(x*y - z^2)*(x + y)"], (0, 0, 0)),
-    # a complete intersection of local dimension 1 inside a surface
-    (5, ("x", "y", "z"), ["x*z", "y*z"], (0, 0, 1)),
+    # two generators of a height-1 ideal at a point of the plane z = 0
+    (5, ("x", "y", "z"), ["x*z", "y*z"], (1, 1, 0)),
     # the twisted cubic cone: three generators, codimension 2
     (3, *_TWISTED_CUBIC, (0, 0, 0, 0)),
 ])
@@ -347,6 +377,21 @@ def test_non_ci_presentations_take_the_colon_route(p, names, srcs, point):
         K = colon(bracket_power(L.ideal0, q), L.ideal0)
         direct = colon(bracket_power(L.m0, q), K)
         assert splitting_number(L, e).a_e == length(direct)
+        assert ideal_equal(splitting_ideal(L, e), direct)
+
+
+def test_ci_of_lower_local_dimension_takes_fedders_chain():
+    # (xz, yz) has dimension 2, but its local ring at (0,0,1) is regular of
+    # dimension 1, where its two generators are a regular sequence
+    from charp.ideal import bracket_power, colon
+
+    L = local(5, ("x", "y", "z"), ["x*z", "y*z"], (0, 0, 1))
+    assert L.d == 1 and _is_ci(L)
+    for e in (1, 2):
+        q = 5**e
+        K = colon(bracket_power(L.ideal0, q), L.ideal0)
+        direct = colon(bracket_power(L.m0, q), K)
+        assert splitting_number(L, e).a_e == length(direct) == q
         assert ideal_equal(splitting_ideal(L, e), direct)
 
 

@@ -2,17 +2,16 @@
 
 import math
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
 from charp.errors import (
     NotAPowerOfPError,
-    NotPrimaryError,
     ResourceBudgetError,
     UnitIdealError,
 )
+from charp.finv import LocalRingAtPoint, multiplicity
 from charp.gf import field_new
 from charp.ideal import (
     INFINITE,
@@ -21,7 +20,6 @@ from charp.ideal import (
     bracket_power,
     colon,
     exact_divide,
-    hilbert_samuel,
     ideal_contains_ideal,
     ideal_equal,
     ideal_power,
@@ -37,6 +35,7 @@ from charp.poly import MonomialOrder, PolyRing
 
 from oracles import (
     box_monomials,
+    hilbert_samuel_table,
     ideal_from_monomials,
     monomial_colon_oracle,
     quotient_length_bruteforce,
@@ -475,38 +474,58 @@ def test_krull_dim_unit_errors():
 
 
 # -- Hilbert-Samuel ----------------------------------------------------------
+# dim R_m and e(R_m) from the standard basis at the point (Lazard's method)
+
+def _dim_e(J, point):
+    L = LocalRingAtPoint(J, point)
+    return L.d, multiplicity(L)
+
 
 def test_hilbert_samuel_regular():
     R = ring(5, ("x", "y"))
-    res = hilbert_samuel(Ideal(R, ()), 5, R.gens())
-    assert res.multiplicity == 1
-    # lambda(R/m^n) = n(n+1)/2
-    assert res.lengths == (0, 1, 3, 6, 10, 15)
+    assert _dim_e(Ideal(R, ()), (0, 0)) == (2, 1)
 
 
 def test_hilbert_samuel_quadric():
     R = ring(5)
-    res = hilbert_samuel(I(R, "x*y - z^2"), 6, R.gens())
-    assert res.multiplicity == 2
-    # lambda(R/m^n) = n^2, verified by the engine's length oracle at n=2..6
-    assert res.lengths == (0, 1, 4, 9, 16, 25, 36)
+    assert _dim_e(I(R, "x*y - z^2"), (0, 0, 0)) == (2, 2)
 
 
 def test_hilbert_samuel_artinian_convention():
     R = PolyRing(field_new(5), ("x",))
-    res = hilbert_samuel(I(R, "x^2"), 4, R.gens())
-    assert res.dim == 0
-    assert res.multiplicity == Fraction(2)
+    assert _dim_e(I(R, "x^2"), (0,)) == (0, 2)
 
 
 def test_hilbert_samuel_explicit_m():
     # the node (x-1)(y-2) has e = 2 at its own point; the origin is off V(I)
     R = ring(5, ("x", "y"))
     J = I(R, "(x + 4)*(y + 3)")
-    res = hilbert_samuel(J, 6, (R.parse("x + 4"), R.parse("y + 3")))
-    assert res.multiplicity == 2 and res.dim == 1
-    with pytest.raises(NotPrimaryError, match="not on V"):
-        hilbert_samuel(J, 6, R.gens())
+    assert _dim_e(J, (1, 2)) == (1, 2)
+    with pytest.raises(ValueError, match="does not vanish"):
+        LocalRingAtPoint(J, (0, 0))
+
+
+@pytest.mark.parametrize("at_origin", [True, False])
+def test_standard_basis_matches_the_hilbert_samuel_table(at_origin):
+    # random ideals of the origin, moved to a random point, against the
+    # difference table of n -> lambda(S/(I + m^n)) up to n = 12 wherever
+    # that table settles
+    rng = random.Random(11 + at_origin)
+    settled = 0
+    for _ in range(10):
+        R = ring(rng.choice((2, 3, 5, 7)), ("x", "y", "z")[:rng.choice((2, 3))])
+        point = tuple(0 if at_origin else rng.randrange(R.p) for _ in range(R.nvars))
+        origin = (0,) * R.nvars
+        gens = [(f - R.const(f.evaluate(origin))).shift([-a for a in point])
+                for f in (random_nonzero_poly(rng, R) for _ in range(rng.randint(1, 3)))]
+        J = Ideal(R, gens)
+        if J.is_zero():
+            continue
+        table = hilbert_samuel_table(J, point, 12)
+        if table is not None:
+            settled += 1
+            assert _dim_e(J, point) == table, (J, point)
+    assert settled >= 8
 
 
 def test_ideal_product_and_power():

@@ -6,6 +6,7 @@ point to the origin with Polynomial.shift and computes there; both must
 give the same integers.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,10 @@ from charp.finv import (
     splitting_number,
 )
 from charp.gf import field_new
-from charp.ideal import Ideal
+from charp.ideal import Ideal, ideal_product, largest_free_sets, local_leading_monomials
 from charp.poly import PolyRing
+
+from oracles import modp_rank
 
 QUADRIC = ("x", "y", "z"), ["x*y - z^2"]
 TWISTED_CUBIC = ("x", "y", "z", "w"), ["x*z - y^2", "y*w - z^2", "x*w - y*z"]
@@ -111,3 +114,27 @@ def test_classify_smooth_point_off_the_origin():
     flags = classify(LocalRingAtPoint(Ideal(R, [R.parse("x*y - z^2")]), (1, 4, 2)), 2)
     assert flags.regular
     assert flags.hilbert_samuel == 1
+
+
+def test_local_dimension_of_unions_of_linear_subspaces():
+    # V(I) is a union of affine subspaces V_i = {A_i x = b_i}, I the product
+    # of their ideals; the local dimension at P is the largest dim V_i,
+    # n - rank A_i, over the V_i through P (the first always passes)
+    rng = random.Random(342)
+    for _ in range(100):
+        p, n = rng.choice((2, 3, 5, 7)), rng.choice((2, 3, 4))
+        R = _ring(p, ("x", "y", "z", "w")[:n])
+        P = tuple(rng.randrange(p) for _ in range(n))
+        I, best = Ideal(R, (R.one(),)), 0
+        for i in range(rng.randint(2, 3)):
+            A = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            b = [sum(a * x for a, x in zip(row, P)) % p if i == 0 or rng.random() < 0.3
+                 else rng.randrange(p) for row in A]
+            forms = [sum((R.gen(j).scale(a) for j, a in enumerate(row)), R.const(-c))
+                     for row, c in zip(A, b)]
+            I = ideal_product(I, Ideal(R, forms))
+            if all(sum(a * x for a, x in zip(row, P)) % p == c for row, c in zip(A, b)):
+                best = max(best, n - modp_rank(A, p))
+        L = LocalRingAtPoint(I, P)
+        lazard = len(largest_free_sets(local_leading_monomials(I, P), n)[0])
+        assert L.d == lazard == best, (I, P)

@@ -169,6 +169,7 @@ def _random_mono(rng, n, hi=6):
         MonomialOrder.lex(3),
         MonomialOrder.grevlex(3),
         MonomialOrder.elimination(3, 1),
+        MonomialOrder("lazard", 3),
     ],
 )
 def test_order_axioms(order):
@@ -219,6 +220,12 @@ def _elim_cmp(k):
     return lambda a, b: _grevlex_cmp(a[:k], b[:k]) or _grevlex_cmp(a[k:], b[k:])
 
 
+def _lazard_cmp(a, b):
+    # total degree, then the larger power of t = a[0], then grevlex in x
+    return ((sum(a) > sum(b)) - (sum(a) < sum(b)) or (a[0] > b[0]) - (a[0] < b[0])
+            or _grevlex_cmp(a[1:], b[1:]))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_order_key_matches_textbook_comparators(n):
     rng = random.Random(n)
@@ -228,6 +235,7 @@ def test_order_key_matches_textbook_comparators(n):
                           for _ in range(60)]
     orders = [(MonomialOrder.lex(n), _lex_cmp), (MonomialOrder.grevlex(n), _grevlex_cmp)]
     orders += [(MonomialOrder.elimination(n, k), _elim_cmp(k)) for k in range(1, n)]
+    orders.append((MonomialOrder("lazard", n), _lazard_cmp))
     for order, cmp in orders:
         key = order.key
         assert key((0,) * n) == 0

@@ -17,9 +17,10 @@ from charp.spectrum import (
     gamma_data,
     global_fsig,
     global_hk,
-    is_smooth_point,
     semicontinuity_probe,
 )
+
+from oracles import is_smooth_point
 
 
 def component(p, names, srcs, primes=None):
@@ -99,6 +100,19 @@ def test_global_hk_quadric_max_at_origin():
         assert est.value == 1
     # per-sample values never exceed the global max
     assert all(est.value <= res.value for _, est in res.per_sample)
+
+
+def test_global_tasks_read_gamma_per_point():
+    # (xz, yz) is the plane z = 0 and the line x = y = 0: gamma = 2, but the
+    # local ring at (0,0,1), on the line alone, has dimension 1
+    R = RingPresentation([component(5, ("x", "y", "z"), ["x*z", "y*z"])])
+    line, plane = PrimeSample(0, (0, 0, 1)), PrimeSample(0, (1, 1, 0))
+    res = global_hk(R, [line, plane], e_max=2)
+    assert res.value == 1 and res.arg_sample == plane
+    assert res.excluded == (line,) and [s for s, _ in res.per_sample] == [plane]
+    res = global_fsig(R, [line, plane], e_max=2)
+    assert res.value == 0 and res.exact and res.arg_sample is None
+    assert res.note.startswith("exact 0: the local ring at (0, 0, 1) misses")
 
 
 def test_global_hk_needs_on_locus_sample():
