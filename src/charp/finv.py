@@ -23,9 +23,12 @@ complete intersection walks a chain of colons by F^(p-1) to M, and
 A LocalRingAtPoint takes an Ideal that may already hold its Groebner basis
 and caches its own Frobenius data write-once, as an Ideal caches its basis:
 the multiplier per q and the walk's steps per e, so every reader of a_e or
-(I^[q] : I) on one ring computes each once.  Cached work is charged to the
-budget of its first caller, and a step is stored only once it completes, so
-a budget error leaves the ring consistent.
+(I^[q] : I) on one ring computes each once.  No function here takes a
+budget: the work charges the active one (`with budget:`, see
+`ideal.Budget`), so cached work, the standard basis a ring is built from
+included, is charged to the budget active when it is first computed.  A
+step is stored only once it completes, so a budget error leaves the ring
+consistent.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from fractions import Fraction
 from .errors import NotPrimaryError, ZeroIdealError
 from .ideal import (
     INFINITE,
-    Budget,
     Ideal,
+    active_budget,
     bracket_power,
     colon,
     ideal_power,
@@ -87,7 +90,7 @@ class LocalRingAtPoint:
         self._steps: dict = {}  # e -> (M, lambda(S/M), U, a_e)
         d = krull_dim(ideal)
         if len(ideal.gens) != ring.nvars - d:  # else unmixed: every point has d
-            self._leads = local_leading_monomials(ideal, point, Budget())
+            self._leads = local_leading_monomials(ideal, point)
             d = len(largest_free_sets(self._leads, ring.nvars)[0])
         self.d = d
 
@@ -99,18 +102,16 @@ class LocalRingAtPoint:
         return f"LocalRingAtPoint({self.ideal0!r} at {self.point})"
 
 
-def multiplicity(L: LocalRingAtPoint, budget: Budget | None = None) -> int:
+def multiplicity(L: LocalRingAtPoint) -> int:
     """e(R), that of S/L for the leading ideal L at the point: by the
     associativity formula, the sum over L's largest free sets U of the
     standard monomials of L in the other variables once x_U is set to 1."""
-    budget = budget or Budget()
     if L._leads is None:
-        L._leads = local_leading_monomials(L.ideal0, L.point, budget)
+        L._leads = local_leading_monomials(L.ideal0, L.point)
     n, total = L.ring.nvars, 0
     for U in largest_free_sets(L._leads, n):
         rest = [j for j in range(n) if j not in U]
-        total += standard_count([tuple(m[j] for j in rest) for m in L._leads], len(rest),
-                                budget)
+        total += standard_count([tuple(m[j] for j in rest) for m in L._leads], len(rest))
     return total
 
 
@@ -172,14 +173,12 @@ def _extrapolate(values, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
 # ---------------------------------------------------------------------------
 # Hilbert-Kunz
 
-def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None,
-                budget: Budget | None = None) -> HKRecord:
+def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None) -> HKRecord:
     """lambda(R/J^[q]R) for q = p^e, J defaulting to the maximal ideal.
 
     J must be primary to the point modulo I: S/(I + J) has a finite length
     l >= 1, and m^[p^k] lies in I + J for the least p^k >= l (as m^l does
     when a is its only support), so l is the local length."""
-    budget = budget or Budget()
     if e < 0:
         raise ValueError("e must be non-negative")
     q = L.p**e
@@ -187,26 +186,25 @@ def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None,
         J = L.m0
     else:
         IJ = ideal_sum(L.ideal0, J)
-        ell = length(IJ, budget)
+        ell = length(IJ)
         pk = 1
         while pk < ell < INFINITE:
             pk *= L.p
         if not 1 <= ell < INFINITE or \
-                length(ideal_sum(IJ, bracket_power(L.m0, pk)), budget) != ell:
+                length(ideal_sum(IJ, bracket_power(L.m0, pk))) != ell:
             raise NotPrimaryError("J is not primary to the point modulo I")
-    lam = length(ideal_sum(L.ideal0, bracket_power(J, q)), budget)
+    lam = length(ideal_sum(L.ideal0, bracket_power(J, q)))
     if lam < q**L.d:
         raise RuntimeError(f"lambda_{e} = {lam} < q^d = {q**L.d} breaks Kunz's bound")
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
 
 
-def hk_estimate(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
-                budget: Budget | None = None) -> LimitEstimate:
+def hk_estimate(L: LocalRingAtPoint, e_max: int,
+                tol: float = DEFAULT_TOLERANCE) -> LimitEstimate:
     """Normalized Hilbert-Kunz sequence with a 1/q-model extrapolation."""
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
-    budget = budget or Budget()
-    recs = [hk_function(L, e, None, budget) for e in range(1, e_max + 1)]
+    recs = [hk_function(L, e) for e in range(1, e_max + 1)]
     est = _extrapolate([r.normalized for r in recs], L.p, tol, lo=1)
     return replace(est, records=tuple(recs))
 
@@ -221,7 +219,7 @@ def _is_ci(L: LocalRingAtPoint) -> bool:
     return len(L.ideal0.gens) == L.ring.nvars - L.d
 
 
-def _multiplier(L: LocalRingAtPoint, q: int, budget: Budget) -> Ideal:
+def _multiplier(L: LocalRingAtPoint, q: int) -> Ideal:
     """(I^[q] : I) up to I^[q], which lies in m^[q]: Fedder's (F^(q-1)) for a
     complete intersection (F = 1 for I = 0), else the colon.  Cached on L."""
     if q not in L._mult:
@@ -229,11 +227,11 @@ def _multiplier(L: LocalRingAtPoint, q: int, budget: Budget) -> Ideal:
             F = math.prod(L.ideal0.gens, start=L.ring.one())
             L._mult[q] = Ideal(L.ring, (poly_pow(F, q - 1),))
         else:
-            L._mult[q] = colon(bracket_power(L.ideal0, q), L.ideal0, budget)
+            L._mult[q] = colon(bracket_power(L.ideal0, q), L.ideal0)
     return L._mult[q]
 
 
-def _splitting_step(L: LocalRingAtPoint, e: int, budget: Budget):
+def _splitting_step(L: LocalRingAtPoint, e: int):
     """(M, lambda(S/M), U, a_e) with I_e = (M : U) and
     a_e = lambda(S/I_e) = lambda(S/M) - lambda(S/(M + U)), cached on L.  A
     complete intersection walks J_0 = m, J_k = (J_(k-1)^[p] : F^(p-1)) to
@@ -250,49 +248,44 @@ def _splitting_step(L: LocalRingAtPoint, e: int, budget: Budget):
             continue
         if k == 1 or not _is_ci(L):
             q = p**k
-            M, lam, U = bracket_power(L.m0, q), q**n, _multiplier(L, q, budget)
+            M, lam, U = bracket_power(L.m0, q), q**n, _multiplier(L, q)
         else:
             M0, _, U, a = L._steps[k - 1]
-            M, lam = bracket_power(colon(M0, U, budget), p), p**n * a
-        a = lam - length(ideal_sum(M, U), budget)
+            M, lam = bracket_power(colon(M0, U), p), p**n * a
+        a = lam - length(ideal_sum(M, U))
         if not 0 <= a <= p**(k * L.d):
             raise RuntimeError(f"a_{k} = {a} is outside [0, q^d = {p**(k * L.d)}]")
         L._steps[k] = (M, lam, U, a)
     return L._steps[e]
 
 
-def fedder_is_fpure(L: LocalRingAtPoint, budget: Budget | None = None) -> bool:
+def fedder_is_fpure(L: LocalRingAtPoint) -> bool:
     """Fedder's criterion: F-pure iff (I^[p] : I) is not inside m^[p]."""
-    budget = budget or Budget()
     mp = bracket_power(L.m0, L.p)
-    K = _multiplier(L, L.p, budget)
-    return any(not normal_form(g, mp, budget).is_zero() for g in K.gens)
+    return any(not normal_form(g, mp).is_zero() for g in _multiplier(L, L.p).gens)
 
 
-def splitting_ideal(L: LocalRingAtPoint, e: int, budget: Budget | None = None) -> Ideal:
+def splitting_ideal(L: LocalRingAtPoint, e: int) -> Ideal:
     """Lift of I_e = (m^[q] : (I^[q] : I)): the elements whose Frobenius
     images all land in m.  The invariants only need its length, which
     `splitting_number` reads without this colon; the ideal is the oracle."""
     if e < 1:
         raise ValueError("e must be at least 1")
-    budget = budget or Budget()
-    M, _, U, _ = _splitting_step(L, e, budget)
-    return colon(M, U, budget)
+    M, _, U, _ = _splitting_step(L, e)
+    return colon(M, U)
 
 
-def splitting_number(L: LocalRingAtPoint, e: int,
-                     budget: Budget | None = None) -> SplitRecord:
+def splitting_number(L: LocalRingAtPoint, e: int) -> SplitRecord:
     """a_e = lambda(R/I_e), normalized by q^d."""
     if e < 1:
         raise ValueError("e must be at least 1")
-    budget = budget or Budget()
     q = L.p**e
-    a_e = _splitting_step(L, e, budget)[3]
+    a_e = _splitting_step(L, e)[3]
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 
-def fsig_estimate(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
-                  budget: Budget | None = None) -> LimitEstimate:
+def fsig_estimate(L: LocalRingAtPoint, e_max: int,
+                  tol: float = DEFAULT_TOLERANCE) -> LimitEstimate:
     """F-signature estimate from the normalized splitting numbers.
 
     a_1 = 0 means R is not F-split, hence a_e = 0 for every e and the limit
@@ -300,11 +293,10 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANC
     """
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
-    budget = budget or Budget()
-    recs = [splitting_number(L, 1, budget)]
+    recs = [splitting_number(L, 1)]
     if recs[0].a_e == 0:
         return LimitEstimate(Fraction(0), 1, (Fraction(0),), (), "exact", tuple(recs))
-    recs += [splitting_number(L, e, budget) for e in range(2, e_max + 1)]
+    recs += [splitting_number(L, e) for e in range(2, e_max + 1)]
     est = _extrapolate([r.s_e for r in recs], L.p, tol, lo=0, hi=1)
     return replace(est, records=tuple(recs))
 
@@ -312,8 +304,7 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANC
 # ---------------------------------------------------------------------------
 # pairs
 
-def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int,
-                          budget: Budget | None = None) -> SplitRecord:
+def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int) -> SplitRecord:
     """Splitting number of the pair (R, a^t):
     a_e = lambda(S / (m^[q] : U)) = q^n - lambda(S / (m^[q] + U)) for
     U = a^ceil(t(q-1)) * (I^[q]:I), by duality on S/m^[q]."""
@@ -322,26 +313,24 @@ def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int,
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be non-negative")
-    budget = budget or Budget()
-    if not any(not normal_form(g, L.ideal0, budget).is_zero() for g in a.gens):
+    if not any(not normal_form(g, L.ideal0).is_zero() for g in a.gens):
         raise ZeroIdealError("pair ideal is zero modulo I")
     q = L.p**e
     mq = bracket_power(L.m0, q)  # first: it rejects a q past the exponent bound
-    U = ideal_product(ideal_power(a, math.ceil(t * (q - 1))), _multiplier(L, q, budget))
-    a_e = q**L.ring.nvars - length(ideal_sum(mq, U), budget)
+    U = ideal_product(ideal_power(a, math.ceil(t * (q - 1))), _multiplier(L, q))
+    a_e = q**L.ring.nvars - length(ideal_sum(mq, U))
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 
-def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int,
-                 budget: Budget | None = None) -> int:
+def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int) -> int:
     """nu(q) = max{r >= 0 : a^r not inside M = I + m^[q]}, in one pass:
     V_0 = {1}, V_r = echelon{NF_M(g v) : g in a, v in V_(r-1)} spans the
     r-fold generator products mod M, so a^r lies in M iff V_r = 0.  Each
     |V_r| <= lambda(S/M) is charged to the box budget."""
     if e < 1:
         raise ValueError("e must be at least 1")
-    budget = budget or Budget()
-    if not any(not normal_form(g, L.ideal0, budget).is_zero() for g in a.gens):
+    budget = active_budget()
+    if not any(not normal_form(g, L.ideal0).is_zero() for g in a.gens):
         raise ZeroIdealError("nu of the zero ideal")
     for g in a.gens:
         if g.evaluate(L.point) != 0:
@@ -352,7 +341,7 @@ def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int,
         pivots: dict = {}  # leading monomial -> monic echelon vector
         for g in a.gens:
             for v in V:
-                w = normal_form(g * v, M, budget)
+                w = normal_form(g * v, M)
                 while not w.is_zero() and w.lm() in pivots:
                     w = w - pivots[w.lm()].scale(w.lc())
                 if not w.is_zero():
@@ -387,17 +376,16 @@ class DiagnosticFlags:
                 "threshold": str(self.threshold)}
 
 
-def classify(L: LocalRingAtPoint, e_max: int, tol: float = DEFAULT_TOLERANCE,
-             budget: Budget | None = None) -> DiagnosticFlags:
+def classify(L: LocalRingAtPoint, e_max: int,
+             tol: float = DEFAULT_TOLERANCE) -> DiagnosticFlags:
     """Diagnostic flags: exact regularity test (lambda_1 = p^d), Fedder
     F-purity, the small-multiplicity threshold 1 + max{1/d!, 1/e(R)}, and
     the multiplicity bound (e(R)-1)(1-s) >= e_HK - 1 on the estimates."""
-    budget = budget or Budget()
-    hk = hk_estimate(L, e_max, tol, budget)
+    hk = hk_estimate(L, e_max, tol)
     regular = hk.records[0].lam == L.p**L.d
-    f_pure = fedder_is_fpure(L, budget)
-    fsig = fsig_estimate(L, e_max, tol, budget)
-    e_hs = multiplicity(L, budget)
+    f_pure = fedder_is_fpure(L)
+    fsig = fsig_estimate(L, e_max, tol)
+    e_hs = multiplicity(L)
     threshold = 1 + max(Fraction(1, math.factorial(L.d)), Fraction(1, e_hs))
     if e_hs == 1:
         hl_satisfied, hl_near, hl_note = True, None, "vacuous (e(R) = 1)"

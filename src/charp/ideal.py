@@ -51,7 +51,11 @@ INFINITE = math.inf
 
 @dataclass
 class Budget:
-    """Resource caps plus usage counters; one instance per task."""
+    """Resource caps plus usage counters, scoped like decimal.localcontext:
+    inside `with budget:` every Buchberger run, standard-monomial count, nu
+    pass and flat-extension box charges `budget`.  Blocks nest, and leaving
+    one, also by an exception, restores the budget it replaced.  Outside any
+    block each such call charges a fresh default Budget."""
 
     max_basis: int = 2000
     max_pairs: int = 200_000
@@ -77,6 +81,21 @@ class Budget:
 
     def snapshot(self) -> dict:
         return asdict(self)
+
+    def __enter__(self):
+        _ACTIVE.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        _ACTIVE.pop()
+
+
+_ACTIVE: list = []  # the entered budgets, innermost last
+
+
+def active_budget() -> Budget:
+    """The budget of the innermost `with` block, or a fresh default one."""
+    return _ACTIVE[-1] if _ACTIVE else Budget()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +231,8 @@ def _reduce_full(acc: _TermSum, basis, eng: _Engine):
     return out
 
 
-def _buchberger(gens, ring: PolyRing, budget: Budget):
+def _buchberger(gens, ring: PolyRing):
+    budget = active_budget()
     eng = _engine(ring)
     field = ring.field
     p = eng.p
@@ -294,40 +314,40 @@ class Ideal:
         self._gb = None
         self._packed = None
 
-    def groebner_basis(self, budget: Budget | None = None):
+    def groebner_basis(self):
         if self._gb is None:
-            self._gb = _buchberger(self.gens, self.ring, budget or Budget())
+            self._gb = _buchberger(self.gens, self.ring)
         return self._gb
 
-    def is_unit(self, budget=None) -> bool:
-        gb = self.groebner_basis(budget)
+    def is_unit(self) -> bool:
+        gb = self.groebner_basis()
         return bool(gb) and not any(gb[0].lm())
 
     def is_zero(self) -> bool:
         return not self.gens
 
-    def contains(self, f: Polynomial, budget=None) -> bool:
-        return normal_form(f, self, budget).is_zero()
+    def contains(self, f: Polynomial) -> bool:
+        return normal_form(f, self).is_zero()
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
 
 
-def groebner(I: Ideal, order: MonomialOrder | None = None, budget=None) -> Ideal:
+def groebner(I: Ideal, order: MonomialOrder | None = None) -> Ideal:
     """Ideal with its reduced Groebner basis cache filled (for the given
     order, defaulting to the ring's own)."""
     if order is None or order == I.ring.order:
-        I.groebner_basis(budget)
+        I.groebner_basis()
         return I
     ring2 = I.ring.with_order(order)
     J = Ideal(ring2, [ring2.from_dict(dict(g.terms)) for g in I.gens])
-    J.groebner_basis(budget)
+    J.groebner_basis()
     return J
 
 
-def normal_form(f: Polynomial, I: Ideal, budget=None) -> Polynomial:
+def normal_form(f: Polynomial, I: Ideal) -> Polynomial:
     """The unique fully reduced remainder of f modulo I."""
-    gb = I.groebner_basis(budget)
+    gb = I.groebner_basis()
     eng = _engine(I.ring)
     if I._packed is None:
         I._packed = [eng.plist(g) for g in gb]
@@ -403,7 +423,7 @@ def exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
     return eng.to_poly(quot).scale(ring.field.inv(g.lc()))
 
 
-def intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I intersect J via elimination of a fresh leading variable t:
     (t*I + (1-t)*J) with the block order, keeping t-free basis elements."""
     ring = I.ring
@@ -421,7 +441,7 @@ def intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
     one = ext.one()
     gens = [t * lift(f) for f in I.gens]
     gens += [(one - t) * lift(g) for g in J.gens]
-    gb = Ideal(ext, gens).groebner_basis(budget)
+    gb = Ideal(ext, gens).groebner_basis()
     out = []
     for g in gb:
         if all(m[0] == 0 for m, _ in g.terms):
@@ -429,7 +449,7 @@ def intersect(I: Ideal, J: Ideal, budget=None) -> Ideal:
     return Ideal(ring, out)
 
 
-def colon(I: Ideal, J: Ideal, budget=None) -> Ideal:
+def colon(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) = {f | f*J in I}, as the intersection over generators g of J
     of (I intersect (g)) / g."""
     ring = I.ring
@@ -438,21 +458,19 @@ def colon(I: Ideal, J: Ideal, budget=None) -> Ideal:
         return Ideal(ring, (ring.one(),))  # (I : 0) = (1)
     acc = None
     for g in gens:
-        meet = intersect(I, Ideal(ring, (g,)), budget)
+        meet = intersect(I, Ideal(ring, (g,)))
         part = Ideal(ring, [exact_divide(h, g) for h in meet.gens])
-        acc = part if acc is None else intersect(acc, part, budget)
+        acc = part if acc is None else intersect(acc, part)
     return acc
 
 
-def ideal_equal(I: Ideal, J: Ideal, budget=None) -> bool:
-    return all(I.contains(g, budget) for g in J.gens) and all(
-        J.contains(f, budget) for f in I.gens
-    )
+def ideal_equal(I: Ideal, J: Ideal) -> bool:
+    return all(I.contains(g) for g in J.gens) and all(J.contains(f) for f in I.gens)
 
 
-def ideal_contains_ideal(I: Ideal, J: Ideal, budget=None) -> bool:
+def ideal_contains_ideal(I: Ideal, J: Ideal) -> bool:
     """J subset of I, by generator membership."""
-    return all(I.contains(g, budget) for g in J.gens)
+    return all(I.contains(g) for g in J.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +509,11 @@ def _count_standard(gens, bounds, cache):
     return total
 
 
-def standard_count(lms, n: int, budget=None):
+def standard_count(lms, n: int):
     """The number of monomials in n variables divisible by none of the
     exponent tuples lms, or INFINITE.  Pure powers give the box; a threshold
     recursion over the variables excludes the rest, so the cost scales with
     the generator structure rather than the box volume."""
-    budget = budget or Budget()
     bounds = [None] * n
     for m in lms:
         support = [i for i, e in enumerate(m) if e]
@@ -506,7 +523,7 @@ def standard_count(lms, n: int, budget=None):
                 bounds[i] = m[i]
     if any(b is None for b in bounds):
         return INFINITE
-    budget.charge_box(monomial_count_box(bounds))
+    active_budget().charge_box(monomial_count_box(bounds))
     bounds_t = tuple(bounds)
     mixed = [
         m
@@ -517,13 +534,11 @@ def standard_count(lms, n: int, budget=None):
     return _count_standard(gens, bounds_t, {})
 
 
-def length(I: Ideal, budget=None):
+def length(I: Ideal):
     """dim_{F_p} S/I: the number of standard monomials, or INFINITE."""
-    budget = budget or Budget()
-    if I.is_unit(budget):
+    if I.is_unit():
         return 0
-    lms = [g.lm() for g in I.groebner_basis(budget)]
-    return standard_count(lms, I.ring.nvars, budget)
+    return standard_count([g.lm() for g in I.groebner_basis()], I.ring.nvars)
 
 
 def largest_free_sets(lms, n: int) -> list:
@@ -539,16 +554,15 @@ def largest_free_sets(lms, n: int) -> list:
     raise ValueError("a constant monomial supports every set")
 
 
-def krull_dim(I: Ideal, budget=None) -> int:
+def krull_dim(I: Ideal) -> int:
     """Dimension of S/I: that of its leading ideal."""
-    budget = budget or Budget()
-    if I.is_unit(budget):
+    if I.is_unit():
         raise UnitIdealError("krull_dim of the unit ideal")
-    lms = [g.lm() for g in I.groebner_basis(budget)]
+    lms = [g.lm() for g in I.groebner_basis()]
     return len(largest_free_sets(lms, I.ring.nvars)[0])
 
 
-def local_leading_monomials(I: Ideal, point, budget=None) -> tuple:
+def local_leading_monomials(I: Ideal, point) -> tuple:
     """Generators of the leading ideal L of I at a rational point of V(I)
     for a local degree order in x - point, which has the Hilbert-Samuel
     function of the local ring there.  Lazard's method (Greuel-Pfister, A
@@ -562,4 +576,4 @@ def local_leading_monomials(I: Ideal, point, budget=None) -> tuple:
         f = g.shift(point)
         top = f.degree()
         gens.append(hom.from_dict({(top - sum(m),) + m: c for m, c in f.terms}))
-    return tuple(g.lm()[1:] for g in Ideal(hom, gens).groebner_basis(budget))
+    return tuple(g.lm()[1:] for g in Ideal(hom, gens).groebner_basis())

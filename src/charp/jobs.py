@@ -236,7 +236,7 @@ def validate_job(job: dict, flags: dict | None = None, cap: str | None = None) -
     if "p" not in job:
         raise ParseError("job is missing the characteristic 'p'")
     try:
-        field_new(job["p"])
+        field = field_new(job["p"])
     except Exception as exc:
         raise ParseError(f"NotPrime: {exc}") from None
     components = job.get("components", [])
@@ -249,6 +249,7 @@ def validate_job(job: dict, flags: dict | None = None, cap: str | None = None) -
         _check_keys(f"component {i}", comp, _COMPONENT_KEYS)
         comp.setdefault("vars", [])
         comp.setdefault("ideal", [])
+        _component_parts(field, comp, f"component {i}")
     for i, task in enumerate(tasks):
         kind = task.get("kind") if isinstance(task, dict) else None
         if not isinstance(kind, str) or kind not in TASKS:
@@ -269,17 +270,23 @@ def validate_job(job: dict, flags: dict | None = None, cap: str | None = None) -
 # ---------------------------------------------------------------------------
 # execution
 
-def build_presentation(job: dict) -> RingPresentation:
-    field = field_new(job["p"])
-    comps = []
-    for spec in job["components"]:
+def _component_parts(field, spec: dict, where: str) -> tuple:
+    """(ring, generators, declared minimal primes or None) of a component
+    entry, parsed without building a basis; a malformed entry is a
+    ParseError naming `where`."""
+    try:
         ring = PolyRing(field, tuple(spec["vars"]))
         gens = [ring.parse(src) for src in spec["ideal"]]
-        primes = None
-        if spec.get("min_primes"):
-            primes = [_ideal(ring, gens_src) for gens_src in spec["min_primes"]]
-        comps.append(RingComponent(ring, gens, primes))
-    return RingPresentation(comps)
+        primes = [_ideal(ring, srcs) for srcs in spec.get("min_primes") or ()]
+    except (CharpError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    return ring, gens, primes or None
+
+
+def build_presentation(job: dict) -> RingPresentation:
+    field = field_new(job["p"])
+    return RingPresentation(RingComponent(*_component_parts(field, spec, f"component {i}"))
+                            for i, spec in enumerate(job["components"]))
 
 
 def _fraction_cell(x: Fraction) -> dict:
@@ -317,7 +324,9 @@ def run_task(job: dict, index: int) -> dict:
                     max_box=job["budget_monomials"])
     out = {"index": index, "kind": kind, "status": "ok", "rows": []}
     try:
-        TASKS[kind].run(build_presentation(job), task, out, budget)
+        R = build_presentation(job)
+        with budget:
+            TASKS[kind].run(R, task, out)
     except (CharpError, ValueError) as exc:
         out["status"] = "error"
         out["error"] = f"{type(exc).__name__}: {exc}"
@@ -329,7 +338,8 @@ def run_task(job: dict, index: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# task runners: run(R, task, out, budget) fills the result entry `out`
+# task runners: run(R, task, out) fills the result entry `out`; the work
+# charges the task's budget, active around the call
 
 def _component(R: RingPresentation, index: int):
     if not 0 <= index < len(R.components):
@@ -384,27 +394,26 @@ def _ideal(ring: PolyRing, sources) -> Ideal:
     return Ideal(ring, [ring.parse(src) for src in sources])
 
 
-def _run_estimate(R, task, out, budget):
+def _run_estimate(R, task, out):
     L, ci, point = _local(R, task)
     estimate = hk_estimate if task["kind"] == "hk" else fsig_estimate
-    est = estimate(L, task["e_max"], task["tolerance"], budget)
+    est = estimate(L, task["e_max"], task["tolerance"])
     out["rows"] += _record_rows(task["kind"], ci, point, est.records)
     out["estimate"] = _estimate_payload(est)
 
 
-def _run_fedder(R, task, out, budget):
+def _run_fedder(R, task, out):
     L, _, _ = _local(R, task)
-    out["f_pure"] = fedder_is_fpure(L, budget)
+    out["f_pure"] = fedder_is_fpure(L)
 
 
-def _run_pair(R, task, out, budget):
+def _run_pair(R, task, out):
     L, ci, point = _local(R, task)
     a = _ideal(L.ring, task["a"])
     out["pair"] = []
     for t_src in task.get("t_grid") or [task["t"]]:
         t = Fraction(t_src)
-        recs = [pair_splitting_number(L, a, t, e, budget)
-                for e in range(1, task["e_max"] + 1)]
+        recs = [pair_splitting_number(L, a, t, e) for e in range(1, task["e_max"] + 1)]
         out["rows"] += _record_rows(f"pair t={t}", ci, point, recs)
         out["pair"].append({
             "t": str(t),
@@ -412,16 +421,16 @@ def _run_pair(R, task, out, budget):
         })
 
 
-def _run_nu(R, task, out, budget):
+def _run_nu(R, task, out):
     L, _, _ = _local(R, task)
-    out["nu"] = nu_invariant(L, _ideal(L.ring, task["a"]), task["e"], budget)
+    out["nu"] = nu_invariant(L, _ideal(L.ring, task["a"]), task["e"])
 
 
-def _run_global(R, task, out, budget):
+def _run_global(R, task, out):
     kind = task["kind"]
     samples = _samples(R, task["samples"])
     fn = global_hk if kind == "global_hk" else global_fsig
-    res = fn(R, samples, task["e_max"], task["tolerance"], budget)
+    res = fn(R, samples, task["e_max"], task["tolerance"])
     gd = res.gamma
     out["gamma"] = {
         "dims": list(gd.dims),
@@ -444,10 +453,10 @@ def _run_global(R, task, out, budget):
         out["rows"] += _record_rows(kind, s.component, s.point, est.records)
 
 
-def _run_semicontinuity(R, task, out, budget):
+def _run_semicontinuity(R, task, out):
     special = _samples(R, [task["special"]])[0]
     nearby = _samples(R, task["nearby"])
-    rep = semicontinuity_probe(R, special, nearby, task["e"], budget)
+    rep = semicontinuity_probe(R, special, nearby, task["e"])
     out["ok"] = rep.ok
     out["note"] = rep.note
     ci = special.component
@@ -462,12 +471,12 @@ def _run_semicontinuity(R, task, out, budget):
         out["error"] = rep.note
 
 
-def _run_flat_check(R, task, out, budget):
+def _run_flat_check(R, task, out):
     L, ci, point = _local(R, task)
     pair = None
     if task.get("a"):
         pair = (_ideal(L.ring, task["a"]), Fraction(task["t"]))
-    rep = flat_extension_check(L, task["extra_vars"], task["e_max"], pair, budget)
+    rep = flat_extension_check(L, task["extra_vars"], task["e_max"], pair)
     out["ok"] = rep.ok
     for e, q, lam_r, lam_t, s_r, s_t, lam_ok, s_ok in rep.rows:
         out["rows"].append(_row("flat_check:base", ci, point, e, q,
@@ -488,9 +497,9 @@ def _run_flat_check(R, task, out, budget):
         out["error"] = "flat extension comparison failed"
 
 
-def _run_classify(R, task, out, budget):
+def _run_classify(R, task, out):
     L, _, _ = _local(R, task)
-    flags = classify(L, task["e_max"], task["tolerance"], budget=budget)
+    flags = classify(L, task["e_max"], task["tolerance"])
     out["flags"] = flags.as_dict()
     out["flags"]["hk"] = _estimate_payload(flags.hk)
     out["flags"]["fsig"] = _estimate_payload(flags.fsig)

@@ -22,7 +22,7 @@ from .finv import (
     pair_splitting_number,
     splitting_number,
 )
-from .ideal import Budget, Ideal, krull_dim, normal_form
+from .ideal import Ideal, active_budget, krull_dim, normal_form
 from .poly import PolyRing
 
 
@@ -123,9 +123,9 @@ def _locals(R: RingPresentation, samples) -> list:
     return [(s, R.components[s.component].local_at(s.point)) for s in samples]
 
 
-def _sweep(rings, estimate, e_max: int, tol: float, budget: Budget) -> tuple:
+def _sweep(rings, estimate, e_max: int, tol: float) -> tuple:
     """(sample, local estimate) per (sample, local ring)."""
-    return tuple((s, estimate(L, e_max, tol, budget)) for s, L in rings)
+    return tuple((s, estimate(L, e_max, tol)) for s, L in rings)
 
 
 def _extremum(per, pick, excluded, note, gd) -> GlobalInvariantResult:
@@ -136,13 +136,12 @@ def _extremum(per, pick, excluded, note, gd) -> GlobalInvariantResult:
                                  note=note, gamma=gd)
 
 
-def global_hk(R: RingPresentation, samples, e_max: int, tol: float = DEFAULT_TOLERANCE,
-              budget: Budget | None = None) -> GlobalInvariantResult:
+def global_hk(R: RingPresentation, samples, e_max: int,
+              tol: float = DEFAULT_TOLERANCE) -> GlobalInvariantResult:
     """Max of the local Hilbert-Kunz estimates over the sampled primes of
     local dimension gamma; off-locus samples (on a component below gamma,
     or at a point of lower local dimension) are excluded.  The result is a
     lower bound for the global value when sampling is incomplete."""
-    budget = budget or Budget()
     gd = gamma_data(R)
     rings = _locals(R, [s for s in samples if s.component in gd.z_components])
     included = [(s, L) for s, L in rings if L.d == gd.gamma]
@@ -150,18 +149,17 @@ def global_hk(R: RingPresentation, samples, e_max: int, tol: float = DEFAULT_TOL
     excluded = tuple(s for s in samples if s not in kept)
     if not included:
         raise ValueError("no samples lie on the gamma-attaining locus")
-    return _extremum(_sweep(included, hk_estimate, e_max, tol, budget), max,
+    return _extremum(_sweep(included, hk_estimate, e_max, tol), max,
                      excluded, "max over sampled primes: a lower bound for the "
                      "global value under incomplete sampling", gd)
 
 
-def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = DEFAULT_TOLERANCE,
-                budget: Budget | None = None) -> GlobalInvariantResult:
+def global_fsig(R: RingPresentation, samples, e_max: int,
+                tol: float = DEFAULT_TOLERANCE) -> GlobalInvariantResult:
     """Min of the local F-signature estimates over the sampled primes, or
     exactly 0 whenever some component, or the local ring at some sample,
     misses the global gamma (the free-rank of every module then grows a
     full power of p too slowly)."""
-    budget = budget or Budget()
     gd = gamma_data(R)
     samples = list(samples)
     rings = _locals(R, samples) if gd.z_is_spec else []
@@ -175,7 +173,7 @@ def global_fsig(R: RingPresentation, samples, e_max: int, tol: float = DEFAULT_T
                  "summands are asymptotically negligible")
     if not samples:
         raise ValueError("global_fsig needs at least one sample")
-    return _extremum(_sweep(rings, fsig_estimate, e_max, tol, budget), min,
+    return _extremum(_sweep(rings, fsig_estimate, e_max, tol), min,
                      (), "min over sampled primes: an upper bound for the "
                      "global value under incomplete sampling", gd)
 
@@ -196,11 +194,10 @@ class SemicontinuityReport:
 
 
 def semicontinuity_probe(R: RingPresentation, special: PrimeSample, nearby,
-                         e: int, budget: Budget | None = None) -> SemicontinuityReport:
+                         e: int) -> SemicontinuityReport:
     """Check lambda_e(special) >= lambda_e(P) for the nearby samples on one
     equidimensional component.  The inequality is a theorem under the
     hypotheses, so a violation is reported as an engine bug."""
-    budget = budget or Budget()
     comp = R.components[special.component]
     if any(s.component != special.component for s in nearby):
         raise ValueError("all samples must lie on one component")
@@ -210,11 +207,11 @@ def semicontinuity_probe(R: RingPresentation, special: PrimeSample, nearby,
             raise ValueError(
                 "component is not equidimensional per its declared minimal primes"
             )
-    sp = hk_function(comp.local_at(special.point), e, None, budget)
+    sp = hk_function(comp.local_at(special.point), e)
     rows = []
     ok = True
     for s in nearby:
-        rec = hk_function(comp.local_at(s.point), e, None, budget)
+        rec = hk_function(comp.local_at(s.point), e)
         rows.append((s, rec.lam, rec.normalized))
         if rec.normalized > sp.normalized:
             ok = False
@@ -239,13 +236,13 @@ class FlatExtensionReport:
 
 
 def flat_extension_check(L: LocalRingAtPoint, n_extra_vars: int, e_max: int,
-                         pair=None, budget: Budget | None = None) -> FlatExtensionReport:
+                         pair=None) -> FlatExtensionReport:
     """Adjoin free variables (a flat extension with regular closed fiber)
     and verify, integer-exactly for each e, that lambda scales by q^k and
     the normalized splitting numbers are unchanged."""
     if n_extra_vars < 1:
         raise ValueError("need at least one extra variable")
-    budget = budget or Budget()
+    budget = active_budget()
     # every box counted over the extension holds at least p^k monomials (the
     # q-th powers of the k new variables alone); charge that first, a factor
     # p at a time, so a huge k stops at the first power of p past the cap
@@ -273,10 +270,10 @@ def flat_extension_check(L: LocalRingAtPoint, n_extra_vars: int, e_max: int,
     ok = True
     for e in range(1, e_max + 1):
         q = L.p**e
-        lam_r = hk_function(L, e, None, budget).lam
-        lam_t = hk_function(LT, e, None, budget).lam
-        s_r = splitting_number(L, e, budget).s_e
-        s_t = splitting_number(LT, e, budget).s_e
+        lam_r = hk_function(L, e).lam
+        lam_t = hk_function(LT, e).lam
+        s_r = splitting_number(L, e).s_e
+        s_t = splitting_number(LT, e).s_e
         lam_ok = lam_t == lam_r * q**n_extra_vars
         s_ok = s_t == s_r
         ok = ok and lam_ok and s_ok
@@ -287,8 +284,8 @@ def flat_extension_check(L: LocalRingAtPoint, n_extra_vars: int, e_max: int,
         a_ext = Ideal(ext, [lift(g) for g in a.gens])
         for e in range(1, e_max + 1):
             q = L.p**e
-            pr = pair_splitting_number(L, a, t, e, budget)
-            pt = pair_splitting_number(LT, a_ext, t, e, budget)
+            pr = pair_splitting_number(L, a, t, e)
+            pt = pair_splitting_number(LT, a_ext, t, e)
             s_ok = pr.s_e == pt.s_e
             ok = ok and s_ok
             pair_rows.append((e, q, pr.s_e, pt.s_e, s_ok))

@@ -371,7 +371,8 @@ def test_non_ci_presentations_take_the_colon_route(p, names, srcs, point):
     L = local(p, names, srcs, point)
     assert not _is_ci(L)
     K = colon(bracket_power(L.ideal0, p), L.ideal0)
-    assert _multiplier(L, p, Budget()).gens == K.gens
+    with Budget():
+        assert _multiplier(L, p).gens == K.gens
     for e in (1, 2):
         q = p**e
         K = colon(bracket_power(L.ideal0, q), L.ideal0)
@@ -614,11 +615,11 @@ def test_nu_pass_is_charged_to_the_box_budget():
     from charp.errors import ResourceBudgetError
 
     L = local(3, ("x", "y", "z"), ["x*y - z^2"])
-    budget = Budget()
-    assert nu_invariant(L, L.m0, 2, budget) == 12  # 3(q - 1)/2
+    with Budget() as budget:
+        assert nu_invariant(L, L.m0, 2) == 12  # 3(q - 1)/2
     assert budget.used_box > 1
-    with pytest.raises(ResourceBudgetError):
-        nu_invariant(L, L.m0, 2, Budget(max_box=2))
+    with pytest.raises(ResourceBudgetError), Budget(max_box=2):
+        nu_invariant(L, L.m0, 2)
 
 
 # -- classify ----------------------------------------------------------------
@@ -704,8 +705,8 @@ def test_budget_error_mid_walk_leaves_the_cache_consistent():
     from charp.errors import ResourceBudgetError
 
     L = local(3, ("x", "y", "z"), ["x*y - z^2"])
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError), Budget(max_box=1000):
         # e = 3's colon completes; its length's box of 6075 does not
-        splitting_number(L, 3, Budget(max_box=1000))
+        splitting_number(L, 3)
     assert sorted(L._steps) == [1, 2]
     assert [r.a_e for r in fsig_estimate(L, 4).records] == [5, 41, 365, 3281]

@@ -17,6 +17,7 @@ from charp.ideal import (
     INFINITE,
     Budget,
     Ideal,
+    active_budget,
     bracket_power,
     colon,
     exact_divide,
@@ -133,8 +134,8 @@ def test_gb_certificates_random():
 def test_gb_budget():
     R = ring(5)
     J = I(R, "x*y - z^2", "x^5", "y^5", "z^5")
-    with pytest.raises(ResourceBudgetError):
-        J.groebner_basis(Budget(max_basis=2))
+    with pytest.raises(ResourceBudgetError), Budget(max_basis=2):
+        J.groebner_basis()
 
 
 # -- normal form -------------------------------------------------------------
@@ -326,7 +327,8 @@ def test_colon_defining_property_random():
     for _ in range(15):
         A = Ideal(R, [random_nonzero_poly(rng, R, max_deg=2) for _ in range(2)])
         B = Ideal(R, [random_nonzero_poly(rng, R, max_deg=2)])
-        C = colon(A, B, Budget(max_pairs=500_000))
+        with Budget(max_pairs=500_000):
+            C = colon(A, B)
         for g in C.gens:
             for h in B.gens:
                 assert normal_form(g * h, A).is_zero()
@@ -452,8 +454,33 @@ def test_count_recursion_matches_enumeration():
 
 def test_length_budget():
     R = ring(5, ("x", "y"))
-    with pytest.raises(ResourceBudgetError):
-        length(I(R, "x^100", "y^100"), Budget(max_box=100))
+    with pytest.raises(ResourceBudgetError), Budget(max_box=100):
+        length(I(R, "x^100", "y^100"))
+
+
+def test_budget_blocks_nest_and_restore_the_outer_budget():
+    from charp.spectrum import flat_extension_check
+
+    R = ring(5, ("x", "y"))
+    outer, inner = Budget(), Budget(max_box=10)
+    with outer:
+        with pytest.raises(ResourceBudgetError), inner:
+            assert active_budget() is inner
+            length(I(R, "x^4", "y^4"))  # a box of 16
+        assert active_budget() is outer
+        assert length(I(R, "x^4", "y^4")) == 16
+        with Budget():
+            pass
+        assert active_budget() is outer
+    assert (inner.used_box, outer.used_box) == (16, 16)
+    # outside any block each call gets a fresh default budget, caps included
+    assert active_budget() is not active_budget()
+    assert active_budget() == Budget()
+    L = LocalRingAtPoint(I(R, "x*y"), (0, 0))
+    for work in (lambda: flat_extension_check(L, 10**9, 1),
+                 lambda: length(I(R, "x^2000", "y^2000"))):
+        with pytest.raises(ResourceBudgetError):
+            work()
 
 
 # -- dimension ---------------------------------------------------------------

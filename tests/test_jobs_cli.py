@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import charp.ideal
 import charp.jobs
 from charp.cli import main
 from charp.errors import ParseError
@@ -384,6 +385,61 @@ def test_many_extra_vars_hit_the_box_budget_at_once(tmp_path, k):
     assert saved["tasks"][0]["error"] == (
         "ResourceBudgetError: resource budget exceeded: "
         "standard monomial box used 1594323 > limit 1000000")
+
+
+TWISTED_CUBIC_FEDDER = """\
+p = 3
+budget_pairs = {pairs}
+[component]
+vars = x y z w
+ideal = x*z - y^2; y*w - z^2; x*w - y*z
+[task fedder]
+"""
+
+
+@pytest.mark.parametrize("pairs, code", [(503, 2), (504, 0)])
+def test_the_task_budget_covers_the_local_standard_basis(tmp_path, pairs, code):
+    # the twisted cubic is not a complete intersection, so its local ring is
+    # built from a standard basis at the point: 3 of the 504 pairs the task pops
+    path = _write(tmp_path, TWISTED_CUBIC_FEDDER.format(pairs=pairs))
+    assert main(["run", str(path)]) == code
+    entry = json.loads((tmp_path / "job.report.json").read_text())["tasks"][0]
+    if code:
+        assert entry["error"].startswith("ResourceBudgetError: ")
+    else:
+        assert entry["f_pure"] is True
+        assert entry["budget"]["used_pairs"] == 504
+
+
+def test_classify_counts_the_basis_its_dimension_comes_from():
+    job = validate_job(parse_job_text("p = 5\n[component]\nvars = x y z\nideal = x*z; y*z\n"
+                                      "[task classify]\npoint = 0 0 1\n"))
+    assert run_job(job)["tasks"][0]["budget"]["used_pairs"] == 94
+
+
+# a malformed component is a parse error naming it, found when the job is
+# validated: exit 1, no report
+@pytest.mark.parametrize("component, message", [
+    pytest.param("vars = x y z\nideal = x*z y*z\n", "component 1: unexpected 'y'",
+                 id="ideal without ';'"),
+    pytest.param("vars = x y\nideal = x*w\n", "component 1: unknown variable 'w'",
+                 id="unknown variable"),
+    pytest.param("vars = x x\nideal = x\n", "component 1: duplicate variable names",
+                 id="duplicate variable"),
+    pytest.param("vars = x y\nideal = x*y\nmin_primes = x | y +\n",
+                 "component 1: expected INT", id="bad min_primes"),
+])
+def test_malformed_component_exits_1(tmp_path, capsys, monkeypatch, component, message):
+    good = "p = 5\n[component]\nvars = x\nideal = x\n[component]\n"
+    task = "[task fedder]\ncomponent = 1\n"
+    # validation parses the components but builds no Groebner basis
+    monkeypatch.setattr(charp.ideal, "_buchberger", None)
+    validate_job(parse_job_text(good + "vars = x y\nideal = x*y\nmin_primes = x | y\n" + task))
+    monkeypatch.undo()
+    path = _write(tmp_path, good + component + task)
+    assert main(["run", str(path)]) == 1
+    assert f"charp: job parse error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.report.*"))
 
 
 def test_cli_parse_error_exits_1(tmp_path):

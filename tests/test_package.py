@@ -24,3 +24,27 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_budget_is_built_in_two_places_and_passed_to_no_function():
+    # the engine charges the active budget (`with budget:`); a `budget`
+    # parameter or a Budget() built on the side would let work escape the
+    # task's caps and counters
+    params, builds = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                         if x is not None]
+                if "budget" in names:
+                    params.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Budget":
+                owner = parent[node]
+                while not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                    owner = parent[owner]
+                builds.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
+    assert params == []
+    assert sorted(builds) == ["ideal.active_budget", "jobs.run_task"]
