@@ -1,10 +1,10 @@
 """Groebner bases and ideal arithmetic over F_p[x_1..x_n].
 
 Buchberger's algorithm with the normal pair-selection strategy (degree of
-the lcm, then the monomial order, then pair indices) and both classical
-pair-elimination criteria.  Output bases are reduced, hence canonical for
-a fixed ideal and order; every downstream report inherits its determinism
-from that.
+the lcm, then the monomial order, then pair indices) and the Gebauer-Moeller
+pair update (criteria B, M and F and the product criterion).  Output bases
+are reduced, hence canonical for a fixed ideal and order; every downstream
+report inherits its determinism from that.
 
 Inside the engine a monomial is a single integer with one bit-field per
 variable, so multiplication is integer addition and divisibility is a
@@ -19,12 +19,21 @@ forms reduce into it, each S-polynomial is the sum of its two shifted
 tails, and `exact_divide` pops its quotient terms from it.  The key is
 injective on the exponents the engine admits, and the remainder against a
 fixed ordered basis does not depend on how the running sum is stored.
+
+Reducers are found by one lead-divisibility index, `_Divisors`: per
+variable, the sorted distinct lead exponents with a bitset of the basis
+elements at or below each.  The leads dividing a monomial are the AND of
+one bitset per variable, and the lowest set bit is the first of them in
+basis order, the reducer a linear scan would pick.  The growing basis, the
+final interreduction and `normal_form` all use it, and the pair update asks
+it which leads a new lead divides.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from itertools import combinations, combinations_with_replacement, groupby, islice
 
@@ -47,6 +56,7 @@ from .poly import (
 )
 
 INFINITE = math.inf
+_FIELD_MASK = (1 << _FIELD_BITS) - 1  # one exponent of a packed monomial
 
 
 @dataclass
@@ -104,7 +114,7 @@ def active_budget() -> Budget:
 class _Engine:
     """Packed-integer monomial codec for one ring; keys are its order's."""
 
-    __slots__ = ("ring", "n", "p", "guard", "key")
+    __slots__ = ("ring", "n", "p", "guard", "ones", "top", "key")
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
@@ -113,8 +123,11 @@ class _Engine:
         self.p = ring.p
         B = _FIELD_BITS
         self.guard = 0
+        self.ones = 0  # a 1 in every field
         for j in range(n):
             self.guard |= 1 << (j * B + B - 1)
+            self.ones |= 1 << (j * B)
+        self.top = max(n - 1, 0) * B  # the offset of the last field
         self.key = ring.order.key
 
     def pack(self, t: tuple) -> int:
@@ -126,8 +139,7 @@ class _Engine:
 
     def unpack(self, m: int) -> tuple:
         B = _FIELD_BITS
-        mask = (1 << B) - 1
-        return tuple((m >> (j * B)) & mask for j in range(self.n))
+        return tuple((m >> (j * B)) & _FIELD_MASK for j in range(self.n))
 
     def div(self, a: int, b: int):
         """a / b as packed monomials, or None."""
@@ -135,6 +147,20 @@ class _Engine:
         if t & self.guard == self.guard:
             return t ^ self.guard
         return None
+
+    def lcm(self, a: int, b: int) -> int:
+        """lcm(a, b) of packed monomials, a field-wise max."""
+        g = self.guard
+        ge = ((a | g) - b) & g  # the guard bit of each field where a >= b
+        low = ge - (ge >> (_FIELD_BITS - 1))  # the exponent bits of those fields
+        return (a & low) | (b & ~low)
+
+    def degree(self, m: int) -> int:
+        """The total degree of packed m.  The product with `ones` sums every
+        field into the last one, and no field carries: a degree stays below
+        2**_FIELD_BITS for exponents up to EXPONENT_LIMIT in fewer than 512
+        variables."""
+        return (m * self.ones >> self.top) & _FIELD_MASK
 
     def plist(self, f: Polynomial):
         """[(key, packed_mono, coeff)], descending like f's terms."""
@@ -205,24 +231,72 @@ class _TermSum:
         return None
 
 
-def _reduce_full(acc: _TermSum, basis, eng: _Engine):
+class _Divisors:
+    """Lead-divisibility index over a list of packed leads.
+
+    For each variable it keeps the sorted distinct lead exponents and, per
+    exponent, the bitset of list indices whose lead is at or below it in
+    that variable.  The leads dividing m are then the AND of one bitset per
+    variable, each found by bisection, and the lowest set bit is the first
+    divisor in list order, the one a linear scan would find."""
+
+    __slots__ = ("shifts", "vals", "bits", "all")
+
+    def __init__(self, n: int, leads=()):
+        self.shifts = tuple(j * _FIELD_BITS for j in range(n))
+        self.vals: list = [[] for _ in range(n)]
+        self.bits: list = [[] for _ in range(n)]
+        self.all = 0  # bitset of every index
+        for m in leads:
+            self.add(m)
+
+    def add(self, m: int):
+        """Index packed lead m as the next list entry."""
+        bit = self.all + 1
+        self.all |= bit
+        for s, vals, bits in zip(self.shifts, self.vals, self.bits):
+            e = (m >> s) & _FIELD_MASK
+            pos = bisect_left(vals, e)
+            if pos == len(vals) or vals[pos] != e:
+                vals.insert(pos, e)
+                bits.insert(pos, bits[pos - 1] if pos else 0)
+            for at in range(pos, len(bits)):
+                bits[at] |= bit
+
+    def first(self, m: int, skip: int = 0) -> int:
+        """The lowest index whose lead divides packed m, leaving out the
+        indices in the bitset skip; -1 if there is none."""
+        acc = self.all & ~skip
+        for s, vals, bits in zip(self.shifts, self.vals, self.bits):
+            pos = bisect_right(vals, (m >> s) & _FIELD_MASK)
+            if not pos:
+                return -1
+            acc &= bits[pos - 1]
+            if not acc:
+                return -1
+        return (acc & -acc).bit_length() - 1
+
+    def multiples(self, m: int) -> int:
+        """The bitset of the indices whose lead packed m divides."""
+        acc = self.all
+        for s, vals, bits in zip(self.shifts, self.vals, self.bits):
+            pos = bisect_left(vals, (m >> s) & _FIELD_MASK)
+            if pos:
+                acc &= ~bits[pos - 1]
+        return acc
+
+
+def _reduce_full(acc: _TermSum, basis, divs: _Divisors, skip: int = 0):
     """Full normal form of the sum in acc against basis entries, each a
-    monic descending (key, mono, coeff) list; returns the remainder as such
-    a list."""
-    p = eng.p
-    div = eng.div
+    monic descending (key, mono, coeff) list indexed by divs, leaving out
+    the entries in the bitset skip; returns the remainder as such a list.
+    Heads pop in strictly descending order, so each is looked up once."""
+    p = acc.p
+    first = divs.first
     out = []
-    seen: dict = {}  # packed mono -> basis index or -1 (irreducible)
     while (head := acc.pop()) is not None:
         k0, m0, c0 = head
-        idx = seen.get(m0)
-        if idx is None:
-            idx = -1
-            for bi, terms in enumerate(basis):
-                if div(m0, terms[0][1]) is not None:
-                    idx = bi
-                    break
-            seen[m0] = idx
+        idx = first(m0, skip)
         if idx < 0:
             out.append(head)
             continue
@@ -232,70 +306,79 @@ def _reduce_full(acc: _TermSum, basis, eng: _Engine):
 
 
 def _buchberger(gens, ring: PolyRing):
+    """The reduced Groebner basis of gens, descending.  Each new element
+    updates the pair queue as Gebauer and Moeller do (J. Symbolic Comput. 6,
+    1988; Becker-Weispfenning, ch. 5): criterion B kills queued pairs, the
+    new pairs keep one of each minimal lcm (criteria M and F) and drop
+    coprime leads, and elements whose lead the new lead divides make no
+    further pairs."""
     budget = active_budget()
     eng = _engine(ring)
     field = ring.field
     p = eng.p
-    key, pack = eng.key, eng.pack
+    key, div, lcm, degree = eng.key, eng.div, eng.lcm, eng.degree
     basis: list = []
-    leads: list = []  # unpacked leading monomial of each basis element
-    heap: list = []  # (deg, key, i, k, packed) of each pair's lcm; (i, k) is unique
-    done: set = set()
+    divs = _Divisors(eng.n)  # the leads of basis, for reduction and the update
+    live: list = []  # the elements whose lead no later lead divides
+    heap: list = []  # (deg, key, i, j, packed) of each queued pair's lcm
+    queued: dict = {}  # (i, j) -> packed lcm of each queued pair still alive
 
     def add(r):
-        basis.append(_monic(r, field))
+        r = _monic(r, field)
+        h = r[0][1]
+        k = len(basis)
+        for (i, j), l in list(queued.items()):  # criterion B
+            if (div(l, h) is not None and l != lcm(basis[i][0][1], h)
+                    and l != lcm(basis[j][0][1], h)):
+                del queued[i, j]
+        new = []
+        for i in live:
+            l = lcm(basis[i][0][1], h)
+            new.append((degree(l), i, l))
+        new.sort()
+        kept: list = []  # lcms of the new pairs no other one divides
+        for deg, i, l in new:  # criteria M and F
+            if any(div(l, m) is not None for m in kept):
+                continue
+            kept.append(l)
+            if l != basis[i][0][1] + h:  # leads not coprime
+                heapq.heappush(heap, (deg, key(eng.unpack(l)), i, k, l))
+                queued[i, k] = l
+        gone = divs.multiples(h)
+        live[:] = [i for i in live if not gone >> i & 1]
+        live.append(k)
+        basis.append(r)
+        divs.add(h)
         budget.charge_basis(len(basis))
-        k = len(basis) - 1
-        tk = eng.unpack(r[0][1])
-        leads.append(tk)
-        for i in range(k):
-            t = tuple(map(max, leads[i], tk))
-            heapq.heappush(heap, (sum(t), key(t), i, k, pack(t)))
 
     for f in gens:
         if f.is_zero():
             continue
-        r = _reduce_full(_TermSum(p, eng.plist(f)), basis, eng)
+        r = _reduce_full(_TermSum(p, eng.plist(f)), basis, divs)
         if r:
             add(r)
 
     while heap:
-        budget.charge_pair()
         _, lkey, i, j, l = heapq.heappop(heap)
-        done.add((i, j))
-        if l == basis[i][0][1] + basis[j][0][1]:
-            continue  # coprime leading terms
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if eng.div(l, basis[k][0][1]) is not None:
-                pa = (min(i, k), max(i, k))
-                pb = (min(j, k), max(j, k))
-                if pa in done and pb in done:
-                    chained = True
-                    break
-        if chained:
-            continue
+        if queued.pop((i, j), None) is None:
+            continue  # killed by criterion B after it was queued
+        budget.charge_pair()
         # the S-polynomial's leading terms cancel, so only the tails are added
         fi, fj = basis[i], basis[j]
         acc = _TermSum(p)
         acc.add(islice(fi, 1, None), lkey - fi[0][0], l - fi[0][1], 1)
         acc.add(islice(fj, 1, None), lkey - fj[0][0], l - fj[0][1], p - 1)
-        r = _reduce_full(acc, basis, eng)
+        r = _reduce_full(acc, basis, divs)
         if r:
             add(r)
 
-    # reduce: minimalize leading terms, then tail-reduce sequentially
-    basis.sort(key=lambda t: t[0][0])
-    minimal = []
-    for terms in basis:
-        if not any(eng.div(terms[0][1], m[0][1]) is not None for m in minimal):
-            minimal.append(terms)
-    for idx in range(len(minimal)):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        minimal[idx] = _monic(_reduce_full(_TermSum(p, minimal[idx]), others, eng), field)
-    minimal.sort(key=lambda t: t[0][0], reverse=True)
+    # the live elements form a minimal basis; tail-reduce each by the others
+    dead = divs.all
+    for i in live:
+        dead ^= 1 << i
+    for i in live:
+        basis[i] = _reduce_full(_TermSum(p, basis[i]), basis, divs, dead | 1 << i)
+    minimal = sorted((basis[i] for i in live), key=lambda t: t[0][0], reverse=True)
     return tuple(eng.to_poly(t) for t in minimal)
 
 
@@ -304,15 +387,16 @@ def _buchberger(gens, ring: PolyRing):
 
 class Ideal:
     """Generator list with a write-once cache of its reduced Groebner basis
-    and of that basis packed for the reduction engine."""
+    and of that basis packed, with its lead index, for the reduction engine."""
 
-    __slots__ = ("ring", "gens", "_gb", "_packed")
+    __slots__ = ("ring", "gens", "_gb", "_packed", "_divs")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
         self._packed = None
+        self._divs = None
 
     def groebner_basis(self):
         if self._gb is None:
@@ -351,7 +435,8 @@ def normal_form(f: Polynomial, I: Ideal) -> Polynomial:
     eng = _engine(I.ring)
     if I._packed is None:
         I._packed = [eng.plist(g) for g in gb]
-    return eng.to_poly(_reduce_full(_TermSum(eng.p, eng.plist(f)), I._packed, eng))
+        I._divs = _Divisors(eng.n, [t[0][1] for t in I._packed])
+    return eng.to_poly(_reduce_full(_TermSum(eng.p, eng.plist(f)), I._packed, I._divs))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -324,9 +324,8 @@ def run_task(job: dict, index: int) -> dict:
                     max_box=job["budget_monomials"])
     out = {"index": index, "kind": kind, "status": "ok", "rows": []}
     try:
-        R = build_presentation(job)
         with budget:
-            TASKS[kind].run(R, task, out)
+            TASKS[kind].run(build_presentation(job), task, out)
     except (CharpError, ValueError) as exc:
         out["status"] = "error"
         out["error"] = f"{type(exc).__name__}: {exc}"

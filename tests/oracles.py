@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from charp.ideal import Ideal, bracket_power, ideal_power, ideal_sum, length, normal_form
-from charp.poly import PolyRing, mono_div, mono_mul
+from charp.poly import PolyRing, mono_div, mono_lcm, mono_mul
 
 
 def box_monomials(bounds):
@@ -163,6 +163,30 @@ def textbook_remainder(f, divisors):
             rem = rem + lead
             f = f - lead
     return rem
+
+
+def textbook_groebner(gens):
+    """The reduced Groebner basis of gens, descending, by Buchberger's
+    algorithm as first stated: every pair is reduced, with no criterion, by
+    textbook_remainder; then the basis is minimalized and interreduced."""
+    basis = [g.monic() for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        f, g = basis[i], basis[j]
+        l = mono_lcm(f.lm(), g.lm())
+        s = f.mul_monomial(mono_div(l, f.lm())) - g.mul_monomial(mono_div(l, g.lm()))
+        r = textbook_remainder(s, basis)
+        if not r.is_zero():
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(r.monic())
+    minimal = []
+    for g in basis:
+        if not any(mono_div(g.lm(), h.lm()) is not None for h in minimal):
+            minimal = [h for h in minimal if mono_div(h.lm(), g.lm()) is None] + [g]
+    reduced = [textbook_remainder(g, minimal[:i] + minimal[i + 1:]).monic()
+               for i, g in enumerate(minimal)]
+    return tuple(sorted(reduced, key=lambda g: g.ring.order.key(g.lm()), reverse=True))
 
 
 def nu_binary_search(L, a: Ideal, e: int) -> int:

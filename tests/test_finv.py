@@ -85,6 +85,14 @@ def test_hk_quadric_estimate():
     assert est.raw == (Fraction(73, 49), Fraction(3601, 2401))
 
 
+def test_hk_quadric_lambda_3_within_a_pair_budget():
+    # a work guard by count, not time: this basis has 346 elements, and a
+    # pair queue that grows like the square of that (59,685 pairs) fails
+    L = local(7, ("x", "y", "z"), ["x*y - z^2"])
+    with Budget(max_pairs=1_000, max_box=10**8):
+        assert hk_function(L, 3).lam == 176473
+
+
 def test_hk_estimate_regular_exact():
     est = hk_estimate(local(5, ("x", "y"), []), 2)
     assert est.value == 1 and est.confidence == "exact"

@@ -17,6 +17,8 @@ from charp.ideal import (
     INFINITE,
     Budget,
     Ideal,
+    _Divisors,
+    _engine,
     active_budget,
     bracket_power,
     colon,
@@ -42,6 +44,7 @@ from oracles import (
     quotient_length_bruteforce,
     random_nonzero_poly,
     standard_count_bruteforce,
+    textbook_groebner,
     textbook_remainder,
 )
 
@@ -129,6 +132,48 @@ def test_gb_certificates_random():
     for _ in range(25):
         J = Ideal(R2, [random_nonzero_poly(rng, R2) for _ in range(rng.randint(1, 3))])
         _assert_buchberger_certificate(J)
+
+
+GB_ORDERS = {
+    "lex": MonomialOrder.lex(3),
+    "grevlex": MonomialOrder.grevlex(3),
+    "elim": MonomialOrder.elimination(3, 1),
+    "lazard": MonomialOrder("lazard", 3),
+}
+
+
+@pytest.mark.parametrize("order", sorted(GB_ORDERS))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gb_matches_the_textbook_algorithm(p, order):
+    # random generators are not homogeneous; each ideal is also translated
+    rng = random.Random(10 * p + sorted(GB_ORDERS).index(order))
+    R = PolyRing(field_new(p), ("x", "y", "z"), GB_ORDERS[order])
+    for _ in range(6):
+        gens = [random_nonzero_poly(rng, R) for _ in range(rng.randint(1, 3))]
+        point = tuple(rng.randrange(p) for _ in range(3))
+        for G in (gens, [g.shift(point) for g in gens]):
+            assert Ideal(R, G).groebner_basis() == textbook_groebner(G)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_divisor_index_matches_the_linear_scan(n):
+    rng = random.Random(n)
+    eng = _engine(PolyRing(field_new(5), tuple(f"x{j}" for j in range(n))))
+    for size in (0, 1, 4, 30):
+        leads = [eng.pack(tuple(rng.randrange(6) for _ in range(n))) for _ in range(size)]
+        divs = _Divisors(n, leads)
+        for _ in range(40):
+            t = tuple(rng.randrange(8) for _ in range(n))
+            m = eng.pack(t)
+            skip = rng.getrandbits(size) if rng.random() < 0.5 else 0
+            assert divs.first(m, skip) == next(
+                (i for i, l in enumerate(leads)
+                 if not skip >> i & 1 and eng.div(m, l) is not None), -1)
+            assert divs.multiples(m) == sum(
+                1 << i for i, l in enumerate(leads) if eng.div(l, m) is not None)
+            for l in leads:
+                assert eng.lcm(m, l) == eng.pack(tuple(map(max, t, eng.unpack(l))))
+            assert eng.degree(m) == sum(t)
 
 
 def test_gb_budget():

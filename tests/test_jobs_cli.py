@@ -397,10 +397,11 @@ ideal = x*z - y^2; y*w - z^2; x*w - y*z
 """
 
 
-@pytest.mark.parametrize("pairs, code", [(503, 2), (504, 0)])
+@pytest.mark.parametrize("pairs, code", [(114, 2), (115, 0)])
 def test_the_task_budget_covers_the_local_standard_basis(tmp_path, pairs, code):
     # the twisted cubic is not a complete intersection, so its local ring is
-    # built from a standard basis at the point: 3 of the 504 pairs the task pops
+    # built from a standard basis at the point: 2 of the 115 pairs the task
+    # pops, and the component's own basis pops 2 more
     path = _write(tmp_path, TWISTED_CUBIC_FEDDER.format(pairs=pairs))
     assert main(["run", str(path)]) == code
     entry = json.loads((tmp_path / "job.report.json").read_text())["tasks"][0]
@@ -408,13 +409,30 @@ def test_the_task_budget_covers_the_local_standard_basis(tmp_path, pairs, code):
         assert entry["error"].startswith("ResourceBudgetError: ")
     else:
         assert entry["f_pure"] is True
-        assert entry["budget"]["used_pairs"] == 504
+        assert entry["budget"]["used_pairs"] == 115
+
+
+@pytest.mark.parametrize("pairs, code", [(14, 2), (15, 0)])
+def test_the_task_budget_covers_the_component_bases(tmp_path, pairs, code):
+    # the task's own ring is (x), whose bases pop no pair; building the
+    # presentation also builds the second component's basis, which pops 15
+    path = _write(tmp_path, f"p = 3\nbudget_pairs = {pairs}\n[component]\nvars = x y\n"
+                            "ideal = x\n[component]\nvars = x y z w\nideal = "
+                            "x^2*y - z^3 + w; x*y^2 - w^2 + z; x*z*w - y^3 + 1\n"
+                            "[task hk]\npoint = 0 0\ne_max = 2\n")
+    assert main(["run", str(path)]) == code
+    entry = json.loads((tmp_path / "job.report.json").read_text())["tasks"][0]
+    if code:
+        assert entry["error"] == ("ResourceBudgetError: resource budget exceeded: "
+                                  "pair count used 15 > limit 14")
+    else:
+        assert entry["budget"]["used_pairs"] == 15
 
 
 def test_classify_counts_the_basis_its_dimension_comes_from():
     job = validate_job(parse_job_text("p = 5\n[component]\nvars = x y z\nideal = x*z; y*z\n"
                                       "[task classify]\npoint = 0 0 1\n"))
-    assert run_job(job)["tasks"][0]["budget"]["used_pairs"] == 94
+    assert run_job(job)["tasks"][0]["budget"]["used_pairs"] == 43
 
 
 # a malformed component is a parse error naming it, found when the job is
