@@ -262,8 +262,13 @@ def validate_job(job: dict, flags: dict | None = None, cap: str | None = None) -
     if cap is not None:
         job["budget_monomials"] = min(job["budget_monomials"],
                                       _convert("budget_monomials", cap, CAP_VARIABLE))
-    for task in tasks:
+    for i, task in enumerate(tasks):
         _resolve(task, TASKS[task["kind"]].keys, flags, job)
+        # an estimate extrapolates from two exponents at least; the kinds
+        # with a tolerance are exactly the estimates
+        if "tolerance" in task and task["e_max"] < 2:
+            raise ParseError(f"task {i} ({task['kind']}): 'e_max' must be an "
+                             f"integer >= 2 for an estimate, got {task['e_max']}")
     return job
 
 
@@ -283,10 +288,13 @@ def _component_parts(field, spec: dict, where: str) -> tuple:
     return ring, gens, primes or None
 
 
+def _build_component(job: dict, index: int) -> RingComponent:
+    spec = job["components"][index]
+    return RingComponent(*_component_parts(field_new(job["p"]), spec, f"component {index}"))
+
+
 def build_presentation(job: dict) -> RingPresentation:
-    field = field_new(job["p"])
-    return RingPresentation(RingComponent(*_component_parts(field, spec, f"component {i}"))
-                            for i, spec in enumerate(job["components"]))
+    return RingPresentation(_build_component(job, i) for i in range(len(job["components"])))
 
 
 def _fraction_cell(x: Fraction) -> dict:
@@ -325,7 +333,7 @@ def run_task(job: dict, index: int) -> dict:
     out = {"index": index, "kind": kind, "status": "ok", "rows": []}
     try:
         with budget:
-            TASKS[kind].run(build_presentation(job), task, out)
+            TASKS[kind].run(job, task, out)
     except (CharpError, ValueError) as exc:
         out["status"] = "error"
         out["error"] = f"{type(exc).__name__}: {exc}"
@@ -337,19 +345,21 @@ def run_task(job: dict, index: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# task runners: run(R, task, out) fills the result entry `out`; the work
-# charges the task's budget, active around the call
+# task runners: run(job, task, out) fills the result entry `out`; the work,
+# building the components the task reads included, charges the task's
+# budget, active around the call
 
-def _component(R: RingPresentation, index: int):
-    if not 0 <= index < len(R.components):
+def _check_component(index: int, count: int) -> None:
+    if not 0 <= index < count:
         raise ValueError(f"component index {index} out of range "
-                         f"(presentation has {len(R.components)})")
-    return R.components[index]
+                         f"(presentation has {count})")
 
 
-def _local(R: RingPresentation, task: dict):
+def _local(job: dict, task: dict):
+    # the local ring at the task's point, with only its component built
     ci = task["component"]
-    comp = _component(R, ci)
+    _check_component(ci, len(job["components"]))
+    comp = _build_component(job, ci)
     point = task.get("point")
     if point is None:
         point = [0] * comp.ring.nvars
@@ -359,7 +369,7 @@ def _local(R: RingPresentation, task: dict):
 def _samples(R: RingPresentation, raw) -> list:
     out = []
     for s in raw:
-        _component(R, s["component"])
+        _check_component(s["component"], len(R.components))
         out.append(PrimeSample(s["component"], tuple(s["point"])))
     return out
 
@@ -393,21 +403,21 @@ def _ideal(ring: PolyRing, sources) -> Ideal:
     return Ideal(ring, [ring.parse(src) for src in sources])
 
 
-def _run_estimate(R, task, out):
-    L, ci, point = _local(R, task)
+def _run_estimate(job, task, out):
+    L, ci, point = _local(job, task)
     estimate = hk_estimate if task["kind"] == "hk" else fsig_estimate
     est = estimate(L, task["e_max"], task["tolerance"])
     out["rows"] += _record_rows(task["kind"], ci, point, est.records)
     out["estimate"] = _estimate_payload(est)
 
 
-def _run_fedder(R, task, out):
-    L, _, _ = _local(R, task)
+def _run_fedder(job, task, out):
+    L, _, _ = _local(job, task)
     out["f_pure"] = fedder_is_fpure(L)
 
 
-def _run_pair(R, task, out):
-    L, ci, point = _local(R, task)
+def _run_pair(job, task, out):
+    L, ci, point = _local(job, task)
     a = _ideal(L.ring, task["a"])
     out["pair"] = []
     for t_src in task.get("t_grid") or [task["t"]]:
@@ -420,12 +430,13 @@ def _run_pair(R, task, out):
         })
 
 
-def _run_nu(R, task, out):
-    L, _, _ = _local(R, task)
+def _run_nu(job, task, out):
+    L, _, _ = _local(job, task)
     out["nu"] = nu_invariant(L, _ideal(L.ring, task["a"]), task["e"])
 
 
-def _run_global(R, task, out):
+def _run_global(job, task, out):
+    R = build_presentation(job)
     kind = task["kind"]
     samples = _samples(R, task["samples"])
     fn = global_hk if kind == "global_hk" else global_fsig
@@ -452,7 +463,8 @@ def _run_global(R, task, out):
         out["rows"] += _record_rows(kind, s.component, s.point, est.records)
 
 
-def _run_semicontinuity(R, task, out):
+def _run_semicontinuity(job, task, out):
+    R = build_presentation(job)
     special = _samples(R, [task["special"]])[0]
     nearby = _samples(R, task["nearby"])
     rep = semicontinuity_probe(R, special, nearby, task["e"])
@@ -470,8 +482,8 @@ def _run_semicontinuity(R, task, out):
         out["error"] = rep.note
 
 
-def _run_flat_check(R, task, out):
-    L, ci, point = _local(R, task)
+def _run_flat_check(job, task, out):
+    L, ci, point = _local(job, task)
     pair = None
     if task.get("a"):
         pair = (_ideal(L.ring, task["a"]), Fraction(task["t"]))
@@ -496,8 +508,8 @@ def _run_flat_check(R, task, out):
         out["error"] = "flat extension comparison failed"
 
 
-def _run_classify(R, task, out):
-    L, _, _ = _local(R, task)
+def _run_classify(job, task, out):
+    L, _, _ = _local(job, task)
     flags = classify(L, task["e_max"], task["tolerance"])
     out["flags"] = flags.as_dict()
     out["flags"]["hk"] = _estimate_payload(flags.hk)
@@ -534,7 +546,7 @@ TASKS = {
         "F-pure iff (I^[p] : I) is not contained in m^[p] (Fedder's criterion);\n"
         "for a hypersurface f this reads f^(p-1) not in m^[p]."
     )),
-    "pair": TaskKind(_LIMIT | {"a", "t", "t_grid"}, frozenset({"a"}), _run_pair, (
+    "pair": TaskKind(_LOCAL | {"e_max", "a", "t", "t_grid"}, frozenset({"a"}), _run_pair, (
         "a_e(R, a^t) = lambda(S/(m^[q] : a^ceil(t(q-1)) * (I^[q]:I))):\n"
         "splitting numbers of the Cartier subalgebra scaled by powers of a\n"
         "(Blickle-Schwede-Tucker); t = 0 recovers the plain splitting numbers."

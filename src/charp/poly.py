@@ -48,10 +48,6 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a: tuple) -> int:
-    return sum(a)
-
-
 def monomial_count_box(bounds) -> int:
     """Number of monomials in the box prod [0, b_i): the standard monomials
     of the pure-power ideal (x_1^b_1, ..., x_n^b_n)."""

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import charp.ideal
 from charp.errors import (
     NotAPowerOfPError,
     ResourceBudgetError,
@@ -33,8 +34,9 @@ from charp.ideal import (
     length,
     normal_form,
     s_polynomial,
+    standard_count,
 )
-from charp.poly import MonomialOrder, PolyRing
+from charp.poly import MonomialOrder, PolyRing, mono_div
 
 from oracles import (
     box_monomials,
@@ -495,6 +497,49 @@ def test_count_recursion_matches_enumeration():
         gens += [R.monomial(m) for m in monos]
         lam = length(Ideal(R, gens))
         assert lam == standard_count_bruteforce(monos, bounds)
+    # raw generator lists, unlike the leads of a reduced basis: duplicates,
+    # generators that others divide, chains of them, and several pure powers
+    # of one variable
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        bounds = [rng.randint(1, 5) for _ in range(n)]
+        gens = [tuple(b + rng.choice((0, 0, 2)) if i == j else 0 for j in range(n))
+                for i, b in enumerate(bounds)]
+        gens += [tuple(b if i == j else 0 for j in range(n)) for i, b in enumerate(bounds)]
+        mixed = [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(0, 8))]
+        mixed = [m for m in mixed if any(m)]
+        for m in list(mixed):
+            if rng.random() < 0.5:  # a multiple of m, and of that multiple
+                i = rng.randrange(n)
+                up = tuple(e + (j == i) for j, e in enumerate(m))
+                mixed += [up, tuple(e + 1 for e in up), m]
+        gens += mixed
+        rng.shuffle(gens)
+        assert standard_count(gens, n) == standard_count_bruteforce(gens, bounds)
+    assert standard_count([(2, 0), (1, 1)], 2) == INFINITE  # no power of y
+    # the 0-variable ring F_3: one standard monomial, none modulo the unit ideal
+    assert standard_count([], 0) == 1
+    assert standard_count([(), ()], 0) == 0
+    R0 = PolyRing(field_new(3), ())
+    assert length(Ideal(R0, [])) == 1
+
+
+def test_counting_the_quadric_lambda_3_leads_is_not_quadratic(monkeypatch):
+    # the 346 leads of (xy - z^2) + m^[343] over F_7: minimalizing each slab's
+    # generators from scratch made 146,547 divisibility tests here
+    J = I(ring(7), "x*y - z^2", "x^343", "y^343", "z^343")
+    lms = [g.lm() for g in J.groebner_basis()]
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return mono_div(a, b)
+
+    monkeypatch.setattr(charp.ideal, "mono_div", counted)
+    with Budget(max_box=10**8):
+        assert standard_count(lms, 3) == 176473
+    assert len(lms) == 346
+    assert 0 < len(calls) < 50_000
 
 
 def test_length_budget():

@@ -412,21 +412,21 @@ def test_the_task_budget_covers_the_local_standard_basis(tmp_path, pairs, code):
         assert entry["budget"]["used_pairs"] == 115
 
 
-@pytest.mark.parametrize("pairs, code", [(14, 2), (15, 0)])
-def test_the_task_budget_covers_the_component_bases(tmp_path, pairs, code):
-    # the task's own ring is (x), whose bases pop no pair; building the
-    # presentation also builds the second component's basis, which pops 15
-    path = _write(tmp_path, f"p = 3\nbudget_pairs = {pairs}\n[component]\nvars = x y\n"
+@pytest.mark.parametrize("component, point", [(0, "0 0"), (1, "0 0 0 0")])
+def test_the_task_budget_covers_the_component_bases(tmp_path, component, point):
+    # a task builds only the component it reads: (x), whose bases pop no
+    # pair, or the second one, whose basis pops 15
+    path = _write(tmp_path, "p = 3\nbudget_pairs = 14\n[component]\nvars = x y\n"
                             "ideal = x\n[component]\nvars = x y z w\nideal = "
                             "x^2*y - z^3 + w; x*y^2 - w^2 + z; x*z*w - y^3 + 1\n"
-                            "[task hk]\npoint = 0 0\ne_max = 2\n")
-    assert main(["run", str(path)]) == code
+                            f"[task hk]\ncomponent = {component}\npoint = {point}\ne_max = 2\n")
+    assert main(["run", str(path)]) == (2 if component else 0)
     entry = json.loads((tmp_path / "job.report.json").read_text())["tasks"][0]
-    if code:
+    if component:
         assert entry["error"] == ("ResourceBudgetError: resource budget exceeded: "
                                   "pair count used 15 > limit 14")
     else:
-        assert entry["budget"]["used_pairs"] == 15
+        assert entry["budget"]["used_pairs"] == 0
 
 
 def test_classify_counts_the_basis_its_dimension_comes_from():
@@ -567,6 +567,33 @@ def test_bad_settings_exit_1_from_every_source(tmp_path, capsys, key, args, kind
     assert main(["run", str(path)] + args) == 1
     assert f"'{key}' must be {_KEY_TYPES[key].expected}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.report.*"))
+
+
+# an estimate extrapolates from e_max >= 2 exponents: a smaller e_max is a
+# parse error naming the task (exit 1, no report), not a ValueError inside it
+@pytest.mark.parametrize("kind", ["hk", "fsig", "classify", "global_hk", "global_fsig"])
+@pytest.mark.parametrize("encoding", ["text", "json"])
+def test_estimate_with_e_max_1_exits_1(tmp_path, capsys, kind, encoding):
+    keys = {"samples": [{"component": 0, "point": [0, 0, 0]}]} if "global" in kind else {}
+    if encoding == "text":
+        extra = "samples = 0:(0,0,0)\n" if keys else ""
+        path = _write(tmp_path, QUADRIC_JOB + f"\n[task {kind}]\n{extra}e_max = 1\n")
+    else:
+        job = validate_job(parse_job_text(QUADRIC_JOB))
+        job["tasks"].append({"kind": kind, "e_max": 1, **keys})
+        path = _write(tmp_path, json.dumps(job), "job.json")
+    assert main(["run", str(path)]) == 1
+    assert f"task 2 ({kind}): 'e_max' must be an integer >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.report.*"))
+
+
+def test_pair_and_flat_check_keep_e_max_1():
+    job = validate_job(parse_job_text(
+        QUADRIC_JOB + "\n[task pair]\na = x\ne_max = 1\n[task flat_check]\ne_max = 1\n"))
+    assert [t["e_max"] for t in job["tasks"][2:]] == [1, 1]
+    assert "tolerance" not in job["tasks"][2]  # pair has no tolerance key
+    with pytest.raises(ParseError, match="unknown key 'tolerance'"):
+        parse_job_text(QUADRIC_JOB + "\n[task pair]\na = x\ntolerance = 0.1\n")
 
 
 def test_settings_precedence_flag_task_job_default():
