@@ -412,21 +412,23 @@ def test_the_task_budget_covers_the_local_standard_basis(tmp_path, pairs, code):
         assert entry["budget"]["used_pairs"] == 115
 
 
-@pytest.mark.parametrize("component, point", [(0, "0 0"), (1, "0 0 0 0")])
-def test_the_task_budget_covers_the_component_bases(tmp_path, component, point):
-    # a task builds only the component it reads: (x), whose bases pop no
-    # pair, or the second one, whose basis pops 15
-    path = _write(tmp_path, "p = 3\nbudget_pairs = 14\n[component]\nvars = x y\n"
+@pytest.mark.parametrize("pairs, code", [(14, 2), (15, 0)])
+def test_the_task_budget_covers_the_component_bases(tmp_path, pairs, code):
+    # a task builds only the component it reads: the hk task's ring is (x),
+    # whose bases pop no pair, and the fedder task's basis pops 15
+    path = _write(tmp_path, f"p = 3\nbudget_pairs = {pairs}\n[component]\nvars = x y\n"
                             "ideal = x\n[component]\nvars = x y z w\nideal = "
                             "x^2*y - z^3 + w; x*y^2 - w^2 + z; x*z*w - y^3 + 1\n"
-                            f"[task hk]\ncomponent = {component}\npoint = {point}\ne_max = 2\n")
-    assert main(["run", str(path)]) == (2 if component else 0)
-    entry = json.loads((tmp_path / "job.report.json").read_text())["tasks"][0]
-    if component:
-        assert entry["error"] == ("ResourceBudgetError: resource budget exceeded: "
-                                  "pair count used 15 > limit 14")
+                            "[task hk]\ncomponent = 0\npoint = 0 0\ne_max = 2\n"
+                            "[task fedder]\ncomponent = 1\npoint = 0 1 0 0\n")
+    assert main(["run", str(path)]) == code
+    hk, fedder = json.loads((tmp_path / "job.report.json").read_text())["tasks"]
+    assert hk["status"] == "ok" and hk["budget"]["used_pairs"] == 0
+    if code:
+        assert fedder["error"] == ("ResourceBudgetError: resource budget exceeded: "
+                                   "pair count used 15 > limit 14")
     else:
-        assert entry["budget"]["used_pairs"] == 0
+        assert fedder["budget"]["used_pairs"] == 15
 
 
 def test_classify_counts_the_basis_its_dimension_comes_from():
