@@ -7,6 +7,7 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import ParseError
 from .jobs import CAP_VARIABLE, TASKS, parse_job_file, run_job
 from .report import report_to_json, report_to_tsv
 
@@ -16,6 +17,11 @@ class _Parser(argparse.ArgumentParser):
         # a usage error is malformed input (exit 1); exit 2 means a task failed
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _parse_error(exc) -> int:
+    print(f"charp: job parse error: {exc}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
@@ -58,10 +64,11 @@ def main(argv=None) -> int:
     try:
         job = parse_job_file(str(args.job), flags, os.environ.get(CAP_VARIABLE))
     except Exception as exc:  # ParseError, OSError, or an undecodable file
-        print(f"charp: job parse error: {exc}", file=sys.stderr)
-        return 1
-
-    report = run_job(job)
+        return _parse_error(exc)
+    try:
+        report = run_job(job)
+    except ParseError as exc:  # a unit-ideal component, found before any task runs
+        return _parse_error(exc)
 
     base = args.job
     stem = base.with_suffix("") if base.suffix else base

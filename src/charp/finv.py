@@ -21,18 +21,22 @@ complete intersection walks a chain of colons by F^(p-1) to M, and
 `splitting_ideal` builds I_e itself as the oracle the tests compare against.
 
 A LocalRingAtPoint takes an Ideal that may already hold its Groebner basis
-and caches its own Frobenius data write-once, as an Ideal caches its basis:
-the multiplier per q and the walk's steps per e, so every reader of a_e or
-(I^[q] : I) on one ring computes each once.  No function here takes a
-budget: the work charges the active one (`with budget:`, see
-`ideal.Budget`), so cached work, the standard basis a ring is built from
-included, is charged to the budget active when it is first computed.  A
-step is stored only once it completes, so a budget error leaves the ring
-consistent.
+and caches its local data write-once, as an Ideal caches its basis: the
+standard basis at the point, lambda_e, the multiplier per q and the walk's
+steps per e, each computed once for every reader of the ring.  No
+function here takes a budget: the work charges the active one (`with
+budget:`, see `ideal.Budget`).  Each cached item keeps the Charges
+computing it made, and `L.reader()` gives a new reader of the same data:
+a reader's first read of an item charges the active budget those Charges
+again, so a reader pays what computing the item itself would cost, and
+where that would pass a cap it computes the item again, which raises the
+real budget error.  An item is stored only once it completes, so a budget
+error leaves the ring consistent.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -40,6 +44,7 @@ from fractions import Fraction
 from .errors import NotPrimaryError, ZeroIdealError
 from .ideal import (
     INFINITE,
+    Charges,
     Ideal,
     active_budget,
     bracket_power,
@@ -52,6 +57,7 @@ from .ideal import (
     length,
     local_leading_monomials,
     normal_form,
+    power_spans,
     standard_count,
 )
 from .poly import poly_pow
@@ -65,12 +71,13 @@ class LocalRingAtPoint:
     ideal0 is I in presentation coordinates and m0 = (x_i - a_i) is the
     maximal ideal of a; bracket_power(m0, q) = (x_i^q - a_i).  Ideals of
     S/I passed to the invariants (J, a) are read in the same coordinates.
-    Like an Ideal's Groebner basis, the local data is a write-once cache:
-    the standard basis's leading monomials, the multiplier (I^[q] : I) per
-    q and the splitting steps per e.
+    Like an Ideal's Groebner basis, the local data is a write-once cache,
+    shared by every reader of the ring: the standard basis's leading
+    monomials, lambda_e per e, the multiplier (I^[q] : I) per q and the
+    splitting steps per e.  `charges` is what building the ring charged.
     """
 
-    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_leads", "_mult", "_steps")
+    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "charges", "_cache", "_read")
 
     def __init__(self, ideal: Ideal, point):
         ring = ideal.ring
@@ -85,14 +92,24 @@ class LocalRingAtPoint:
         self.point = point
         self.ideal0 = ideal
         self.m0 = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
-        self._leads = None  # leading monomials of the standard basis at a
-        self._mult: dict = {}  # q -> (I^[q] : I)
-        self._steps: dict = {}  # e -> (M, lambda(S/M), U, a_e)
-        d = krull_dim(ideal)
-        if len(ideal.gens) != ring.nvars - d:  # else unmixed: every point has d
-            self._leads = local_leading_monomials(ideal, point)
-            d = len(largest_free_sets(self._leads, ring.nvars)[0])
-        self.d = d
+        # ("leads" | ("lam", e) | ("mult", q) | ("step", e)) -> (value, Charges)
+        self._cache: dict = {}
+        self._read: set = set()  # the keys this reader has been charged for
+        self.d, self.charges = active_budget().measure(self._dimension)
+
+    def _dimension(self) -> int:
+        d = krull_dim(self.ideal0)
+        if len(self.gens) != self.ring.nvars - d:  # else unmixed: every point has d
+            leads = local_leading_monomials(self.ideal0, self.point)
+            self._cache["leads"] = (leads, Charges())  # paid for with the ring
+            d = len(largest_free_sets(leads, self.ring.nvars)[0])
+        return d
+
+    def reader(self) -> LocalRingAtPoint:
+        """A new reader of this ring's data, charged for no item yet."""
+        other = copy.copy(self)
+        other._read = set()
+        return other
 
     @property
     def p(self) -> int:
@@ -102,16 +119,29 @@ class LocalRingAtPoint:
         return f"LocalRingAtPoint({self.ideal0!r} at {self.point})"
 
 
+def _read(L: LocalRingAtPoint, key, work):
+    """L's cached item `key`, computed by work() if no reader has.  This
+    reader's first read of it charges the active budget what computing it
+    charged, or, where that would pass a cap, computes it again, which
+    raises the real budget error."""
+    hit = L._cache.get(key)
+    if hit is None or (key not in L._read and not active_budget().replay(hit[1])):
+        value, charges = active_budget().measure(work)
+        if hit is None:
+            L._cache[key] = hit = (value, charges)
+    L._read.add(key)
+    return hit[0]
+
+
 def multiplicity(L: LocalRingAtPoint) -> int:
     """e(R), that of S/L for the leading ideal L at the point: by the
     associativity formula, the sum over L's largest free sets U of the
     standard monomials of L in the other variables once x_U is set to 1."""
-    if L._leads is None:
-        L._leads = local_leading_monomials(L.ideal0, L.point)
+    leads = _read(L, "leads", lambda: local_leading_monomials(L.ideal0, L.point))
     n, total = L.ring.nvars, 0
-    for U in largest_free_sets(L._leads, n):
+    for U in largest_free_sets(leads, n):
         rest = [j for j in range(n) if j not in U]
-        total += standard_count([tuple(m[j] for j in rest) for m in L._leads], len(rest))
+        total += standard_count([tuple(m[j] for j in rest) for m in leads], len(rest))
     return total
 
 
@@ -174,7 +204,8 @@ def _extrapolate(values, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
 # Hilbert-Kunz
 
 def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None) -> HKRecord:
-    """lambda(R/J^[q]R) for q = p^e, J defaulting to the maximal ideal.
+    """lambda(R/J^[q]R) for q = p^e, J defaulting to the maximal ideal, for
+    which lambda_e is cached on L.
 
     J must be primary to the point modulo I: S/(I + J) has a finite length
     l >= 1, and m^[p^k] lies in I + J for the least p^k >= l (as m^l does
@@ -183,7 +214,7 @@ def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None) -> HKRecord
         raise ValueError("e must be non-negative")
     q = L.p**e
     if J is None:
-        J = L.m0
+        lam = _read(L, ("lam", e), lambda: length(ideal_sum(L.ideal0, bracket_power(L.m0, q))))
     else:
         IJ = ideal_sum(L.ideal0, J)
         ell = length(IJ)
@@ -193,7 +224,7 @@ def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None) -> HKRecord
         if not 1 <= ell < INFINITE or \
                 length(ideal_sum(IJ, bracket_power(L.m0, pk))) != ell:
             raise NotPrimaryError("J is not primary to the point modulo I")
-    lam = length(ideal_sum(L.ideal0, bracket_power(J, q)))
+        lam = length(ideal_sum(L.ideal0, bracket_power(J, q)))
     if lam < q**L.d:
         raise RuntimeError(f"lambda_{e} = {lam} < q^d = {q**L.d} breaks Kunz's bound")
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
@@ -222,13 +253,13 @@ def _is_ci(L: LocalRingAtPoint) -> bool:
 def _multiplier(L: LocalRingAtPoint, q: int) -> Ideal:
     """(I^[q] : I) up to I^[q], which lies in m^[q]: Fedder's (F^(q-1)) for a
     complete intersection (F = 1 for I = 0), else the colon.  Cached on L."""
-    if q not in L._mult:
+    def work():
         if _is_ci(L):
             F = math.prod(L.ideal0.gens, start=L.ring.one())
-            L._mult[q] = Ideal(L.ring, (poly_pow(F, q - 1),))
-        else:
-            L._mult[q] = colon(bracket_power(L.ideal0, q), L.ideal0)
-    return L._mult[q]
+            return Ideal(L.ring, (poly_pow(F, q - 1),))
+        return colon(bracket_power(L.ideal0, q), L.ideal0)
+
+    return _read(L, ("mult", q), work)
 
 
 def _splitting_step(L: LocalRingAtPoint, e: int):
@@ -241,22 +272,29 @@ def _splitting_step(L: LocalRingAtPoint, e: int):
     principal on the first, and 0 -> S/(M:u) -u-> S/M -> S/(M+(u)) -> 0 is
     exact; on the second S/m^[q] is an Artinian complete intersection, hence
     Gorenstein, and Matlis duality gives lambda(0 :_A U) = lambda(A/UA) over
-    A = S/M.  A step is stored only once it completes."""
+    A = S/M.  A step reads what it is built from, the multiplier or the
+    step before, first, so its own Charges are its colon and length."""
     p, n = L.p, L.ring.nvars
     for k in range(1, e + 1) if _is_ci(L) else (e,):
-        if k in L._steps:
+        if ("step", k) in L._read:
             continue
-        if k == 1 or not _is_ci(L):
-            q = p**k
-            M, lam, U = bracket_power(L.m0, q), q**n, _multiplier(L, q)
+        walk = k > 1 and _is_ci(L)
+        if walk:
+            M, _, U, a = L._cache["step", k - 1][0]
+            lam = p**n * a
         else:
-            M0, _, U, a = L._steps[k - 1]
-            M, lam = bracket_power(colon(M0, U), p), p**n * a
-        a = lam - length(ideal_sum(M, U))
-        if not 0 <= a <= p**(k * L.d):
-            raise RuntimeError(f"a_{k} = {a} is outside [0, q^d = {p**(k * L.d)}]")
-        L._steps[k] = (M, lam, U, a)
-    return L._steps[e]
+            q = p**k
+            M, U, lam = bracket_power(L.m0, q), _multiplier(L, q), q**n
+
+        def work():
+            Mk = bracket_power(colon(M, U), p) if walk else M
+            a = lam - length(ideal_sum(Mk, U))
+            if not 0 <= a <= p**(k * L.d):
+                raise RuntimeError(f"a_{k} = {a} is outside [0, q^d = {p**(k * L.d)}]")
+            return Mk, lam, U, a
+
+        _read(L, ("step", k), work)
+    return L._cache["step", e][0]
 
 
 def fedder_is_fpure(L: LocalRingAtPoint) -> bool:
@@ -323,10 +361,10 @@ def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int) -> SplitReco
 
 
 def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int) -> int:
-    """nu(q) = max{r >= 0 : a^r not inside M = I + m^[q]}, in one pass:
-    V_0 = {1}, V_r = echelon{NF_M(g v) : g in a, v in V_(r-1)} spans the
-    r-fold generator products mod M, so a^r lies in M iff V_r = 0.  Each
-    |V_r| <= lambda(S/M) is charged to the box budget."""
+    """nu(q) = max{r >= 0 : a^r not inside M = I + m^[q]}, in one pass over
+    the spans V_r of the r-fold generator products mod M (`power_spans`):
+    a^r lies in M iff V_r = 0.  Each |V_r| <= lambda(S/M) is charged to the
+    box budget."""
     if e < 1:
         raise ValueError("e must be at least 1")
     budget = active_budget()
@@ -336,20 +374,10 @@ def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int) -> int:
         if g.evaluate(L.point) != 0:
             raise ValueError("a must be contained in the maximal ideal")
     M = ideal_sum(L.ideal0, bracket_power(L.m0, L.p**e))
-    r, V = 0, [L.ring.one()]
-    while True:
-        pivots: dict = {}  # leading monomial -> monic echelon vector
-        for g in a.gens:
-            for v in V:
-                w = normal_form(g * v, M)
-                while not w.is_zero() and w.lm() in pivots:
-                    w = w - pivots[w.lm()].scale(w.lc())
-                if not w.is_zero():
-                    pivots[w.lm()] = w.monic()
-        if not pivots:
+    for r, dim in enumerate(power_spans(a.gens, M)):
+        if not dim:
             return r
-        budget.charge_box(len(pivots))
-        r, V = r + 1, list(pivots.values())
+        budget.charge_box(dim)
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,27 @@ INFINITE = math.inf
 _FIELD_MASK = (1 << _FIELD_BITS) - 1  # one exponent of a packed monomial
 
 
+@dataclass(frozen=True)
+class Charges:
+    """What one piece of work charged its budget: the pairs it popped and
+    the largest basis and box it charged."""
+
+    pairs: int = 0
+    basis: int = 0
+    box: int = 0
+
+
 @dataclass
 class Budget:
     """Resource caps plus usage counters, scoped like decimal.localcontext:
     inside `with budget:` every Buchberger run, standard-monomial count, nu
     pass and flat-extension box charges `budget`.  Blocks nest, and leaving
     one, also by an exception, restores the budget it replaced.  Outside any
-    block each such call charges a fresh default Budget."""
+    block each such call charges a fresh default Budget.
+
+    Work that is done once and read many times records its Charges
+    (`measure`), and each reader is charged them again (`replay`), so a
+    budget's counters do not depend on who did the work first."""
 
     max_basis: int = 2000
     max_pairs: int = 200_000
@@ -90,6 +104,33 @@ class Budget:
 
     def snapshot(self) -> dict:
         return asdict(self)
+
+    def measure(self, work):
+        """(work(), the Charges it made), work run inside this budget's
+        block; its charges count here as they go, caps included.  Measured
+        work that reads other measured work reads it first, outside the
+        call, or a reader of both would be charged it twice."""
+        pairs, basis, box = self.used_pairs, self.used_basis, self.used_box
+        self.used_basis = self.used_box = 0  # so the peaks are work's own
+        try:
+            with self:
+                value = work()
+            return value, Charges(self.used_pairs - pairs, self.used_basis, self.used_box)
+        finally:
+            self.used_basis = max(basis, self.used_basis)
+            self.used_box = max(box, self.used_box)
+
+    def replay(self, charges: Charges) -> bool:
+        """Charge what work that made `charges` would charge here, if it
+        would stay within the caps; else charge nothing and return False,
+        and the caller does the work again to raise the real error."""
+        if (self.used_pairs + charges.pairs > self.max_pairs
+                or charges.basis > self.max_basis or charges.box > self.max_box):
+            return False
+        self.used_pairs += charges.pairs
+        self.used_basis = max(self.used_basis, charges.basis)
+        self.used_box = max(self.used_box, charges.box)
+        return True
 
     def __enter__(self):
         _ACTIVE.append(self)
@@ -428,14 +469,54 @@ def groebner(I: Ideal, order: MonomialOrder | None = None) -> Ideal:
     return J
 
 
-def normal_form(f: Polynomial, I: Ideal) -> Polynomial:
-    """The unique fully reduced remainder of f modulo I."""
+def _packed_basis(I: Ideal) -> tuple:
+    """I's reduced Groebner basis packed for the engine, and its lead index."""
     gb = I.groebner_basis()
-    eng = _engine(I.ring)
     if I._packed is None:
+        eng = _engine(I.ring)
         I._packed = [eng.plist(g) for g in gb]
         I._divs = _Divisors(eng.n, [t[0][1] for t in I._packed])
-    return eng.to_poly(_reduce_full(_TermSum(eng.p, eng.plist(f)), I._packed, I._divs))
+    return I._packed, I._divs
+
+
+def normal_form(f: Polynomial, I: Ideal) -> Polynomial:
+    """The unique fully reduced remainder of f modulo I."""
+    eng = _engine(I.ring)
+    return eng.to_poly(_reduce_full(_TermSum(eng.p, eng.plist(f)), *_packed_basis(I)))
+
+
+def power_spans(gens, I: Ideal):
+    """Yield dim_k (a^r + I)/I for r = 1, 2, ..., a = (gens), without end.
+
+    V_0 = {1}, and V_r is an echelon basis of the normal forms modulo I of
+    g*v, g in gens and v in V_(r-1): it spans the image of a^r.  Vectors
+    stay packed term lists; each product is summed in one _TermSum and
+    reduced by I's basis, and the pivots are keyed by their leads' order
+    keys.  V_r is computed only when its dimension is asked for."""
+    eng = _engine(I.ring)
+    p, field = eng.p, I.ring.field
+    basis, divs = _packed_basis(I)
+    gl = [eng.plist(g) for g in gens]
+    V = [eng.plist(I.ring.one())]
+    while True:
+        pivots: dict = {}  # lead key -> monic echelon vector
+        for g in gl:
+            for v in V:
+                acc = _TermSum(p)
+                for k, m, c in g:
+                    acc.add(v, k, m, c)
+                acc = _TermSum(p, _reduce_full(acc, basis, divs))
+                w = []  # the normal form with every pivot lead cleared
+                while (head := acc.pop()) is not None:
+                    piv = pivots.get(head[0])
+                    if piv is None:
+                        w.append(head)
+                    else:
+                        acc.add(islice(piv, 1, None), 0, 0, p - head[2])
+                if w:
+                    pivots[w[0][0]] = _monic(w, field)
+        V = list(pivots.values())
+        yield len(V)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -4,9 +4,14 @@ Two encodings share one schema: a sectioned key-value text format (grammar
 in the README) and JSON.  One key-type table converts text values and
 type-checks JSON values, and one registry (`TASKS`) holds each task kind's
 keys, runner and explanation.  Unknown keys are hard errors so typos cannot
-silently change a run.  Tasks are independent and may run in a process
-pool; results are reassembled in task order, so reports do not depend on
-scheduling.
+silently change a run.
+
+A job builds and checks each component once, before any task runs, and
+each component keeps one local ring per point; tasks read each other's
+cached work and are charged for it as if they had done it (see
+`finv.LocalRingAtPoint`).  Under a process pool, the tasks that read a
+common local ring run on one worker in task order, so a report, the
+budget counters included, does not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -14,11 +19,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import CharpError, ParseError
+from .errors import CharpError, ParseError, UnitIdealError
 from .finv import (
     DEFAULT_TOLERANCE,
     HKRecord,
@@ -30,7 +34,7 @@ from .finv import (
     pair_splitting_number,
 )
 from .gf import field_new
-from .ideal import Budget, Ideal
+from .ideal import Budget, Ideal, active_budget
 from .poly import PolyRing
 from .spectrum import (
     PrimeSample,
@@ -288,13 +292,48 @@ def _component_parts(field, spec: dict, where: str) -> tuple:
     return ring, gens, primes or None
 
 
+def _budget(job: dict) -> Budget:
+    """A fresh budget with the job's caps."""
+    return Budget(max_basis=job["budget_basis"], max_pairs=job["budget_pairs"],
+                  max_box=job["budget_monomials"])
+
+
 def _build_component(job: dict, index: int) -> RingComponent:
     spec = job["components"][index]
     return RingComponent(*_component_parts(field_new(job["p"]), spec, f"component {index}"))
 
 
-def build_presentation(job: dict) -> RingPresentation:
-    return RingPresentation(_build_component(job, i) for i in range(len(job["components"])))
+def build_presentation(job: dict) -> tuple:
+    """Each component of a validated job, built and checked once under a
+    budget of the job's caps, or None where building it failed: the tasks
+    that read such a component build it again and fail as they would
+    alone.  A unit-ideal component is a ParseError naming it."""
+    built = []
+    for i in range(len(job["components"])):
+        try:
+            with _budget(job):
+                built.append(_build_component(job, i))
+        except UnitIdealError:
+            raise ParseError(f"component {i}: its ideal is the unit ideal") from None
+        except Exception:  # past a cap, or a declared prime that does not fit
+            built.append(None)
+    return tuple(built)
+
+
+def _component(job: dict, built: tuple, index: int) -> RingComponent:
+    """Component `index` for the running task, which is charged its
+    building: replayed, or, where that would pass a cap or the building
+    failed, done again under the task's budget."""
+    _check_component(index, len(built))
+    comp = built[index]
+    if comp is None or not active_budget().replay(comp.charges):
+        comp = _build_component(job, index)
+    return comp
+
+
+def _presentation(job: dict, built: tuple) -> RingPresentation:
+    """Every component, for the tasks that read them all."""
+    return RingPresentation(_component(job, built, i) for i in range(len(built)))
 
 
 def _fraction_cell(x: Fraction) -> dict:
@@ -319,21 +358,24 @@ def _point_label(point) -> str:
     return "(" + ",".join(str(a) for a in point) + ")"
 
 
-def run_task(job: dict, index: int) -> dict:
+def run_task(job: dict, index: int, built: tuple | None = None) -> dict:
     """Execute one task; returns a JSON-able result with TSV rows.
 
-    A failure of any kind stays inside this task's entry, so the other
-    tasks still complete; an exception the engine does not document is
-    reported as an internal error.
+    `built` holds the job's components (`build_presentation`), shared with
+    its other tasks; by default the task builds them for itself.  A failure
+    of any kind stays inside this task's entry, so the other tasks still
+    complete; an exception the engine does not document is reported as an
+    internal error.
     """
     task = job["tasks"][index]
     kind = task["kind"]
-    budget = Budget(max_basis=job["budget_basis"], max_pairs=job["budget_pairs"],
-                    max_box=job["budget_monomials"])
+    budget = _budget(job)
     out = {"index": index, "kind": kind, "status": "ok", "rows": []}
     try:
+        if built is None:
+            built = build_presentation(job)
         with budget:
-            TASKS[kind].run(job, task, out)
+            TASKS[kind].run(job, task, built, out)
     except (CharpError, ValueError) as exc:
         out["status"] = "error"
         out["error"] = f"{type(exc).__name__}: {exc}"
@@ -345,8 +387,8 @@ def run_task(job: dict, index: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# task runners: run(job, task, out) fills the result entry `out`; the work,
-# building the components the task reads included, charges the task's
+# task runners: run(job, task, built, out) fills the result entry `out`; the
+# work, reading the components in `built` included, charges the task's
 # budget, active around the call
 
 def _check_component(index: int, count: int) -> None:
@@ -355,11 +397,10 @@ def _check_component(index: int, count: int) -> None:
                          f"(presentation has {count})")
 
 
-def _local(job: dict, task: dict):
-    # the local ring at the task's point, with only its component built
+def _local(job: dict, task: dict, built: tuple):
+    # the local ring at the task's point, charged for its component only
     ci = task["component"]
-    _check_component(ci, len(job["components"]))
-    comp = _build_component(job, ci)
+    comp = _component(job, built, ci)
     point = task.get("point")
     if point is None:
         point = [0] * comp.ring.nvars
@@ -403,21 +444,21 @@ def _ideal(ring: PolyRing, sources) -> Ideal:
     return Ideal(ring, [ring.parse(src) for src in sources])
 
 
-def _run_estimate(job, task, out):
-    L, ci, point = _local(job, task)
+def _run_estimate(job, task, built, out):
+    L, ci, point = _local(job, task, built)
     estimate = hk_estimate if task["kind"] == "hk" else fsig_estimate
     est = estimate(L, task["e_max"], task["tolerance"])
     out["rows"] += _record_rows(task["kind"], ci, point, est.records)
     out["estimate"] = _estimate_payload(est)
 
 
-def _run_fedder(job, task, out):
-    L, _, _ = _local(job, task)
+def _run_fedder(job, task, built, out):
+    L, _, _ = _local(job, task, built)
     out["f_pure"] = fedder_is_fpure(L)
 
 
-def _run_pair(job, task, out):
-    L, ci, point = _local(job, task)
+def _run_pair(job, task, built, out):
+    L, ci, point = _local(job, task, built)
     a = _ideal(L.ring, task["a"])
     out["pair"] = []
     for t_src in task.get("t_grid") or [task["t"]]:
@@ -430,13 +471,13 @@ def _run_pair(job, task, out):
         })
 
 
-def _run_nu(job, task, out):
-    L, _, _ = _local(job, task)
+def _run_nu(job, task, built, out):
+    L, _, _ = _local(job, task, built)
     out["nu"] = nu_invariant(L, _ideal(L.ring, task["a"]), task["e"])
 
 
-def _run_global(job, task, out):
-    R = build_presentation(job)
+def _run_global(job, task, built, out):
+    R = _presentation(job, built)
     kind = task["kind"]
     samples = _samples(R, task["samples"])
     fn = global_hk if kind == "global_hk" else global_fsig
@@ -463,8 +504,8 @@ def _run_global(job, task, out):
         out["rows"] += _record_rows(kind, s.component, s.point, est.records)
 
 
-def _run_semicontinuity(job, task, out):
-    R = build_presentation(job)
+def _run_semicontinuity(job, task, built, out):
+    R = _presentation(job, built)
     special = _samples(R, [task["special"]])[0]
     nearby = _samples(R, task["nearby"])
     rep = semicontinuity_probe(R, special, nearby, task["e"])
@@ -482,8 +523,8 @@ def _run_semicontinuity(job, task, out):
         out["error"] = rep.note
 
 
-def _run_flat_check(job, task, out):
-    L, ci, point = _local(job, task)
+def _run_flat_check(job, task, built, out):
+    L, ci, point = _local(job, task, built)
     pair = None
     if task.get("a"):
         pair = (_ideal(L.ring, task["a"]), Fraction(task["t"]))
@@ -508,8 +549,8 @@ def _run_flat_check(job, task, out):
         out["error"] = "flat extension comparison failed"
 
 
-def _run_classify(job, task, out):
-    L, _, _ = _local(job, task)
+def _run_classify(job, task, built, out):
+    L, _, _ = _local(job, task, built)
     flags = classify(L, task["e_max"], task["tolerance"])
     out["flags"] = flags.as_dict()
     out["flags"]["hk"] = _estimate_payload(flags.hk)
@@ -589,22 +630,57 @@ TASKS = {
 }
 
 
-def _pool_task(job: dict, index: int) -> dict:
-    # the pool's entry point, picklable even when `run_task` is rebound to a wrapper
-    return run_task(job, index)
+def _point_key(job: dict, ci, point) -> tuple:
+    # the local ring a (component, point) names; the default point is the origin
+    if point is None and 0 <= ci < len(job["components"]):
+        point = [0] * len(job["components"][ci]["vars"])
+    return ci, tuple(a % job["p"] for a in point or ())
+
+
+def _reads(job: dict, task: dict) -> set:
+    """The local rings a task reads, as (component, point) keys."""
+    if "component" in task:
+        return {_point_key(job, task["component"], task.get("point"))}
+    samples = [task["special"], *task["nearby"]] if "special" in task else task["samples"]
+    return {_point_key(job, s["component"], s["point"]) for s in samples}
+
+
+def _groups(job: dict) -> list:
+    """The task indices in groups, each in index order, such that tasks in
+    different groups read no common local ring."""
+    groups: list = []  # (keys read, indices)
+    for i, task in enumerate(job["tasks"]):
+        keys, indices = _reads(job, task), [i]
+        for g in [g for g in groups if g[0] & keys]:
+            groups.remove(g)
+            keys |= g[0]
+            indices += g[1]
+        groups.append((keys, indices))
+    return sorted(sorted(indices) for _, indices in groups)
+
+
+def _run_group(job: dict, built: tuple, indices) -> list:
+    # a pool worker's share; looks up `run_task` when called, so a wrapper bound to it runs
+    return [run_task(job, i, built) for i in indices]
 
 
 def run_job(job: dict) -> dict:
     """Execute all tasks of a validated job with job["jobs"] worker
-    processes; the report does not depend on scheduling."""
+    processes; the report does not depend on scheduling.  The components
+    are built first, and a unit-ideal one is a ParseError."""
     t0 = time.time()
-    n = len(job["tasks"])
-    if job["jobs"] > 1 and n > 1:
-        # a forked pool starts all its workers at once: no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(job["jobs"], n)) as pool:
-            results = list(pool.map(_pool_task, [job] * n, range(n)))
+    built = build_presentation(job)
+    groups = _groups(job)
+    if job["jobs"] > 1 and len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a forked pool starts all its workers at once: no more than there are groups
+        with ProcessPoolExecutor(max_workers=min(job["jobs"], len(groups))) as pool:
+            results = [r for part in pool.map(_run_group, [job] * len(groups),
+                                              [built] * len(groups), groups)
+                       for r in part]
     else:
-        results = [run_task(job, i) for i in range(n)]
+        results = [run_task(job, i, built) for i in range(len(job["tasks"]))]
     results.sort(key=lambda r: r["index"])
     return {
         "p": job["p"],

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import UnitIdealError
 from .finv import (
     DEFAULT_TOLERANCE,
     LocalRingAtPoint,
@@ -28,18 +29,22 @@ from .poly import PolyRing
 
 class RingComponent:
     """One factor F_p[vars]/I of a product presentation, with I and the
-    dimension of S/I."""
+    dimension of S/I, checked when built; `charges` is what building it
+    charged.  It keeps one local ring per point."""
 
-    __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes")
+    __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes", "charges", "_points")
 
     def __init__(self, ring: PolyRing, gens, declared_min_primes=None):
         self.ring = ring
         self.gens = tuple(gens)
-        self.ideal = Ideal(ring, self.gens)
-        if self.ideal.is_unit():
-            raise ValueError("component ideal is the unit ideal")
-        self.dim = krull_dim(self.ideal)
         self.declared_min_primes = tuple(declared_min_primes or ())
+        self._points: dict = {}  # normalized point -> LocalRingAtPoint
+        self.dim, self.charges = active_budget().measure(self._check)
+
+    def _check(self) -> int:
+        self.ideal = Ideal(self.ring, self.gens)
+        if self.ideal.is_unit():
+            raise UnitIdealError("component ideal is the unit ideal")
         for Q in self.declared_min_primes:  # containment and properness only
             if Q.is_unit():
                 raise ValueError("declared minimal prime is the unit ideal")
@@ -48,9 +53,17 @@ class RingComponent:
                     raise ValueError(
                         "declared minimal prime does not contain the ideal"
                     )
+        return krull_dim(self.ideal)
 
     def local_at(self, point) -> LocalRingAtPoint:
-        return LocalRingAtPoint(self.ideal, point)
+        """A new reader (`LocalRingAtPoint.reader`) of the one local ring
+        at point, charged for the ring's building as if it built it."""
+        key = tuple(self.ring.field.normalize(a) for a in point)
+        L = self._points.get(key)
+        if L is None or not active_budget().replay(L.charges):
+            fresh = LocalRingAtPoint(self.ideal, point)  # past a cap, raises the real error
+            L = self._points.setdefault(key, fresh)
+        return L.reader()
 
     def __repr__(self):
         return f"RingComponent(F_{self.ring.p}[{','.join(self.ring.names)}]/({', '.join(map(str, self.gens))}))"

@@ -630,6 +630,24 @@ def test_nu_pass_is_charged_to_the_box_budget():
         nu_invariant(L, L.m0, 2)
 
 
+def test_nu_pass_reduces_packed_terms(monkeypatch):
+    # the spans V_r stay packed: nu calls normal_form only to check that a
+    # is nonzero modulo I, and its first generator already is
+    import charp.finv
+    import charp.ideal
+
+    calls = []
+    for module in (charp.finv, charp.ideal):
+        def counted(*args, _fn=module.normal_form, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "normal_form", counted)
+    L = local(3, ("x", "y", "z"), ["x*y - z^2"])
+    a = Ideal(L.ring, [L.ring.parse(g) for g in ("x", "y", "z")])
+    assert nu_invariant(L, a, 3) == 39
+    assert [(str(f), I) for f, I in calls] == [("x", L.ideal0)]
+
+
 # -- classify ----------------------------------------------------------------
 
 def test_classify_regular():
@@ -716,5 +734,5 @@ def test_budget_error_mid_walk_leaves_the_cache_consistent():
     with pytest.raises(ResourceBudgetError), Budget(max_box=1000):
         # e = 3's colon completes; its length's box of 6075 does not
         splitting_number(L, 3)
-    assert sorted(L._steps) == [1, 2]
+    assert [k for k in (1, 2, 3) if ("step", k) in L._cache] == [1, 2]
     assert [r.a_e for r in fsig_estimate(L, 4).records] == [5, 41, 365, 3281]

@@ -21,6 +21,7 @@ from charp.jobs import (
     parse_job_file,
     parse_job_text,
     run_job,
+    run_task,
     validate_job,
 )
 from charp.report import report_to_json, report_to_tsv
@@ -251,8 +252,9 @@ def test_unexpected_exception_is_task_error(monkeypatch, tmp_path, capsys, n_job
         raise TypeError("boom")
 
     monkeypatch.setitem(TASKS, "fedder", TASKS["fedder"]._replace(run=broken))
+    # two points, so that with --jobs 2 the tasks run on two workers
     text = ("p = 5\n[component]\nvars = x y\nideal = x*y\n"
-            "[task fedder]\npoint = 0 0\n[task hk]\npoint = 0 0\ne_max = 2\n")
+            "[task fedder]\npoint = 1 0\n[task hk]\npoint = 0 0\ne_max = 2\n")
     job = validate_job(parse_job_text(text))
     job["jobs"] = n_jobs
     report = run_job(job)
@@ -267,14 +269,13 @@ def test_unexpected_exception_is_task_error(monkeypatch, tmp_path, capsys, n_job
     assert saved["tasks"][1]["status"] == "ok"
 
 
-def test_parallel_jobs_match_sequential():
-    job = validate_job(parse_job_text(QUADRIC_JOB))
-    seq = run_job(job)
-    par = run_job(job | {"jobs": 2})
-    assert report_to_tsv(seq) == report_to_tsv(par)
 
 
-def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+def test_pool_has_no_more_workers_than_groups(monkeypatch):
+    # tasks that read a common local ring run on one worker, so a job whose
+    # tasks share one point needs no pool, and one with two points two workers
+    import concurrent.futures
+
     sizes = []
 
     class InlinePool:
@@ -290,9 +291,147 @@ def test_pool_has_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(charp.jobs, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     report = run_job(validate_job(parse_job_text(QUADRIC_JOB), {"jobs": "64"}))
+    assert report["status"] == "ok" and sizes == []
+    two_points = QUADRIC_JOB.replace("[task classify]\npoint = 0 0 0", "[task classify]\npoint = 1 1 1")
+    report = run_job(validate_job(parse_job_text(two_points), {"jobs": "64"}))
     assert report["status"] == "ok" and sizes == [2]
+
+
+SHARED_POINTS_JOB = """\
+p = 5
+[component]
+vars = x y z
+ideal = x*y - z^2
+[component]
+vars = x y z
+ideal = x*z; y*z
+[task hk]
+point = 1 1 1
+e_max = 2
+[task global_fsig]
+samples = 0:(1,1,1) 0:(1,4,2) 0:(0,0,0)
+e_max = 2
+[task fsig]
+point = 0 0 0
+e_max = 2
+[task semicontinuity]
+special = 0:(0,0,0)
+nearby = 0:(1,4,2) 0:(2,2,2)
+e = 2
+[task classify]
+component = 1
+point = 0 0 1
+e_max = 2
+[task fedder]
+component = 1
+point = 0 0 6
+[task hk]
+point = 4 4 4
+e_max = 2
+"""
+
+
+def test_task_groups_join_the_tasks_that_share_a_point():
+    job = validate_job(parse_job_text(SHARED_POINTS_JOB))
+    # (0,0,6) is (0,0,1) over F_5; (4,4,4) shares no point with another task
+    assert charp.jobs._groups(job) == [[0, 1, 2, 3], [4, 5], [6]]
+
+
+def test_parallel_jobs_match_sequential():
+    # one group of tasks, which runs in-process, and three on a pool
+    for text in (QUADRIC_JOB, SHARED_POINTS_JOB):
+        job = validate_job(parse_job_text(text))
+        seq = run_job(job)
+        par = run_job(job | {"jobs": 2})
+        assert seq["status"] == "ok"
+        assert report_to_tsv(seq) == report_to_tsv(par)
+        seq.pop("wall_time_s")
+        par.pop("wall_time_s")
+        assert report_to_json(seq) == report_to_json(par)
+
+
+REPLAY_JOB = """\
+p = 3
+[component]
+vars = x y z w
+ideal = x*z - y^2; y*w - z^2; x*w - y*z
+[task fedder]
+[task fsig]
+e_max = 2
+"""
+
+
+def test_a_reader_is_charged_the_cached_work_it_reads():
+    # the fsig task reads the fedder task's (I^[3] : I); both budget blocks
+    # are those of the tasks run each on its own
+    job = validate_job(parse_job_text(REPLAY_JOB))
+    built = charp.jobs.build_presentation(job)
+    fedder = run_task(job, 0, built)
+    assert fedder["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
+                                "used_basis": 18, "used_pairs": 115, "used_box": 0}
+    fsig = run_task(job, 1, built)
+    assert fsig["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
+                              "used_basis": 33, "used_pairs": 298, "used_box": 6561}
+    assert fsig == run_task(job, 1)
+    # the fedder task's 115 pairs are the fsig task's first: one pair less
+    # stops the replay of the multiplier, and the task computes it again,
+    # which raises the error the task raises alone
+    tight = job | {"budget_pairs": 114}
+    shared, alone = run_task(tight, 1, built), run_task(tight, 1)
+    assert shared["error"] == ("ResourceBudgetError: resource budget exceeded: "
+                               "pair count used 115 > limit 114")
+    assert shared == alone
+
+
+@pytest.mark.parametrize("order, n_jobs", [
+    ("as written", 1), ("reversed", 1), ("shuffled", 1), ("as written", 2), ("shuffled", 2),
+])
+def test_split_colon_builds_each_multiplier_once(tmp_path, monkeypatch, order, n_jobs):
+    # the twisted cubic's (I^[q] : I) for q = 3, 9, 27 and the CI walk's one
+    # colon; each task recomputing its own made 7 colons and 31 intersections
+    import random
+
+    import charp.finv
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    w = workloads.build("split_colon", 1)
+    if order == "reversed":
+        w.tasks.reverse()
+    elif order == "shuffled":
+        random.Random(7).shuffle(w.tasks)
+    log = tmp_path / "calls.log"  # appended to by every process, pool workers included
+    for module, name in ((charp.finv, "colon"), (charp.ideal, "intersect")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(_name + "\n")
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    job = validate_job(parse_job_text(w.job_text()), {"jobs": str(n_jobs)})
+    assert run_job(job)["status"] == "ok"
+    calls = log.read_text(encoding="utf-8").split()
+    assert (calls.count("colon"), calls.count("intersect")) == (4, 16)
+
+
+def test_unit_ideal_component_exits_1(tmp_path, capsys):
+    path = _write(tmp_path, "p = 5\n[component]\nvars = x\nideal = x\n"
+                            "[component]\nvars = x\nideal = x; x + 1\n[task fedder]\n")
+    assert main(["run", str(path)]) == 1
+    assert ("charp: job parse error: component 1: its ideal is the unit ideal"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.report.*"))
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, charp.cli; "
+         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 # -- determinism ---------------------------------------------------------------

@@ -47,4 +47,6 @@ def test_budget_is_built_in_two_places_and_passed_to_no_function():
                     owner = parent[owner]
                 builds.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
     assert params == []
-    assert sorted(builds) == ["ideal.active_budget", "jobs.run_task"]
+    # jobs._budget gives a budget of the job's caps to each task and to the
+    # building of each component, whose charges every reader is charged again
+    assert sorted(builds) == ["ideal.active_budget", "jobs._budget"]
