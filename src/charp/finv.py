@@ -21,22 +21,17 @@ complete intersection walks a chain of colons by F^(p-1) to M, and
 `splitting_ideal` builds I_e itself as the oracle the tests compare against.
 
 A LocalRingAtPoint takes an Ideal that may already hold its Groebner basis
-and caches its local data write-once, as an Ideal caches its basis: the
-standard basis at the point, lambda_e, the multiplier per q and the walk's
-steps per e, each computed once for every reader of the ring.  No
-function here takes a budget: the work charges the active one (`with
-budget:`, see `ideal.Budget`).  Each cached item keeps the Charges
-computing it made, and `L.reader()` gives a new reader of the same data:
-a reader's first read of an item charges the active budget those Charges
-again, so a reader pays what computing the item itself would cost, and
-where that would pass a cap it computes the item again, which raises the
-real budget error.  An item is stored only once it completes, so a budget
-error leaves the ring consistent.
+and keeps its local data in one store (`ideal.Shared`), as an Ideal keeps
+its basis: the standard basis at the point, lambda_e, the multiplier per q
+and the walk's steps per e, each computed once for every task that reads
+the ring.  No function here takes a budget: the work charges the active
+one (`with budget:`, see `ideal.Budget`), and a budget is charged each
+shared item once, the first time it reads it, what computing the item
+cost.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -44,8 +39,8 @@ from fractions import Fraction
 from .errors import NotPrimaryError, ZeroIdealError
 from .ideal import (
     INFINITE,
-    Charges,
     Ideal,
+    Shared,
     active_budget,
     bracket_power,
     colon,
@@ -71,13 +66,12 @@ class LocalRingAtPoint:
     ideal0 is I in presentation coordinates and m0 = (x_i - a_i) is the
     maximal ideal of a; bracket_power(m0, q) = (x_i^q - a_i).  Ideals of
     S/I passed to the invariants (J, a) are read in the same coordinates.
-    Like an Ideal's Groebner basis, the local data is a write-once cache,
-    shared by every reader of the ring: the standard basis's leading
-    monomials, lambda_e per e, the multiplier (I^[q] : I) per q and the
-    splitting steps per e.  `charges` is what building the ring charged.
+    Like an Ideal's Groebner basis, the local data is computed once, in
+    the store `_cache`: the standard basis's leading monomials, lambda_e
+    per e, the multiplier (I^[q] : I) per q and the splitting steps per e.
     """
 
-    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "charges", "_cache", "_read")
+    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_cache")
 
     def __init__(self, ideal: Ideal, point):
         ring = ideal.ring
@@ -92,24 +86,17 @@ class LocalRingAtPoint:
         self.point = point
         self.ideal0 = ideal
         self.m0 = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
-        # ("leads" | ("lam", e) | ("mult", q) | ("step", e)) -> (value, Charges)
-        self._cache: dict = {}
-        self._read: set = set()  # the keys this reader has been charged for
-        self.d, self.charges = active_budget().measure(self._dimension)
+        # keys "leads", ("lam", e), ("mult", q) and ("step", e)
+        self._cache = Shared()
+        self.d = self._dimension()
 
     def _dimension(self) -> int:
         d = krull_dim(self.ideal0)
         if len(self.gens) != self.ring.nvars - d:  # else unmixed: every point has d
             leads = local_leading_monomials(self.ideal0, self.point)
-            self._cache["leads"] = (leads, Charges())  # paid for with the ring
+            self._cache.get("leads", lambda: leads)  # paid for with the ring
             d = len(largest_free_sets(leads, self.ring.nvars)[0])
         return d
-
-    def reader(self) -> LocalRingAtPoint:
-        """A new reader of this ring's data, charged for no item yet."""
-        other = copy.copy(self)
-        other._read = set()
-        return other
 
     @property
     def p(self) -> int:
@@ -119,25 +106,11 @@ class LocalRingAtPoint:
         return f"LocalRingAtPoint({self.ideal0!r} at {self.point})"
 
 
-def _read(L: LocalRingAtPoint, key, work):
-    """L's cached item `key`, computed by work() if no reader has.  This
-    reader's first read of it charges the active budget what computing it
-    charged, or, where that would pass a cap, computes it again, which
-    raises the real budget error."""
-    hit = L._cache.get(key)
-    if hit is None or (key not in L._read and not active_budget().replay(hit[1])):
-        value, charges = active_budget().measure(work)
-        if hit is None:
-            L._cache[key] = hit = (value, charges)
-    L._read.add(key)
-    return hit[0]
-
-
 def multiplicity(L: LocalRingAtPoint) -> int:
     """e(R), that of S/L for the leading ideal L at the point: by the
     associativity formula, the sum over L's largest free sets U of the
     standard monomials of L in the other variables once x_U is set to 1."""
-    leads = _read(L, "leads", lambda: local_leading_monomials(L.ideal0, L.point))
+    leads = L._cache.get("leads", lambda: local_leading_monomials(L.ideal0, L.point))
     n, total = L.ring.nvars, 0
     for U in largest_free_sets(leads, n):
         rest = [j for j in range(n) if j not in U]
@@ -214,7 +187,7 @@ def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None) -> HKRecord
         raise ValueError("e must be non-negative")
     q = L.p**e
     if J is None:
-        lam = _read(L, ("lam", e), lambda: length(ideal_sum(L.ideal0, bracket_power(L.m0, q))))
+        lam = L._cache.get(("lam", e), lambda: length(ideal_sum(L.ideal0, bracket_power(L.m0, q))))
     else:
         IJ = ideal_sum(L.ideal0, J)
         ell = length(IJ)
@@ -259,7 +232,7 @@ def _multiplier(L: LocalRingAtPoint, q: int) -> Ideal:
             return Ideal(L.ring, (poly_pow(F, q - 1),))
         return colon(bracket_power(L.ideal0, q), L.ideal0)
 
-    return _read(L, ("mult", q), work)
+    return L._cache.get(("mult", q), work)
 
 
 def _splitting_step(L: LocalRingAtPoint, e: int):
@@ -275,26 +248,22 @@ def _splitting_step(L: LocalRingAtPoint, e: int):
     A = S/M.  A step reads what it is built from, the multiplier or the
     step before, first, so its own Charges are its colon and length."""
     p, n = L.p, L.ring.nvars
-    for k in range(1, e + 1) if _is_ci(L) else (e,):
-        if ("step", k) in L._read:
-            continue
-        walk = k > 1 and _is_ci(L)
-        if walk:
-            M, _, U, a = L._cache["step", k - 1][0]
-            lam = p**n * a
-        else:
-            q = p**k
-            M, U, lam = bracket_power(L.m0, q), _multiplier(L, q), q**n
+    walk = e > 1 and _is_ci(L)
+    if walk:
+        M, _, U, a = _splitting_step(L, e - 1)
+        lam = p**n * a
+    else:
+        q = p**e
+        M, U, lam = bracket_power(L.m0, q), _multiplier(L, q), q**n
 
-        def work():
-            Mk = bracket_power(colon(M, U), p) if walk else M
-            a = lam - length(ideal_sum(Mk, U))
-            if not 0 <= a <= p**(k * L.d):
-                raise RuntimeError(f"a_{k} = {a} is outside [0, q^d = {p**(k * L.d)}]")
-            return Mk, lam, U, a
+    def work():
+        Me = bracket_power(colon(M, U), p) if walk else M
+        a = lam - length(ideal_sum(Me, U))
+        if not 0 <= a <= p**(e * L.d):
+            raise RuntimeError(f"a_{e} = {a} is outside [0, q^d = {p**(e * L.d)}]")
+        return Me, lam, U, a
 
-        _read(L, ("step", k), work)
-    return L._cache["step", e][0]
+    return L._cache.get(("step", e), work)
 
 
 def fedder_is_fpure(L: LocalRingAtPoint) -> bool:
@@ -345,7 +314,11 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int,
 def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int) -> SplitRecord:
     """Splitting number of the pair (R, a^t):
     a_e = lambda(S / (m^[q] : U)) = q^n - lambda(S / (m^[q] + U)) for
-    U = a^ceil(t(q-1)) * (I^[q]:I), by duality on S/m^[q]."""
+    U = a^N * (I^[q]:I), N = ceil(t(q-1)), by duality on S/m^[q].
+
+    When a's k generators all vanish at the point and N > k(q-1), each
+    product of N of them has some factor g^q, g in m, so a^N lies in m^[q]
+    and U is taken as 0 without building a^N: a_e = 0."""
     if e < 1:
         raise ValueError("e must be at least 1")
     t = Fraction(t)
@@ -355,7 +328,12 @@ def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int) -> SplitReco
         raise ZeroIdealError("pair ideal is zero modulo I")
     q = L.p**e
     mq = bracket_power(L.m0, q)  # first: it rejects a q past the exponent bound
-    U = ideal_product(ideal_power(a, math.ceil(t * (q - 1))), _multiplier(L, q))
+    # the multiplier is read on both routes, so the charges do not depend on t
+    mult, N = _multiplier(L, q), math.ceil(t * (q - 1))
+    if N > len(a.gens) * (q - 1) and all(g.evaluate(L.point) == 0 for g in a.gens):
+        U = Ideal(L.ring, ())
+    else:
+        U = ideal_product(ideal_power(a, N), mult)
     a_e = q**L.ring.nvars - length(ideal_sum(mq, U))
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 

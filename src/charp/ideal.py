@@ -76,8 +76,8 @@ class Budget:
     one, also by an exception, restores the budget it replaced.  Outside any
     block each such call charges a fresh default Budget.
 
-    Work that is done once and read many times records its Charges
-    (`measure`), and each reader is charged them again (`replay`), so a
+    Work done once and read many times lives in a `Shared` store, which
+    charges a budget each item once, the first time it reads it, so a
     budget's counters do not depend on who did the work first."""
 
     max_basis: int = 2000
@@ -86,6 +86,9 @@ class Budget:
     used_basis: int = 0
     used_pairs: int = 0
     used_box: int = 0
+
+    def __post_init__(self):
+        self.charged: set = set()  # the (store, key) of each shared item paid for
 
     def charge_basis(self, n: int):
         self.used_basis = max(self.used_basis, n)
@@ -103,34 +106,7 @@ class Budget:
             raise ResourceBudgetError("standard monomial box", n, self.max_box)
 
     def snapshot(self) -> dict:
-        return asdict(self)
-
-    def measure(self, work):
-        """(work(), the Charges it made), work run inside this budget's
-        block; its charges count here as they go, caps included.  Measured
-        work that reads other measured work reads it first, outside the
-        call, or a reader of both would be charged it twice."""
-        pairs, basis, box = self.used_pairs, self.used_basis, self.used_box
-        self.used_basis = self.used_box = 0  # so the peaks are work's own
-        try:
-            with self:
-                value = work()
-            return value, Charges(self.used_pairs - pairs, self.used_basis, self.used_box)
-        finally:
-            self.used_basis = max(basis, self.used_basis)
-            self.used_box = max(box, self.used_box)
-
-    def replay(self, charges: Charges) -> bool:
-        """Charge what work that made `charges` would charge here, if it
-        would stay within the caps; else charge nothing and return False,
-        and the caller does the work again to raise the real error."""
-        if (self.used_pairs + charges.pairs > self.max_pairs
-                or charges.basis > self.max_basis or charges.box > self.max_box):
-            return False
-        self.used_pairs += charges.pairs
-        self.used_basis = max(self.used_basis, charges.basis)
-        self.used_box = max(self.used_box, charges.box)
-        return True
+        return asdict(self)  # the caps and counters; `charged` is no field
 
     def __enter__(self):
         _ACTIVE.append(self)
@@ -146,6 +122,48 @@ _ACTIVE: list = []  # the entered budgets, innermost last
 def active_budget() -> Budget:
     """The budget of the innermost `with` block, or a fresh default one."""
     return _ACTIVE[-1] if _ACTIVE else Budget()
+
+
+class Shared:
+    """Work computed once and read under many budgets: key -> (value, the
+    Charges computing it made).  `get` charges the active budget each item
+    once, the first time it reads it, what computing the item charged, so
+    every budget pays what doing the work itself would cost.  Work that
+    reads another item reads it first, outside the call, or its Charges
+    would hold that item's too."""
+
+    __slots__ = ("items",)
+
+    def __init__(self):
+        self.items: dict = {}
+
+    def get(self, key, work):
+        """Item `key`, computed by work() under the active budget if no
+        budget has.  Where the stored Charges would pass a cap, the work is
+        done again, which raises the real budget error.  An item is stored
+        only once it completes, so a budget error leaves the store as it was."""
+        budget = active_budget()
+        value, done = self.items.get(key, (None, None))
+        if (self, key) in budget.charged:
+            return value
+        if done is not None and (budget.used_pairs + done.pairs <= budget.max_pairs
+                                 and done.basis <= budget.max_basis and done.box <= budget.max_box):
+            budget.used_pairs += done.pairs
+            budget.used_basis = max(budget.used_basis, done.basis)
+            budget.used_box = max(budget.used_box, done.box)
+        else:  # not computed yet, or computed again to raise the real error
+            pairs, basis, box = budget.used_pairs, budget.used_basis, budget.used_box
+            budget.used_basis = budget.used_box = 0  # so the peaks are work's own
+            try:
+                with budget:
+                    value = work()
+                done = Charges(budget.used_pairs - pairs, budget.used_basis, budget.used_box)
+            finally:
+                budget.used_basis = max(basis, budget.used_basis)
+                budget.used_box = max(box, budget.used_box)
+            value = self.items.setdefault(key, (value, done))[0]
+        budget.charged.add((self, key))
+        return value
 
 
 # ---------------------------------------------------------------------------

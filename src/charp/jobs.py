@@ -7,11 +7,12 @@ keys, runner and explanation.  Unknown keys are hard errors so typos cannot
 silently change a run.
 
 A job builds and checks each component once, before any task runs, and
-each component keeps one local ring per point; tasks read each other's
-cached work and are charged for it as if they had done it (see
-`finv.LocalRingAtPoint`).  Under a process pool, the tasks that read a
-common local ring run on one worker in task order, so a report, the
-budget counters included, does not depend on scheduling.
+each component keeps one local ring per point.  Tasks share this work
+through stores (`ideal.Shared`): a task's budget is charged each shared
+item once, the first time it reads it, what computing the item cost.
+Under a process pool, the tasks that read a common local ring run on one
+worker in task order, so a report, the budget counters included, does
+not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .finv import (
     pair_splitting_number,
 )
 from .gf import field_new
-from .ideal import Budget, Ideal, active_budget
+from .ideal import Budget, Ideal, Shared
 from .poly import PolyRing
 from .spectrum import (
     PrimeSample,
@@ -303,37 +304,32 @@ def _build_component(job: dict, index: int) -> RingComponent:
     return RingComponent(*_component_parts(field_new(job["p"]), spec, f"component {index}"))
 
 
-def build_presentation(job: dict) -> tuple:
-    """Each component of a validated job, built and checked once under a
-    budget of the job's caps, or None where building it failed: the tasks
-    that read such a component build it again and fail as they would
-    alone.  A unit-ideal component is a ParseError naming it."""
-    built = []
+def build_presentation(job: dict) -> Shared:
+    """The store of a validated job's components by index, each built and
+    checked once under a budget of the job's caps.  One whose building
+    failed is left out, and the tasks that read it build it again and fail
+    as they would alone.  A unit-ideal component is a ParseError naming it."""
+    built = Shared()
     for i in range(len(job["components"])):
         try:
             with _budget(job):
-                built.append(_build_component(job, i))
+                _component(job, built, i)
         except UnitIdealError:
             raise ParseError(f"component {i}: its ideal is the unit ideal") from None
         except Exception:  # past a cap, or a declared prime that does not fit
-            built.append(None)
-    return tuple(built)
+            pass
+    return built
 
 
-def _component(job: dict, built: tuple, index: int) -> RingComponent:
-    """Component `index` for the running task, which is charged its
-    building: replayed, or, where that would pass a cap or the building
-    failed, done again under the task's budget."""
-    _check_component(index, len(built))
-    comp = built[index]
-    if comp is None or not active_budget().replay(comp.charges):
-        comp = _build_component(job, index)
-    return comp
+def _component(job: dict, built: Shared, index: int) -> RingComponent:
+    """Component `index`, whose building the running task pays for."""
+    _check_component(index, len(job["components"]))
+    return built.get(index, lambda: _build_component(job, index))
 
 
-def _presentation(job: dict, built: tuple) -> RingPresentation:
+def _presentation(job: dict, built: Shared) -> RingPresentation:
     """Every component, for the tasks that read them all."""
-    return RingPresentation(_component(job, built, i) for i in range(len(built)))
+    return RingPresentation(_component(job, built, i) for i in range(len(job["components"])))
 
 
 def _fraction_cell(x: Fraction) -> dict:
@@ -358,7 +354,7 @@ def _point_label(point) -> str:
     return "(" + ",".join(str(a) for a in point) + ")"
 
 
-def run_task(job: dict, index: int, built: tuple | None = None) -> dict:
+def run_task(job: dict, index: int, built: Shared | None = None) -> dict:
     """Execute one task; returns a JSON-able result with TSV rows.
 
     `built` holds the job's components (`build_presentation`), shared with
@@ -397,7 +393,7 @@ def _check_component(index: int, count: int) -> None:
                          f"(presentation has {count})")
 
 
-def _local(job: dict, task: dict, built: tuple):
+def _local(job: dict, task: dict, built: Shared):
     # the local ring at the task's point, charged for its component only
     ci = task["component"]
     comp = _component(job, built, ci)
@@ -659,7 +655,7 @@ def _groups(job: dict) -> list:
     return sorted(sorted(indices) for _, indices in groups)
 
 
-def _run_group(job: dict, built: tuple, indices) -> list:
+def _run_group(job: dict, built: Shared, indices) -> list:
     # a pool worker's share; looks up `run_task` when called, so a wrapper bound to it runs
     return [run_task(job, i, built) for i in indices]
 

@@ -23,23 +23,24 @@ from .finv import (
     pair_splitting_number,
     splitting_number,
 )
-from .ideal import Ideal, active_budget, krull_dim, normal_form
+from .ideal import Ideal, Shared, active_budget, krull_dim, normal_form
 from .poly import PolyRing
 
 
 class RingComponent:
     """One factor F_p[vars]/I of a product presentation, with I and the
-    dimension of S/I, checked when built; `charges` is what building it
-    charged.  It keeps one local ring per point."""
+    dimension of S/I, checked when built.  It keeps one local ring per
+    point in a store (`ideal.Shared`): a budget is charged each ring's
+    building once, the first time it reads the ring."""
 
-    __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes", "charges", "_points")
+    __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes", "_points")
 
     def __init__(self, ring: PolyRing, gens, declared_min_primes=None):
         self.ring = ring
         self.gens = tuple(gens)
         self.declared_min_primes = tuple(declared_min_primes or ())
-        self._points: dict = {}  # normalized point -> LocalRingAtPoint
-        self.dim, self.charges = active_budget().measure(self._check)
+        self._points = Shared()  # normalized point -> LocalRingAtPoint
+        self.dim = self._check()
 
     def _check(self) -> int:
         self.ideal = Ideal(self.ring, self.gens)
@@ -56,14 +57,9 @@ class RingComponent:
         return krull_dim(self.ideal)
 
     def local_at(self, point) -> LocalRingAtPoint:
-        """A new reader (`LocalRingAtPoint.reader`) of the one local ring
-        at point, charged for the ring's building as if it built it."""
+        """The one local ring at point."""
         key = tuple(self.ring.field.normalize(a) for a in point)
-        L = self._points.get(key)
-        if L is None or not active_budget().replay(L.charges):
-            fresh = LocalRingAtPoint(self.ideal, point)  # past a cap, raises the real error
-            L = self._points.setdefault(key, fresh)
-        return L.reader()
+        return self._points.get(key, lambda: LocalRingAtPoint(self.ideal, point))
 
     def __repr__(self):
         return f"RingComponent(F_{self.ring.p}[{','.join(self.ring.names)}]/({', '.join(map(str, self.gens))}))"

@@ -422,6 +422,32 @@ def test_pair_splitting_number_matches_the_colon(names, srcs, a, t):
         assert pair_splitting_number(L, a, t, e).a_e == direct, e
 
 
+@pytest.mark.parametrize("names, srcs, a, t, point", [
+    (("x", "y", "z"), ["x*y - z^2"], ("x",), Fraction(4), None),
+    (*_TWISTED_CUBIC, ("x", "w"), Fraction(5, 2), None),
+    (("x", "y", "z"), ["x*y - z^2"], ("x - 1", "z - 1"), Fraction(3), (1, 1, 1)),
+])
+def test_a_pair_past_k_q_minus_1_matches_the_power_it_skips(monkeypatch, names, srcs, a, t, point):
+    # N = ceil(t(q-1)) > k(q-1) for a's k generators, all in m: the old
+    # route's U = a^N (I^[q] : I) lies in m^[q], and a_e = 0 without a^N
+    import charp.finv
+    from charp.ideal import bracket_power, ideal_power, ideal_product, ideal_sum
+
+    L = local(3, names, srcs, point)
+    a = Ideal(L.ring, [L.ring.parse(g) for g in a])
+    old = []
+    for e in (1, 2):
+        q = 3**e
+        U = ideal_product(ideal_power(a, math.ceil(t * (q - 1))), _multiplier(L, q))
+        old.append(q**L.ring.nvars - length(ideal_sum(bracket_power(L.m0, q), U)))
+
+    def fail(*args):
+        raise AssertionError("ideal_power called")
+
+    monkeypatch.setattr(charp.finv, "ideal_power", fail)
+    assert [pair_splitting_number(L, a, t, e).a_e for e in (1, 2)] == old == [0, 0]
+
+
 def test_quadric_splitting_values():
     assert splitting_number(local(7, ("x", "y", "z"), ["x*y - z^2"]), 1).s_e == \
         Fraction(25, 49)
@@ -734,5 +760,5 @@ def test_budget_error_mid_walk_leaves_the_cache_consistent():
     with pytest.raises(ResourceBudgetError), Budget(max_box=1000):
         # e = 3's colon completes; its length's box of 6075 does not
         splitting_number(L, 3)
-    assert [k for k in (1, 2, 3) if ("step", k) in L._cache] == [1, 2]
+    assert [k for k in (1, 2, 3) if ("step", k) in L._cache.items] == [1, 2]
     assert [r.a_e for r in fsig_estimate(L, 4).records] == [5, 41, 365, 3281]

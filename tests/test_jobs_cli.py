@@ -363,7 +363,7 @@ e_max = 2
 """
 
 
-def test_a_reader_is_charged_the_cached_work_it_reads():
+def test_a_task_is_charged_the_cached_work_it_reads():
     # the fsig task reads the fedder task's (I^[3] : I); both budget blocks
     # are those of the tasks run each on its own
     job = validate_job(parse_job_text(REPLAY_JOB))
@@ -375,14 +375,73 @@ def test_a_reader_is_charged_the_cached_work_it_reads():
     assert fsig["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
                               "used_basis": 33, "used_pairs": 298, "used_box": 6561}
     assert fsig == run_task(job, 1)
-    # the fedder task's 115 pairs are the fsig task's first: one pair less
-    # stops the replay of the multiplier, and the task computes it again,
-    # which raises the error the task raises alone
+    # the fedder task's 115 pairs are the fsig task's first: with one pair
+    # less, charging the stored multiplier would pass the cap, so the task
+    # computes it again, which raises the error the task raises alone
     tight = job | {"budget_pairs": 114}
     shared, alone = run_task(tight, 1, built), run_task(tight, 1)
     assert shared["error"] == ("ResourceBudgetError: resource budget exceeded: "
                                "pair count used 115 > limit 114")
     assert shared == alone
+
+
+REPEATED_POINT_JOB = """\
+p = 5
+[component]
+vars = x y z
+ideal = x*y - z^2
+[task global_hk]
+samples = 0:(0,0,0) 0:(1,1,1) 0:(0,0,0)
+e_max = 2
+[task semicontinuity]
+special = 0:(0,0,0)
+nearby = 0:(1,1,1) 0:(0,0,0)
+e = 2
+"""
+
+
+def test_a_task_that_reads_one_local_ring_twice_is_charged_once():
+    # the origin is sampled twice, and the semicontinuity special is also nearby
+    job = validate_job(parse_job_text(REPEATED_POINT_JOB))
+    report = run_job(job)
+    assert report["status"] == "ok"
+    caps = {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000}
+    assert [t["budget"] for t in report["tasks"]] == [
+        caps | {"used_basis": 31, "used_pairs": 162, "used_box": 15625},
+        caps | {"used_basis": 31, "used_pairs": 131, "used_box": 15625},
+    ]
+    # each is what the task charges with the repeated point left out
+    once = REPEATED_POINT_JOB.replace(" 0:(1,1,1) 0:(0,0,0)", " 0:(1,1,1)")
+    assert [t["budget"] for t in run_job(validate_job(parse_job_text(once)))["tasks"]] == \
+        [t["budget"] for t in report["tasks"]]
+
+
+LARGE_T_PAIR_JOB = """\
+p = 5
+[component]
+vars = x y z
+ideal = x*y - z^2
+[task pair]
+a = x; y; z
+t = 10
+e_max = 2
+"""
+
+
+def test_a_pair_with_a_large_t_builds_no_ideal_power(monkeypatch):
+    # a^N with N = ceil(10 (q - 1)) = 240 at e = 2 lies in m^[q]; building
+    # its C(242, 2) products took seconds, all of it outside the budget
+    import charp.finv
+
+    def fail(*args):
+        raise AssertionError("ideal_power called")
+
+    monkeypatch.setattr(charp.finv, "ideal_power", fail)
+    task = run_job(validate_job(parse_job_text(LARGE_T_PAIR_JOB)))["tasks"][0]
+    assert task["status"] == "ok"
+    assert [row["a_e"] for row in task["rows"]] == [0, 0]
+    assert task["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
+                              "used_basis": 3, "used_pairs": 0, "used_box": 15625}
 
 
 @pytest.mark.parametrize("order, n_jobs", [

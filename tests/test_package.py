@@ -48,5 +48,39 @@ def test_budget_is_built_in_two_places_and_passed_to_no_function():
                 builds.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
     assert params == []
     # jobs._budget gives a budget of the job's caps to each task and to the
-    # building of each component, whose charges every reader is charged again
+    # building of each component, which every task that reads it pays for
     assert sorted(builds) == ["ideal.active_budget", "jobs._budget"]
+
+
+def _owned_nodes():
+    """(module.Class.function owning node, node) for every node of the package."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}"
+            yield inner, child
+            yield from walk(child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def test_shared_work_is_charged_in_one_place():
+    # a budget pays for a shared item once, the first time it reads it: only
+    # ideal.Shared.get reads or adds to a budget's ledger of paid items, makes
+    # Charges or charges them again, and no reader copies of a store remain
+    ledger, charges, readers = set(), set(), []
+    for owner, node in _owned_nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr == "charged":
+                ledger.add(owner)
+            elif node.attr in ("pairs", "basis", "box"):  # the fields of Charges
+                charges.add(owner)
+        elif isinstance(node, ast.Name) and node.id == "Charges" and isinstance(node.ctx, ast.Load):
+            charges.add(owner)
+        if getattr(node, "name", None) == "reader" or "reader" in (
+                getattr(node, "attr", None), getattr(node, "id", None)):
+            readers.append(owner)
+    assert ledger == charges == {"ideal.Shared.get"}
+    assert readers == []
