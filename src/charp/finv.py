@@ -12,13 +12,19 @@ is the local dimension d = dim R_m: dim(S/I) when n - dim(S/I) generators
 present I (a complete intersection is unmixed), else read, with e(R_m),
 from the leading ideal of one standard basis of I at the point.
 
+Every function here takes q = p^e and m^[q] from one gate, `_frobenius`,
+which checks e and rejects a q past EXPONENT_LIMIT before forming p^e.
+
 F-purity, splitting numbers and pairs read one multiplier (I^[q] : I): by
 Fedder's lemma (F^(q-1)), F = f_1...f_c, when the generators are a complete
 intersection at the point, else a colon by elimination.  Every splitting
 number is one length difference, a_e = lambda(S/M) - lambda(S/(M + U)) for
-the splitting ideal I_e = (M : U); no colon ideal is built for it.  A
-complete intersection walks a chain of colons by F^(p-1) to M, and
-`splitting_ideal` builds I_e itself as the oracle the tests compare against.
+the splitting ideal I_e = (M : U), checked against 0 <= a_e <= q^d; no
+colon ideal is built for it.  A complete intersection walks a chain of
+colons by F^(p-1) to M, and `splitting_ideal` builds I_e itself as the
+oracle the tests compare against.  A pair (R, a^t) whose a^N is the unit
+ideal at the point reads the plain a_e; otherwise its U = a^N (I^[q] : I)
+enters the same difference over M = m^[q].
 
 A LocalRingAtPoint takes an Ideal that may already hold its Groebner basis
 and keeps its local data in one store (`ideal.Shared`), as an Ideal keeps
@@ -36,7 +42,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import NotPrimaryError, ZeroIdealError
+from .errors import ExponentOverflowError, NotPrimaryError, ZeroIdealError
 from .ideal import (
     INFINITE,
     Ideal,
@@ -55,7 +61,7 @@ from .ideal import (
     power_spans,
     standard_count,
 )
-from .poly import poly_pow
+from .poly import EXPONENT_LIMIT, poly_pow
 
 HL_TOLERANCE = Fraction(5, 100)
 
@@ -173,6 +179,18 @@ def _extrapolate(values, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
     return LimitEstimate(value, len(values), tuple(values), diffs, conf)
 
 
+def _frobenius(L: LocalRingAtPoint, e: int, least: int = 1) -> tuple:
+    """(q, m^[q]) for q = p^e with e >= least: the one place e is checked
+    and p^e formed.  p^e >= 2^e, so an e past the bit length of
+    EXPONENT_LIMIT is rejected before p^e is formed."""
+    if e < least:
+        raise ValueError("e must be non-negative" if least == 0 else "e must be at least 1")
+    if e > EXPONENT_LIMIT.bit_length():
+        raise ExponentOverflowError("Frobenius power q exceeds 32-bit bound")
+    q = L.p**e
+    return q, bracket_power(L.m0, q)
+
+
 # ---------------------------------------------------------------------------
 # Hilbert-Kunz
 
@@ -183,11 +201,9 @@ def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None) -> HKRecord
     J must be primary to the point modulo I: S/(I + J) has a finite length
     l >= 1, and m^[p^k] lies in I + J for the least p^k >= l (as m^l does
     when a is its only support), so l is the local length."""
-    if e < 0:
-        raise ValueError("e must be non-negative")
-    q = L.p**e
+    q, mq = _frobenius(L, e, least=0)
     if J is None:
-        lam = L._cache.get(("lam", e), lambda: length(ideal_sum(L.ideal0, bracket_power(L.m0, q))))
+        lam = L._cache.get(("lam", e), lambda: length(ideal_sum(L.ideal0, mq)))
     else:
         IJ = ideal_sum(L.ideal0, J)
         ell = length(IJ)
@@ -235,6 +251,15 @@ def _multiplier(L: LocalRingAtPoint, q: int) -> Ideal:
     return L._cache.get(("mult", q), work)
 
 
+def _length_difference(L: LocalRingAtPoint, e: int, q: int, lam: int, M: Ideal, U: Ideal) -> int:
+    """a_e = lambda(S/M) - lambda(S/(M + U)) for lam = lambda(S/M), checked
+    against 0 <= a_e <= q^d."""
+    a = lam - length(ideal_sum(M, U))
+    if not 0 <= a <= q**L.d:
+        raise RuntimeError(f"a_{e} = {a} is outside [0, q^d = {q**L.d}]")
+    return a
+
+
 def _splitting_step(L: LocalRingAtPoint, e: int):
     """(M, lambda(S/M), U, a_e) with I_e = (M : U) and
     a_e = lambda(S/I_e) = lambda(S/M) - lambda(S/(M + U)), cached on L.  A
@@ -247,46 +272,39 @@ def _splitting_step(L: LocalRingAtPoint, e: int):
     Gorenstein, and Matlis duality gives lambda(0 :_A U) = lambda(A/UA) over
     A = S/M.  A step reads what it is built from, the multiplier or the
     step before, first, so its own Charges are its colon and length."""
+    q, mq = _frobenius(L, e)  # before the walk recurses
     p, n = L.p, L.ring.nvars
     walk = e > 1 and _is_ci(L)
     if walk:
         M, _, U, a = _splitting_step(L, e - 1)
         lam = p**n * a
     else:
-        q = p**e
-        M, U, lam = bracket_power(L.m0, q), _multiplier(L, q), q**n
+        M, U, lam = mq, _multiplier(L, q), q**n
 
     def work():
         Me = bracket_power(colon(M, U), p) if walk else M
-        a = lam - length(ideal_sum(Me, U))
-        if not 0 <= a <= p**(e * L.d):
-            raise RuntimeError(f"a_{e} = {a} is outside [0, q^d = {p**(e * L.d)}]")
-        return Me, lam, U, a
+        return Me, lam, U, _length_difference(L, e, q, lam, Me, U)
 
     return L._cache.get(("step", e), work)
 
 
 def fedder_is_fpure(L: LocalRingAtPoint) -> bool:
     """Fedder's criterion: F-pure iff (I^[p] : I) is not inside m^[p]."""
-    mp = bracket_power(L.m0, L.p)
-    return any(not normal_form(g, mp).is_zero() for g in _multiplier(L, L.p).gens)
+    p, mp = _frobenius(L, 1)
+    return any(not normal_form(g, mp).is_zero() for g in _multiplier(L, p).gens)
 
 
 def splitting_ideal(L: LocalRingAtPoint, e: int) -> Ideal:
     """Lift of I_e = (m^[q] : (I^[q] : I)): the elements whose Frobenius
     images all land in m.  The invariants only need its length, which
     `splitting_number` reads without this colon; the ideal is the oracle."""
-    if e < 1:
-        raise ValueError("e must be at least 1")
     M, _, U, _ = _splitting_step(L, e)
     return colon(M, U)
 
 
 def splitting_number(L: LocalRingAtPoint, e: int) -> SplitRecord:
     """a_e = lambda(R/I_e), normalized by q^d."""
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    q = L.p**e
+    q, _ = _frobenius(L, e)
     a_e = _splitting_step(L, e)[3]
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
@@ -316,25 +334,26 @@ def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int) -> SplitReco
     a_e = lambda(S / (m^[q] : U)) = q^n - lambda(S / (m^[q] + U)) for
     U = a^N * (I^[q]:I), N = ceil(t(q-1)), by duality on S/m^[q].
 
-    When a's k generators all vanish at the point and N > k(q-1), each
-    product of N of them has some factor g^q, g in m, so a^N lies in m^[q]
-    and U is taken as 0 without building a^N: a_e = 0."""
-    if e < 1:
-        raise ValueError("e must be at least 1")
+    S/(m^[q] + U) is supported at the point, so only a^N R_m matters.  When
+    N = 0 or a generator of a is a unit there, a^N R_m = R_m and the pair's
+    a_e is the plain one, read from `splitting_number`.  When a's k
+    generators all vanish at the point and N > k(q-1), each product of N of
+    them has some factor g^q, g in m, so a^N lies in m^[q] and U is taken as
+    0 without building a^N or reading the multiplier: a_e = 0."""
+    q, mq = _frobenius(L, e)
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be non-negative")
     if not any(not normal_form(g, L.ideal0).is_zero() for g in a.gens):
         raise ZeroIdealError("pair ideal is zero modulo I")
-    q = L.p**e
-    mq = bracket_power(L.m0, q)  # first: it rejects a q past the exponent bound
-    # the multiplier is read on both routes, so the charges do not depend on t
-    mult, N = _multiplier(L, q), math.ceil(t * (q - 1))
-    if N > len(a.gens) * (q - 1) and all(g.evaluate(L.point) == 0 for g in a.gens):
+    N = math.ceil(t * (q - 1))
+    if N == 0 or any(g.evaluate(L.point) != 0 for g in a.gens):
+        return splitting_number(L, e)
+    if N > len(a.gens) * (q - 1):
         U = Ideal(L.ring, ())
     else:
-        U = ideal_product(ideal_power(a, N), mult)
-    a_e = q**L.ring.nvars - length(ideal_sum(mq, U))
+        U = ideal_product(ideal_power(a, N), _multiplier(L, q))
+    a_e = _length_difference(L, e, q, q**L.ring.nvars, mq, U)
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 
@@ -343,15 +362,14 @@ def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int) -> int:
     the spans V_r of the r-fold generator products mod M (`power_spans`):
     a^r lies in M iff V_r = 0.  Each |V_r| <= lambda(S/M) is charged to the
     box budget."""
-    if e < 1:
-        raise ValueError("e must be at least 1")
+    _, mq = _frobenius(L, e)
     budget = active_budget()
     if not any(not normal_form(g, L.ideal0).is_zero() for g in a.gens):
         raise ZeroIdealError("nu of the zero ideal")
     for g in a.gens:
         if g.evaluate(L.point) != 0:
             raise ValueError("a must be contained in the maximal ideal")
-    M = ideal_sum(L.ideal0, bracket_power(L.m0, L.p**e))
+    M = ideal_sum(L.ideal0, mq)
     for r, dim in enumerate(power_spans(a.gens, M)):
         if not dim:
             return r

@@ -268,7 +268,8 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            assert other.ring == self.ring, "mixed rings"
+            if other.ring != self.ring:
+                raise ValueError("mixed rings")
             return other
         if isinstance(other, int):
             return self.ring.const(other)

@@ -34,6 +34,7 @@ from .ideal import (
     ideal_equal,
     ideal_power,
     ideal_sum,
+    length,
     normal_form,
     s_polynomial,
 )
@@ -181,11 +182,18 @@ def check_semicontinuity(points=((1, 1, 1), (1, 4, 2), (4, 1, 2), (4, 4, 1))) ->
 
 
 def check_pairs() -> None:
-    """t = 0 gives a_1 back; the explicit F_p[x] colon at t = 1/2; monotone in t."""
+    """a_e and the pair at t = 0 against the duality formula
+    q^n - lambda(S/(m^[q] + (I^[q] : I))), the colon by elimination, at
+    e = 1, 2 (a complete intersection's walk starts at e = 2); the explicit
+    F_p[x] colon at t = 1/2; monotone in t."""
     for L in [case.local() for case in CORPUS] + [local_ring(p, "x") for p in (5, 7)]:
         a = Ideal(L.ring, L.m0.gens[:1])
-        _expect(pair_splitting_number(L, a, 0, 1) == splitting_number(L, 1),
-                "pair at t = 0 against a_1")
+        for e in (1, 2):
+            q = L.p**e
+            K = colon(bracket_power(L.ideal0, q), L.ideal0)
+            dual = q**L.ring.nvars - length(ideal_sum(bracket_power(L.m0, q), K))
+            _expect(splitting_number(L, e).a_e == pair_splitting_number(L, a, 0, e).a_e == dual,
+                    f"a_{e} and the pair at t = 0 against the duality formula")
     for p in (5, 7):
         L = local_ring(p, "x")
         rec = pair_splitting_number(L, Ideal(L.ring, L.m0.gens), Fraction(1, 2), 2)

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from charp.errors import NotPrimaryError, ZeroIdealError
+from charp.errors import ExponentOverflowError, NotPrimaryError, ZeroIdealError
 from charp.gf import field_new
 from charp.ideal import Budget, Ideal, ideal_equal, length
 from charp.finv import (
@@ -448,6 +448,53 @@ def test_a_pair_past_k_q_minus_1_matches_the_power_it_skips(monkeypatch, names, 
     assert [pair_splitting_number(L, a, t, e).a_e for e in (1, 2)] == old == [0, 0]
 
 
+@pytest.mark.parametrize("names, srcs, a, point", [
+    (("x", "y", "z"), ["x*y - z^2"], ("x + 1", "y"), None),
+    (*_TWISTED_CUBIC, ("w - 1",), None),
+    (("x", "y", "z"), ["x*y - z^2"], ("x", "z - 1"), (1, 1, 1)),
+])
+def test_a_pair_with_a_unit_generator_matches_the_power_it_skips(monkeypatch, names, srcs, a, point):
+    # a generator off the point makes a^N R_m = R_m, so the old route's
+    # U = a^N (I^[q] : I) gives the plain a_e, read with no work of its own
+    import charp.finv
+    from charp.ideal import bracket_power, ideal_power, ideal_product, ideal_sum
+
+    L = local(3, names, srcs, point)
+    a = Ideal(L.ring, [L.ring.parse(g) for g in a])
+    old = []
+    for e in (1, 2):
+        q = 3**e
+        U = ideal_product(ideal_power(a, math.ceil((q - 1) / 2)), _multiplier(L, q))
+        old.append(q**L.ring.nvars - length(ideal_sum(bracket_power(L.m0, q), U)))
+    plain = [splitting_number(L, e) for e in (1, 2)]
+
+    def fail(*args):
+        raise AssertionError("work outside the splitting route")
+
+    for name in ("ideal_power", "colon", "length"):
+        monkeypatch.setattr(charp.finv, name, fail)
+    assert [pair_splitting_number(L, a, Fraction(1, 2), e) for e in (1, 2)] == plain
+    assert [rec.a_e for rec in plain] == old
+
+
+def test_a_pair_length_out_of_range_breaks_the_bound(monkeypatch):
+    import charp.finv
+
+    L = local(5, ("x", "y"), [])
+    a = Ideal(L.ring, (L.ring.gen(0),))
+    monkeypatch.setattr(charp.finv, "length", lambda I: -1)
+    with pytest.raises(RuntimeError, match=r"a_1 = 26 is outside \[0, q\^d = 25\]"):
+        pair_splitting_number(L, a, Fraction(1, 2), 1)
+
+
+def test_splitting_number_past_the_exponent_bound_is_an_overflow():
+    # 3^5000 passes the 32-bit bound; the complete intersection's walk
+    # would recurse 5000 steps deep before forming it
+    L = local(3, ("x", "y", "z"), ["x*y - z^2"])
+    with pytest.raises(ExponentOverflowError, match="Frobenius power q exceeds 32-bit bound"):
+        splitting_number(L, 5000)
+
+
 def test_quadric_splitting_values():
     assert splitting_number(local(7, ("x", "y", "z"), ["x*y - z^2"]), 1).s_e == \
         Fraction(25, 49)
@@ -519,12 +566,21 @@ def test_segre_cone_values():
 # -- pairs -------------------------------------------------------------------
 
 def test_pair_t0_equals_splitting_number():
+    # both against q^n - lambda(S/(m^[q] + (I^[q] : I))) with the colon by
+    # elimination; at e = 2 the complete intersections' a_e comes from the walk
+    from charp.ideal import bracket_power, colon, ideal_sum
+
     for p, names, gens in [(5, ("x", "y"), ["x*y"]),
                            (7, ("x", "y", "z"), ["x*y - z^2"]),
-                           (5, ("x", "y"), [])]:
+                           (5, ("x", "y"), []),
+                           (3, *_TWISTED_CUBIC)]:
         L = local(p, names, gens)
         a = Ideal(L.ring, (L.ring.parse(names[0]),))
-        assert pair_splitting_number(L, a, 0, 1) == splitting_number(L, 1)
+        for e in (1, 2):
+            q = p**e
+            K = colon(bracket_power(L.ideal0, q), L.ideal0)
+            dual = q**L.ring.nvars - length(ideal_sum(bracket_power(L.m0, q), K))
+            assert splitting_number(L, e).a_e == pair_splitting_number(L, a, 0, e).a_e == dual
 
 
 def test_pair_one_variable_explicit():

@@ -444,6 +444,91 @@ def test_a_pair_with_a_large_t_builds_no_ideal_power(monkeypatch):
                               "used_basis": 3, "used_pairs": 0, "used_box": 15625}
 
 
+def test_a_pair_with_u_0_reads_no_multiplier(monkeypatch):
+    # the twisted cubic is no complete intersection, so reading (I^[q] : I)
+    # for a U = 0 that does not use it cost 2 colons and 280 pairs
+    import charp.finv
+
+    def fail(*args):
+        raise AssertionError("colon called")
+
+    monkeypatch.setattr(charp.finv, "colon", fail)
+    job = ("p = 3\n[component]\nvars = x y z w\nideal = x*z - y^2; y*w - z^2; x*w - y*z\n"
+           "[task pair]\na = x\nt = 4\ne_max = 2\n")
+    task = run_job(validate_job(parse_job_text(job)))["tasks"][0]
+    assert task["status"] == "ok"
+    assert [row["a_e"] for row in task["rows"]] == [0, 0]
+    assert task["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
+                              "used_basis": 4, "used_pairs": 4, "used_box": 6561}
+
+
+UNIT_PAIR_JOB = """\
+p = 5
+[component]
+vars = x y z
+ideal = x*y - z^2
+[task pair]
+a = x + 1; y
+t = 40
+e_max = 2
+[task fsig]
+e_max = 2
+"""
+
+
+def test_a_pair_with_a_unit_generator_is_the_plain_splitting_number(monkeypatch):
+    # x + 1 is a unit at the origin, so a^N R_m = R_m: building a^N with
+    # N = ceil(40 (q - 1)) = 960 at e = 2 took seconds, all of it outside the budget
+    import charp.finv
+
+    def fail(*args):
+        raise AssertionError("ideal_power called")
+
+    monkeypatch.setattr(charp.finv, "ideal_power", fail)
+    pair, fsig = run_job(validate_job(parse_job_text(UNIT_PAIR_JOB)))["tasks"]
+    assert pair["status"] == fsig["status"] == "ok"
+    assert [row["a_e"] for row in pair["rows"]] == [row["a_e"] for row in fsig["rows"]] == [13, 313]
+    assert pair["pair"][0]["s_e"] == [row["s_e"] for row in fsig["rows"]]
+    assert pair["budget"] == fsig["budget"]
+
+
+TWISTED_CUBIC_PAIR_JOB = """\
+p = 3
+[component]
+vars = x y z w
+ideal = x*z - y^2; y*w - z^2; x*w - y*z
+[task fsig]
+e_max = 3
+[task pair]
+a = x; w
+t_grid = 0 1/3
+e_max = 3
+"""
+
+
+def test_a_pair_at_t_0_reads_the_cached_splitting_numbers(monkeypatch):
+    # the pair at t = 0 reads fsig's a_e; recomputing them cost 3 Buchberger runs
+    runs = []
+
+    def counted(*args, _fn=charp.ideal._buchberger):
+        runs.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(charp.ideal, "_buchberger", counted)
+    reports = []
+    for grid in ("0 1/3", "1/3"):
+        runs.clear()
+        job = TWISTED_CUBIC_PAIR_JOB.replace("0 1/3", grid)
+        reports.append((run_job(validate_job(parse_job_text(job))), len(runs)))
+    (report, n_runs), (without_t0, n_runs_without_t0) = reports
+    assert n_runs == n_runs_without_t0
+    fsig, pair = report["tasks"]
+    assert [row["a_e"] for row in pair["rows"]] == [row["a_e"] for row in fsig["rows"]] + [0, 9, 108]
+    caps = {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000}
+    assert fsig["budget"] == caps | {"used_basis": 87, "used_pairs": 636, "used_box": 531441}
+    assert pair["budget"] == caps | {"used_basis": 87, "used_pairs": 690, "used_box": 531441}
+
+
 @pytest.mark.parametrize("order, n_jobs", [
     ("as written", 1), ("reversed", 1), ("shuffled", 1), ("as written", 2), ("shuffled", 2),
 ])
@@ -550,13 +635,16 @@ def test_cli_large_prime_rejected_at_once(tmp_path, capsys):
 
 
 def test_huge_exponent_is_a_task_error(tmp_path, capsys):
-    path = _write(tmp_path, "p = 5\n[component]\nvars = x\nideal =\n"
-                            "[task nu]\npoint = 0\na = x\ne = 100000\n")
-    t0 = time.perf_counter()
-    assert main(["run", str(path)]) == 2
-    assert time.perf_counter() - t0 < 1
-    saved = json.loads((tmp_path / "job.report.json").read_text())
-    assert saved["tasks"][0]["error"].startswith("ExponentOverflowError: ")
+    # p^e is never formed past the bound: 5^(10^9) has 2.3 * 10^9 bits
+    for e in (100000, 10**9):
+        path = _write(tmp_path, "p = 5\n[component]\nvars = x\nideal =\n"
+                                f"[task nu]\npoint = 0\na = x\ne = {e}\n"
+                                f"[task semicontinuity]\nspecial = 0:(0)\nnearby = 0:(1)\ne = {e}\n")
+        t0 = time.perf_counter()
+        assert main(["run", str(path)]) == 2
+        assert time.perf_counter() - t0 < 1
+        saved = json.loads((tmp_path / "job.report.json").read_text())
+        assert [t["error"].split(":")[0] for t in saved["tasks"]] == ["ExponentOverflowError"] * 2
 
 
 def test_huge_pair_power_hits_the_box_budget_quickly(tmp_path):

@@ -84,3 +84,13 @@ def test_shared_work_is_charged_in_one_place():
             readers.append(owner)
     assert ledger == charges == {"ideal.Shared.get"}
     assert readers == []
+
+
+def test_finv_forms_p_to_the_e_in_one_place():
+    # finv._frobenius checks e and rejects a q past the exponent bound before
+    # forming p^e; a power by e anywhere else could build a huge integer first
+    owners = {owner for owner, node in _owned_nodes()
+              if owner.startswith("finv.") and isinstance(node, ast.BinOp)
+              and isinstance(node.op, ast.Pow)
+              and any(getattr(n, "id", None) == "e" for n in ast.walk(node.right))}
+    assert owners == {"finv._frobenius"}

@@ -1,7 +1,11 @@
 """Sparse polynomial arithmetic, monomial orders, and the parser."""
 
+import os
 import random
+import subprocess
+import sys
 from operator import add
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,31 @@ def test_derivative():
     assert f.derivative(0) == R.parse("y")
     assert f.derivative(2) == R.parse("3*z")  # -2 mod 5
     assert R.parse("x^5").derivative(0).is_zero()  # p-th powers are constants
+
+
+def test_mixed_rings_are_rejected_under_optimize():
+    # `python -O` strips `assert` statements (the child's own `assert False`
+    # proves it ran optimized); x + z printed "x + " and x*z returned x
+    code = "\n".join([
+        "import sys",
+        "from charp.gf import field_new",
+        "from charp.poly import PolyRing",
+        "assert False",
+        "F = field_new(5)",
+        "x = PolyRing(F, ('x', 'y')).gen(0)",
+        "z = PolyRing(F, ('x', 'y', 'z')).gen(2)",
+        "for op in (lambda: x + z, lambda: x - z, lambda: x * z):",
+        "    try:",
+        "        op()",
+        "    except ValueError as exc:",
+        "        print(exc)",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["mixed rings"] * 3
 
 
 # -- orders ------------------------------------------------------------------
