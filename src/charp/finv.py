@@ -14,6 +14,13 @@ from the leading ideal of one standard basis of I at the point.
 
 Every function here takes q = p^e and m^[q] from one gate, `_frobenius`,
 which checks e and rejects a q past EXPONENT_LIMIT before forming p^e.
+The records it returns (HKRecord, SplitRecord) carry q and the normalized
+values lambda_e/q^d and a_e/q^d, and no other module forms them.
+
+A limit estimate is labelled exact only under a certificate: lambda_1 = p^d
+(R is regular, e_HK = 1), a_1 = p^d (s = 1) or a_1 = 0 (s = 0).  Equal
+values alone prove nothing: F_2[x,y,z]/(xz, x^2y^2) at the origin has
+lambda_e/q^2 = 3/2, 3/2, 21/16, ... and e_HK = e(R) = 1.
 
 F-purity, splitting numbers and pairs read one multiplier (I^[q] : I): by
 Fedder's lemma (F^(q-1)), F = f_1...f_c, when the generators are a complete
@@ -39,7 +46,7 @@ cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExponentOverflowError, NotPrimaryError, ZeroIdealError
@@ -144,10 +151,13 @@ class SplitRecord:
 class LimitEstimate:
     """Extrapolated limit of a normalized sequence.
 
-    confidence is 'exact' (all values equal, or a sound zero short-circuit),
-    'converged' (last step under the tolerance), or 'inconclusive'; it is a
-    heuristic label, never a proof, because the error constant of the
-    underlying O(1/q) term is not effective.
+    confidence is 'exact' only under a certificate: a normalized value 1 at
+    e = 1 (lambda_1 = p^d: R is regular by Kunz, so e_HK = 1; a_1 = p^d:
+    free summands push forward, so a_(e+1) >= a_1 a_e, which with
+    a_e <= q^d gives a_e = q^d and s = 1), or a_1 = 0 (s = 0).  Otherwise it
+    is 'converged' (last step under the tolerance) or 'inconclusive', a
+    heuristic label, never a proof: equal values need not stay equal, and
+    the error constant of the underlying O(1/q) term is not effective.
     """
 
     value: Fraction
@@ -155,18 +165,22 @@ class LimitEstimate:
     raw: tuple
     successive_diffs: tuple
     confidence: str
-    records: tuple = ()  # the HKRecords or SplitRecords behind raw
+    records: tuple  # the HKRecords or SplitRecords behind raw
 
 
 # the last step below which an estimate is labelled 'converged'
 DEFAULT_TOLERANCE = 1e-2
 
 
-def _extrapolate(values, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
-    values = [Fraction(v) for v in values]
+def _extrapolate(records, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
+    """The estimate from the records of e = 1, 2, ...: a normalized value 1
+    at e = 1 certifies the limit 1, and every value must then be 1."""
+    values = [r.normalized if isinstance(r, HKRecord) else r.s_e for r in records]
     diffs = tuple(b - a for a, b in zip(values, values[1:]))
-    if all(d == 0 for d in diffs):
-        return LimitEstimate(values[-1], len(values), tuple(values), diffs, "exact")
+    if values[0] == 1:
+        if any(v != 1 for v in values):
+            raise RuntimeError(f"normalized values {values} leave 1 after a certificate of 1")
+        return LimitEstimate(values[0], len(values), tuple(values), diffs, "exact", tuple(records))
     # model v_e = v + c/p^e fitted on the last two points, clamped to the
     # invariant's a-priori range (the model can overshoot when the true
     # error term decays faster than 1/q)
@@ -176,7 +190,7 @@ def _extrapolate(values, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
     if hi is not None and value > hi:
         value = Fraction(hi)
     conf = "converged" if abs(float(diffs[-1])) < tol else "inconclusive"
-    return LimitEstimate(value, len(values), tuple(values), diffs, conf)
+    return LimitEstimate(value, len(values), tuple(values), diffs, conf, tuple(records))
 
 
 def _frobenius(L: LocalRingAtPoint, e: int, least: int = 1) -> tuple:
@@ -225,8 +239,7 @@ def hk_estimate(L: LocalRingAtPoint, e_max: int,
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
     recs = [hk_function(L, e) for e in range(1, e_max + 1)]
-    est = _extrapolate([r.normalized for r in recs], L.p, tol, lo=1)
-    return replace(est, records=tuple(recs))
+    return _extrapolate(recs, L.p, tol, lo=1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +327,8 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int,
     """F-signature estimate from the normalized splitting numbers.
 
     a_1 = 0 means R is not F-split, hence a_e = 0 for every e and the limit
-    is exactly 0; that short-circuit is sound and is taken.
+    is exactly 0; that short-circuit is sound and is taken.  a_1 = p^d
+    certifies s = 1 (`LimitEstimate`).
     """
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
@@ -322,8 +336,7 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int,
     if recs[0].a_e == 0:
         return LimitEstimate(Fraction(0), 1, (Fraction(0),), (), "exact", tuple(recs))
     recs += [splitting_number(L, e) for e in range(2, e_max + 1)]
-    est = _extrapolate([r.s_e for r in recs], L.p, tol, lo=0, hi=1)
-    return replace(est, records=tuple(recs))
+    return _extrapolate(recs, L.p, tol, lo=0, hi=1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +351,8 @@ def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int) -> SplitReco
     N = 0 or a generator of a is a unit there, a^N R_m = R_m and the pair's
     a_e is the plain one, read from `splitting_number`.  When a's k
     generators all vanish at the point and N > k(q-1), each product of N of
-    them has some factor g^q, g in m, so a^N lies in m^[q] and U is taken as
-    0 without building a^N or reading the multiplier: a_e = 0."""
+    them has some factor g^q, g in m, so a^N lies in m^[q], U is 0 and
+    a_e = 0, with no a^N, multiplier or length computed."""
     q, mq = _frobenius(L, e)
     t = Fraction(t)
     if t < 0:
@@ -350,9 +363,8 @@ def pair_splitting_number(L: LocalRingAtPoint, a: Ideal, t, e: int) -> SplitReco
     if N == 0 or any(g.evaluate(L.point) != 0 for g in a.gens):
         return splitting_number(L, e)
     if N > len(a.gens) * (q - 1):
-        U = Ideal(L.ring, ())
-    else:
-        U = ideal_product(ideal_power(a, N), _multiplier(L, q))
+        return SplitRecord(e, q, 0, Fraction(0))
+    U = ideal_product(ideal_power(a, N), _multiplier(L, q))
     a_e = _length_difference(L, e, q, q**L.ring.nvars, mq, U)
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 

@@ -411,29 +411,25 @@ def _samples(R: RingPresentation, raw) -> list:
     return out
 
 
-def _row(task_label, component, point, e, q, lam=None, norm=None,
-         a_e=None, s_e=None):
-    return {
-        "task": task_label,
-        "component": component,
-        "point": _point_label(point),
-        "e": e,
-        "q": q,
-        "lambda": lam,
-        "norm": None if norm is None else _fraction_cell(norm),
-        "a_e": a_e,
-        "s_e": None if s_e is None else _fraction_cell(s_e),
-    }
-
-
 def _record_rows(label, component, point, records) -> list:
-    """One row per HKRecord or SplitRecord."""
-    return [
-        _row(label, component, point, r.e, r.q, lam=r.lam, norm=r.normalized)
-        if isinstance(r, HKRecord) else
-        _row(label, component, point, r.e, r.q, a_e=r.a_e, s_e=r.s_e)
-        for r in records
-    ]
+    """One row per HKRecord (lambda_e and its norm), SplitRecord (a_e and
+    s_e), or (HKRecord, SplitRecord) of one e (lambda_e, its norm and s_e)."""
+    rows = []
+    for r in records:
+        hk, split = r if isinstance(r, tuple) else \
+            (r, None) if isinstance(r, HKRecord) else (None, r)
+        rows.append({
+            "task": label,
+            "component": component,
+            "point": _point_label(point),
+            "e": (hk or split).e,
+            "q": (hk or split).q,
+            "lambda": None if hk is None else hk.lam,
+            "norm": None if hk is None else _fraction_cell(hk.normalized),
+            "a_e": split.a_e if hk is None else None,
+            "s_e": None if split is None else _fraction_cell(split.s_e),
+        })
+    return rows
 
 
 def _ideal(ring: PolyRing, sources) -> Ideal:
@@ -507,13 +503,8 @@ def _run_semicontinuity(job, task, built, out):
     rep = semicontinuity_probe(R, special, nearby, task["e"])
     out["ok"] = rep.ok
     out["note"] = rep.note
-    ci = special.component
-    out["rows"].append(_row("semicontinuity:special", ci, special.point,
-                            rep.e, rep.q, lam=rep.special_lam,
-                            norm=rep.special_value))
-    for s, lam, norm in rep.rows:
-        out["rows"].append(_row("semicontinuity:nearby", ci, s.point,
-                                rep.e, rep.q, lam=lam, norm=norm))
+    for label, (s, rec) in [("special", rep.special), *(("nearby", n) for n in rep.nearby)]:
+        out["rows"] += _record_rows(f"semicontinuity:{label}", s.component, s.point, [rec])
     if not rep.ok:
         out["status"] = "error"
         out["error"] = rep.note
@@ -526,19 +517,14 @@ def _run_flat_check(job, task, built, out):
         pair = (_ideal(L.ring, task["a"]), Fraction(task["t"]))
     rep = flat_extension_check(L, task["extra_vars"], task["e_max"], pair)
     out["ok"] = rep.ok
-    for e, q, lam_r, lam_t, s_r, s_t, lam_ok, s_ok in rep.rows:
-        out["rows"].append(_row("flat_check:base", ci, point, e, q,
-                                lam=lam_r, norm=Fraction(lam_r, q**L.d),
-                                a_e=None, s_e=s_r))
-        ext_point = tuple(point) + (0,) * rep.n_extra_vars
-        out["rows"].append(_row("flat_check:ext", ci, ext_point, e, q,
-                                lam=lam_t,
-                                norm=Fraction(lam_t, q**(L.d + rep.n_extra_vars)),
-                                a_e=None, s_e=s_t))
+    ext_point = tuple(point) + (0,) * task["extra_vars"]
+    for base, ext in rep.rows:
+        out["rows"] += _record_rows("flat_check:base", ci, point, [base])
+        out["rows"] += _record_rows("flat_check:ext", ci, ext_point, [ext])
     out["pair_rows"] = [
-        {"e": e, "q": q, "s_base": _fraction_cell(sr),
-         "s_ext": _fraction_cell(st), "equal": ok}
-        for e, q, sr, st, ok in rep.pair_rows
+        {"e": r.e, "q": r.q, "s_base": _fraction_cell(r.s_e),
+         "s_ext": _fraction_cell(t.s_e), "equal": r.s_e == t.s_e}
+        for r, t in rep.pair_rows
     ]
     if not rep.ok:
         out["status"] = "error"

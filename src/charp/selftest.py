@@ -102,8 +102,8 @@ CORPUS = (
     # a line off the plane of (xz, yz): regular of local dimension 1 < dim 2
     Case(1, 5, "x y z", ("x*z", "y*z"), (0, 0, 1), lam={1: 5, 2: 25}, a={1: 5, 2: 25}, hs=1),
     # 2. the node: lambda_e = 2q - 1, e_HK = 2, a_1 = 1, s = 0
-    *(Case(2, p, "x y", ("x*y",), lam={e: 2 * p**e - 1 for e in (1, 2, 3)}, a={1: 1},
-           hk=(2, 0, 3), fsig=(0, 0, 2))
+    *(Case(2, p, "x y", ("x*y",), lam={1: 2 * p - 1, 2: 2 * p**2 - 1, 3: 2 * p**3 - 1},
+           a={1: 1}, hk=(2, 0, 3), fsig=(0, 0, 2))
       for p in (3, 5, 7)),
     # 3. the quadric cone: e_HK = 3/2 (Monsky 1983), s = 1/2, e(R) = 2;
     #    over F_3, nu(m) = 3(q - 1)/2 at e = 3
@@ -165,8 +165,9 @@ def check_flat() -> None:
               local_ring(5, "x y", ("x*y",))):
         rep = flat_extension_check(L, 1, 2)
         _expect(rep.ok, "flat extension report")
-        for _, q, lam_r, lam_t, s_r, s_t, _, _ in rep.rows:
-            _expect(lam_t == q * lam_r and s_t == s_r, f"flat extension row at q = {q}")
+        for (hr, sr), (ht, st) in rep.rows:
+            _expect(ht.lam == hr.q * hr.lam and st.s_e == sr.s_e,
+                    f"flat extension row at q = {hr.q}")
 
 
 def check_semicontinuity(points=((1, 1, 1), (1, 4, 2), (4, 1, 2), (4, 4, 1))) -> None:
@@ -176,8 +177,8 @@ def check_semicontinuity(points=((1, 1, 1), (1, 4, 2), (4, 1, 2), (4, 4, 1))) ->
     cone = RingPresentation([RingComponent(R, [R.parse(_QUADRIC[0])])])
     rep = semicontinuity_probe(cone, PrimeSample(0, (0, 0, 0)),
                                [PrimeSample(0, pt) for pt in points], 1)
-    _expect(rep.ok and len(rep.rows) == len(points), "semicontinuity report")
-    _expect(all(norm == 1 < rep.special_value for _, _, norm in rep.rows),
+    _expect(rep.ok and len(rep.nearby) == len(points), "semicontinuity report")
+    _expect(all(rec.normalized == 1 < rep.special[1].normalized for _, rec in rep.nearby),
             "normalized lambda_1 at the smooth points")
 
 
@@ -189,10 +190,10 @@ def check_pairs() -> None:
     for L in [case.local() for case in CORPUS] + [local_ring(p, "x") for p in (5, 7)]:
         a = Ideal(L.ring, L.m0.gens[:1])
         for e in (1, 2):
-            q = L.p**e
-            K = colon(bracket_power(L.ideal0, q), L.ideal0)
-            dual = q**L.ring.nvars - length(ideal_sum(bracket_power(L.m0, q), K))
-            _expect(splitting_number(L, e).a_e == pair_splitting_number(L, a, 0, e).a_e == dual,
+            rec = splitting_number(L, e)
+            K = colon(bracket_power(L.ideal0, rec.q), L.ideal0)
+            dual = rec.q**L.ring.nvars - length(ideal_sum(bracket_power(L.m0, rec.q), K))
+            _expect(rec.a_e == pair_splitting_number(L, a, 0, e).a_e == dual,
                     f"a_{e} and the pair at t = 0 against the duality formula")
     for p in (5, 7):
         L = local_ring(p, "x")

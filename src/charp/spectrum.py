@@ -192,12 +192,8 @@ def global_fsig(R: RingPresentation, samples, e_max: int,
 
 @dataclass(frozen=True)
 class SemicontinuityReport:
-    e: int
-    q: int
-    special: PrimeSample
-    special_lam: int
-    special_value: Fraction
-    rows: tuple
+    special: tuple  # (PrimeSample, HKRecord)
+    nearby: tuple  # (PrimeSample, HKRecord) per nearby sample
     ok: bool
     note: str
 
@@ -216,21 +212,11 @@ def semicontinuity_probe(R: RingPresentation, special: PrimeSample, nearby,
             raise ValueError(
                 "component is not equidimensional per its declared minimal primes"
             )
-    sp = hk_function(comp.local_at(special.point), e)
-    rows = []
-    ok = True
-    for s in nearby:
-        rec = hk_function(comp.local_at(s.point), e)
-        rows.append((s, rec.lam, rec.normalized))
-        if rec.normalized > sp.normalized:
-            ok = False
+    sp, *near = [(s, hk_function(comp.local_at(s.point), e)) for s in [special, *nearby]]
+    ok = all(rec.normalized <= sp[1].normalized for _, rec in near)
     note = "upper semicontinuity holds on the sample" if ok else \
         "VIOLATION: semicontinuity failed; this indicates an engine bug"
-    return SemicontinuityReport(
-        e=e, q=sp.q, special=special, special_lam=sp.lam,
-        special_value=sp.normalized,
-        rows=tuple(rows), ok=ok, note=note,
-    )
+    return SemicontinuityReport(special=sp, nearby=tuple(near), ok=ok, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +224,16 @@ def semicontinuity_probe(R: RingPresentation, special: PrimeSample, nearby,
 
 @dataclass(frozen=True)
 class FlatExtensionReport:
-    n_extra_vars: int
-    rows: tuple  # (e, q, lam_R, lam_T, s_R, s_T, lam_ok, s_ok)
-    pair_rows: tuple
+    rows: tuple  # per e: (HKRecord, SplitRecord) of R, the same of T
+    pair_rows: tuple  # per e: the pair's (SplitRecord of R, SplitRecord of T)
     ok: bool
 
 
 def flat_extension_check(L: LocalRingAtPoint, n_extra_vars: int, e_max: int,
                          pair=None) -> FlatExtensionReport:
-    """Adjoin free variables (a flat extension with regular closed fiber)
-    and verify, integer-exactly for each e, that lambda scales by q^k and
-    the normalized splitting numbers are unchanged."""
+    """Adjoin free variables #t1.. (a flat extension T with regular closed
+    fiber) and verify, integer-exactly for each e, that lambda scales by q^k
+    and the normalized splitting numbers are unchanged."""
     if n_extra_vars < 1:
         raise ValueError("need at least one extra variable")
     budget = active_budget()
@@ -259,46 +244,25 @@ def flat_extension_check(L: LocalRingAtPoint, n_extra_vars: int, e_max: int,
     for _ in range(n_extra_vars):
         box *= L.p
         budget.charge_box(box)
-    ring = L.ring
-    names = set(ring.names)
-    extra = []
-    i = 1
-    while len(extra) < n_extra_vars:
-        cand = f"t{i}"
-        if cand not in names:
-            extra.append(cand)
-        i += 1
-    ext = ring.extend(extra)
+    # no parsed variable name starts with '#'
+    ext = L.ring.extend(f"#t{i}" for i in range(1, n_extra_vars + 1))
 
-    def lift(f):
-        return ext.from_dict({m + (0,) * n_extra_vars: c for m, c in f.terms})
+    def lift(I):
+        return Ideal(ext, [ext.from_dict({m + (0,) * n_extra_vars: c for m, c in f.terms})
+                           for f in I.gens])
 
-    LT = LocalRingAtPoint(Ideal(ext, [lift(g) for g in L.gens]),
-                          L.point + (0,) * n_extra_vars)
+    LT = LocalRingAtPoint(lift(L.ideal0), L.point + (0,) * n_extra_vars)
     rows = []
-    ok = True
     for e in range(1, e_max + 1):
-        q = L.p**e
-        lam_r = hk_function(L, e).lam
-        lam_t = hk_function(LT, e).lam
-        s_r = splitting_number(L, e).s_e
-        s_t = splitting_number(LT, e).s_e
-        lam_ok = lam_t == lam_r * q**n_extra_vars
-        s_ok = s_t == s_r
-        ok = ok and lam_ok and s_ok
-        rows.append((e, q, lam_r, lam_t, s_r, s_t, lam_ok, s_ok))
+        hr, ht = hk_function(L, e), hk_function(LT, e)
+        rows.append(((hr, splitting_number(L, e)), (ht, splitting_number(LT, e))))
     pair_rows = []
     if pair is not None:
         a, t = pair
-        a_ext = Ideal(ext, [lift(g) for g in a.gens])
-        for e in range(1, e_max + 1):
-            q = L.p**e
-            pr = pair_splitting_number(L, a, t, e)
-            pt = pair_splitting_number(LT, a_ext, t, e)
-            s_ok = pr.s_e == pt.s_e
-            ok = ok and s_ok
-            pair_rows.append((e, q, pr.s_e, pt.s_e, s_ok))
-    return FlatExtensionReport(
-        n_extra_vars=n_extra_vars, rows=tuple(rows),
-        pair_rows=tuple(pair_rows), ok=ok,
-    )
+        a_ext = lift(a)
+        pair_rows = [(pair_splitting_number(L, a, t, e), pair_splitting_number(LT, a_ext, t, e))
+                     for e in range(1, e_max + 1)]
+    ok = all(ht.lam == hr.lam * hr.q**n_extra_vars and st.s_e == sr.s_e
+             for (hr, sr), (ht, st) in rows) and \
+        all(pt.s_e == pr.s_e for pr, pt in pair_rows)
+    return FlatExtensionReport(rows=tuple(rows), pair_rows=tuple(pair_rows), ok=ok)

@@ -18,6 +18,7 @@ from charp.finv import (
     fsig_estimate,
     hk_estimate,
     hk_function,
+    multiplicity,
     nu_invariant,
     pair_splitting_number,
     splitting_ideal,
@@ -97,6 +98,23 @@ def test_hk_estimate_regular_exact():
     est = hk_estimate(local(5, ("x", "y"), []), 2)
     assert est.value == 1 and est.confidence == "exact"
     assert est.raw == (Fraction(1), Fraction(1))
+
+
+def test_equal_values_without_a_certificate_are_not_exact():
+    # F_2[x,y,z]/(xz, x^2y^2) at the origin: the normalized lambda_e repeat
+    # at e = 1, 2 and then fall, towards e_HK = e(R) = 1
+    L = local(2, ("x", "y", "z"), ["x*z", "x^2*y^2"])
+    est = hk_estimate(L, 2)
+    assert est.raw == (Fraction(3, 2), Fraction(3, 2))
+    assert est.confidence == "converged"
+    assert hk_estimate(L, 4).raw == (Fraction(3, 2), Fraction(3, 2), Fraction(21, 16),
+                                     Fraction(75, 64))
+    assert multiplicity(L) == 1
+    # the twisted cubic cone's s_e = 1/3 (the limit) carry no certificate either
+    cubic = local(3, ("x", "y", "z", "w"), ["x*z - y^2", "y*w - z^2", "x*w - y*z"])
+    est = fsig_estimate(cubic, 2)
+    assert est.raw == (Fraction(1, 3), Fraction(1, 3))
+    assert (est.value, est.confidence) == (Fraction(1, 3), "converged")
 
 
 def test_hk_custom_ideal_and_primary_check():

@@ -430,7 +430,8 @@ e_max = 2
 
 def test_a_pair_with_a_large_t_builds_no_ideal_power(monkeypatch):
     # a^N with N = ceil(10 (q - 1)) = 240 at e = 2 lies in m^[q]; building
-    # its C(242, 2) products took seconds, all of it outside the budget
+    # its C(242, 2) products took seconds, all of it outside the budget, and
+    # counting the box of m^[q] only gave the known a_e = 0
     import charp.finv
 
     def fail(*args):
@@ -441,12 +442,13 @@ def test_a_pair_with_a_large_t_builds_no_ideal_power(monkeypatch):
     assert task["status"] == "ok"
     assert [row["a_e"] for row in task["rows"]] == [0, 0]
     assert task["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
-                              "used_basis": 3, "used_pairs": 0, "used_box": 15625}
+                              "used_basis": 1, "used_pairs": 0, "used_box": 0}
 
 
 def test_a_pair_with_u_0_reads_no_multiplier(monkeypatch):
     # the twisted cubic is no complete intersection, so reading (I^[q] : I)
-    # for a U = 0 that does not use it cost 2 colons and 280 pairs
+    # for a U = 0 that does not use it cost 2 colons and 280 pairs, and
+    # counting the box of m^[q] (3^8 monomials) only gave the known a_e = 0
     import charp.finv
 
     def fail(*args):
@@ -459,7 +461,18 @@ def test_a_pair_with_u_0_reads_no_multiplier(monkeypatch):
     assert task["status"] == "ok"
     assert [row["a_e"] for row in task["rows"]] == [0, 0]
     assert task["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
-                              "used_basis": 4, "used_pairs": 4, "used_box": 6561}
+                              "used_basis": 3, "used_pairs": 4, "used_box": 0}
+
+
+def test_global_hk_over_equal_values_without_a_certificate_is_not_exact():
+    # the normalized lambda_e of F_2[x,y,z]/(xz, x^2y^2) at the origin repeat
+    # at e = 1, 2 and fall later
+    job = ("p = 2\n[component]\nvars = x y z\nideal = x*z; x^2*y^2\n"
+           "[task global_hk]\nsamples = 0:(0,0,0)\ne_max = 2\n")
+    task = run_job(validate_job(parse_job_text(job)))["tasks"][0]
+    assert task["status"] == "ok"
+    assert task["value"]["fraction"] == "3/2"
+    assert task["exact"] is False
 
 
 UNIT_PAIR_JOB = """\

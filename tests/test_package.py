@@ -88,9 +88,16 @@ def test_shared_work_is_charged_in_one_place():
 
 def test_finv_forms_p_to_the_e_in_one_place():
     # finv._frobenius checks e and rejects a q past the exponent bound before
-    # forming p^e; a power by e anywhere else could build a huge integer first
+    # forming p^e; a power by e anywhere else in the package could build a
+    # huge integer first, and every other module reads q from a record
     owners = {owner for owner, node in _owned_nodes()
-              if owner.startswith("finv.") and isinstance(node, ast.BinOp)
-              and isinstance(node.op, ast.Pow)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
               and any(getattr(n, "id", None) == "e" for n in ast.walk(node.right))}
     assert owners == {"finv._frobenius"}
+
+
+def test_package_has_no_assert_statement():
+    # `python -O` strips assert statements, so a check the engine relies on
+    # raises an exception instead
+    asserts = [owner for owner, node in _owned_nodes() if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -202,16 +202,18 @@ def test_semicontinuity_quadric():
             nearby.append(PrimeSample(0, pt))
     rep = semicontinuity_probe(R, PrimeSample(0, (0, 0, 0)), nearby, e=1)
     assert rep.ok
-    assert rep.special_value > 1
-    for _, lam, norm in rep.rows:
-        assert norm == 1  # smooth rational points
+    assert rep.special[0] == PrimeSample(0, (0, 0, 0))
+    assert rep.special[1].normalized > 1
+    assert [s for s, _ in rep.nearby] == nearby
+    for _, rec in rep.nearby:
+        assert rec.normalized == 1  # smooth rational points
 
 
 def test_semicontinuity_regular_constant():
     R = RingPresentation([component(5, ("x", "y"), [])])
     rep = semicontinuity_probe(
         R, PrimeSample(0, (0, 0)), [PrimeSample(0, (1, 2))], e=1)
-    assert rep.ok and rep.special_value == 1
+    assert rep.ok and rep.special[1].normalized == 1
 
 
 def test_semicontinuity_e0():
@@ -219,7 +221,8 @@ def test_semicontinuity_e0():
     rep = semicontinuity_probe(
         R, PrimeSample(0, (0, 0)), [PrimeSample(0, (1, 0))], e=0)
     assert rep.ok
-    assert rep.special_value == 1 and all(n == 1 for _, _, n in rep.rows)
+    assert rep.special[1].normalized == 1
+    assert all(rec.normalized == 1 for _, rec in rep.nearby)
 
 
 def test_semicontinuity_rejects_mixed_components():
@@ -253,9 +256,10 @@ def test_flat_extension_quadric():
     L = LocalRingAtPoint(Ideal(R, [R.parse("x*y - z^2")]), (0, 0, 0))
     rep = flat_extension_check(L, 1, 2)
     assert rep.ok
-    for e, q, lam_r, lam_t, s_r, s_t, lam_ok, s_ok in rep.rows:
-        assert lam_t == lam_r * q
-        assert s_r == s_t
+    assert [hr.e for (hr, _), _ in rep.rows] == [1, 2]
+    for (hr, sr), (ht, st) in rep.rows:
+        assert ht.lam == hr.lam * hr.q
+        assert sr.s_e == st.s_e
 
 
 def test_flat_extension_node_and_regular():
@@ -267,8 +271,8 @@ def test_flat_extension_node_and_regular():
     L2 = LocalRingAtPoint(Ideal(R2, []), (0,))
     rep2 = flat_extension_check(L2, 2, 2)
     assert rep2.ok
-    for e, q, lam_r, lam_t, s_r, s_t, _, _ in rep2.rows:
-        assert s_r == s_t == 1
+    for (_, sr), (_, st) in rep2.rows:
+        assert sr.s_e == st.s_e == 1
 
 
 def test_flat_extension_pair_version():
@@ -277,7 +281,8 @@ def test_flat_extension_pair_version():
     a = Ideal(R, (R.parse("x"),))
     rep = flat_extension_check(L, 1, 2, pair=(a, Fraction(1, 2)))
     assert rep.ok
-    assert rep.pair_rows
+    assert [(pr.e, pt.e) for pr, pt in rep.pair_rows] == [(1, 1), (2, 2)]
+    assert all(pr.s_e == pt.s_e for pr, pt in rep.pair_rows)
 
 
 def test_flat_extension_avoids_name_collisions():
