@@ -9,7 +9,6 @@ from .ideal import (
     Ideal,
     bracket_power,
     colon,
-    groebner,
     krull_dim,
     length,
     normal_form,
@@ -41,7 +40,7 @@ from .spectrum import (
 __all__ = [
     "FieldContext", "field_new",
     "MonomialOrder", "Polynomial", "PolyRing", "parse_poly", "poly_pow",
-    "Budget", "Ideal", "bracket_power", "colon", "groebner",
+    "Budget", "Ideal", "bracket_power", "colon",
     "krull_dim", "length", "normal_form",
     "LocalRingAtPoint", "classify", "fedder_is_fpure", "fsig_estimate",
     "hk_estimate", "hk_function", "multiplicity", "nu_invariant",

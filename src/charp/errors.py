@@ -54,9 +54,5 @@ class UnitIdealError(CharpError):
     pass
 
 
-class NotPrimaryError(CharpError):
-    """The chosen ideal is not primary to the maximal ideal of the point."""
-
-
 class ZeroIdealError(CharpError):
     pass

@@ -13,7 +13,7 @@ present I (a complete intersection is unmixed), else read, with e(R_m),
 from the leading ideal of one standard basis of I at the point.
 
 Every function here takes q = p^e and m^[q] from one gate, `_frobenius`,
-which checks e and rejects a q past EXPONENT_LIMIT before forming p^e.
+which refuses e < 1 and rejects a q past EXPONENT_LIMIT before forming p^e.
 The records it returns (HKRecord, SplitRecord) carry q and the normalized
 values lambda_e/q^d and a_e/q^d, and no other module forms them.
 
@@ -49,9 +49,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExponentOverflowError, NotPrimaryError, ZeroIdealError
+from .errors import ExponentOverflowError, ZeroIdealError
 from .ideal import (
-    INFINITE,
     Ideal,
     Shared,
     active_budget,
@@ -77,11 +76,11 @@ class LocalRingAtPoint:
     """R = S/I localized at a rational point a of V(I).
 
     ideal0 is I in presentation coordinates and m0 = (x_i - a_i) is the
-    maximal ideal of a; bracket_power(m0, q) = (x_i^q - a_i).  Ideals of
-    S/I passed to the invariants (J, a) are read in the same coordinates.
-    Like an Ideal's Groebner basis, the local data is computed once, in
-    the store `_cache`: the standard basis's leading monomials, lambda_e
-    per e, the multiplier (I^[q] : I) per q and the splitting steps per e.
+    maximal ideal of a; bracket_power(m0, q) = (x_i^q - a_i).  A pair's
+    ideal a is read in the same coordinates.  Like an Ideal's Groebner
+    basis, the local data is computed once, in the store `_cache`: the
+    standard basis's leading monomials, lambda_e per e, the multiplier
+    (I^[q] : I) per q and the splitting steps per e.
     """
 
     __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_cache")
@@ -172,7 +171,7 @@ class LimitEstimate:
 DEFAULT_TOLERANCE = 1e-2
 
 
-def _extrapolate(records, p: int, tol: float, lo=None, hi=None) -> LimitEstimate:
+def _extrapolate(records, p: int, tol: float, lo, hi=None) -> LimitEstimate:
     """The estimate from the records of e = 1, 2, ...: a normalized value 1
     at e = 1 certifies the limit 1, and every value must then be 1."""
     values = [r.normalized if isinstance(r, HKRecord) else r.s_e for r in records]
@@ -185,7 +184,7 @@ def _extrapolate(records, p: int, tol: float, lo=None, hi=None) -> LimitEstimate
     # invariant's a-priori range (the model can overshoot when the true
     # error term decays faster than 1/q)
     value = values[-1] + (values[-1] - values[-2]) / (p - 1)
-    if lo is not None and value < lo:
+    if value < lo:
         value = Fraction(lo)
     if hi is not None and value > hi:
         value = Fraction(hi)
@@ -193,12 +192,12 @@ def _extrapolate(records, p: int, tol: float, lo=None, hi=None) -> LimitEstimate
     return LimitEstimate(value, len(values), tuple(values), diffs, conf, tuple(records))
 
 
-def _frobenius(L: LocalRingAtPoint, e: int, least: int = 1) -> tuple:
-    """(q, m^[q]) for q = p^e with e >= least: the one place e is checked
-    and p^e formed.  p^e >= 2^e, so an e past the bit length of
-    EXPONENT_LIMIT is rejected before p^e is formed."""
-    if e < least:
-        raise ValueError("e must be non-negative" if least == 0 else "e must be at least 1")
+def _frobenius(L: LocalRingAtPoint, e: int) -> tuple:
+    """(q, m^[q]) for q = p^e with e >= 1: the one place e is checked and
+    p^e formed.  p^e >= 2^e, so an e past the bit length of EXPONENT_LIMIT
+    is rejected before p^e is formed."""
+    if e < 1:
+        raise ValueError("e must be at least 1")
     if e > EXPONENT_LIMIT.bit_length():
         raise ExponentOverflowError("Frobenius power q exceeds 32-bit bound")
     q = L.p**e
@@ -208,26 +207,11 @@ def _frobenius(L: LocalRingAtPoint, e: int, least: int = 1) -> tuple:
 # ---------------------------------------------------------------------------
 # Hilbert-Kunz
 
-def hk_function(L: LocalRingAtPoint, e: int, J: Ideal | None = None) -> HKRecord:
-    """lambda(R/J^[q]R) for q = p^e, J defaulting to the maximal ideal, for
-    which lambda_e is cached on L.
-
-    J must be primary to the point modulo I: S/(I + J) has a finite length
-    l >= 1, and m^[p^k] lies in I + J for the least p^k >= l (as m^l does
-    when a is its only support), so l is the local length."""
-    q, mq = _frobenius(L, e, least=0)
-    if J is None:
-        lam = L._cache.get(("lam", e), lambda: length(ideal_sum(L.ideal0, mq)))
-    else:
-        IJ = ideal_sum(L.ideal0, J)
-        ell = length(IJ)
-        pk = 1
-        while pk < ell < INFINITE:
-            pk *= L.p
-        if not 1 <= ell < INFINITE or \
-                length(ideal_sum(IJ, bracket_power(L.m0, pk))) != ell:
-            raise NotPrimaryError("J is not primary to the point modulo I")
-        lam = length(ideal_sum(L.ideal0, bracket_power(J, q)))
+def hk_function(L: LocalRingAtPoint, e: int) -> HKRecord:
+    """lambda_e = lambda(R/m^[q]R) for q = p^e and e >= 1, cached on L and
+    checked against Kunz's lambda_e >= q^d."""
+    q, mq = _frobenius(L, e)
+    lam = L._cache.get(("lam", e), lambda: length(ideal_sum(L.ideal0, mq)))
     if lam < q**L.d:
         raise RuntimeError(f"lambda_{e} = {lam} < q^d = {q**L.d} breaks Kunz's bound")
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
@@ -415,8 +399,10 @@ class DiagnosticFlags:
 def classify(L: LocalRingAtPoint, e_max: int,
              tol: float = DEFAULT_TOLERANCE) -> DiagnosticFlags:
     """Diagnostic flags: exact regularity test (lambda_1 = p^d), Fedder
-    F-purity, the small-multiplicity threshold 1 + max{1/d!, 1/e(R)}, and
-    the multiplicity bound (e(R)-1)(1-s) >= e_HK - 1 on the estimates."""
+    F-purity, the strict small-multiplicity bound e_HK < 1 + max{1/d!,
+    1/e(R)} on the estimate (the node F_p[x,y]/(xy) sits on it, with
+    e_HK = 2, and is not strongly F-regular), and the multiplicity bound
+    (e(R)-1)(1-s) >= e_HK - 1 on the estimates."""
     hk = hk_estimate(L, e_max, tol)
     regular = hk.records[0].lam == L.p**L.d
     f_pure = fedder_is_fpure(L)
@@ -438,7 +424,7 @@ def classify(L: LocalRingAtPoint, e_max: int,
         fsig=fsig,
         hilbert_samuel=e_hs,
         threshold=threshold,
-        predicted_sfr_gorenstein=hk.value <= threshold,
+        predicted_sfr_gorenstein=hk.value < threshold,
         hl_satisfied=hl_satisfied,
         hl_near_equality=hl_near,
         hl_note=hl_note,

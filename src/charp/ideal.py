@@ -475,18 +475,6 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
 
 
-def groebner(I: Ideal, order: MonomialOrder | None = None) -> Ideal:
-    """Ideal with its reduced Groebner basis cache filled (for the given
-    order, defaulting to the ring's own)."""
-    if order is None or order == I.ring.order:
-        I.groebner_basis()
-        return I
-    ring2 = I.ring.with_order(order)
-    J = Ideal(ring2, [ring2.from_dict(dict(g.terms)) for g in I.gens])
-    J.groebner_basis()
-    return J
-
-
 def _packed_basis(I: Ideal) -> tuple:
     """I's reduced Groebner basis packed for the engine, and its lead index."""
     gb = I.groebner_basis()

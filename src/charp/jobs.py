@@ -354,22 +354,19 @@ def _point_label(point) -> str:
     return "(" + ",".join(str(a) for a in point) + ")"
 
 
-def run_task(job: dict, index: int, built: Shared | None = None) -> dict:
+def run_task(job: dict, index: int, built: Shared) -> dict:
     """Execute one task; returns a JSON-able result with TSV rows.
 
     `built` holds the job's components (`build_presentation`), shared with
-    its other tasks; by default the task builds them for itself.  A failure
-    of any kind stays inside this task's entry, so the other tasks still
-    complete; an exception the engine does not document is reported as an
-    internal error.
+    its other tasks.  A failure of any kind stays inside this task's entry,
+    so the other tasks still complete; an exception the engine does not
+    document is reported as an internal error.
     """
     task = job["tasks"][index]
     kind = task["kind"]
     budget = _budget(job)
     out = {"index": index, "kind": kind, "status": "ok", "rows": []}
     try:
-        if built is None:
-            built = build_presentation(job)
         with budget:
             TASKS[kind].run(job, task, built, out)
     except (CharpError, ValueError) as exc:

@@ -215,12 +215,9 @@ class PolyRing:
     def parse(self, src: str) -> "Polynomial":
         return parse_poly(src, self)
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.field, self.names, order)
-
-    def extend(self, new_names, order: MonomialOrder | None = None) -> "PolyRing":
-        """Ring with extra variables appended."""
-        return PolyRing(self.field, self.names + tuple(new_names), order)
+    def extend(self, new_names) -> "PolyRing":
+        """Ring with extra variables appended, in the default order."""
+        return PolyRing(self.field, self.names + tuple(new_names))
 
     def __eq__(self, other):
         return (

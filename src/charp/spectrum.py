@@ -5,7 +5,9 @@ residue-field degree correction vanishes at every sampled prime and each
 sample's normalization exponent is its local dimension.  The global
 Hilbert-Kunz value is a max and the global F-signature a min over the
 sampled primes, with the locus bookkeeping deciding when the minimum
-collapses to an exact zero.
+collapses to an exact zero.  A sampled extremum is a bound, labelled exact
+only with a proof over all of Spec: that zero, a certified local s = 0 for
+the minimum, or zero ideals, where every point is regular and the value 1.
 """
 
 from __future__ import annotations
@@ -137,12 +139,19 @@ def _sweep(rings, estimate, e_max: int, tol: float) -> tuple:
     return tuple((s, estimate(L, e_max, tol)) for s, L in rings)
 
 
-def _extremum(per, pick, excluded, note, gd) -> GlobalInvariantResult:
-    """The result at the first sample attaining pick (max or min)."""
+def _regular_everywhere(R: RingPresentation, gd: GammaData) -> bool:
+    """Every component attaining gamma, all a sampled extremum ranges over,
+    has the zero ideal: every point is regular, where e_HK = s = 1."""
+    return all(R.components[i].ideal.is_zero() for i in gd.z_components)
+
+
+def _extremum(per, pick, exact, excluded, note, gd) -> GlobalInvariantResult:
+    """The result at the first sample attaining pick (max or min).  A sample
+    sees only its own point, so a certified local value proves nothing about
+    the extremum over Spec: the caller passes the proof, if any."""
     s, est = pick(per, key=lambda t: t[1].value)
-    return GlobalInvariantResult(value=est.value, exact=est.confidence == "exact",
-                                 arg_sample=s, per_sample=per, excluded=excluded,
-                                 note=note, gamma=gd)
+    return GlobalInvariantResult(value=est.value, exact=exact, arg_sample=s,
+                                 per_sample=per, excluded=excluded, note=note, gamma=gd)
 
 
 def global_hk(R: RingPresentation, samples, e_max: int,
@@ -150,7 +159,8 @@ def global_hk(R: RingPresentation, samples, e_max: int,
     """Max of the local Hilbert-Kunz estimates over the sampled primes of
     local dimension gamma; off-locus samples (on a component below gamma,
     or at a point of lower local dimension) are excluded.  The result is a
-    lower bound for the global value when sampling is incomplete."""
+    lower bound for the global value, exact only when every component
+    attaining gamma has the zero ideal."""
     gd = gamma_data(R)
     rings = _locals(R, [s for s in samples if s.component in gd.z_components])
     included = [(s, L) for s, L in rings if L.d == gd.gamma]
@@ -159,8 +169,9 @@ def global_hk(R: RingPresentation, samples, e_max: int,
     if not included:
         raise ValueError("no samples lie on the gamma-attaining locus")
     return _extremum(_sweep(included, hk_estimate, e_max, tol), max,
-                     excluded, "max over sampled primes: a lower bound for the "
-                     "global value under incomplete sampling", gd)
+                     _regular_everywhere(R, gd), excluded, "max over sampled "
+                     "primes: a lower bound for the global value under "
+                     "incomplete sampling", gd)
 
 
 def global_fsig(R: RingPresentation, samples, e_max: int,
@@ -168,7 +179,9 @@ def global_fsig(R: RingPresentation, samples, e_max: int,
     """Min of the local F-signature estimates over the sampled primes, or
     exactly 0 whenever some component, or the local ring at some sample,
     misses the global gamma (the free-rank of every module then grows a
-    full power of p too slowly)."""
+    full power of p too slowly).  The min is an upper bound for the global
+    value, exact only when a sample certifies s = 0 or every component has
+    the zero ideal."""
     gd = gamma_data(R)
     samples = list(samples)
     rings = _locals(R, samples) if gd.z_is_spec else []
@@ -182,8 +195,11 @@ def global_fsig(R: RingPresentation, samples, e_max: int,
                  "summands are asymptotically negligible")
     if not samples:
         raise ValueError("global_fsig needs at least one sample")
-    return _extremum(_sweep(rings, fsig_estimate, e_max, tol), min,
-                     (), "min over sampled primes: an upper bound for the "
+    per = _sweep(rings, fsig_estimate, e_max, tol)
+    # a certified local 0 (a_1 = 0) is the minimum, as s >= 0 everywhere
+    zero = any(est.value == 0 and est.confidence == "exact" for _, est in per)
+    return _extremum(per, min, zero or _regular_everywhere(R, gd), (),
+                     "min over sampled primes: an upper bound for the "
                      "global value under incomplete sampling", gd)
 
 

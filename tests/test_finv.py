@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from charp.errors import ExponentOverflowError, NotPrimaryError, ZeroIdealError
+from charp.errors import ExponentOverflowError, ZeroIdealError
 from charp.gf import field_new
 from charp.ideal import Budget, Ideal, ideal_equal, length
 from charp.finv import (
@@ -65,8 +65,10 @@ def test_hk_node():
 
 
 def test_hk_e0():
+    # e = 0 is refused like every other e < 1
     L = local(5, ("x", "y"), ["x*y"])
-    assert hk_function(L, 0).lam == 1
+    with pytest.raises(ValueError, match="e must be at least 1"):
+        hk_function(L, 0)
 
 
 def test_hk_node_estimate_converges_to_2():
@@ -117,35 +119,6 @@ def test_equal_values_without_a_certificate_are_not_exact():
     assert (est.value, est.confidence) == (Fraction(1, 3), "converged")
 
 
-def test_hk_custom_ideal_and_primary_check():
-    L = local(5, ("x", "y"), [])
-    R = L.ring
-    J = Ideal(R, (R.parse("x^2"), R.parse("y")))
-    rec = hk_function(L, 1, J)
-    assert rec.lam == length(Ideal(R, (R.parse("x^10"), R.parse("y^5"))))
-    with pytest.raises(NotPrimaryError):
-        hk_function(L, 1, Ideal(R, (R.parse("x"),)))
-
-
-@pytest.mark.parametrize("src", ["x + 4", "x*(x + 4)"])
-def test_hk_rejects_an_ideal_supported_off_the_point(src):
-    # over F_5 at the origin, (x + 4, y) is the maximal ideal of (1, 0), and
-    # (x(x + 4), y) meets both points: lambda_1 would read 25 and 50
-    L = local(5, ("x", "y"), [])
-    R = L.ring
-    with pytest.raises(NotPrimaryError):
-        hk_function(L, 1, Ideal(R, (R.parse(src), R.parse("y"))))
-
-
-def test_hk_custom_ideal_translates_with_the_point():
-    # J given in presentation coordinates: the maximal ideal of the point
-    # (1,2) over F_5 is (x + 4, y + 3); its bracket lengths match q^2
-    L = local(5, ("x", "y"), [], point=(1, 2))
-    J = Ideal(L.ring, (L.ring.parse("x + 4"), L.ring.parse("y + 3")))
-    assert hk_function(L, 1, J).lam == 25
-    assert hk_function(L, 2, J).lam == 625
-
-
 def test_kunz_lower_bound_and_regular_equivalence():
     # lambda >= q^d always; equality at e=1 iff the regular flag
     for p, gens, names in [(5, [], ("x", "y")), (5, ["x*y"], ("x", "y")),
@@ -172,7 +145,7 @@ def test_bounds_are_checked_at_run_time():
 
 
 def test_a_broken_bound_is_an_internal_error(monkeypatch):
-    from charp.jobs import run_task, validate_job
+    from charp.jobs import build_presentation, run_task, validate_job
     from charp.spectrum import RingComponent
 
     local_at = RingComponent.local_at
@@ -185,7 +158,7 @@ def test_a_broken_bound_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(RingComponent, "local_at", wrong_dim)
     job = validate_job({"p": 5, "components": [{"vars": ["x", "y"]}],
                         "tasks": [{"kind": "hk"}]})
-    assert run_task(job, 0)["error"] == ("internal error: RuntimeError: lambda_1 = 25 "
+    assert run_task(job, 0, build_presentation(job))["error"] == ("internal error: RuntimeError: lambda_1 = 25 "
                                          "< q^d = 125 breaks Kunz's bound")
 
 

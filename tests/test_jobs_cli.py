@@ -374,12 +374,13 @@ def test_a_task_is_charged_the_cached_work_it_reads():
     fsig = run_task(job, 1, built)
     assert fsig["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
                               "used_basis": 33, "used_pairs": 298, "used_box": 6561}
-    assert fsig == run_task(job, 1)
+    assert fsig == run_task(job, 1, charp.jobs.build_presentation(job))
     # the fedder task's 115 pairs are the fsig task's first: with one pair
     # less, charging the stored multiplier would pass the cap, so the task
     # computes it again, which raises the error the task raises alone
     tight = job | {"budget_pairs": 114}
-    shared, alone = run_task(tight, 1, built), run_task(tight, 1)
+    shared = run_task(tight, 1, built)
+    alone = run_task(tight, 1, charp.jobs.build_presentation(tight))
     assert shared["error"] == ("ResourceBudgetError: resource budget exceeded: "
                                "pair count used 115 > limit 114")
     assert shared == alone
@@ -473,6 +474,36 @@ def test_global_hk_over_equal_values_without_a_certificate_is_not_exact():
     assert task["status"] == "ok"
     assert task["value"]["fraction"] == "3/2"
     assert task["exact"] is False
+
+
+def test_a_sampled_global_value_is_exact_only_with_a_proof():
+    # the F_5 quadric cone sampled at two smooth points: every local value is
+    # a certified 1, but the cone point has e_HK = 3/2 and s = 1/2
+    job = ("p = 5\n[component]\nvars = x y z\nideal = x*y - z^2\n"
+           "[task global_hk]\nsamples = 0:(1,1,1) 0:(1,4,2)\ne_max = 2\n"
+           "[task global_fsig]\nsamples = 0:(1,1,1) 0:(1,4,2)\ne_max = 2\n")
+    for task in run_job(validate_job(parse_job_text(job)))["tasks"]:
+        assert task["status"] == "ok"
+        assert task["value"]["fraction"] == "1/1"
+        assert task["exact"] is False
+    # a certified local 0 is the minimum: F_3[x,y]/(x^2 y) is not reduced,
+    # hence not F-split (a_1 = 0), at the origin, and regular at (1,0)
+    job = ("p = 3\n[component]\nvars = x y\nideal = x^2*y\n"
+           "[task global_fsig]\nsamples = 0:(1,0) 0:(0,0)\ne_max = 2\n")
+    task = run_job(validate_job(parse_job_text(job)))["tasks"][0]
+    assert task["value"]["fraction"] == "0/1" and task["exact"] is True
+    assert task["arg_sample"] == {"component": 0, "point": [0, 0]}
+
+
+def test_classify_threshold_is_strict():
+    # the F_3 node at the origin: e_HK = 2 = 1 + max{1/1!, 1/e(R)} sits on
+    # the threshold, and s = 0; the node is not a domain, so not SFR
+    job = "p = 3\n[component]\nvars = x y\nideal = x*y\n[task classify]\ne_max = 2\n"
+    flags = run_job(validate_job(parse_job_text(job)))["tasks"][0]["flags"]
+    assert flags["hk"]["value"]["fraction"] == "2/1"
+    assert flags["threshold"] == "2"
+    assert flags["fsig"]["value"]["fraction"] == "0/1"
+    assert flags["predicted_sfr_gorenstein"] is False
 
 
 UNIT_PAIR_JOB = """\

@@ -1,10 +1,13 @@
 """Properties of the package as a whole."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "charp"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "charp"
 
 
 def test_package_imports_only_the_standard_library():
@@ -101,3 +104,23 @@ def test_package_has_no_assert_statement():
     # raises an exception instead
     asserts = [owner for owner, node in _owned_nodes() if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench/tracer.py wraps these names and reads the leading arguments
+    # of two; a prune that drops or reorders one breaks the traced benchmark
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"])
+    assert wrapped
+    fns = {}
+    for modname, attr, _ in wrapped:
+        assert modname.split(".")[0] == "charp"
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{modname}.{attr}"
+        fns[attr] = owner
+    assert list(inspect.signature(fns["hk_function"]).parameters)[:2] == ["L", "e"]
+    assert list(inspect.signature(fns["run_task"]).parameters)[:2] == ["job", "index"]

@@ -217,12 +217,10 @@ def test_semicontinuity_regular_constant():
 
 
 def test_semicontinuity_e0():
+    # lambda_e is defined for e >= 1 only, as a job's `e` key requires
     R = RingPresentation([component(5, ("x", "y"), ["x*y"])])
-    rep = semicontinuity_probe(
-        R, PrimeSample(0, (0, 0)), [PrimeSample(0, (1, 0))], e=0)
-    assert rep.ok
-    assert rep.special[1].normalized == 1
-    assert all(rec.normalized == 1 for _, rec in rep.nearby)
+    with pytest.raises(ValueError, match="e must be at least 1"):
+        semicontinuity_probe(R, PrimeSample(0, (0, 0)), [PrimeSample(0, (1, 0))], e=0)
 
 
 def test_semicontinuity_rejects_mixed_components():
