@@ -410,8 +410,6 @@ def _buchberger(gens, ring: PolyRing):
         budget.charge_basis(len(basis))
 
     for f in gens:
-        if f.is_zero():
-            continue
         r = _reduce_full(_TermSum(p, eng.plist(f)), basis, divs)
         if r:
             add(r)
@@ -540,8 +538,6 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    if I.is_zero() or J.is_zero():
-        return Ideal(I.ring, ())
     return Ideal(I.ring, [f * g for f in I.gens for g in J.gens])
 
 
@@ -624,11 +620,10 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) = {f | f*J in I}, as the intersection over generators g of J
     of (I intersect (g)) / g."""
     ring = I.ring
-    gens = [g for g in J.gens if not g.is_zero()]
-    if not gens:
+    if J.is_zero():
         return Ideal(ring, (ring.one(),))  # (I : 0) = (1)
     acc = None
-    for g in gens:
+    for g in J.gens:
         meet = intersect(I, Ideal(ring, (g,)))
         part = Ideal(ring, [exact_divide(h, g) for h in meet.gens])
         acc = part if acc is None else intersect(acc, part)
@@ -727,9 +722,11 @@ def local_leading_monomials(I: Ideal, point) -> tuple:
     """Generators of the leading ideal L of I at a rational point of V(I)
     for a local degree order in x - point, which has the Hilbert-Samuel
     function of the local ring there.  Lazard's method (Greuel-Pfister, A
-    Singular Introduction to Commutative Algebra, 1.7): translate, then
-    homogenize with t, and keep the x-parts of the leading monomials of a
-    Groebner basis in the 'lazard' order."""
+    Singular Introduction to Commutative Algebra, 1.7): translate each
+    generator by `Polynomial.shift`, the one translation route, which takes
+    one coordinate per variable; then homogenize with t, and keep the
+    x-parts of the leading monomials of a Groebner basis in the 'lazard'
+    order."""
     ring = I.ring
     hom = PolyRing(ring.field, ("#t",) + ring.names, MonomialOrder("lazard", ring.nvars + 1))
     gens = []

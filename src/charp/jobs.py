@@ -579,13 +579,15 @@ TASKS = {
                           frozenset({"samples"}), _run_global, (
         "max of the local Hilbert-Kunz estimates over sampled primes on the\n"
         "gamma-attaining locus; a lower bound for the global value under\n"
-        "incomplete sampling.  Off-locus samples are excluded."
+        "incomplete sampling, exact only with a proof that the note names.\n"
+        "Off-locus samples are excluded."
     )),
     "global_fsig": TaskKind(frozenset({"samples", "e_max", "tolerance"}),
                             frozenset({"samples"}), _run_global, (
         "min of the local F-signature estimates over sampled primes; exactly 0\n"
         "whenever some component or sampled local ring misses the global gamma.\n"
-        "An upper bound for the global value under incomplete sampling."
+        "An upper bound for the global value under incomplete sampling,\n"
+        "exact only with a proof that the note names."
     )),
     "semicontinuity": TaskKind(frozenset({"special", "nearby", "e"}),
                                frozenset({"special", "nearby"}), _run_semicontinuity, (
@@ -601,7 +603,7 @@ TASKS = {
     )),
     "classify": TaskKind(_LIMIT, _NONE, _run_classify, (
         "flags: regular (lambda_1 = p^d, exact), F-pure (Fedder),\n"
-        "small-multiplicity prediction e_HK <= 1 + max{1/d!, 1/e(R)}\n"
+        "small-multiplicity prediction e_HK < 1 + max{1/d!, 1/e(R)}\n"
         "(strongly F-regular and Gorenstein), and the bound\n"
         "(e(R)-1)(1-s) >= e_HK - 1 (Huneke-Leuschke).  Limit-based flags are\n"
         "estimate-based, never proofs."

@@ -7,6 +7,7 @@ printed output are canonical.
 
 from __future__ import annotations
 
+from math import comb
 from operator import mul
 
 from .errors import ExponentOverflowError, ParseError, UnknownVariableError
@@ -377,36 +378,24 @@ class Polynomial:
             d[nm] = (d.get(nm, 0) + c * e) % p
         return self.ring.from_dict(d)
 
-    def substitute_var(self, i: int, value: "Polynomial") -> "Polynomial":
-        """Replace x_i by the given polynomial."""
-        ring = self.ring
-        groups: dict = {}
-        for m, c in self.terms:
-            e = m[i]
-            rest = m[:i] + (0,) + m[i + 1 :]
-            groups.setdefault(e, {})
-            groups[e][rest] = (groups[e].get(rest, 0) + c) % ring.p
-        out = ring.zero()
-        powers = {0: ring.one()}
-        for e in sorted(groups):
-            if e not in powers:
-                prev = max(powers)
-                acc = powers[prev]
-                for _ in range(prev, e):
-                    acc = acc * value
-                powers[e] = acc
-            out = out + ring.from_dict(groups[e]) * powers[e]
-        return out
-
     def shift(self, point) -> "Polynomial":
-        """f(x + a): translate the point a to the origin."""
-        ring = self.ring
-        out = self
-        for i, a in enumerate(point):
-            a = ring.field.normalize(a)
-            if a:
-                out = out.substitute_var(i, ring.gen(i) + ring.const(a))
-        return out
+        """f(x + a): translate the point a, one coordinate per variable, to
+        the origin.  Each term c x^m expands in one pass into c times the
+        product of the rows (x_i + a_i)^(m_i) = sum_k C(m_i, k) a_i^(m_i - k)
+        x_i^k, keeping the binomials that are nonzero mod p."""
+        ring, p = self.ring, self.ring.p
+        point = tuple(ring.field.normalize(a) for a in point)
+        if len(point) != ring.nvars:
+            raise ValueError("point arity does not match the ring")
+        out: dict = {}
+        for m, c in self.terms:
+            parts = [((), c)]
+            for e, a in zip(m, point):
+                row = [(k, comb(e, k) * pow(a, e - k, p) % p) for k in range(e + 1)] if a else [(e, 1)]
+                parts = [(t + (k,), b * r % p) for t, b in parts for k, r in row if r]
+            for t, b in parts:
+                out[t] = out.get(t, 0) + b
+        return ring.from_dict(out)
 
     # -- dunder plumbing ----------------------------------------------------
 

@@ -33,9 +33,9 @@ from .ideal import (
     ideal_contains_ideal,
     ideal_equal,
     ideal_power,
+    ideal_product,
     ideal_sum,
     length,
-    normal_form,
     s_polynomial,
 )
 from .poly import PolyRing
@@ -251,7 +251,7 @@ def certificates(rng, count) -> None:
     for R in instance_rings(count):
         J = Ideal(R, [rand_poly(rng, R) for _ in range(rng.randint(1, 3))])
         for f, g in combinations(J.groebner_basis(), 2):
-            _expect(normal_form(s_polynomial(f, g), J).is_zero(), "S-polynomial reduces to zero")
+            _expect(J.contains(s_polynomial(f, g)), "S-polynomial reduces to zero")
 
 
 def colon_property(rng, count) -> None:
@@ -259,8 +259,7 @@ def colon_property(rng, count) -> None:
     for R in instance_rings(count, (3,)):
         A = Ideal(R, [rand_poly(rng, R) for _ in range(2)])
         B = Ideal(R, [rand_poly(rng, R)])
-        _expect(all(normal_form(g * h, A).is_zero() for g in colon(A, B).gens for h in B.gens),
-                "(A : B) B in A")
+        _expect(ideal_contains_ideal(A, ideal_product(colon(A, B), B)), "(A : B) B in A")
 
 
 def node_additivity(rng, count) -> None:

@@ -8,6 +8,7 @@ sampled primes, with the locus bookkeeping deciding when the minimum
 collapses to an exact zero.  A sampled extremum is a bound, labelled exact
 only with a proof over all of Spec: that zero, a certified local s = 0 for
 the minimum, or zero ideals, where every point is regular and the value 1.
+The note of an exact value names its proof; any other note names the bound.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .finv import (
     pair_splitting_number,
     splitting_number,
 )
-from .ideal import Ideal, Shared, active_budget, krull_dim, normal_form
+from .ideal import Ideal, Shared, active_budget, ideal_contains_ideal, krull_dim
 from .poly import PolyRing
 
 
@@ -51,11 +52,8 @@ class RingComponent:
         for Q in self.declared_min_primes:  # containment and properness only
             if Q.is_unit():
                 raise ValueError("declared minimal prime is the unit ideal")
-            for g in self.gens:
-                if not normal_form(g, Q).is_zero():
-                    raise ValueError(
-                        "declared minimal prime does not contain the ideal"
-                    )
+            if not ideal_contains_ideal(Q, self.ideal):
+                raise ValueError("declared minimal prime does not contain the ideal")
         return krull_dim(self.ideal)
 
     def local_at(self, point) -> LocalRingAtPoint:
@@ -139,19 +137,25 @@ def _sweep(rings, estimate, e_max: int, tol: float) -> tuple:
     return tuple((s, estimate(L, e_max, tol)) for s, L in rings)
 
 
-def _regular_everywhere(R: RingPresentation, gd: GammaData) -> bool:
-    """Every component attaining gamma, all a sampled extremum ranges over,
-    has the zero ideal: every point is regular, where e_HK = s = 1."""
-    return all(R.components[i].ideal.is_zero() for i in gd.z_components)
+def _regular_everywhere(R: RingPresentation, gd: GammaData) -> str | None:
+    """The proof, if every component attaining gamma, all a sampled extremum
+    ranges over, has the zero ideal: every point is regular, where
+    e_HK = s = 1."""
+    if all(R.components[i].ideal.is_zero() for i in gd.z_components):
+        return ("exact: every component attaining gamma has the zero ideal, "
+                "so every point is regular and the value is 1")
+    return None
 
 
-def _extremum(per, pick, exact, excluded, note, gd) -> GlobalInvariantResult:
+def _extremum(per, pick, proof, bound, excluded, gd) -> GlobalInvariantResult:
     """The result at the first sample attaining pick (max or min).  A sample
     sees only its own point, so a certified local value proves nothing about
-    the extremum over Spec: the caller passes the proof, if any."""
+    the extremum over Spec: the caller passes the proof that makes the value
+    exact, if any, and the note names it; else the note is the bound."""
     s, est = pick(per, key=lambda t: t[1].value)
-    return GlobalInvariantResult(value=est.value, exact=exact, arg_sample=s,
-                                 per_sample=per, excluded=excluded, note=note, gamma=gd)
+    return GlobalInvariantResult(value=est.value, exact=proof is not None, arg_sample=s,
+                                 per_sample=per, excluded=excluded, note=proof or bound,
+                                 gamma=gd)
 
 
 def global_hk(R: RingPresentation, samples, e_max: int,
@@ -159,8 +163,8 @@ def global_hk(R: RingPresentation, samples, e_max: int,
     """Max of the local Hilbert-Kunz estimates over the sampled primes of
     local dimension gamma; off-locus samples (on a component below gamma,
     or at a point of lower local dimension) are excluded.  The result is a
-    lower bound for the global value, exact only when every component
-    attaining gamma has the zero ideal."""
+    lower bound for the global value, exact, with a note that says so, only
+    when every component attaining gamma has the zero ideal."""
     gd = gamma_data(R)
     rings = _locals(R, [s for s in samples if s.component in gd.z_components])
     included = [(s, L) for s, L in rings if L.d == gd.gamma]
@@ -169,9 +173,9 @@ def global_hk(R: RingPresentation, samples, e_max: int,
     if not included:
         raise ValueError("no samples lie on the gamma-attaining locus")
     return _extremum(_sweep(included, hk_estimate, e_max, tol), max,
-                     _regular_everywhere(R, gd), excluded, "max over sampled "
-                     "primes: a lower bound for the global value under "
-                     "incomplete sampling", gd)
+                     _regular_everywhere(R, gd), "max over sampled primes: a "
+                     "lower bound for the global value under incomplete "
+                     "sampling", excluded, gd)
 
 
 def global_fsig(R: RingPresentation, samples, e_max: int,
@@ -180,8 +184,8 @@ def global_fsig(R: RingPresentation, samples, e_max: int,
     exactly 0 whenever some component, or the local ring at some sample,
     misses the global gamma (the free-rank of every module then grows a
     full power of p too slowly).  The min is an upper bound for the global
-    value, exact only when a sample certifies s = 0 or every component has
-    the zero ideal."""
+    value, exact, with a note that names the proof, only when a sample
+    certifies s = 0 or every component has the zero ideal."""
     gd = gamma_data(R)
     samples = list(samples)
     rings = _locals(R, samples) if gd.z_is_spec else []
@@ -198,9 +202,10 @@ def global_fsig(R: RingPresentation, samples, e_max: int,
     per = _sweep(rings, fsig_estimate, e_max, tol)
     # a certified local 0 (a_1 = 0) is the minimum, as s >= 0 everywhere
     zero = any(est.value == 0 and est.confidence == "exact" for _, est in per)
-    return _extremum(per, min, zero or _regular_everywhere(R, gd), (),
-                     "min over sampled primes: an upper bound for the "
-                     "global value under incomplete sampling", gd)
+    proof = ("exact 0: a sample certifies a_1 = 0, and s >= 0 at every point"
+             if zero else _regular_everywhere(R, gd))
+    return _extremum(per, min, proof, "min over sampled primes: an upper "
+                     "bound for the global value under incomplete sampling", (), gd)
 
 
 # ---------------------------------------------------------------------------

@@ -482,10 +482,16 @@ def test_a_sampled_global_value_is_exact_only_with_a_proof():
     job = ("p = 5\n[component]\nvars = x y z\nideal = x*y - z^2\n"
            "[task global_hk]\nsamples = 0:(1,1,1) 0:(1,4,2)\ne_max = 2\n"
            "[task global_fsig]\nsamples = 0:(1,1,1) 0:(1,4,2)\ne_max = 2\n")
-    for task in run_job(validate_job(parse_job_text(job)))["tasks"]:
+    hk, fsig = run_job(validate_job(parse_job_text(job)))["tasks"]
+    for task in (hk, fsig):
         assert task["status"] == "ok"
         assert task["value"]["fraction"] == "1/1"
         assert task["exact"] is False
+    # without a proof the note keeps the bound sentence
+    assert hk["bound_note"] == ("max over sampled primes: a lower bound for the "
+                                "global value under incomplete sampling")
+    assert fsig["bound_note"] == ("min over sampled primes: an upper bound for the "
+                                  "global value under incomplete sampling")
     # a certified local 0 is the minimum: F_3[x,y]/(x^2 y) is not reduced,
     # hence not F-split (a_1 = 0), at the origin, and regular at (1,0)
     job = ("p = 3\n[component]\nvars = x y\nideal = x^2*y\n"
@@ -493,6 +499,16 @@ def test_a_sampled_global_value_is_exact_only_with_a_proof():
     task = run_job(validate_job(parse_job_text(job)))["tasks"][0]
     assert task["value"]["fraction"] == "0/1" and task["exact"] is True
     assert task["arg_sample"] == {"component": 0, "point": [0, 0]}
+    assert task["bound_note"].startswith("exact 0: a sample certifies a_1 = 0")
+    # F_5 x F_5: both components have the zero ideal, so every point is
+    # regular and both values are 1; the note names that proof, not a bound
+    job = ("p = 5\n[component]\nvars =\nideal =\n[component]\nvars =\nideal =\n"
+           "[task global_hk]\nsamples = 0:() 1:()\ne_max = 2\n"
+           "[task global_fsig]\nsamples = 0:() 1:()\ne_max = 2\n")
+    for task in run_job(validate_job(parse_job_text(job)))["tasks"]:
+        assert task["value"]["fraction"] == "1/1" and task["exact"] is True
+        assert task["bound_note"].startswith("exact: every component attaining gamma "
+                                             "has the zero ideal")
 
 
 def test_classify_threshold_is_strict():
@@ -964,7 +980,7 @@ EXPLAIN_FRAGMENTS = {
     "global_fsig": "upper bound",
     "semicontinuity": "upper semicontinuity",
     "flat_check": "flat extension",
-    "classify": "Huneke-Leuschke",
+    "classify": "e_HK < 1 + max{1/d!, 1/e(R)}",
 }
 
 

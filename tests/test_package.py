@@ -99,6 +99,23 @@ def test_finv_forms_p_to_the_e_in_one_place():
     assert owners == {"finv._frobenius"}
 
 
+def test_translation_and_membership_each_have_one_route():
+    # Polynomial.shift is the one translation, and Ideal.contains the one
+    # test of membership: only it asks whether a normal form is zero
+    names, membership = [], []
+    for owner, node in _owned_nodes():
+        if "substitute_var" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                getattr(node, "name", None)):
+            names.append(owner)
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "is_zero"
+                and isinstance(node.func.value, ast.Call)
+                and "normal_form" in (getattr(node.func.value.func, "id", None),
+                                      getattr(node.func.value.func, "attr", None))):
+            membership.append(owner)
+    assert names == []
+    assert membership == ["ideal.Ideal.contains"]
+
+
 def test_package_has_no_assert_statement():
     # `python -O` strips assert statements, so a check the engine relies on
     # raises an exception instead

@@ -153,6 +153,36 @@ def test_shift_moves_point_to_origin():
         assert g.evaluate(q) == f.evaluate(tuple((a + b) % 7 for a, b in zip(q, pt)))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shift_matches_the_product_of_translated_variables(p):
+    # exponents up to 2p + 1 make some binomials C(m, k) vanish mod p, and
+    # each point mixes zero and nonzero coordinates
+    R = ring(p)
+    rng = random.Random(p)
+    for _ in range(20):
+        d = {tuple(rng.randint(0, 2 * p + 1) for _ in range(3)): rng.randint(1, p - 1)
+             for _ in range(rng.randint(1, 4))}
+        f = R.from_dict(d)
+        point = [rng.randint(1, p - 1) for _ in range(3)]
+        point[rng.randrange(3)] = 0
+        expected = R.zero()
+        for m, c in f.terms:
+            term = R.const(c)
+            for i, (e, a) in enumerate(zip(m, point)):
+                for _ in range(e):
+                    term = term * (R.gen(i) + R.const(a))
+            expected = expected + term
+        assert f.shift(point) == expected
+        assert f.shift(point).shift([-a for a in point]) == f
+
+
+def test_shift_takes_one_coordinate_per_variable():
+    f = ring(5).parse("x*y - z^2")
+    for point in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match="arity"):
+            f.shift(point)
+
+
 def test_derivative():
     R = ring(5)
     f = R.parse("x*y - z^2")
