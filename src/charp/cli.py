@@ -36,7 +36,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a job file and write reports")
     run_p.add_argument("job", type=Path)
     # the values stay text: the job layer's key table checks them
-    run_p.add_argument("--tolerance", help="override the convergence tolerance")
     run_p.add_argument("--budget-monomials", help="cap on any standard-monomial box")
     run_p.add_argument("--jobs", help="worker processes for independent tasks")
     run_p.add_argument("--json-only", action="store_true",
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
         return 0
 
     # run
-    flags = {key: getattr(args, key) for key in ("tolerance", "budget_monomials", "jobs")}
+    flags = {key: getattr(args, key) for key in ("budget_monomials", "jobs")}
     try:
         job = parse_job_file(str(args.job), flags, os.environ.get(CAP_VARIABLE))
     except Exception as exc:  # ParseError, OSError, or an undecodable file

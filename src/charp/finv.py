@@ -18,9 +18,10 @@ The records it returns (HKRecord, SplitRecord) carry q and the normalized
 values lambda_e/q^d and a_e/q^d, and no other module forms them.
 
 A limit estimate is labelled exact only under a certificate: lambda_1 = p^d
-(R is regular, e_HK = 1), a_1 = p^d (s = 1) or a_1 = 0 (s = 0).  Equal
-values alone prove nothing: F_2[x,y,z]/(xz, x^2y^2) at the origin has
-lambda_e/q^2 = 3/2, 3/2, 21/16, ... and e_HK = e(R) = 1.
+(R is regular, e_HK = 1), a_1 = p^d (s = 1) or a_1 = 0 (s = 0); any other
+is labelled by its last step against the fixed CONVERGENCE_THRESHOLD.
+Equal values alone prove nothing: F_2[x,y,z]/(xz, x^2y^2) at the origin
+has lambda_e/q^2 = 3/2, 3/2, 21/16, ... and e_HK = e(R) = 1.
 
 F-purity, splitting numbers and pairs read one multiplier (I^[q] : I): by
 Fedder's lemma (F^(q-1)), F = f_1...f_c, when the generators are a complete
@@ -154,9 +155,10 @@ class LimitEstimate:
     e = 1 (lambda_1 = p^d: R is regular by Kunz, so e_HK = 1; a_1 = p^d:
     free summands push forward, so a_(e+1) >= a_1 a_e, which with
     a_e <= q^d gives a_e = q^d and s = 1), or a_1 = 0 (s = 0).  Otherwise it
-    is 'converged' (last step under the tolerance) or 'inconclusive', a
-    heuristic label, never a proof: equal values need not stay equal, and
-    the error constant of the underlying O(1/q) term is not effective.
+    is 'converged' (the last step is below CONVERGENCE_THRESHOLD, a fixed
+    0.01) or 'inconclusive', a heuristic label, never a proof: equal values
+    need not stay equal, and the error constant of the underlying O(1/q)
+    term is not effective.
     """
 
     value: Fraction
@@ -168,10 +170,10 @@ class LimitEstimate:
 
 
 # the last step below which an estimate is labelled 'converged'
-DEFAULT_TOLERANCE = 1e-2
+CONVERGENCE_THRESHOLD = 1e-2
 
 
-def _extrapolate(records, p: int, tol: float, lo, hi=None) -> LimitEstimate:
+def _extrapolate(records, p: int, lo, hi=None) -> LimitEstimate:
     """The estimate from the records of e = 1, 2, ...: a normalized value 1
     at e = 1 certifies the limit 1, and every value must then be 1."""
     values = [r.normalized if isinstance(r, HKRecord) else r.s_e for r in records]
@@ -188,7 +190,7 @@ def _extrapolate(records, p: int, tol: float, lo, hi=None) -> LimitEstimate:
         value = Fraction(lo)
     if hi is not None and value > hi:
         value = Fraction(hi)
-    conf = "converged" if abs(float(diffs[-1])) < tol else "inconclusive"
+    conf = "converged" if abs(float(diffs[-1])) < CONVERGENCE_THRESHOLD else "inconclusive"
     return LimitEstimate(value, len(values), tuple(values), diffs, conf, tuple(records))
 
 
@@ -217,13 +219,12 @@ def hk_function(L: LocalRingAtPoint, e: int) -> HKRecord:
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
 
 
-def hk_estimate(L: LocalRingAtPoint, e_max: int,
-                tol: float = DEFAULT_TOLERANCE) -> LimitEstimate:
+def hk_estimate(L: LocalRingAtPoint, e_max: int) -> LimitEstimate:
     """Normalized Hilbert-Kunz sequence with a 1/q-model extrapolation."""
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
     recs = [hk_function(L, e) for e in range(1, e_max + 1)]
-    return _extrapolate(recs, L.p, tol, lo=1)
+    return _extrapolate(recs, L.p, lo=1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +307,7 @@ def splitting_number(L: LocalRingAtPoint, e: int) -> SplitRecord:
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 
-def fsig_estimate(L: LocalRingAtPoint, e_max: int,
-                  tol: float = DEFAULT_TOLERANCE) -> LimitEstimate:
+def fsig_estimate(L: LocalRingAtPoint, e_max: int) -> LimitEstimate:
     """F-signature estimate from the normalized splitting numbers.
 
     a_1 = 0 means R is not F-split, hence a_e = 0 for every e and the limit
@@ -320,7 +320,7 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int,
     if recs[0].a_e == 0:
         return LimitEstimate(Fraction(0), 1, (Fraction(0),), (), "exact", tuple(recs))
     recs += [splitting_number(L, e) for e in range(2, e_max + 1)]
-    return _extrapolate(recs, L.p, tol, lo=0, hi=1)
+    return _extrapolate(recs, L.p, lo=0, hi=1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +396,17 @@ class DiagnosticFlags:
                 "threshold": str(self.threshold)}
 
 
-def classify(L: LocalRingAtPoint, e_max: int,
-             tol: float = DEFAULT_TOLERANCE) -> DiagnosticFlags:
+def classify(L: LocalRingAtPoint, e_max: int) -> DiagnosticFlags:
     """Diagnostic flags: exact regularity test (lambda_1 = p^d), Fedder
     F-purity, the strict small-multiplicity bound e_HK < 1 + max{1/d!,
     1/e(R)} on the estimate (the node F_p[x,y]/(xy) sits on it, with
     e_HK = 2, and is not strongly F-regular), and the multiplicity bound
-    (e(R)-1)(1-s) >= e_HK - 1 on the estimates."""
-    hk = hk_estimate(L, e_max, tol)
+    (e(R)-1)(1-s) >= e_HK - 1 on the estimates.  Strong F-regularity
+    implies F-purity, so only an F-pure ring is predicted."""
+    hk = hk_estimate(L, e_max)
     regular = hk.records[0].lam == L.p**L.d
     f_pure = fedder_is_fpure(L)
-    fsig = fsig_estimate(L, e_max, tol)
+    fsig = fsig_estimate(L, e_max)
     e_hs = multiplicity(L)
     threshold = 1 + max(Fraction(1, math.factorial(L.d)), Fraction(1, e_hs))
     if e_hs == 1:
@@ -424,7 +424,7 @@ def classify(L: LocalRingAtPoint, e_max: int,
         fsig=fsig,
         hilbert_samuel=e_hs,
         threshold=threshold,
-        predicted_sfr_gorenstein=hk.value < threshold,
+        predicted_sfr_gorenstein=f_pure and hk.value < threshold,
         hl_satisfied=hl_satisfied,
         hl_near_equality=hl_near,
         hl_note=hl_note,

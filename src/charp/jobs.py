@@ -18,14 +18,12 @@ not depend on scheduling.
 from __future__ import annotations
 
 import json
-import math
 import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import CharpError, ParseError, UnitIdealError
 from .finv import (
-    DEFAULT_TOLERANCE,
     HKRecord,
     classify,
     fedder_is_fpure,
@@ -113,8 +111,6 @@ _KEY_TYPES = {
     "budget_monomials": _positive(Budget.max_box),
     "budget_basis": _positive(Budget.max_basis),
     "budget_pairs": _positive(Budget.max_pairs),
-    "tolerance": _KeyType(float, lambda v: type(v) in (int, float) and 0 < v < math.inf,
-                          "a finite number > 0", DEFAULT_TOLERANCE),
     "component": _int(0),
     "e": _positive(1),
     "e_max": _positive(2),
@@ -127,14 +123,14 @@ _KEY_TYPES = {
     "point": _KeyType(lambda text: [int(tok) for tok in text.replace(",", " ").split()],
                      _list_of(_is_int), "a list of integers"),
     "t": _KeyType(str, _is_rational, "a rational string >= 0 such as 1/2", "0"),
-    "t_grid": _KeyType(str.split, _list_of(_is_rational), "a list of rational strings >= 0"),
+    "t_grid": _KeyType(str.split, lambda v: v != [] and _list_of(_is_rational)(v),
+                       "a non-empty list of rational strings >= 0", ["0"]),
     "samples": _SAMPLES,
     "nearby": _SAMPLES,
     "special": _KeyType(_sample, _is_sample, "a sample comp:(c1,c2,...)"),
 }
 
-_JOB_KEYS = {"p", "tolerance", "budget_monomials", "budget_basis",
-             "budget_pairs", "jobs"}
+_JOB_KEYS = {"p", "budget_monomials", "budget_basis", "budget_pairs", "jobs"}
 _COMPONENT_KEYS = {"vars", "ideal", "min_primes"}
 CAP_VARIABLE = "CHARP_BUDGET_MONOMIALS"  # caps budget_monomials from the environment
 
@@ -219,22 +215,18 @@ def _check_keys(where: str, entry, allowed) -> None:
             raise ParseError(f"{where}: '{key}' must be {_KEY_TYPES[key].expected}")
 
 
-def _resolve(entry: dict, keys, flags: dict, outer: dict) -> None:
-    """Each key's value: the flag's, the entry's, the outer entry's or the default."""
+def _resolve(entry: dict, keys) -> None:
+    """Each absent key's constant default, where it has one."""
     for key in keys:
-        if key in flags:
-            entry[key] = flags[key]
-        elif key not in entry:
-            default = outer.get(key, _KEY_TYPES[key].default)
-            if default is not None:
-                entry[key] = default
+        if key not in entry and _KEY_TYPES[key].default is not None:
+            entry[key] = _KEY_TYPES[key].default
 
 
 def validate_job(job: dict, flags: dict | None = None, cap: str | None = None) -> dict:
     """Check a decoded job and resolve every setting that has a default, in
-    place: the flag (`flags` maps a key to its `--key` text or None), then
-    the task, then the job, then the table; `cap`, the text of CAP_VARIABLE,
-    caps budget_monomials.  Flags and cap are checked like `key = value`."""
+    place: the flag (`flags` maps a job key to its `--key` text or None),
+    then the key, then the table; `cap`, the text of CAP_VARIABLE, caps
+    budget_monomials.  Flags and cap are checked like `key = value`."""
     flags = {key: _convert(key, text, "--" + key.replace("_", "-"))
              for key, text in (flags or {}).items() if text is not None}
     _check_keys("job", job, _JOB_KEYS | {"components", "tasks"})
@@ -263,17 +255,16 @@ def validate_job(job: dict, flags: dict | None = None, cap: str | None = None) -
         missing = TASKS[kind].required - set(task)
         if missing:
             raise ParseError(f"task {i} ({kind}): missing keys {sorted(missing)}")
-    _resolve(job, _JOB_KEYS, flags, {})
+        _resolve(task, TASKS[kind].keys)
+        least = TASKS[kind].least_e_max
+        if task.get("e_max", least) < least:
+            raise ParseError(f"task {i} ({kind}): 'e_max' must be an integer >= "
+                             f"{least} for an estimate, got {task['e_max']}")
+    job.update(flags)
+    _resolve(job, _JOB_KEYS)
     if cap is not None:
         job["budget_monomials"] = min(job["budget_monomials"],
                                       _convert("budget_monomials", cap, CAP_VARIABLE))
-    for i, task in enumerate(tasks):
-        _resolve(task, TASKS[task["kind"]].keys, flags, job)
-        # an estimate extrapolates from two exponents at least; the kinds
-        # with a tolerance are exactly the estimates
-        if "tolerance" in task and task["e_max"] < 2:
-            raise ParseError(f"task {i} ({task['kind']}): 'e_max' must be an "
-                             f"integer >= 2 for an estimate, got {task['e_max']}")
     return job
 
 
@@ -436,7 +427,7 @@ def _ideal(ring: PolyRing, sources) -> Ideal:
 def _run_estimate(job, task, built, out):
     L, ci, point = _local(job, task, built)
     estimate = hk_estimate if task["kind"] == "hk" else fsig_estimate
-    est = estimate(L, task["e_max"], task["tolerance"])
+    est = estimate(L, task["e_max"])
     out["rows"] += _record_rows(task["kind"], ci, point, est.records)
     out["estimate"] = _estimate_payload(est)
 
@@ -450,7 +441,7 @@ def _run_pair(job, task, built, out):
     L, ci, point = _local(job, task, built)
     a = _ideal(L.ring, task["a"])
     out["pair"] = []
-    for t_src in task.get("t_grid") or [task["t"]]:
+    for t_src in task["t_grid"]:
         t = Fraction(t_src)
         recs = [pair_splitting_number(L, a, t, e) for e in range(1, task["e_max"] + 1)]
         out["rows"] += _record_rows(f"pair t={t}", ci, point, recs)
@@ -470,7 +461,7 @@ def _run_global(job, task, built, out):
     kind = task["kind"]
     samples = _samples(R, task["samples"])
     fn = global_hk if kind == "global_hk" else global_fsig
-    res = fn(R, samples, task["e_max"], task["tolerance"])
+    res = fn(R, samples, task["e_max"])
     gd = res.gamma
     out["gamma"] = {
         "dims": list(gd.dims),
@@ -530,7 +521,7 @@ def _run_flat_check(job, task, built, out):
 
 def _run_classify(job, task, built, out):
     L, _, _ = _local(job, task, built)
-    flags = classify(L, task["e_max"], task["tolerance"])
+    flags = classify(L, task["e_max"])
     out["flags"] = flags.as_dict()
     out["flags"]["hk"] = _estimate_payload(flags.hk)
     out["flags"]["fsig"] = _estimate_payload(flags.fsig)
@@ -544,10 +535,11 @@ class TaskKind(NamedTuple):
     required: frozenset
     run: Callable
     explain: str  # printed by `charp explain <kind>`
+    least_e_max: int = 1  # 2 for an estimate, which extrapolates from two exponents
 
 
 _LOCAL = frozenset({"component", "point"})
-_LIMIT = _LOCAL | {"e_max", "tolerance"}
+_LIMIT = _LOCAL | {"e_max"}
 _NONE = frozenset()
 
 TASKS = {
@@ -555,18 +547,18 @@ TASKS = {
         "lambda_e = dim_k S/(I + m^[q]), q = p^e, normalized by q^d.\n"
         "The limit of lambda_e/q^d is the Hilbert-Kunz multiplicity (Monsky);\n"
         "lambda_e >= q^d with equality iff the point is regular (Kunz)."
-    )),
+    ), least_e_max=2),
     "fsig": TaskKind(_LIMIT, _NONE, _run_estimate, (
         "a_e = lambda(S/(m^[q] : (I^[q]:I))), the rank of the largest free\n"
         "direct summand of the e-th Frobenius pushforward; s_e = a_e/q^d\n"
         "converges to the F-signature (Tucker). s = 1 iff regular\n"
         "(Huneke-Leuschke); s > 0 iff strongly F-regular (Aberbach-Leuschke)."
-    )),
+    ), least_e_max=2),
     "fedder": TaskKind(_LOCAL, _NONE, _run_fedder, (
         "F-pure iff (I^[p] : I) is not contained in m^[p] (Fedder's criterion);\n"
         "for a hypersurface f this reads f^(p-1) not in m^[p]."
     )),
-    "pair": TaskKind(_LOCAL | {"e_max", "a", "t", "t_grid"}, frozenset({"a"}), _run_pair, (
+    "pair": TaskKind(_LOCAL | {"e_max", "a", "t_grid"}, frozenset({"a"}), _run_pair, (
         "a_e(R, a^t) = lambda(S/(m^[q] : a^ceil(t(q-1)) * (I^[q]:I))):\n"
         "splitting numbers of the Cartier subalgebra scaled by powers of a\n"
         "(Blickle-Schwede-Tucker); t = 0 recovers the plain splitting numbers."
@@ -575,25 +567,27 @@ TASKS = {
         "nu(q) = max{r : a^r not in m^[q] + I}; the growth of nu(q)/q locates\n"
         "the F-pure threshold and guides t-grids for pair sweeps."
     )),
-    "global_hk": TaskKind(frozenset({"samples", "e_max", "tolerance"}),
+    "global_hk": TaskKind(frozenset({"samples", "e_max"}),
                           frozenset({"samples"}), _run_global, (
         "max of the local Hilbert-Kunz estimates over sampled primes on the\n"
         "gamma-attaining locus; a lower bound for the global value under\n"
         "incomplete sampling, exact only with a proof that the note names.\n"
         "Off-locus samples are excluded."
-    )),
-    "global_fsig": TaskKind(frozenset({"samples", "e_max", "tolerance"}),
+    ), least_e_max=2),
+    "global_fsig": TaskKind(frozenset({"samples", "e_max"}),
                             frozenset({"samples"}), _run_global, (
         "min of the local F-signature estimates over sampled primes; exactly 0\n"
         "whenever some component or sampled local ring misses the global gamma.\n"
         "An upper bound for the global value under incomplete sampling,\n"
         "exact only with a proof that the note names."
-    )),
+    ), least_e_max=2),
     "semicontinuity": TaskKind(frozenset({"special", "nearby", "e"}),
                                frozenset({"special", "nearby"}), _run_semicontinuity, (
         "checks lambda_e(special) >= lambda_e(P) for nearby rational points on\n"
         "one equidimensional component: upper semicontinuity of the normalized\n"
-        "bracket-power length (Shepherd-Barron / Smirnov style)."
+        "bracket-power length (Shepherd-Barron / Smirnov style).  A complete\n"
+        "intersection or declared minimal primes of one dimension certify that\n"
+        "hypothesis, and samples of different local dimension disprove it."
     )),
     "flat_check": TaskKind(_LOCAL | {"extra_vars", "e_max", "a", "t"}, _NONE,
                            _run_flat_check, (
@@ -603,11 +597,11 @@ TASKS = {
     )),
     "classify": TaskKind(_LIMIT, _NONE, _run_classify, (
         "flags: regular (lambda_1 = p^d, exact), F-pure (Fedder),\n"
-        "small-multiplicity prediction e_HK < 1 + max{1/d!, 1/e(R)}\n"
+        "small-multiplicity prediction F-pure and e_HK < 1 + max{1/d!, 1/e(R)}\n"
         "(strongly F-regular and Gorenstein), and the bound\n"
         "(e(R)-1)(1-s) >= e_HK - 1 (Huneke-Leuschke).  Limit-based flags are\n"
         "estimate-based, never proofs."
-    )),
+    ), least_e_max=2),
 }
 
 

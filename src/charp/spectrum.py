@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .errors import UnitIdealError
 from .finv import (
-    DEFAULT_TOLERANCE,
     LocalRingAtPoint,
     fsig_estimate,
     hk_estimate,
@@ -132,9 +131,9 @@ def _locals(R: RingPresentation, samples) -> list:
     return [(s, R.components[s.component].local_at(s.point)) for s in samples]
 
 
-def _sweep(rings, estimate, e_max: int, tol: float) -> tuple:
+def _sweep(rings, estimate, e_max: int) -> tuple:
     """(sample, local estimate) per (sample, local ring)."""
-    return tuple((s, estimate(L, e_max, tol)) for s, L in rings)
+    return tuple((s, estimate(L, e_max)) for s, L in rings)
 
 
 def _regular_everywhere(R: RingPresentation, gd: GammaData) -> str | None:
@@ -158,8 +157,7 @@ def _extremum(per, pick, proof, bound, excluded, gd) -> GlobalInvariantResult:
                                  gamma=gd)
 
 
-def global_hk(R: RingPresentation, samples, e_max: int,
-              tol: float = DEFAULT_TOLERANCE) -> GlobalInvariantResult:
+def global_hk(R: RingPresentation, samples, e_max: int) -> GlobalInvariantResult:
     """Max of the local Hilbert-Kunz estimates over the sampled primes of
     local dimension gamma; off-locus samples (on a component below gamma,
     or at a point of lower local dimension) are excluded.  The result is a
@@ -172,14 +170,13 @@ def global_hk(R: RingPresentation, samples, e_max: int,
     excluded = tuple(s for s in samples if s not in kept)
     if not included:
         raise ValueError("no samples lie on the gamma-attaining locus")
-    return _extremum(_sweep(included, hk_estimate, e_max, tol), max,
+    return _extremum(_sweep(included, hk_estimate, e_max), max,
                      _regular_everywhere(R, gd), "max over sampled primes: a "
                      "lower bound for the global value under incomplete "
                      "sampling", excluded, gd)
 
 
-def global_fsig(R: RingPresentation, samples, e_max: int,
-                tol: float = DEFAULT_TOLERANCE) -> GlobalInvariantResult:
+def global_fsig(R: RingPresentation, samples, e_max: int) -> GlobalInvariantResult:
     """Min of the local F-signature estimates over the sampled primes, or
     exactly 0 whenever some component, or the local ring at some sample,
     misses the global gamma (the free-rank of every module then grows a
@@ -199,7 +196,7 @@ def global_fsig(R: RingPresentation, samples, e_max: int,
                  "summands are asymptotically negligible")
     if not samples:
         raise ValueError("global_fsig needs at least one sample")
-    per = _sweep(rings, fsig_estimate, e_max, tol)
+    per = _sweep(rings, fsig_estimate, e_max)
     # a certified local 0 (a_1 = 0) is the minimum, as s >= 0 everywhere
     zero = any(est.value == 0 and est.confidence == "exact" for _, est in per)
     proof = ("exact 0: a sample certifies a_1 = 0, and s >= 0 at every point"
@@ -222,21 +219,29 @@ class SemicontinuityReport:
 def semicontinuity_probe(R: RingPresentation, special: PrimeSample, nearby,
                          e: int) -> SemicontinuityReport:
     """Check lambda_e(special) >= lambda_e(P) for the nearby samples on one
-    equidimensional component.  The inequality is a theorem under the
-    hypotheses, so a violation is reported as an engine bug."""
+    equidimensional component, which samples of different local dimension
+    disprove.  n - dim(S/I) generators (a complete intersection is unmixed)
+    or declared minimal primes of one dimension certify the hypothesis, and
+    only a violation on a certified component is reported as an engine bug."""
     comp = R.components[special.component]
     if any(s.component != special.component for s in nearby):
         raise ValueError("all samples must lie on one component")
-    if comp.declared_min_primes:
-        dims = {krull_dim(Q) for Q in comp.declared_min_primes}
-        if len(dims) > 1:
-            raise ValueError(
-                "component is not equidimensional per its declared minimal primes"
-            )
-    sp, *near = [(s, hk_function(comp.local_at(s.point), e)) for s in [special, *nearby]]
+    dims = {krull_dim(Q) for Q in comp.declared_min_primes}
+    if len(dims) > 1:
+        raise ValueError(
+            "component is not equidimensional per its declared minimal primes"
+        )
+    rings = [(s, comp.local_at(s.point)) for s in [special, *nearby]]
+    for s, L in rings[1:]:
+        if L.d != rings[0][1].d:
+            raise ValueError(f"component is not equidimensional: local dimension "
+                             f"{rings[0][1].d} at {special.point} and {L.d} at {s.point}")
+    sp, *near = [(s, hk_function(L, e)) for s, L in rings]
     ok = all(rec.normalized <= sp[1].normalized for _, rec in near)
+    certified = len(dims) == 1 or len(comp.ideal.gens) == comp.ring.nvars - comp.dim
     note = "upper semicontinuity holds on the sample" if ok else \
-        "VIOLATION: semicontinuity failed; this indicates an engine bug"
+        "VIOLATION: semicontinuity failed; this indicates an engine bug" if certified else \
+        "semicontinuity failed on the sample; hypothesis not certified"
     return SemicontinuityReport(special=sp, nearby=tuple(near), ok=ok, note=note)
 
 

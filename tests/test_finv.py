@@ -745,6 +745,15 @@ def test_classify_non_fpure_cubic():
     assert flags.fsig.value == 0
 
 
+def test_classify_predicts_strong_f_regularity_only_when_f_pure():
+    # F_2[x,y,z]/(xz, x^2y^2) at the origin: the estimate 3/2 is below the
+    # threshold 2, but strong F-regularity implies F-purity, which fails
+    flags = classify(local(2, ("x", "y", "z"), ["x*z", "x^2*y^2"]), 2)
+    assert not flags.f_pure
+    assert flags.hk.value == Fraction(3, 2) < flags.threshold == 2
+    assert flags.predicted_sfr_gorenstein is False
+
+
 # -- the Frobenius cache on the local ring -----------------------------------
 
 def _counted(monkeypatch):

@@ -1,7 +1,6 @@
 """Job files, reports, determinism, exit codes, CLI surface."""
 
 import json
-import math
 import os
 import pathlib
 import re
@@ -31,7 +30,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 QUADRIC_JOB = """\
 # quadric cone at the origin
 p = 7
-tolerance = 0.01
 
 [component]
 vars = x y z
@@ -106,7 +104,6 @@ def test_json_job_equivalent(tmp_path):
     ("task", "e_max", "2"),
     ("task", "e_max", True),
     ("task", "point", "0 0 0"),
-    ("task", "tolerance", "0.01"),
     ("component", "vars", "x y z"),
     ("component", "ideal", "x*y - z^2"),
 ])
@@ -424,7 +421,7 @@ vars = x y z
 ideal = x*y - z^2
 [task pair]
 a = x; y; z
-t = 10
+t_grid = 10
 e_max = 2
 """
 
@@ -457,7 +454,7 @@ def test_a_pair_with_u_0_reads_no_multiplier(monkeypatch):
 
     monkeypatch.setattr(charp.finv, "colon", fail)
     job = ("p = 3\n[component]\nvars = x y z w\nideal = x*z - y^2; y*w - z^2; x*w - y*z\n"
-           "[task pair]\na = x\nt = 4\ne_max = 2\n")
+           "[task pair]\na = x\nt_grid = 4\ne_max = 2\n")
     task = run_job(validate_job(parse_job_text(job)))["tasks"][0]
     assert task["status"] == "ok"
     assert [row["a_e"] for row in task["rows"]] == [0, 0]
@@ -529,7 +526,7 @@ vars = x y z
 ideal = x*y - z^2
 [task pair]
 a = x + 1; y
-t = 40
+t_grid = 40
 e_max = 2
 [task fsig]
 e_max = 2
@@ -844,7 +841,7 @@ def test_cli_env_budget_cap(tmp_path):
     ("budget_monomials", 0), ("budget_pairs", -1), ("budget_basis", 0),
 ])
 def test_budget_keys_below_1_are_parse_errors(tmp_path, capsys, key, value):
-    text = QUADRIC_JOB.replace("tolerance = 0.01", f"{key} = {value}")
+    text = QUADRIC_JOB.replace("p = 7\n", f"p = 7\n{key} = {value}\n")
     job_json = validate_job(parse_job_text(QUADRIC_JOB)) | {key: value}
     for path in (_write(tmp_path, text), _write(tmp_path, json.dumps(job_json), "job.json")):
         assert main(["run", str(path)]) == 1
@@ -876,25 +873,22 @@ def _bad_task_key(kind, key, text, value):
 
 # every source of a setting goes through the key table: a bad value is exit 1
 # with the table's message, and no report is written.  A job-level line
-# replaces the job's tolerance line; a task-level one is a new task of `kind`.
+# follows the job's `p` line; a task-level one is a new task of `kind`.
 @pytest.mark.parametrize("key, args, kind, line, json_value", [
-    *[pytest.param("tolerance", ["--tolerance", v], None, None, None, id=f"--tolerance {v}")
-      for v in ("abc", "-1", "0", "nan", "inf")],
     *[pytest.param("jobs", ["--jobs", v], None, None, None, id=f"--jobs {v}")
       for v in ("0", "-5", "x")],
     pytest.param("jobs", [], None, "jobs = 0", None, id="jobs = 0"),
-    pytest.param("tolerance", [], None, "tolerance = -1", None, id="tolerance = -1"),
-    pytest.param("tolerance", [], None, None, math.nan, id="json tolerance NaN"),
     # unchecked, e_max = 0 gave no rows (and flat_check ok: true), e = 0 gave q = 1,
-    # and t = 1/0 a ZeroDivisionError inside the task
+    # t = 1/0 a ZeroDivisionError inside the task, and an empty grid no rows
     *_bad_task_key("pair", "e_max", "0", 0),
     *_bad_task_key("flat_check", "e_max", "-1", -1),
     *_bad_task_key("semicontinuity", "e", "0", 0),
     *_bad_task_key("flat_check", "extra_vars", "0", 0),
-    *_bad_task_key("pair", "t", "1/0", "1/0"),
-    *_bad_task_key("pair", "t", "-1/2", "-1/2"),
+    *_bad_task_key("flat_check", "t", "1/0", "1/0"),
+    *_bad_task_key("flat_check", "t", "-1/2", "-1/2"),
     *_bad_task_key("pair", "t_grid", "0 1/0", ["0", "1/0"]),
     *_bad_task_key("pair", "t_grid", "1/2 x", ["1/2", "x"]),
+    *_bad_task_key("pair", "t_grid", "", []),
 ])
 def test_bad_settings_exit_1_from_every_source(tmp_path, capsys, key, args, kind, line,
                                                json_value):
@@ -903,7 +897,7 @@ def test_bad_settings_exit_1_from_every_source(tmp_path, capsys, key, args, kind
         if kind is not None:
             text += f"\n[task {kind}]\n{line}\n"
         elif line is not None:
-            text = text.replace("tolerance = 0.01", line)
+            text = text.replace("p = 7\n", f"p = 7\n{line}\n")
         path = _write(tmp_path, text)
     else:
         job = validate_job(parse_job_text(QUADRIC_JOB))
@@ -939,21 +933,55 @@ def test_pair_and_flat_check_keep_e_max_1():
     job = validate_job(parse_job_text(
         QUADRIC_JOB + "\n[task pair]\na = x\ne_max = 1\n[task flat_check]\ne_max = 1\n"))
     assert [t["e_max"] for t in job["tasks"][2:]] == [1, 1]
-    assert "tolerance" not in job["tasks"][2]  # pair has no tolerance key
-    with pytest.raises(ParseError, match="unknown key 'tolerance'"):
-        parse_job_text(QUADRIC_JOB + "\n[task pair]\na = x\ntolerance = 0.1\n")
 
 
-def test_settings_precedence_flag_task_job_default():
-    text = QUADRIC_JOB.replace("[task hk]\n", "[task hk]\ntolerance = 0.5\n")
-    job = validate_job(parse_job_text(text))
-    assert [t["tolerance"] for t in job["tasks"]] == [0.5, 0.01]
+def test_settings_precedence_flag_key_default():
+    text = QUADRIC_JOB.replace("p = 7\n", "p = 7\njobs = 2\n")
+    job = validate_job(parse_job_text(QUADRIC_JOB))
     assert job["jobs"] == _KEY_TYPES["jobs"].default
-    job = validate_job(parse_job_text(text), {"tolerance": "0.2", "jobs": None}, "50")
-    assert [t["tolerance"] for t in job["tasks"]] == [0.2, 0.2]
+    job = validate_job(parse_job_text(text), {"jobs": None, "budget_monomials": None}, "50")
+    assert job["jobs"] == 2
     assert job["budget_monomials"] == 50  # the variable caps the default
-    job = validate_job(parse_job_text(text), {"budget_monomials": "40"}, "50")
-    assert job["budget_monomials"] == 40
+    job = validate_job(parse_job_text(text), {"jobs": "3", "budget_monomials": "40"}, "50")
+    assert (job["jobs"], job["budget_monomials"]) == (3, 40)
+    job = validate_job(parse_job_text(text), {"budget_monomials": "60"}, "50")
+    assert job["budget_monomials"] == 50  # the variable caps a flag too
+
+
+# the keys each kind needs besides the one under test
+_REQUIRED_LINES = {"hk": "", "global_fsig": "samples = 0:(0,0,0)\n", "pair": "a = x\n"}
+
+
+# the convergence threshold is a constant and a pair's exponents are its
+# t_grid: a `tolerance` or a pair's `t` is an unknown key, named (exit 1)
+@pytest.mark.parametrize("kind, key, text, value", [
+    (None, "tolerance", "0.01", 0.01),
+    ("hk", "tolerance", "0.01", 0.01),
+    ("global_fsig", "tolerance", "0.5", 0.5),
+    ("pair", "t", "1", "1"),
+])
+@pytest.mark.parametrize("encoding", ["text", "json"])
+def test_removed_keys_are_parse_errors(tmp_path, capsys, kind, key, text, value, encoding):
+    base = QUADRIC_JOB if kind is None else \
+        QUADRIC_JOB + f"\n[task {kind}]\n{_REQUIRED_LINES[kind]}"
+    if encoding == "text":
+        line = f"{key} = {text}\n"
+        path = _write(tmp_path, base.replace("p = 7\n", "p = 7\n" + line)
+                      if kind is None else base + line)
+    else:
+        job = validate_job(parse_job_text(base))
+        (job if kind is None else job["tasks"][-1])[key] = value
+        path = _write(tmp_path, json.dumps(job), "job.json")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown key '{key}'" in err or f"unknown keys ['{key}']" in err
+    assert not list(tmp_path.glob("*.report.*"))
+
+
+def test_tolerance_flag_is_a_usage_error(tmp_path):
+    res = _cli(["run", str(_write(tmp_path, QUADRIC_JOB)), "--tolerance", "0.5"])
+    assert res.returncode == 1
+    assert "unrecognized arguments: --tolerance" in res.stderr
 
 
 @pytest.mark.parametrize("args, code", [
@@ -978,9 +1006,9 @@ EXPLAIN_FRAGMENTS = {
     "nu": "F-pure threshold",
     "global_hk": "lower bound",
     "global_fsig": "upper bound",
-    "semicontinuity": "upper semicontinuity",
+    "semicontinuity": "declared minimal primes of one dimension",
     "flat_check": "flat extension",
-    "classify": "e_HK < 1 + max{1/d!, 1/e(R)}",
+    "classify": "F-pure and e_HK < 1 + max{1/d!, 1/e(R)}",
 }
 
 

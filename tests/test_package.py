@@ -1,7 +1,9 @@
 """Properties of the package as a whole."""
 
 import ast
+import contextlib
 import importlib
+import io
 import inspect
 import pathlib
 import sys
@@ -141,3 +143,37 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
         fns[attr] = owner
     assert list(inspect.signature(fns["hk_function"]).parameters)[:2] == ["L", "e"]
     assert list(inspect.signature(fns["run_task"]).parameters)[:2] == ["job", "index"]
+
+
+def test_each_setting_has_one_source():
+    # the convergence threshold is one constant, read where the label is
+    # set, and a pair's exponents have one key, t_grid
+    from charp.jobs import _KEY_TYPES, TASKS
+
+    params, readers = [], set()
+    for owner, node in _owned_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params += [f"{owner}({x.arg})" for x in a.posonlyargs + a.args + a.kwonlyargs
+                       + [a.vararg, a.kwarg] if x is not None and x.arg in ("tol", "tolerance")]
+        elif isinstance(node, ast.Name) and node.id == "CONVERGENCE_THRESHOLD" \
+                and isinstance(node.ctx, ast.Load):
+            readers.add(owner)
+    assert params == []
+    assert readers == {"finv._extrapolate"}
+    assert "tolerance" not in _KEY_TYPES
+    assert "t" not in TASKS["pair"].keys
+
+
+def test_readme_library_use_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme[readme.index("## Library use"):]
+    block = block[block.index("```python\n") + len("```python\n"):]
+    block = block[:block.index("```")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == [
+        "515/343", "171/343", "279 117649",
+        "resource budget exceeded: standard monomial box used 117649 > limit 100000",
+    ]

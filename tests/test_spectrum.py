@@ -1,10 +1,13 @@
 """Global invariants, gamma bookkeeping, semicontinuity, flat extensions."""
 
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import charp.spectrum
 from charp.finv import LocalRingAtPoint
 from charp.gf import field_new
 from charp.ideal import Ideal
@@ -235,6 +238,44 @@ def test_semicontinuity_rejects_non_equidimensional():
     R = RingPresentation([c])
     with pytest.raises(ValueError):
         semicontinuity_probe(R, PrimeSample(0, (0, 0)), [], e=1)
+
+
+def test_semicontinuity_rejects_samples_of_different_local_dimension():
+    # a plane and a doubled line over F_3, with no declared primes: the
+    # origin has d = 2 and (1,0,0) has d = 1, so the ring is not
+    # equidimensional and the inequality, 35/27 against 3, proves nothing
+    R = RingPresentation([component(3, ("x", "y", "z"), ["x*y^2", "x*y*z", "x*z^2"])])
+    with pytest.raises(ValueError, match=re.escape(
+            "local dimension 2 at (0, 0, 0) and 1 at (1, 0, 0)")):
+        semicontinuity_probe(R, PrimeSample(0, (0, 0, 0)), [PrimeSample(0, (1, 0, 0))], e=2)
+
+
+_CUBIC_CONE = (("x", "y", "z", "w"), ["x*z - y^2", "y*w - z^2", "x*w - y*z"])
+
+
+@pytest.mark.parametrize("comp, nearby, certified", [
+    # a complete intersection is unmixed
+    (component(3, ("x", "y", "z"), ["x*y - z^2"]), (1, 1, 1), True),
+    # the cone over the twisted cubic is a prime, but 3 generators of a
+    # height-2 ideal certify nothing until the prime is declared
+    (component(3, *_CUBIC_CONE), (1, 1, 1, 1), False),
+    (component(3, *_CUBIC_CONE, primes=[_CUBIC_CONE[1]]), (1, 1, 1, 1), True),
+])
+def test_a_violation_blames_the_engine_only_on_a_certified_component(
+        monkeypatch, comp, nearby, certified):
+    real = charp.spectrum.hk_function
+
+    def inflated(L, e):  # a nearby value above the special one
+        rec = real(L, e)
+        return dataclasses.replace(rec, normalized=rec.normalized + 10) if any(L.point) else rec
+
+    monkeypatch.setattr(charp.spectrum, "hk_function", inflated)
+    origin = (0,) * comp.ring.nvars
+    rep = semicontinuity_probe(RingPresentation([comp]), PrimeSample(0, origin),
+                               [PrimeSample(0, nearby)], e=1)
+    assert not rep.ok
+    assert ("engine bug" in rep.note) == certified
+    assert ("hypothesis not certified" in rep.note) == (not certified)
 
 
 # -- smooth triage -----------------------------------------------------------
