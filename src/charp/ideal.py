@@ -27,6 +27,13 @@ one bitset per variable, and the lowest set bit is the first of them in
 basis order, the reducer a linear scan would pick.  The growing basis, the
 final interreduction and `normal_form` all use it, and the pair update asks
 it which leads a new lead divides.
+
+`intersect` eliminates a fresh variable t (Becker-Weispfenning, 6.2):
+given the block, `_buchberger` returns the reduced basis of the elements
+free of t and interreduces only those.  `colon` intersects the parts
+(I intersect (g)) / g over the generators g of J, and keeps the meet so far
+when the next part already contains it, which division by the part's
+generators decides with no Buchberger run.
 """
 
 from __future__ import annotations
@@ -363,13 +370,19 @@ def _reduce_full(acc: _TermSum, basis, divs: _Divisors, skip: int = 0):
     return out
 
 
-def _buchberger(gens, ring: PolyRing):
+def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
     """The reduced Groebner basis of gens, descending.  Each new element
     updates the pair queue as Gebauer and Moeller do (J. Symbolic Comput. 6,
     1988; Becker-Weispfenning, ch. 5): criterion B kills queued pairs, the
     new pairs keep one of each minimal lcm (criteria M and F) and drop
     coprime leads, and elements whose lead the new lead divides make no
-    further pairs."""
+    further pairs.
+
+    With eliminate = k > 0 the order must eliminate the first k variables,
+    and the result is the reduced basis of the elements free of them, the
+    elimination ideal's (Becker-Weispfenning, 6.2).  Only those elements
+    are interreduced: a lead free of the block divides no monomial that is
+    not, so their tails meet no other reducer."""
     budget = active_budget()
     eng = _engine(ring)
     field = ring.field
@@ -429,6 +442,9 @@ def _buchberger(gens, ring: PolyRing):
             add(r)
 
     # the live elements form a minimal basis; tail-reduce each by the others
+    if eliminate:
+        block = (1 << eliminate * _FIELD_BITS) - 1  # the block's exponent fields
+        live = [i for i in live if not basis[i][0][1] & block]
     dead = divs.all
     for i in live:
         dead ^= 1 << i
@@ -591,8 +607,9 @@ def exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I intersect J via elimination of a fresh leading variable t:
-    (t*I + (1-t)*J) with the block order, keeping t-free basis elements."""
+    """I intersect J via elimination of a fresh leading variable t: the
+    reduced basis of the t-free part of (t*I + (1-t)*J) under the block
+    order, which `_buchberger` interreduces alone, with t stripped."""
     ring = I.ring
     n = ring.nvars
     ext = PolyRing(
@@ -608,17 +625,21 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     one = ext.one()
     gens = [t * lift(f) for f in I.gens]
     gens += [(one - t) * lift(g) for g in J.gens]
-    gb = Ideal(ext, gens).groebner_basis()
-    out = []
-    for g in gb:
-        if all(m[0] == 0 for m, _ in g.terms):
-            out.append(ring.from_dict({m[1:]: c for m, c in g.terms}))
-    return Ideal(ring, out)
+    gb = _buchberger(gens, ext, 1)
+    return Ideal(ring, [ring.from_dict({m[1:]: c for m, c in g.terms}) for g in gb])
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) = {f | f*J in I}, as the intersection over generators g of J
-    of (I intersect (g)) / g."""
+    of the parts (I intersect (g)) / g.  A part that already contains the
+    intersection so far leaves it as it is, with no elimination run.
+
+    That test takes no Buchberger run either.  A remainder 0 by the
+    part's generators proves membership, and in a grevlex ring, the order
+    `intersect` eliminates with, a member leaves none other: the quotients
+    h/g of the meet's basis are a Groebner basis of the part, since for f
+    in it f*g is in the meet, so lt(f) lt(g) is divisible by some
+    lt(h) = lt(h/g) lt(g)."""
     ring = I.ring
     if J.is_zero():
         return Ideal(ring, (ring.one(),))  # (I : 0) = (1)
@@ -626,8 +647,23 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     for g in J.gens:
         meet = intersect(I, Ideal(ring, (g,)))
         part = Ideal(ring, [exact_divide(h, g) for h in meet.gens])
-        acc = part if acc is None else intersect(acc, part)
+        if acc is None:
+            acc = part
+        elif not _reduce_to_zero(acc.gens, part.gens):
+            acc = intersect(acc, part)
     return acc
+
+
+def _reduce_to_zero(gens, by) -> bool:
+    """Whether every polynomial in gens has remainder 0 on division by the
+    nonzero polynomials `by`, which puts it in their ideal."""
+    if not gens:
+        return True
+    ring = gens[0].ring
+    eng = _engine(ring)
+    reducers = [_monic(eng.plist(b), ring.field) for b in by]
+    divs = _Divisors(eng.n, [t[0][1] for t in reducers])
+    return not any(_reduce_full(_TermSum(eng.p, eng.plist(f)), reducers, divs) for f in gens)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:

@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from charp.ideal import Ideal, bracket_power, ideal_power, ideal_sum, length, normal_form
-from charp.poly import PolyRing, mono_div, mono_lcm, mono_mul
+from charp.poly import MonomialOrder, PolyRing, mono_div, mono_lcm, mono_mul
 
 
 def box_monomials(bounds):
@@ -187,6 +187,51 @@ def textbook_groebner(gens):
     reduced = [textbook_remainder(g, minimal[:i] + minimal[i + 1:]).monic()
                for i, g in enumerate(minimal)]
     return tuple(sorted(reduced, key=lambda g: g.ring.order.key(g.lm()), reverse=True))
+
+
+def textbook_intersect(I: Ideal, J: Ideal, groebner=textbook_groebner) -> tuple:
+    """The reduced basis of I intersect J in a grevlex ring: the t-free
+    elements of groebner(t*I + (1-t)*J) under the order that eliminates a
+    fresh first variable t, grevlex after it.  `groebner` is any routine
+    returning the whole reduced basis, descending; inputs too large for
+    textbook_groebner pass the engine's plain one."""
+    ring = I.ring
+    ext = PolyRing(ring.field, ("#t",) + ring.names,
+                   MonomialOrder.elimination(ring.nvars + 1, 1))
+
+    def lift(f, c):
+        return ext.from_dict({(0,) + m: a for m, a in f.terms}) * c
+
+    t = ext.gen(0)
+    gb = groebner([lift(f, t) for f in I.gens] + [lift(g, ext.one() - t) for g in J.gens])
+    return tuple(ring.from_dict({m[1:]: c for m, c in g.terms}) for g in gb
+                 if all(m[0] == 0 for m, _ in g.terms))
+
+
+def textbook_quotient(h, g):
+    """h / g for h a multiple of g, by long division on leading terms."""
+    ring = h.ring
+    quot = ring.zero()
+    while not h.is_zero():
+        m, c = h.terms[0]
+        s = mono_div(m, g.lm())
+        assert s is not None, "not a multiple"
+        term = ring.monomial(s, c * ring.field.inv(g.lc()))
+        quot, h = quot + term, h - term * g
+    return quot
+
+
+def textbook_colon(I: Ideal, J: Ideal, groebner=textbook_groebner) -> tuple:
+    """The reduced basis of (I : J), the intersection of (1) and, for each
+    generator g of J, (I intersect (g)) / g: every meet is formed, each by
+    textbook_intersect with `groebner`."""
+    ring = I.ring
+    acc = (ring.one(),)
+    for g in J.gens:
+        meet = textbook_intersect(I, Ideal(ring, (g,)), groebner)
+        part = Ideal(ring, [textbook_quotient(h, g) for h in meet])
+        acc = textbook_intersect(Ideal(ring, acc), part, groebner)
+    return acc
 
 
 def nu_binary_search(L, a: Ideal, e: int) -> int:

@@ -18,6 +18,7 @@ from charp.ideal import (
     INFINITE,
     Budget,
     Ideal,
+    _buchberger,
     _Divisors,
     _engine,
     active_budget,
@@ -46,7 +47,9 @@ from oracles import (
     quotient_length_bruteforce,
     random_nonzero_poly,
     standard_count_bruteforce,
+    textbook_colon,
     textbook_groebner,
+    textbook_intersect,
     textbook_remainder,
 )
 
@@ -396,6 +399,103 @@ def test_intersect_principal():
     R = ring(5, ("x", "y"))
     A = intersect(I(R, "x"), I(R, "y"))
     assert ideal_equal(A, I(R, "x*y"))
+
+
+# -- intersection and colon against the textbook oracle ------------------------
+
+def _random_ideal(rng, R, max_gens=3):
+    """Zero, unit or 1..max_gens random generators, each of degree <= 2."""
+    kind = rng.random()
+    if kind < 0.1:
+        return Ideal(R, ())
+    if kind < 0.2:
+        return Ideal(R, (R.one(),))
+    return Ideal(R, [random_nonzero_poly(rng, R, max_deg=2, max_terms=3)
+                     for _ in range(rng.randint(1, max_gens))])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_intersect_is_the_oracles_reduced_basis(p):
+    rng = random.Random(100 + p)
+    R = ring(p, ("x", "y"))
+    for _ in range(25):
+        A, B = _random_ideal(rng, R), _random_ideal(rng, R)
+        meet = intersect(A, B)
+        assert meet.gens == textbook_intersect(A, B) == meet.groebner_basis()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_colon_has_the_oracles_reduced_basis(p):
+    # J's generators include members of I (unit parts) and I may be 0 (zero parts)
+    rng = random.Random(200 + p)
+    R = ring(p, ("x", "y"))
+    for _ in range(20):
+        A = _random_ideal(rng, R)
+        B = _random_ideal(rng, R)
+        if A.gens and rng.random() < 0.3:
+            B = Ideal(R, B.gens + (A.gens[0] * random_nonzero_poly(rng, R, max_deg=1),))
+        assert colon(A, B).groebner_basis() == textbook_colon(A, B)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_colon_in_any_order_is_the_oracles_ideal(order):
+    # intersect eliminates with grevlex after t, whatever the ring's order
+    rng = random.Random(17)
+    Rg, Ro = ring(3), PolyRing(field_new(3), ("x", "y", "z"), ORDERS[order])
+    for _ in range(8):
+        A, B = _random_ideal(rng, Rg, 2), _random_ideal(rng, Rg, 2)
+        if A.gens and rng.random() < 0.5:
+            B = Ideal(Rg, B.gens + (A.gens[0] * random_nonzero_poly(rng, Rg, max_deg=1),))
+        expected = Ideal(Ro, [Ro.from_dict(dict(g.terms)) for g in textbook_colon(A, B)])
+        got = colon(*(Ideal(Ro, [Ro.from_dict(dict(g.terms)) for g in X.gens]) for X in (A, B)))
+        assert got.groebner_basis() == expected.groebner_basis()
+
+
+def test_twisted_cubic_multipliers_match_the_plain_elimination():
+    # every meet formed and every elimination basis fully interreduced, by
+    # the engine's plain Buchberger; q = 3 also by textbook_groebner
+    R = ring(3, ("x", "y", "z", "w"))
+    A = I(R, "x*z - y^2", "y*w - z^2", "x*w - y*z")
+
+    def plain(gens):
+        return Ideal(gens[0].ring, gens).groebner_basis()
+
+    for q in (3, 9, 27):
+        expected = textbook_colon(bracket_power(A, q), A, plain)
+        assert colon(bracket_power(A, q), A).groebner_basis() == expected
+    assert textbook_colon(bracket_power(A, 3), A) == colon(bracket_power(A, 3), A).groebner_basis()
+
+
+def test_a_part_that_holds_the_meet_so_far_is_not_intersected(monkeypatch):
+    # (I^[27] : I) of the twisted cubic: 3 parts, and the third contains
+    # the meet of the first two, so 1 accumulation rather than 2
+    R = ring(3, ("x", "y", "z", "w"))
+    A = I(R, "x*z - y^2", "y*w - z^2", "x*w - y*z")
+    calls = []
+
+    def counted(*args, _fn=charp.ideal.intersect):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(charp.ideal, "intersect", counted)
+    colon(bracket_power(A, 27), A)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_elimination_basis_is_the_block_free_part_of_the_full_one(p):
+    # the same main loop, so the same charges; only t-free elements interreduced
+    rng = random.Random(300 + p)
+    ext = PolyRing(field_new(p), ("t", "x", "y"), MonomialOrder.elimination(3, 1))
+    for _ in range(15):
+        gens = [random_nonzero_poly(rng, ext, max_deg=2, max_terms=3)
+                for _ in range(rng.randint(1, 4))]
+        with Budget() as full_charges:
+            full = _buchberger(gens, ext)
+        with Budget() as elim_charges:
+            elim = _buchberger(gens, ext, 1)
+        assert elim == tuple(g for g in full if all(m[0] == 0 for m, _ in g.terms))
+        assert elim_charges.snapshot() == full_charges.snapshot()
 
 
 # -- length ------------------------------------------------------------------

@@ -336,9 +336,30 @@ def test_task_groups_join_the_tasks_that_share_a_point():
     assert charp.jobs._groups(job) == [[0, 1, 2, 3], [4, 5], [6]]
 
 
+TWISTED_CUBIC_GLOBAL_FSIG_JOB = """\
+p = 3
+[component]
+vars = x y z w
+ideal = x*z - y^2; y*w - z^2; x*w - y*z
+[task global_fsig]
+samples = 0:(0,0,0,0) 0:(1,1,1,1) 0:(1,2,1,2) 0:(2,1,2,1)
+e_max = 2
+"""
+
+# two more points, so the job's tasks form three groups
+TWISTED_CUBIC_POINTS_JOB = TWISTED_CUBIC_GLOBAL_FSIG_JOB + """\
+[task fedder]
+point = 1 0 0 0
+[task fedder]
+point = 0 0 0 1
+"""
+
+
 def test_parallel_jobs_match_sequential():
-    # one group of tasks, which runs in-process, and three on a pool
-    for text in (QUADRIC_JOB, SHARED_POINTS_JOB):
+    # one group of tasks, which runs in-process, and three on a pool; the
+    # twisted cubic's three groups each build the colon (I^[3] : I) that its
+    # local rings share, once per pool worker
+    for text in (QUADRIC_JOB, SHARED_POINTS_JOB, TWISTED_CUBIC_POINTS_JOB):
         job = validate_job(parse_job_text(text))
         seq = run_job(job)
         par = run_job(job | {"jobs": 2})
@@ -347,6 +368,46 @@ def test_parallel_jobs_match_sequential():
         seq.pop("wall_time_s")
         par.pop("wall_time_s")
         assert report_to_json(seq) == report_to_json(par)
+
+
+def test_the_local_rings_of_a_component_share_its_colons(monkeypatch):
+    # the twisted cubic is not a complete intersection at any point, so each
+    # splitting number reads (I^[q] : I), which depends on I alone: 2 colons
+    # for q = 3, 9, where one per point and q made 8
+    import charp.finv
+
+    calls = []
+
+    def counted(*args, _fn=charp.finv.colon):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(charp.finv, "colon", counted)
+    report = run_job(validate_job(parse_job_text(TWISTED_CUBIC_GLOBAL_FSIG_JOB)))
+    assert report["status"] == "ok" and len(report["tasks"][0]["rows"]) == 8
+    assert len(calls) == 2
+
+
+def test_a_pool_makes_the_buchberger_runs_of_an_in_process_run(tmp_path, monkeypatch):
+    # the colon (I^[3] : I), shared by local rings in different groups, is
+    # built once per pool worker, but it computes no Ideal's basis, so the
+    # bases a job computes do not depend on the schedule
+    log = tmp_path / "runs.log"  # appended to by every process, pool workers included
+
+    def counted(self, _fn=charp.ideal.Ideal.groebner_basis):
+        if self._gb is None:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("run\n")
+        return _fn(self)
+
+    monkeypatch.setattr(charp.ideal.Ideal, "groebner_basis", counted)
+    runs = []
+    for n_jobs in ("1", "2"):
+        log.write_text("", encoding="utf-8")
+        assert run_job(validate_job(parse_job_text(TWISTED_CUBIC_POINTS_JOB),
+                                    {"jobs": n_jobs}))["status"] == "ok"
+        runs.append(len(log.read_text(encoding="utf-8").split()))
+    assert runs[0] == runs[1]
 
 
 REPLAY_JOB = """\
@@ -367,19 +428,19 @@ def test_a_task_is_charged_the_cached_work_it_reads():
     built = charp.jobs.build_presentation(job)
     fedder = run_task(job, 0, built)
     assert fedder["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
-                                "used_basis": 18, "used_pairs": 115, "used_box": 0}
+                                "used_basis": 18, "used_pairs": 95, "used_box": 0}
     fsig = run_task(job, 1, built)
     assert fsig["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
-                              "used_basis": 33, "used_pairs": 298, "used_box": 6561}
+                              "used_basis": 33, "used_pairs": 245, "used_box": 6561}
     assert fsig == run_task(job, 1, charp.jobs.build_presentation(job))
-    # the fedder task's 115 pairs are the fsig task's first: with one pair
+    # the fedder task's 95 pairs are the fsig task's first: with one pair
     # less, charging the stored multiplier would pass the cap, so the task
     # computes it again, which raises the error the task raises alone
-    tight = job | {"budget_pairs": 114}
+    tight = job | {"budget_pairs": 94}
     shared = run_task(tight, 1, built)
     alone = run_task(tight, 1, charp.jobs.build_presentation(tight))
     assert shared["error"] == ("ResourceBudgetError: resource budget exceeded: "
-                               "pair count used 115 > limit 114")
+                               "pair count used 95 > limit 94")
     assert shared == alone
 
 
@@ -582,8 +643,8 @@ def test_a_pair_at_t_0_reads_the_cached_splitting_numbers(monkeypatch):
     fsig, pair = report["tasks"]
     assert [row["a_e"] for row in pair["rows"]] == [row["a_e"] for row in fsig["rows"]] + [0, 9, 108]
     caps = {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000}
-    assert fsig["budget"] == caps | {"used_basis": 87, "used_pairs": 636, "used_box": 531441}
-    assert pair["budget"] == caps | {"used_basis": 87, "used_pairs": 690, "used_box": 531441}
+    assert fsig["budget"] == caps | {"used_basis": 87, "used_pairs": 514, "used_box": 531441}
+    assert pair["budget"] == caps | {"used_basis": 87, "used_pairs": 568, "used_box": 531441}
 
 
 @pytest.mark.parametrize("order, n_jobs", [
@@ -591,7 +652,9 @@ def test_a_pair_at_t_0_reads_the_cached_splitting_numbers(monkeypatch):
 ])
 def test_split_colon_builds_each_multiplier_once(tmp_path, monkeypatch, order, n_jobs):
     # the twisted cubic's (I^[q] : I) for q = 3, 9, 27 and the CI walk's one
-    # colon; each task recomputing its own made 7 colons and 31 intersections
+    # colon; each task recomputing its own made 7 colons and 31 intersections,
+    # and intersecting every part made 16: each twisted-cubic colon's last
+    # part already contains the meet of the first two
     import random
 
     import charp.finv
@@ -614,7 +677,7 @@ def test_split_colon_builds_each_multiplier_once(tmp_path, monkeypatch, order, n
     job = validate_job(parse_job_text(w.job_text()), {"jobs": str(n_jobs)})
     assert run_job(job)["status"] == "ok"
     calls = log.read_text(encoding="utf-8").split()
-    assert (calls.count("colon"), calls.count("intersect")) == (4, 16)
+    assert (calls.count("colon"), calls.count("intersect")) == (4, 13)
 
 
 def test_unit_ideal_component_exits_1(tmp_path, capsys):
@@ -740,10 +803,10 @@ ideal = x*z - y^2; y*w - z^2; x*w - y*z
 """
 
 
-@pytest.mark.parametrize("pairs, code", [(114, 2), (115, 0)])
+@pytest.mark.parametrize("pairs, code", [(94, 2), (95, 0)])
 def test_the_task_budget_covers_the_local_standard_basis(tmp_path, pairs, code):
     # the twisted cubic is not a complete intersection, so its local ring is
-    # built from a standard basis at the point: 2 of the 115 pairs the task
+    # built from a standard basis at the point: 2 of the 95 pairs the task
     # pops, and the component's own basis pops 2 more
     path = _write(tmp_path, TWISTED_CUBIC_FEDDER.format(pairs=pairs))
     assert main(["run", str(path)]) == code
@@ -752,7 +815,7 @@ def test_the_task_budget_covers_the_local_standard_basis(tmp_path, pairs, code):
         assert entry["error"].startswith("ResourceBudgetError: ")
     else:
         assert entry["f_pure"] is True
-        assert entry["budget"]["used_pairs"] == 115
+        assert entry["budget"]["used_pairs"] == 95
 
 
 @pytest.mark.parametrize("pairs, code", [(14, 2), (15, 0)])
