@@ -36,14 +36,14 @@ enters the same difference over M = m^[q].
 
 A LocalRingAtPoint takes an Ideal that may already hold its Groebner basis
 and keeps its local data in one store (`ideal.Shared`), as an Ideal keeps
-its basis: the standard basis at the point, lambda_e, Fedder's (F^(q-1))
-per q and the walk's steps per e, each computed once for every task that
-reads the ring.  The colon (I^[q] : I) depends on I alone, so it lives in
-a second store, which the local rings of one component share: it is
-computed once per q for all of the component's points.  No function here
-takes a budget: the work charges the active one (`with budget:`, see
-`ideal.Budget`), and a budget is charged each shared item once, the first
-time it reads it, what computing the item cost.
+its basis: the standard basis at the point, lambda_e and the walk's steps
+per e, each computed once for every task that reads the ring.  Both
+multipliers, (F^(q-1)) and the colon, depend on I alone, so they live in
+the store of the component (`spectrum.RingComponent`), which its local
+rings share: each is computed once per q for all of the component's
+points.  No function here takes a budget: the work charges the active one
+(`with budget:`, see `ideal.Budget`), and a budget is charged each shared
+item once, the first time it reads it, what computing the item cost.
 """
 
 from __future__ import annotations
@@ -82,15 +82,15 @@ class LocalRingAtPoint:
     maximal ideal of a; bracket_power(m0, q) = (x_i^q - a_i).  A pair's
     ideal a is read in the same coordinates.  Like an Ideal's Groebner
     basis, the local data is computed once, in the store `_cache`: the
-    standard basis's leading monomials, lambda_e per e, Fedder's multiplier
-    (F^(q-1)) per q and the splitting steps per e.  The colon multiplier
-    (I^[q] : I) per q is kept in `_ideal_cache`, the store `ideal_cache`
-    that the local rings of one component share (a fresh one if None).
+    standard basis's leading monomials, lambda_e per e and the splitting
+    steps per e.  The multipliers, which depend on I alone, are kept in
+    `_shared`, the store `shared` of the component whose local rings share
+    them (a fresh one if None).
     """
 
-    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_cache", "_ideal_cache")
+    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_cache", "_shared")
 
-    def __init__(self, ideal: Ideal, point, ideal_cache: Shared | None = None):
+    def __init__(self, ideal: Ideal, point, shared: Shared | None = None):
         ring = ideal.ring
         point = tuple(ring.field.normalize(a) for a in point)
         if len(point) != ring.nvars:
@@ -103,9 +103,8 @@ class LocalRingAtPoint:
         self.point = point
         self.ideal0 = ideal
         self.m0 = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
-        # keys "leads", ("lam", e), ("mult", q) and ("step", e)
-        self._cache = Shared()
-        self._ideal_cache = Shared() if ideal_cache is None else ideal_cache  # ("colon", q)
+        self._cache = Shared()  # keys "leads", ("lam", e) and ("step", e)
+        self._shared = Shared() if shared is None else shared  # ("colon", q), ("fedder", q)
         self.d = self._dimension()
 
     def _dimension(self) -> int:
@@ -244,17 +243,17 @@ def _is_ci(L: LocalRingAtPoint) -> bool:
 
 def _multiplier(L: LocalRingAtPoint, q: int) -> Ideal:
     """(I^[q] : I) up to I^[q], which lies in m^[q]: Fedder's (F^(q-1)) for a
-    complete intersection (F = 1 for I = 0), cached on L, whose d the test
-    reads; else the colon, which depends on I alone, cached for the
-    component."""
+    complete intersection at the point (F = 1 for I = 0), else the colon.
+    Both depend on I alone, so both are cached for the component; only the
+    choice between them reads the local d."""
     if not _is_ci(L):
-        return L._ideal_cache.get(("colon", q), lambda: colon(bracket_power(L.ideal0, q), L.ideal0))
+        return L._shared.get(("colon", q), lambda: colon(bracket_power(L.ideal0, q), L.ideal0))
 
-    def work():
+    def fedder():
         F = math.prod(L.ideal0.gens, start=L.ring.one())
         return Ideal(L.ring, (poly_pow(F, q - 1),))
 
-    return L._cache.get(("mult", q), work)
+    return L._shared.get(("fedder", q), fedder)
 
 
 def _length_difference(L: LocalRingAtPoint, e: int, q: int, lam: int, M: Ideal, U: Ideal) -> int:

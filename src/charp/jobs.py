@@ -7,12 +7,13 @@ keys, runner and explanation.  Unknown keys are hard errors so typos cannot
 silently change a run.
 
 A job builds and checks each component once, before any task runs, and
-each component keeps one local ring per point.  Tasks share this work
-through stores (`ideal.Shared`): a task's budget is charged each shared
-item once, the first time it reads it, what computing the item cost.
-Under a process pool, the tasks that read a common local ring run on one
-worker in task order, so a report, the budget counters included, does
-not depend on scheduling.
+the component is the unit of shared work: its store (`ideal.Shared`) keeps
+its local rings, one per point, and the work they share.  A task's budget
+is charged each shared item once, the first time it reads it, what
+computing the item cost, so a report, the budget counters included, does
+not depend on scheduling.  Under a process pool, the tasks that read a
+common component run on one worker in task order, so shared work is not
+repeated: a pool does the work of an in-process run.
 """
 
 from __future__ import annotations
@@ -605,27 +606,20 @@ TASKS = {
 }
 
 
-def _point_key(job: dict, ci, point) -> tuple:
-    # the local ring a (component, point) names; the default point is the origin
-    if point is None and 0 <= ci < len(job["components"]):
-        point = [0] * len(job["components"][ci]["vars"])
-    return ci, tuple(a % job["p"] for a in point or ())
-
-
-def _reads(job: dict, task: dict) -> set:
-    """The local rings a task reads, as (component, point) keys."""
+def _reads(task: dict) -> set:
+    """The indices of the components whose shared work a task reads."""
     if "component" in task:
-        return {_point_key(job, task["component"], task.get("point"))}
+        return {task["component"]}
     samples = [task["special"], *task["nearby"]] if "special" in task else task["samples"]
-    return {_point_key(job, s["component"], s["point"]) for s in samples}
+    return {s["component"] for s in samples}
 
 
 def _groups(job: dict) -> list:
     """The task indices in groups, each in index order, such that tasks in
-    different groups read no common local ring."""
-    groups: list = []  # (keys read, indices)
+    different groups read no common component's shared work."""
+    groups: list = []  # (components read, indices)
     for i, task in enumerate(job["tasks"]):
-        keys, indices = _reads(job, task), [i]
+        keys, indices = _reads(task), [i]
         for g in [g for g in groups if g[0] & keys]:
             groups.remove(g)
             keys |= g[0]

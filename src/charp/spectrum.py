@@ -31,20 +31,19 @@ from .poly import PolyRing
 
 class RingComponent:
     """One factor F_p[vars]/I of a product presentation, with I and the
-    dimension of S/I, checked when built.  It keeps one local ring per
-    point in a store (`ideal.Shared`): a budget is charged each ring's
-    building once, the first time it reads the ring.  Its local rings share
-    a second store, of the work that depends on I alone, the colon
-    (I^[q] : I) per q."""
+    dimension of S/I, checked when built.  It is the unit of shared work:
+    one store (`ideal.Shared`) holds its local rings, one per point under
+    ("point", point), and the work they share because it depends on I
+    alone, the multipliers (`finv._multiplier`).  A budget is charged each
+    item once, the first time it reads it."""
 
-    __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes", "_points", "_ideal_cache")
+    __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes", "_shared")
 
     def __init__(self, ring: PolyRing, gens, declared_min_primes=None):
         self.ring = ring
         self.gens = tuple(gens)
         self.declared_min_primes = tuple(declared_min_primes or ())
-        self._points = Shared()  # normalized point -> LocalRingAtPoint
-        self._ideal_cache = Shared()  # read by every local ring here
+        self._shared = Shared()
         self.dim = self._check()
 
     def _check(self) -> int:
@@ -60,8 +59,8 @@ class RingComponent:
 
     def local_at(self, point) -> LocalRingAtPoint:
         """The one local ring at point."""
-        key = tuple(self.ring.field.normalize(a) for a in point)
-        return self._points.get(key, lambda: LocalRingAtPoint(self.ideal, point, self._ideal_cache))
+        key = ("point", tuple(self.ring.field.normalize(a) for a in point))
+        return self._shared.get(key, lambda: LocalRingAtPoint(self.ideal, point, self._shared))
 
     def __repr__(self):
         return f"RingComponent(F_{self.ring.p}[{','.join(self.ring.names)}]/({', '.join(map(str, self.gens))}))"

@@ -217,18 +217,31 @@ def test_missing_required_task_keys_rejected():
             "p = 5\n[component]\nvars = x\nideal =\n[task global_hk]\ne_max = 2\n"))
 
 
-def test_component_index_out_of_range_is_task_error():
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_component_index_out_of_range_is_task_error(n_jobs):
+    # an in-range task next to the bad ones, so that --jobs 2 forms two
+    # groups; the bad fedder task has no point for the default origin
+    good = "[task hk]\npoint = 0\ne_max = 2\n"
     job = validate_job(parse_job_text(
         "p = 5\n[component]\nvars = x\nideal =\n"
-        "[task hk]\ncomponent = 3\npoint = 0\ne_max = 2\n"))
+        "[task hk]\ncomponent = 3\npoint = 0\ne_max = 2\n"
+        "[task fedder]\ncomponent = 3\n" + good), {"jobs": str(n_jobs)})
+    assert charp.jobs._groups(job) == [[0, 1], [2]]
     report = run_job(job)
-    assert report["tasks"][0]["status"] == "error"
-    assert "out of range" in report["tasks"][0]["error"]
+    for task in report["tasks"][:2]:
+        assert task["status"] == "error"
+        assert task["error"] == "ValueError: component index 3 out of range (presentation has 1)"
+        assert task == run_task(job, task["index"], charp.jobs.build_presentation(job))
+    assert report["tasks"][2]["status"] == "ok"
     job2 = validate_job(parse_job_text(
         "p = 5\n[component]\nvars = x\nideal =\n"
-        "[task global_hk]\nsamples = 7:(0)\ne_max = 2\n"))
+        "[task global_hk]\nsamples = 7:(0)\ne_max = 2\n" + good), {"jobs": str(n_jobs)})
+    assert charp.jobs._groups(job2) == [[0], [1]]
     report2 = run_job(job2)
     assert report2["tasks"][0]["status"] == "error"
+    assert report2["tasks"][0]["error"] == ("ValueError: component index 7 out of range "
+                                            "(presentation has 1)")
+    assert report2["tasks"][1]["status"] == "ok"
 
 
 def test_budget_error_isolated_to_task():
@@ -269,8 +282,9 @@ def test_unexpected_exception_is_task_error(monkeypatch, tmp_path, capsys, n_job
 
 
 def test_pool_has_no_more_workers_than_groups(monkeypatch):
-    # tasks that read a common local ring run on one worker, so a job whose
-    # tasks share one point needs no pool, and one with two points two workers
+    # tasks that read a common component run on one worker, so a job whose
+    # tasks share one component needs no pool, even at two points, and one
+    # with two components two workers
     import concurrent.futures
 
     sizes = []
@@ -293,6 +307,9 @@ def test_pool_has_no_more_workers_than_groups(monkeypatch):
     assert report["status"] == "ok" and sizes == []
     two_points = QUADRIC_JOB.replace("[task classify]\npoint = 0 0 0", "[task classify]\npoint = 1 1 1")
     report = run_job(validate_job(parse_job_text(two_points), {"jobs": "64"}))
+    assert report["status"] == "ok" and sizes == []
+    two_components = two_points + "[component]\nvars = x y\nideal = x*y\n[task fedder]\ncomponent = 1\n"
+    report = run_job(validate_job(parse_job_text(two_components), {"jobs": "64"}))
     assert report["status"] == "ok" and sizes == [2]
 
 
@@ -330,10 +347,13 @@ e_max = 2
 """
 
 
-def test_task_groups_join_the_tasks_that_share_a_point():
+def test_task_groups_join_the_tasks_that_share_a_component():
     job = validate_job(parse_job_text(SHARED_POINTS_JOB))
-    # (0,0,6) is (0,0,1) over F_5; (4,4,4) shares no point with another task
-    assert charp.jobs._groups(job) == [[0, 1, 2, 3], [4, 5], [6]]
+    # (4,4,4) shares no point with another task, but it shares component 0
+    assert charp.jobs._groups(job) == [[0, 1, 2, 3, 6], [4, 5]]
+    # (0,0,6) is (0,0,1) over F_5: the fedder and classify tasks read one local ring
+    comp = charp.jobs._build_component(job, 1)
+    assert comp.local_at((0, 0, 6)) is comp.local_at((0, 0, 1))
 
 
 TWISTED_CUBIC_GLOBAL_FSIG_JOB = """\
@@ -346,7 +366,7 @@ samples = 0:(0,0,0,0) 0:(1,1,1,1) 0:(1,2,1,2) 0:(2,1,2,1)
 e_max = 2
 """
 
-# two more points, so the job's tasks form three groups
+# two more points on the twisted cubic
 TWISTED_CUBIC_POINTS_JOB = TWISTED_CUBIC_GLOBAL_FSIG_JOB + """\
 [task fedder]
 point = 1 0 0 0
@@ -354,12 +374,20 @@ point = 1 0 0 0
 point = 0 0 0 1
 """
 
+# and a second component with one task, so that --jobs 2 starts a pool of two
+TWISTED_CUBIC_AND_QUADRIC_JOB = TWISTED_CUBIC_POINTS_JOB + """\
+[component]
+vars = x y z
+ideal = x*y - z^2
+[task fedder]
+component = 1
+"""
+
 
 def test_parallel_jobs_match_sequential():
-    # one group of tasks, which runs in-process, and three on a pool; the
-    # twisted cubic's three groups each build the colon (I^[3] : I) that its
-    # local rings share, once per pool worker
-    for text in (QUADRIC_JOB, SHARED_POINTS_JOB, TWISTED_CUBIC_POINTS_JOB):
+    # one group of tasks, which runs in-process, and two on a pool each;
+    # the tasks that read a component's shared work run on one worker
+    for text in (QUADRIC_JOB, SHARED_POINTS_JOB, TWISTED_CUBIC_AND_QUADRIC_JOB):
         job = validate_job(parse_job_text(text))
         seq = run_job(job)
         par = run_job(job | {"jobs": 2})
@@ -389,9 +417,9 @@ def test_the_local_rings_of_a_component_share_its_colons(monkeypatch):
 
 
 def test_a_pool_makes_the_buchberger_runs_of_an_in_process_run(tmp_path, monkeypatch):
-    # the colon (I^[3] : I), shared by local rings in different groups, is
-    # built once per pool worker, but it computes no Ideal's basis, so the
-    # bases a job computes do not depend on the schedule
+    # the tasks that read a common component, whose store holds the work
+    # its local rings share, run on one worker, so the bases a job computes
+    # do not depend on the schedule
     log = tmp_path / "runs.log"  # appended to by every process, pool workers included
 
     def counted(self, _fn=charp.ideal.Ideal.groebner_basis):
@@ -404,10 +432,70 @@ def test_a_pool_makes_the_buchberger_runs_of_an_in_process_run(tmp_path, monkeyp
     runs = []
     for n_jobs in ("1", "2"):
         log.write_text("", encoding="utf-8")
-        assert run_job(validate_job(parse_job_text(TWISTED_CUBIC_POINTS_JOB),
+        assert run_job(validate_job(parse_job_text(TWISTED_CUBIC_AND_QUADRIC_JOB),
                                     {"jobs": n_jobs}))["status"] == "ok"
         runs.append(len(log.read_text(encoding="utf-8").split()))
     assert runs[0] == runs[1]
+
+
+def test_a_pool_builds_each_colon_once(tmp_path, monkeypatch):
+    # the twisted cubic's tasks read (I^[q] : I) for q = 3, 9 and run on one
+    # worker, the quadric's on another; grouping the tasks by point put them
+    # on three workers, each of which built the colon for q = 3: 4 in all
+    import charp.finv
+
+    log = tmp_path / "colons.log"  # appended to by every process, pool workers included
+
+    def counted(*args, _fn=charp.finv.colon):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("colon\n")
+        return _fn(*args)
+
+    monkeypatch.setattr(charp.finv, "colon", counted)
+    colons = []
+    for n_jobs in ("1", "2"):
+        log.write_text("", encoding="utf-8")
+        job = validate_job(parse_job_text(TWISTED_CUBIC_AND_QUADRIC_JOB), {"jobs": n_jobs})
+        assert charp.jobs._groups(job) == [[0, 1, 2], [3]]
+        assert run_job(job)["status"] == "ok"
+        colons.append(len(log.read_text(encoding="utf-8").split()))
+    assert colons == [2, 2]
+
+
+QUADRIC_SWEEP_JOB = """\
+p = 5
+[component]
+vars = x y z
+ideal = x*y - z^2
+[task global_fsig]
+samples = 0:(1,1,1) 0:(1,4,2) 0:(4,1,2) 0:(4,4,1)
+e_max = 2
+[task fedder]
+point = 2 2 2
+"""
+
+
+def test_the_local_rings_of_a_component_share_fedders_multiplier(monkeypatch):
+    # the quadric is a complete intersection at every point, so F-purity
+    # and a_1 read (F^(q-1)) for q = 5, which depends on I alone: one power
+    # for the job's five points, where one per point made 5
+    import charp.finv
+
+    calls = []
+
+    def counted(f, k, _fn=charp.finv.poly_pow):
+        calls.append((str(f), k))
+        return _fn(f, k)
+
+    monkeypatch.setattr(charp.finv, "poly_pow", counted)
+    job = validate_job(parse_job_text(QUADRIC_SWEEP_JOB))
+    report = run_job(job)
+    assert report["status"] == "ok" and len(report["tasks"][0]["rows"]) == 8
+    assert calls == [("x*y + 4*z^2", 4)]  # x*y - z^2 over F_5
+    # poly_pow charges no budget: each task's counters are those it has alone
+    for i in (0, 1):
+        alone = run_task(job, i, charp.jobs.build_presentation(job))
+        assert report["tasks"][i]["budget"] == alone["budget"]
 
 
 REPLAY_JOB = """\
@@ -678,6 +766,18 @@ def test_split_colon_builds_each_multiplier_once(tmp_path, monkeypatch, order, n
     assert run_job(job)["status"] == "ok"
     calls = log.read_text(encoding="utf-8").split()
     assert (calls.count("colon"), calls.count("intersect")) == (4, 13)
+
+
+@pytest.mark.parametrize("name", ["hk_tower", "split_colon", "point_sweep"])
+def test_each_benchmark_workload_forms_several_task_groups(monkeypatch, name):
+    # perfbench/run.py checks that a --jobs 2 run repeats the counters of
+    # --jobs 1; a workload whose tasks formed one group would run in-process
+    # there, and that check would compare two in-process runs
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    job = validate_job(parse_job_text(workloads.build(name, 1).job_text()))
+    assert len(charp.jobs._groups(job)) >= 2
 
 
 def test_unit_ideal_component_exits_1(tmp_path, capsys):
