@@ -34,16 +34,16 @@ oracle the tests compare against.  A pair (R, a^t) whose a^N is the unit
 ideal at the point reads the plain a_e; otherwise its U = a^N (I^[q] : I)
 enters the same difference over M = m^[q].
 
-A LocalRingAtPoint takes an Ideal that may already hold its Groebner basis
-and keeps its local data in one store (`ideal.Shared`), as an Ideal keeps
-its basis: the standard basis at the point, lambda_e and the walk's steps
-per e, each computed once for every task that reads the ring.  Both
-multipliers, (F^(q-1)) and the colon, depend on I alone, so they live in
-the store of the component (`spectrum.RingComponent`), which its local
-rings share: each is computed once per q for all of the component's
-points.  No function here takes a budget: the work charges the active one
-(`with budget:`, see `ideal.Budget`), and a budget is charged each shared
-item once, the first time it reads it, what computing the item cost.
+A LocalRingAtPoint is a view of an Ideal that may already hold its
+Groebner basis.  Its data lives in one store (`ideal.Shared`), its
+component's (`spectrum.RingComponent`), under keys that name the
+normalized point a: the standard basis ("leads", a), lambda_e
+("lam", a, e) and the walk's steps ("step", a, e).  Both multipliers,
+("fedder", q) and ("colon", q), depend on I alone, so each is computed
+once per q for all of the component's points.  No function here takes a
+budget: the work charges the active one (`with budget:`, see
+`ideal.Budget`), and a budget is charged each shared item once, the first
+time it reads it, what computing the item cost.
 """
 
 from __future__ import annotations
@@ -80,15 +80,12 @@ class LocalRingAtPoint:
 
     ideal0 is I in presentation coordinates and m0 = (x_i - a_i) is the
     maximal ideal of a; bracket_power(m0, q) = (x_i^q - a_i).  A pair's
-    ideal a is read in the same coordinates.  Like an Ideal's Groebner
-    basis, the local data is computed once, in the store `_cache`: the
-    standard basis's leading monomials, lambda_e per e and the splitting
-    steps per e.  The multipliers, which depend on I alone, are kept in
-    `_shared`, the store `shared` of the component whose local rings share
-    them (a fresh one if None).
+    ideal a is read in the same coordinates.  The ring stores nothing
+    itself: its data is computed once in `_shared`, the store `shared` of
+    its component (a fresh one if None), under keys that name the point.
     """
 
-    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_cache", "_shared")
+    __slots__ = ("ring", "gens", "point", "ideal0", "m0", "d", "_shared")
 
     def __init__(self, ideal: Ideal, point, shared: Shared | None = None):
         ring = ideal.ring
@@ -103,16 +100,13 @@ class LocalRingAtPoint:
         self.point = point
         self.ideal0 = ideal
         self.m0 = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
-        self._cache = Shared()  # keys "leads", ("lam", e) and ("step", e)
-        self._shared = Shared() if shared is None else shared  # ("colon", q), ("fedder", q)
+        self._shared = Shared() if shared is None else shared
         self.d = self._dimension()
 
     def _dimension(self) -> int:
         d = krull_dim(self.ideal0)
         if len(self.gens) != self.ring.nvars - d:  # else unmixed: every point has d
-            leads = local_leading_monomials(self.ideal0, self.point)
-            self._cache.get("leads", lambda: leads)  # paid for with the ring
-            d = len(largest_free_sets(leads, self.ring.nvars)[0])
+            d = len(largest_free_sets(_leads(self), self.ring.nvars)[0])
         return d
 
     @property
@@ -123,11 +117,16 @@ class LocalRingAtPoint:
         return f"LocalRingAtPoint({self.ideal0!r} at {self.point})"
 
 
+def _leads(L: LocalRingAtPoint) -> tuple:
+    """The leading monomials of a standard basis of I at the point."""
+    return L._shared.get(("leads", L.point), lambda: local_leading_monomials(L.ideal0, L.point))
+
+
 def multiplicity(L: LocalRingAtPoint) -> int:
     """e(R), that of S/L for the leading ideal L at the point: by the
     associativity formula, the sum over L's largest free sets U of the
     standard monomials of L in the other variables once x_U is set to 1."""
-    leads = L._cache.get("leads", lambda: local_leading_monomials(L.ideal0, L.point))
+    leads = _leads(L)
     n, total = L.ring.nvars, 0
     for U in largest_free_sets(leads, n):
         rest = [j for j in range(n) if j not in U]
@@ -214,10 +213,10 @@ def _frobenius(L: LocalRingAtPoint, e: int) -> tuple:
 # Hilbert-Kunz
 
 def hk_function(L: LocalRingAtPoint, e: int) -> HKRecord:
-    """lambda_e = lambda(R/m^[q]R) for q = p^e and e >= 1, cached on L and
-    checked against Kunz's lambda_e >= q^d."""
+    """lambda_e = lambda(R/m^[q]R) for q = p^e and e >= 1, cached for the
+    point and checked against Kunz's lambda_e >= q^d."""
     q, mq = _frobenius(L, e)
-    lam = L._cache.get(("lam", e), lambda: length(ideal_sum(L.ideal0, mq)))
+    lam = L._shared.get(("lam", L.point, e), lambda: length(ideal_sum(L.ideal0, mq)))
     if lam < q**L.d:
         raise RuntimeError(f"lambda_{e} = {lam} < q^d = {q**L.d} breaks Kunz's bound")
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
@@ -266,9 +265,9 @@ def _length_difference(L: LocalRingAtPoint, e: int, q: int, lam: int, M: Ideal, 
 
 
 def _splitting_step(L: LocalRingAtPoint, e: int):
-    """(M, lambda(S/M), U, a_e) with I_e = (M : U) and
-    a_e = lambda(S/I_e) = lambda(S/M) - lambda(S/(M + U)), cached on L.  A
-    complete intersection walks J_0 = m, J_k = (J_(k-1)^[p] : F^(p-1)) to
+    """(M, U, a_e) with I_e = (M : U) and a_e = lambda(S/I_e) =
+    lambda(S/M) - lambda(S/(M + U)), cached for the point.  A complete
+    intersection walks J_0 = m, J_k = (J_(k-1)^[p] : F^(p-1)) to
     M = J_(e-1)^[p]: Frobenius is flat over S, so J_e = (m^[q] : F^(q-1)),
     and the walk's next lambda(S/M) = lambda(S/J_e^[p]) is p^n a_e.
     Otherwise M = m^[q].  The difference is exact on both routes: U = (u) is
@@ -281,16 +280,16 @@ def _splitting_step(L: LocalRingAtPoint, e: int):
     p, n = L.p, L.ring.nvars
     walk = e > 1 and _is_ci(L)
     if walk:
-        M, _, U, a = _splitting_step(L, e - 1)
+        M, U, a = _splitting_step(L, e - 1)
         lam = p**n * a
     else:
         M, U, lam = mq, _multiplier(L, q), q**n
 
     def work():
         Me = bracket_power(colon(M, U), p) if walk else M
-        return Me, lam, U, _length_difference(L, e, q, lam, Me, U)
+        return Me, U, _length_difference(L, e, q, lam, Me, U)
 
-    return L._cache.get(("step", e), work)
+    return L._shared.get(("step", L.point, e), work)
 
 
 def fedder_is_fpure(L: LocalRingAtPoint) -> bool:
@@ -303,14 +302,14 @@ def splitting_ideal(L: LocalRingAtPoint, e: int) -> Ideal:
     """Lift of I_e = (m^[q] : (I^[q] : I)): the elements whose Frobenius
     images all land in m.  The invariants only need its length, which
     `splitting_number` reads without this colon; the ideal is the oracle."""
-    M, _, U, _ = _splitting_step(L, e)
+    M, U, _ = _splitting_step(L, e)
     return colon(M, U)
 
 
 def splitting_number(L: LocalRingAtPoint, e: int) -> SplitRecord:
     """a_e = lambda(R/I_e), normalized by q^d."""
     q, _ = _frobenius(L, e)
-    a_e = _splitting_step(L, e)[3]
+    a_e = _splitting_step(L, e)[2]
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 

@@ -8,8 +8,8 @@ silently change a run.
 
 A job builds and checks each component once, before any task runs, and
 the component is the unit of shared work: its store (`ideal.Shared`) keeps
-its local rings, one per point, and the work they share.  A task's budget
-is charged each shared item once, the first time it reads it, what
+its local rings' data, keyed by point, and the work they share.  A task's
+budget is charged each shared item once, the first time it reads it, what
 computing the item cost, so a report, the budget counters included, does
 not depend on scheduling.  Under a process pool, the tasks that read a
 common component run on one worker in task order, so shared work is not
@@ -127,7 +127,8 @@ _KEY_TYPES = {
     "t_grid": _KeyType(str.split, lambda v: v != [] and _list_of(_is_rational)(v),
                        "a non-empty list of rational strings >= 0", ["0"]),
     "samples": _SAMPLES,
-    "nearby": _SAMPLES,
+    "nearby": _SAMPLES._replace(check=lambda v: v != [] and _SAMPLES.check(v),
+                                expected="a non-empty list of samples comp:(c1,c2,...)"),
     "special": _KeyType(_sample, _is_sample, "a sample comp:(c1,c2,...)"),
 }
 

@@ -32,10 +32,11 @@ from .poly import PolyRing
 class RingComponent:
     """One factor F_p[vars]/I of a product presentation, with I and the
     dimension of S/I, checked when built.  It is the unit of shared work:
-    one store (`ideal.Shared`) holds its local rings, one per point under
-    ("point", point), and the work they share because it depends on I
-    alone, the multipliers (`finv._multiplier`).  A budget is charged each
-    item once, the first time it reads it."""
+    one store (`ideal.Shared`) holds its local rings' data, keyed by point,
+    and the multipliers (`finv._multiplier`), which they share because
+    they depend on I alone.  A local ring is a view of the store, which
+    holds no ring.  A budget is charged each item once, the first time it
+    reads it."""
 
     __slots__ = ("ring", "gens", "ideal", "dim", "declared_min_primes", "_shared")
 
@@ -58,9 +59,9 @@ class RingComponent:
         return krull_dim(self.ideal)
 
     def local_at(self, point) -> LocalRingAtPoint:
-        """The one local ring at point."""
-        key = ("point", tuple(self.ring.field.normalize(a) for a in point))
-        return self._shared.get(key, lambda: LocalRingAtPoint(self.ideal, point, self._shared))
+        """A view of the local ring at point, which reads and keeps its data
+        in the component's store."""
+        return LocalRingAtPoint(self.ideal, point, self._shared)
 
     def __repr__(self):
         return f"RingComponent(F_{self.ring.p}[{','.join(self.ring.names)}]/({', '.join(map(str, self.gens))}))"

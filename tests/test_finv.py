@@ -816,5 +816,5 @@ def test_budget_error_mid_walk_leaves_the_cache_consistent():
     with pytest.raises(ResourceBudgetError), Budget(max_box=1000):
         # e = 3's colon completes; its length's box of 6075 does not
         splitting_number(L, 3)
-    assert [k for k in (1, 2, 3) if ("step", k) in L._cache.items] == [1, 2]
+    assert [k for k in (1, 2, 3) if ("step", L.point, k) in L._shared.items] == [1, 2]
     assert [r.a_e for r in fsig_estimate(L, 4).records] == [5, 41, 365, 3281]

@@ -1,5 +1,6 @@
 """Job files, reports, determinism, exit codes, CLI surface."""
 
+import gc
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ import charp.ideal
 import charp.jobs
 from charp.cli import main
 from charp.errors import ParseError
+from charp.finv import hk_function
 from charp.jobs import (
     _KEY_TYPES,
     TASKS,
@@ -347,13 +349,23 @@ e_max = 2
 """
 
 
-def test_task_groups_join_the_tasks_that_share_a_component():
+def test_task_groups_join_the_tasks_that_share_a_component(monkeypatch):
     job = validate_job(parse_job_text(SHARED_POINTS_JOB))
     # (4,4,4) shares no point with another task, but it shares component 0
     assert charp.jobs._groups(job) == [[0, 1, 2, 3, 6], [4, 5]]
-    # (0,0,6) is (0,0,1) over F_5: the fedder and classify tasks read one local ring
+    # (0,0,6) is (0,0,1) over F_5: the fedder and classify tasks read one
+    # point's data, so the second view reads the first's work
     comp = charp.jobs._build_component(job, 1)
-    assert comp.local_at((0, 0, 6)) is comp.local_at((0, 0, 1))
+    first = comp.local_at((0, 0, 6))
+    lam = hk_function(first, 1)
+
+    def no_run(*args):
+        raise AssertionError("a Buchberger run")
+
+    monkeypatch.setattr(charp.ideal, "_buchberger", no_run)
+    second = comp.local_at((0, 0, 1))
+    assert first.point == second.point == (0, 0, 1)
+    assert hk_function(second, 1) == lam
 
 
 TWISTED_CUBIC_GLOBAL_FSIG_JOB = """\
@@ -396,6 +408,20 @@ def test_parallel_jobs_match_sequential():
         seq.pop("wall_time_s")
         par.pop("wall_time_s")
         assert report_to_json(seq) == report_to_json(par)
+
+
+@pytest.mark.parametrize("text", [TWISTED_CUBIC_AND_QUADRIC_JOB, SHARED_POINTS_JOB])
+def test_a_job_leaves_no_cyclic_garbage(text):
+    # a component's store holds values only, no local ring that holds the
+    # store back, so a job's rings are freed by reference counting alone
+    job = validate_job(parse_job_text(text))
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_job(job)["status"] == "ok"
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 def test_the_local_rings_of_a_component_share_its_colons(monkeypatch):
@@ -1052,6 +1078,8 @@ def _bad_task_key(kind, key, text, value):
     *_bad_task_key("pair", "t_grid", "0 1/0", ["0", "1/0"]),
     *_bad_task_key("pair", "t_grid", "1/2 x", ["1/2", "x"]),
     *_bad_task_key("pair", "t_grid", "", []),
+    # unchecked, an empty sample was "upper semicontinuity holds" with nothing compared
+    *_bad_task_key("semicontinuity", "nearby", "", []),
 ])
 def test_bad_settings_exit_1_from_every_source(tmp_path, capsys, key, args, kind, line,
                                                json_value):
