@@ -101,7 +101,8 @@ class LocalRingAtPoint:
         self.ideal0 = ideal
         self.m0 = Ideal(ring, [x - a for x, a in zip(ring.gens(), point)])
         self._shared = Shared() if shared is None else shared
-        self.d = self._dimension()
+        with active_budget():  # one budget for both steps, also outside any block
+            self.d = self._dimension()
 
     def _dimension(self) -> int:
         d = krull_dim(self.ideal0)

@@ -119,8 +119,6 @@ _KEY_TYPES = {
     "vars": _NAMES,
     "ideal": _POLYS,
     "a": _POLYS,
-    "min_primes": _KeyType(lambda text: [g for g in map(_gens, text.split("|")) if g],
-                          _list_of(_POLYS.check), "a list of lists of polynomial strings"),
     "point": _KeyType(lambda text: [int(tok) for tok in text.replace(",", " ").split()],
                      _list_of(_is_int), "a list of integers"),
     "t": _KeyType(str, _is_rational, "a rational string >= 0 such as 1/2", "0"),
@@ -133,7 +131,7 @@ _KEY_TYPES = {
 }
 
 _JOB_KEYS = {"p", "budget_monomials", "budget_basis", "budget_pairs", "jobs"}
-_COMPONENT_KEYS = {"vars", "ideal", "min_primes"}
+_COMPONENT_KEYS = {"vars", "ideal"}
 CAP_VARIABLE = "CHARP_BUDGET_MONOMIALS"  # caps budget_monomials from the environment
 
 
@@ -274,16 +272,13 @@ def validate_job(job: dict, flags: dict | None = None, cap: str | None = None) -
 # execution
 
 def _component_parts(field, spec: dict, where: str) -> tuple:
-    """(ring, generators, declared minimal primes or None) of a component
-    entry, parsed without building a basis; a malformed entry is a
-    ParseError naming `where`."""
+    """(ring, generators) of a component entry, parsed without building a
+    basis; a malformed entry is a ParseError naming `where`."""
     try:
         ring = PolyRing(field, tuple(spec["vars"]))
-        gens = [ring.parse(src) for src in spec["ideal"]]
-        primes = [_ideal(ring, srcs) for srcs in spec.get("min_primes") or ()]
+        return ring, [ring.parse(src) for src in spec["ideal"]]
     except (CharpError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from None
-    return ring, gens, primes or None
 
 
 def _budget(job: dict) -> Budget:
@@ -309,7 +304,7 @@ def build_presentation(job: dict) -> Shared:
                 _component(job, built, i)
         except UnitIdealError:
             raise ParseError(f"component {i}: its ideal is the unit ideal") from None
-        except Exception:  # past a cap, or a declared prime that does not fit
+        except Exception:  # past a cap
             pass
     return built
 
@@ -585,11 +580,12 @@ TASKS = {
     ), least_e_max=2),
     "semicontinuity": TaskKind(frozenset({"special", "nearby", "e"}),
                                frozenset({"special", "nearby"}), _run_semicontinuity, (
-        "checks lambda_e(special) >= lambda_e(P) for nearby rational points on\n"
-        "one equidimensional component: upper semicontinuity of the normalized\n"
-        "bracket-power length (Shepherd-Barron / Smirnov style).  A complete\n"
-        "intersection or declared minimal primes of one dimension certify that\n"
-        "hypothesis, and samples of different local dimension disprove it."
+        "checks the raw lambda_e(special) >= lambda_e(P) for nearby rational\n"
+        "points on one component.  A failure is an engine bug only at the origin\n"
+        "of a component whose generators are homogeneous in total degree, which\n"
+        "the grading orders above every point.  No theorem orders two other\n"
+        "closed points (Kunz, Amer. J. Math. 98 (1976)): a failure there names\n"
+        "the missing order."
     )),
     "flat_check": TaskKind(_LOCAL | {"extra_vars", "e_max", "a", "t"}, _NONE,
                            _run_flat_check, (

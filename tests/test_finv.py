@@ -703,6 +703,22 @@ def test_nu_pass_is_charged_to_the_box_budget():
         nu_invariant(L, L.m0, 2)
 
 
+def test_local_ring_outside_a_budget_block_charges_one_budget(monkeypatch):
+    # on a non-CI ideal with no basis yet, the dimension reads a basis of I
+    # and a local standard basis: both charge the one budget that is active
+    built = []
+    post_init = Budget.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(Budget, "__post_init__", counted)
+    R = PolyRing(field_new(5), ("x", "y", "z"))
+    L = LocalRingAtPoint(Ideal(R, [R.parse("x*z"), R.parse("y*z")]), (0, 0, 1))
+    assert L.d == 1
+    assert len(built) == 1
+
+
 def test_nu_pass_reduces_packed_terms(monkeypatch):
     # the spans V_r stay packed: nu calls normal_form, through
     # Ideal.contains, only to check that a is nonzero modulo I, and its

@@ -683,6 +683,22 @@ def test_a_sampled_global_value_is_exact_only_with_a_proof():
                                              "has the zero ideal")
 
 
+def test_semicontinuity_off_a_graded_origin_names_the_missing_order(tmp_path, capsys):
+    # lambda_1 of the F_7 quadric is 49 at a smooth point and 73 at the
+    # vertex; two closed points are incomparable, so the failure is the
+    # entry's, not the engine's
+    path = _write(tmp_path, "p = 7\n[component]\nvars = x y z\nideal = x*y - z^2\n"
+                            "[task semicontinuity]\nspecial = 0:(1,1,1)\nnearby = 0:(0,0,0)\n"
+                            "e = 1\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "no theorem orders (1, 1, 1) against (0, 0, 0)" in err
+    assert "engine bug" not in err
+    task = json.loads((tmp_path / "job.report.json").read_text())["tasks"][0]
+    assert [r["lambda"] for r in task["rows"]] == [49, 73]
+    assert "engine bug" not in task["error"]
+
+
 def test_classify_threshold_is_strict():
     # the F_3 node at the origin: e_HK = 2 = 1 + max{1/1!, 1/e(R)} sits on
     # the threshold, and s = 0; the node is not a domain, so not SFR
@@ -978,15 +994,16 @@ def test_classify_counts_the_basis_its_dimension_comes_from():
                  id="unknown variable"),
     pytest.param("vars = x x\nideal = x\n", "component 1: duplicate variable names",
                  id="duplicate variable"),
-    pytest.param("vars = x y\nideal = x*y\nmin_primes = x | y +\n",
-                 "component 1: expected INT", id="bad min_primes"),
+    # minimal primes are no longer declared: the key is unknown
+    pytest.param("vars = x y\nideal = x*y\nmin_primes = x | y\n",
+                 "line 8: unknown key 'min_primes'", id="bad min_primes"),
 ])
 def test_malformed_component_exits_1(tmp_path, capsys, monkeypatch, component, message):
     good = "p = 5\n[component]\nvars = x\nideal = x\n[component]\n"
     task = "[task fedder]\ncomponent = 1\n"
     # validation parses the components but builds no Groebner basis
     monkeypatch.setattr(charp.ideal, "_buchberger", None)
-    validate_job(parse_job_text(good + "vars = x y\nideal = x*y\nmin_primes = x | y\n" + task))
+    validate_job(parse_job_text(good + "vars = x y\nideal = x*y\n" + task))
     monkeypatch.undo()
     path = _write(tmp_path, good + component + task)
     assert main(["run", str(path)]) == 1
@@ -1197,7 +1214,7 @@ EXPLAIN_FRAGMENTS = {
     "nu": "F-pure threshold",
     "global_hk": "lower bound",
     "global_fsig": "upper bound",
-    "semicontinuity": "declared minimal primes of one dimension",
+    "semicontinuity": "Kunz, Amer. J. Math. 98 (1976)",
     "flat_check": "flat extension",
     "classify": "F-pure and e_HK < 1 + max{1/d!, 1/e(R)}",
 }

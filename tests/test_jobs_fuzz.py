@@ -67,8 +67,7 @@ def json_jobs(draw):
                         "budget_pairs": st.integers(1, 500)}, {"p"})
     job["components"] = [
         _entry(draw, {"vars": st.sampled_from([["x", "y"], ["x", "y"], ["x"], [], ["x", "x"]]),
-                      "ideal": POLYS,
-                      "min_primes": st.lists(POLYS, max_size=2)})
+                      "ideal": POLYS})
         for _ in range(draw(st.sampled_from([1, 2, 1, 2, 0])))
     ]
     job["tasks"] = []
@@ -80,7 +79,7 @@ def json_jobs(draw):
     return job
 
 
-KEYS = sorted(set(TASK_VALUES) | {"p", "vars", "ideal", "min_primes", "jobs",
+KEYS = sorted(set(TASK_VALUES) | {"p", "vars", "ideal", "jobs",
                                   "budget_monomials", "kind", "zzz"})
 LINES = st.one_of(
     st.sampled_from(["[component]", "[task hk]", "[task pair]", "[task global_hk]",

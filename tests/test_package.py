@@ -177,3 +177,23 @@ def test_readme_library_use_block_runs():
         "515/343", "171/343", "279 117649",
         "resource budget exceeded: standard monomial box used 117649 > limit 100000",
     ]
+
+
+def test_every_module_level_import_is_read():
+    # a name a module imports at module level is read in that module or
+    # listed in its __all__, so a deletion leaves no import behind
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        unread += [f"{path.name}: {name}" for name in imported if name not in read | exported]
+    assert unread == []

@@ -2,7 +2,6 @@
 
 import dataclasses
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -26,12 +25,9 @@ from charp.spectrum import (
 from oracles import is_smooth_point
 
 
-def component(p, names, srcs, primes=None):
+def component(p, names, srcs):
     R = PolyRing(field_new(p), tuple(names))
-    declared = None
-    if primes:
-        declared = [Ideal(R, [R.parse(s) for s in gens]) for gens in primes]
-    return RingComponent(R, [R.parse(s) for s in srcs], declared)
+    return RingComponent(R, [R.parse(s) for s in srcs])
 
 
 def fp_point(p):
@@ -67,13 +63,6 @@ def test_gamma_single_domain():
 def test_characteristics_must_match():
     with pytest.raises(ValueError):
         RingPresentation([fp_point(5), fp_point(7)])
-
-
-def test_declared_primes_sanity():
-    c = component(5, ("x", "y"), ["x*y"], primes=[["x"], ["y"]])
-    assert len(c.declared_min_primes) == 2
-    with pytest.raises(ValueError):
-        component(5, ("x", "y"), ["x*y"], primes=[["x + 1"]])
 
 
 # -- global HK ---------------------------------------------------------------
@@ -232,50 +221,59 @@ def test_semicontinuity_rejects_mixed_components():
         semicontinuity_probe(R, PrimeSample(0, ()), [PrimeSample(1, ())], e=1)
 
 
-def test_semicontinuity_rejects_non_equidimensional():
-    # declared minimal primes of different dimensions: a line and a point
-    c = component(5, ("x", "y"), ["x*y", "x^2"], primes=[["x"], ["x", "y"]])
-    R = RingPresentation([c])
-    with pytest.raises(ValueError):
+def test_semicontinuity_rejects_an_empty_nearby():
+    # with nothing compared, "holds on the sample" would be vacuous
+    R = RingPresentation([component(5, ("x", "y"), ["x*y"])])
+    with pytest.raises(ValueError, match="at least one nearby sample"):
         semicontinuity_probe(R, PrimeSample(0, (0, 0)), [], e=1)
 
 
-def test_semicontinuity_rejects_samples_of_different_local_dimension():
-    # a plane and a doubled line over F_3, with no declared primes: the
-    # origin has d = 2 and (1,0,0) has d = 1, so the ring is not
-    # equidimensional and the inequality, 35/27 against 3, proves nothing
+def test_semicontinuity_compares_raw_lambda_across_local_dimensions():
+    # a plane and a doubled line over F_3: the origin has d = 2 and (1,0,0)
+    # has d = 1, so the normalized values, 35/27 against 3 at e = 2, are not
+    # comparable, but the raw lambda_e is ordered with no equidimensionality
     R = RingPresentation([component(3, ("x", "y", "z"), ["x*y^2", "x*y*z", "x*z^2"])])
-    with pytest.raises(ValueError, match=re.escape(
-            "local dimension 2 at (0, 0, 0) and 1 at (1, 0, 0)")):
-        semicontinuity_probe(R, PrimeSample(0, (0, 0, 0)), [PrimeSample(0, (1, 0, 0))], e=2)
+    for e, lams in [(1, (15, 9)), (2, (105, 27))]:
+        rep = semicontinuity_probe(R, PrimeSample(0, (0, 0, 0)), [PrimeSample(0, (1, 0, 0))], e)
+        assert (rep.special[1].lam, rep.nearby[0][1].lam) == lams
+        assert rep.ok and rep.note == "upper semicontinuity holds on the sample"
+
+
+def test_semicontinuity_pass_off_a_graded_origin_says_no_theorem_orders_the_points():
+    R = RingPresentation([component(3, ("x", "y", "z"), ["x*y - z^2"])])
+    rep = semicontinuity_probe(R, PrimeSample(0, (1, 1, 1)), [PrimeSample(0, (2, 2, 1))], e=1)
+    assert rep.ok and "no theorem orders the points" in rep.note
 
 
 _CUBIC_CONE = (("x", "y", "z", "w"), ["x*z - y^2", "y*w - z^2", "x*w - y*z"])
+_QUADRIC3 = component(3, ("x", "y", "z"), ["x*y - z^2"])
 
 
-@pytest.mark.parametrize("comp, nearby, certified", [
-    # a complete intersection is unmixed
-    (component(3, ("x", "y", "z"), ["x*y - z^2"]), (1, 1, 1), True),
-    # the cone over the twisted cubic is a prime, but 3 generators of a
-    # height-2 ideal certify nothing until the prime is declared
-    (component(3, *_CUBIC_CONE), (1, 1, 1, 1), False),
-    (component(3, *_CUBIC_CONE, primes=[_CUBIC_CONE[1]]), (1, 1, 1, 1), True),
+@pytest.mark.parametrize("comp, nearby, special, blamed", [
+    # the origin of a component whose generators are homogeneous: a grading
+    # orders it above every point, with no hypothesis declared
+    (_QUADRIC3, (1, 1, 1), (0, 0, 0), True),
+    (component(3, *_CUBIC_CONE), (1, 1, 1, 1), (0, 0, 0, 0), True),
+    # the Whitney umbrella is homogeneous only for weights (1, 2, 2), which
+    # the probe does not detect
+    (component(3, ("x", "y", "z"), ["x^2*y - z^2"]), (0, 1, 0), (0, 0, 0), False),
+    # a smooth special point
+    (_QUADRIC3, (2, 2, 1), (1, 1, 1), False),
 ])
 def test_a_violation_blames_the_engine_only_on_a_certified_component(
-        monkeypatch, comp, nearby, certified):
+        monkeypatch, comp, nearby, special, blamed):
     real = charp.spectrum.hk_function
 
     def inflated(L, e):  # a nearby value above the special one
         rec = real(L, e)
-        return dataclasses.replace(rec, normalized=rec.normalized + 10) if any(L.point) else rec
+        return dataclasses.replace(rec, lam=rec.lam + 10) if L.point == nearby else rec
 
     monkeypatch.setattr(charp.spectrum, "hk_function", inflated)
-    origin = (0,) * comp.ring.nvars
-    rep = semicontinuity_probe(RingPresentation([comp]), PrimeSample(0, origin),
+    rep = semicontinuity_probe(RingPresentation([comp]), PrimeSample(0, special),
                                [PrimeSample(0, nearby)], e=1)
     assert not rep.ok
-    assert ("engine bug" in rep.note) == certified
-    assert ("hypothesis not certified" in rep.note) == (not certified)
+    assert ("engine bug" in rep.note) == blamed
+    assert rep.note.endswith(f"no theorem orders {special} against {nearby}") == (not blamed)
 
 
 # -- smooth triage -----------------------------------------------------------
