@@ -30,10 +30,10 @@ it which leads a new lead divides.
 
 `intersect` eliminates a fresh variable t (Becker-Weispfenning, 6.2):
 given the block, `_buchberger` returns the reduced basis of the elements
-free of t and interreduces only those.  `colon` intersects the parts
-(I intersect (g)) / g over the generators g of J, and keeps the meet so far
-when the next part already contains it, which division by the part's
-generators decides with no Buchberger run.
+free of t and interreduces only those.  `colon` keeps one running colon K
+and takes each generator g of J by one elimination, K meet (I : g) =
+(I intersect g*K) / g, or by none when g*K already lies in I, which normal
+forms modulo I's basis decide.
 """
 
 from __future__ import annotations
@@ -630,40 +630,20 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) = {f | f*J in I}, as the intersection over generators g of J
-    of the parts (I intersect (g)) / g.  A part that already contains the
-    intersection so far leaves it as it is, with no elimination run.
-
-    That test takes no Buchberger run either.  A remainder 0 by the
-    part's generators proves membership, and in a grevlex ring, the order
-    `intersect` eliminates with, a member leaves none other: the quotients
-    h/g of the meet's basis are a Groebner basis of the part, since for f
-    in it f*g is in the meet, so lt(f) lt(g) is divisible by some
-    lt(h) = lt(h/g) lt(g)."""
+    """(I : J) = {f | f*J in I}, one generator g of J at a time: the colon
+    so far, K = (I : (g_1..g_k)), meets (I : g) as (I intersect g*K) / g,
+    since S is a domain and g is not 0 (K = (1) for the first generator).
+    Where h*g is in I for every generator h of K, K lies in (I : g) and
+    stays as it is, with no elimination run."""
     ring = I.ring
-    if J.is_zero():
-        return Ideal(ring, (ring.one(),))  # (I : 0) = (1)
-    acc = None
-    for g in J.gens:
-        meet = intersect(I, Ideal(ring, (g,)))
-        part = Ideal(ring, [exact_divide(h, g) for h in meet.gens])
-        if acc is None:
-            acc = part
-        elif not _reduce_to_zero(acc.gens, part.gens):
-            acc = intersect(acc, part)
+    acc = Ideal(ring, (ring.one(),))  # (I : 0) = (1)
+    for k, g in enumerate(J.gens):
+        # the test starts at the second generator, so a principal J builds no basis of I
+        if k and all(I.contains(h * g) for h in acc.gens):
+            continue
+        meet = intersect(I, Ideal(ring, [g * h for h in acc.gens]))
+        acc = Ideal(ring, [exact_divide(h, g) for h in meet.gens])
     return acc
-
-
-def _reduce_to_zero(gens, by) -> bool:
-    """Whether every polynomial in gens has remainder 0 on division by the
-    nonzero polynomials `by`, which puts it in their ideal."""
-    if not gens:
-        return True
-    ring = gens[0].ring
-    eng = _engine(ring)
-    reducers = [_monic(eng.plist(b), ring.field) for b in by]
-    divs = _Divisors(eng.n, [t[0][1] for t in reducers])
-    return not any(_reduce_full(_TermSum(eng.p, eng.plist(f)), reducers, divs) for f in gens)
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:

@@ -3,15 +3,16 @@
 Everything here avoids the engine's Groebner machinery: dense F_p linear
 algebra (numpy), direct box enumeration, and exponent arithmetic on
 monomial ideals.  The exceptions are earlier engine routes kept to
-cross-check their replacements: nu_binary_search, hilbert_samuel_table and
-the Jacobian test is_smooth_point.
+cross-check their replacements: parts_colon, nu_binary_search,
+hilbert_samuel_table and the Jacobian test is_smooth_point.
 """
 
 from itertools import product
 
 import numpy as np
 
-from charp.ideal import Ideal, bracket_power, ideal_power, ideal_sum, length, normal_form
+from charp.ideal import (Ideal, bracket_power, exact_divide, ideal_power, ideal_sum, intersect,
+                         length, normal_form)
 from charp.poly import MonomialOrder, PolyRing, mono_div, mono_lcm, mono_mul
 
 
@@ -231,6 +232,24 @@ def textbook_colon(I: Ideal, J: Ideal, groebner=textbook_groebner) -> tuple:
         meet = textbook_intersect(I, Ideal(ring, (g,)), groebner)
         part = Ideal(ring, [textbook_quotient(h, g) for h in meet])
         acc = textbook_intersect(Ideal(ring, acc), part, groebner)
+    return acc
+
+
+def parts_colon(I: Ideal, J: Ideal) -> Ideal:
+    """(I : J) by the engine's earlier route: the parts (I intersect (g)) / g
+    over the generators g of J, each formed by `intersect`, and intersected
+    with the meet so far unless the part already contains it, which a
+    remainder 0 on division by the part's generators proves."""
+    ring = I.ring
+    if J.is_zero():
+        return Ideal(ring, (ring.one(),))
+    acc = None
+    for g in J.gens:
+        part = Ideal(ring, [exact_divide(h, g) for h in intersect(I, Ideal(ring, (g,))).gens])
+        if acc is None:
+            acc = part
+        elif not all(textbook_remainder(h, part.gens).is_zero() for h in acc.gens):
+            acc = intersect(acc, part)
     return acc
 
 

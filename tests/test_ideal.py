@@ -44,6 +44,7 @@ from oracles import (
     hilbert_samuel_table,
     ideal_from_monomials,
     monomial_colon_oracle,
+    parts_colon,
     quotient_length_bruteforce,
     random_nonzero_poly,
     standard_count_bruteforce,
@@ -434,7 +435,8 @@ def test_colon_has_the_oracles_reduced_basis(p):
         B = _random_ideal(rng, R)
         if A.gens and rng.random() < 0.3:
             B = Ideal(R, B.gens + (A.gens[0] * random_nonzero_poly(rng, R, max_deg=1),))
-        assert colon(A, B).groebner_basis() == textbook_colon(A, B)
+        expected = textbook_colon(A, B)
+        assert colon(A, B).groebner_basis() == expected == parts_colon(A, B).groebner_basis()
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
@@ -466,11 +468,30 @@ def test_twisted_cubic_multipliers_match_the_plain_elimination():
     assert textbook_colon(bracket_power(A, 3), A) == colon(bracket_power(A, 3), A).groebner_basis()
 
 
-def test_a_part_that_holds_the_meet_so_far_is_not_intersected(monkeypatch):
-    # (I^[27] : I) of the twisted cubic: 3 parts, and the third contains
-    # the meet of the first two, so 1 accumulation rather than 2
-    R = ring(3, ("x", "y", "z", "w"))
-    A = I(R, "x*z - y^2", "y*w - z^2", "x*w - y*z")
+# Fedder's multiplier (I^[q] : I) of rings that are not complete
+# intersections, and the monomial (xz, yz)
+TWISTED_CUBIC = (("x", "y", "z", "w"), ("x*z - y^2", "y*w - z^2", "x*w - y*z"))
+PENTAGON_CONE = (("x0", "x1", "x2", "x3", "x4", "x5"),
+                 ("x1*x4 - x0^2", "x3*x5 - x0^2", "x0*x2 - x1*x3", "x2*x4 - x0*x3",
+                  "x2*x5 - x0*x1"))
+SEGRE_2X3 = (("a", "b", "c", "d", "e", "f"), ("a*e - b*d", "a*f - c*d", "b*f - c*e"))
+
+
+@pytest.mark.parametrize("p, ring_gens, q", [
+    (2, PENTAGON_CONE, 2), (2, PENTAGON_CONE, 4), (2, SEGRE_2X3, 2), (2, SEGRE_2X3, 4),
+    (5, TWISTED_CUBIC, 5), (5, TWISTED_CUBIC, 25),
+    (5, (("x", "y", "z"), ("x*z", "y*z")), 5), (5, (("x", "y", "z"), ("x*z", "y*z")), 25),
+], ids=["pentagon-2", "pentagon-4", "segre-2", "segre-4", "cubic-5", "cubic-25",
+        "xz_yz-5", "xz_yz-25"])
+def test_colon_has_the_parts_colons_reduced_basis(p, ring_gens, q):
+    # one elimination per generator against the pairwise meet of the parts
+    names, srcs = ring_gens
+    A = I(ring(p, names), *srcs)
+    Aq = bracket_power(A, q)
+    assert colon(Aq, A).groebner_basis() == parts_colon(Aq, A).groebner_basis()
+
+
+def _count_intersections(monkeypatch) -> list:
     calls = []
 
     def counted(*args, _fn=charp.ideal.intersect):
@@ -478,8 +499,30 @@ def test_a_part_that_holds_the_meet_so_far_is_not_intersected(monkeypatch):
         return _fn(*args)
 
     monkeypatch.setattr(charp.ideal, "intersect", counted)
-    colon(bracket_power(A, 27), A)
-    assert len(calls) == 4
+    return calls
+
+
+def test_a_generator_whose_part_holds_the_colon_so_far_is_not_eliminated(monkeypatch):
+    # (I^[27] : I) of the twisted cubic: the first two generators each take
+    # one elimination, and the third multiplies the colon so far into I^[27]
+    names, srcs = TWISTED_CUBIC
+    A = I(ring(3, names), *srcs)
+    Aq = bracket_power(A, 27)
+    calls = _count_intersections(monkeypatch)
+    colon(Aq, A)
+    assert len(calls) == 2
+
+
+def test_a_multiple_of_an_earlier_generator_is_skipped(monkeypatch):
+    # (I : (g, g*h)) = (I : g): g*h times any member of (I : g) lies in I
+    names, srcs = TWISTED_CUBIC
+    R = ring(3, names)
+    A = bracket_power(I(R, *srcs), 3)
+    g, h = R.parse("x*z - y^2"), R.parse("x + w")
+    calls = _count_intersections(monkeypatch)
+    got = colon(A, Ideal(R, (g, g * h)))
+    assert len(calls) == 1
+    assert got.groebner_basis() == colon(A, Ideal(R, (g,))).groebner_basis()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

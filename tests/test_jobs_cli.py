@@ -542,19 +542,19 @@ def test_a_task_is_charged_the_cached_work_it_reads():
     built = charp.jobs.build_presentation(job)
     fedder = run_task(job, 0, built)
     assert fedder["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
-                                "used_basis": 18, "used_pairs": 95, "used_box": 0}
+                                "used_basis": 16, "used_pairs": 51, "used_box": 0}
     fsig = run_task(job, 1, built)
     assert fsig["budget"] == {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000,
-                              "used_basis": 33, "used_pairs": 245, "used_box": 6561}
+                              "used_basis": 19, "used_pairs": 117, "used_box": 6561}
     assert fsig == run_task(job, 1, charp.jobs.build_presentation(job))
-    # the fedder task's 95 pairs are the fsig task's first: with one pair
+    # the fedder task's 51 pairs are the fsig task's first: with one pair
     # less, charging the stored multiplier would pass the cap, so the task
     # computes it again, which raises the error the task raises alone
-    tight = job | {"budget_pairs": 94}
+    tight = job | {"budget_pairs": 50}
     shared = run_task(tight, 1, built)
     alone = run_task(tight, 1, charp.jobs.build_presentation(tight))
     assert shared["error"] == ("ResourceBudgetError: resource budget exceeded: "
-                               "pair count used 95 > limit 94")
+                               "pair count used 51 > limit 50")
     assert shared == alone
 
 
@@ -773,8 +773,8 @@ def test_a_pair_at_t_0_reads_the_cached_splitting_numbers(monkeypatch):
     fsig, pair = report["tasks"]
     assert [row["a_e"] for row in pair["rows"]] == [row["a_e"] for row in fsig["rows"]] + [0, 9, 108]
     caps = {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000}
-    assert fsig["budget"] == caps | {"used_basis": 87, "used_pairs": 514, "used_box": 531441}
-    assert pair["budget"] == caps | {"used_basis": 87, "used_pairs": 568, "used_box": 531441}
+    assert fsig["budget"] == caps | {"used_basis": 19, "used_pairs": 176, "used_box": 531441}
+    assert pair["budget"] == caps | {"used_basis": 20, "used_pairs": 230, "used_box": 531441}
 
 
 @pytest.mark.parametrize("order, n_jobs", [
@@ -782,9 +782,9 @@ def test_a_pair_at_t_0_reads_the_cached_splitting_numbers(monkeypatch):
 ])
 def test_split_colon_builds_each_multiplier_once(tmp_path, monkeypatch, order, n_jobs):
     # the twisted cubic's (I^[q] : I) for q = 3, 9, 27 and the CI walk's one
-    # colon; each task recomputing its own made 7 colons and 31 intersections,
-    # and intersecting every part made 16: each twisted-cubic colon's last
-    # part already contains the meet of the first two
+    # colon; each task recomputing its own made 7 colons and 31 intersections.
+    # Each cubic colon eliminates for its first two generators and skips the
+    # third, whose products with the colon so far lie in I^[q]: 2 * 3 + 1
     import random
 
     import charp.finv
@@ -807,7 +807,7 @@ def test_split_colon_builds_each_multiplier_once(tmp_path, monkeypatch, order, n
     job = validate_job(parse_job_text(w.job_text()), {"jobs": str(n_jobs)})
     assert run_job(job)["status"] == "ok"
     calls = log.read_text(encoding="utf-8").split()
-    assert (calls.count("colon"), calls.count("intersect")) == (4, 13)
+    assert (calls.count("colon"), calls.count("intersect")) == (4, 7)
 
 
 @pytest.mark.parametrize("name", ["hk_tower", "split_colon", "point_sweep"])
@@ -945,10 +945,10 @@ ideal = x*z - y^2; y*w - z^2; x*w - y*z
 """
 
 
-@pytest.mark.parametrize("pairs, code", [(94, 2), (95, 0)])
+@pytest.mark.parametrize("pairs, code", [(50, 2), (51, 0)])
 def test_the_task_budget_covers_the_local_standard_basis(tmp_path, pairs, code):
     # the twisted cubic is not a complete intersection, so its local ring is
-    # built from a standard basis at the point: 2 of the 95 pairs the task
+    # built from a standard basis at the point: 2 of the 51 pairs the task
     # pops, and the component's own basis pops 2 more
     path = _write(tmp_path, TWISTED_CUBIC_FEDDER.format(pairs=pairs))
     assert main(["run", str(path)]) == code
@@ -957,7 +957,7 @@ def test_the_task_budget_covers_the_local_standard_basis(tmp_path, pairs, code):
         assert entry["error"].startswith("ResourceBudgetError: ")
     else:
         assert entry["f_pure"] is True
-        assert entry["budget"]["used_pairs"] == 95
+        assert entry["budget"]["used_pairs"] == 51
 
 
 @pytest.mark.parametrize("pairs, code", [(14, 2), (15, 0)])
