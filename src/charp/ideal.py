@@ -6,19 +6,20 @@ pair update (criteria B, M and F and the product criterion).  Output bases
 are reduced, hence canonical for a fixed ideal and order; every downstream
 report inherits its determinism from that.
 
-Inside the engine a monomial is a single integer with one bit-field per
-variable, so multiplication is integer addition and divisibility is a
-guarded subtraction.  Order keys are the ring's `MonomialOrder.key`, which
-is linear, so the key of a product is the sum of the keys; this keeps the
-reduction loop free of tuple traffic.  Public polynomials keep their
-exponent-tuple form.
+The engine reduces polynomials in the form `poly` stores them: each term
+is (order key, packed monomial, coefficient), a packed monomial being one
+integer with a bit-field per variable, so multiplication is integer
+addition and divisibility is a guarded subtraction.  Order keys are the
+ring's `MonomialOrder.key`, which is linear, so the key of a product is the
+sum of the keys; this keeps the reduction loop free of tuple traffic.  A
+basis is read as its polynomials' own terms, never repacked or copied.
 
-Polynomial terms are summed in one place, `_TermSum`: a dict from order key
-to term plus a max-heap of the keys (Monagan & Pearce, CASC 2007).  Normal
-forms reduce into it, each S-polynomial is the sum of its two shifted
-tails, and `exact_divide` pops its quotient terms from it.  The key is
-injective on the exponents the engine admits, and the remainder against a
-fixed ordered basis does not depend on how the running sum is stored.
+Terms are summed in `poly._TermSum`, the accumulator of all term
+arithmetic.  Normal forms reduce into it, each S-polynomial is the sum of
+its two shifted tails, and `exact_divide` pops its quotient terms from it.
+The key is injective on the exponents a polynomial admits, and the
+remainder against a fixed ordered basis does not depend on how the running
+sum is stored.
 
 Reducers are found by one lead-divisibility index, `_Divisors`: per
 variable, the sorted distinct lead exponents with a bitset of the basis
@@ -52,17 +53,19 @@ from .errors import (
 )
 from .poly import (
     _FIELD_BITS,
+    _FIELD_MASK,
     EXPONENT_LIMIT,
     MonomialOrder,
     Polynomial,
     PolyRing,
+    _monic,
+    _TermSum,
     mono_div,
     monomial_count_box,
     poly_pow,
 )
 
 INFINITE = math.inf
-_FIELD_MASK = (1 << _FIELD_BITS) - 1  # one exponent of a packed monomial
 
 
 @dataclass(frozen=True)
@@ -174,127 +177,7 @@ class Shared:
 
 
 # ---------------------------------------------------------------------------
-# packed-monomial engine
-
-class _Engine:
-    """Packed-integer monomial codec for one ring; keys are its order's."""
-
-    __slots__ = ("ring", "n", "p", "guard", "ones", "top", "key")
-
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-        n = ring.nvars
-        self.n = n
-        self.p = ring.p
-        B = _FIELD_BITS
-        self.guard = 0
-        self.ones = 0  # a 1 in every field
-        for j in range(n):
-            self.guard |= 1 << (j * B + B - 1)
-            self.ones |= 1 << (j * B)
-        self.top = max(n - 1, 0) * B  # the offset of the last field
-        self.key = ring.order.key
-
-    def pack(self, t: tuple) -> int:
-        B = _FIELD_BITS
-        m = 0
-        for j, e in enumerate(t):
-            m |= e << (j * B)
-        return m
-
-    def unpack(self, m: int) -> tuple:
-        B = _FIELD_BITS
-        return tuple((m >> (j * B)) & _FIELD_MASK for j in range(self.n))
-
-    def div(self, a: int, b: int):
-        """a / b as packed monomials, or None."""
-        t = (a | self.guard) - b
-        if t & self.guard == self.guard:
-            return t ^ self.guard
-        return None
-
-    def lcm(self, a: int, b: int) -> int:
-        """lcm(a, b) of packed monomials, a field-wise max."""
-        g = self.guard
-        ge = ((a | g) - b) & g  # the guard bit of each field where a >= b
-        low = ge - (ge >> (_FIELD_BITS - 1))  # the exponent bits of those fields
-        return (a & low) | (b & ~low)
-
-    def degree(self, m: int) -> int:
-        """The total degree of packed m.  The product with `ones` sums every
-        field into the last one, and no field carries: a degree stays below
-        2**_FIELD_BITS for exponents up to EXPONENT_LIMIT in fewer than 512
-        variables."""
-        return (m * self.ones >> self.top) & _FIELD_MASK
-
-    def plist(self, f: Polynomial):
-        """[(key, packed_mono, coeff)], descending like f's terms."""
-        key, pack = self.key, self.pack
-        return [(key(m), pack(m), c) for m, c in f.terms]
-
-    def to_poly(self, terms) -> Polynomial:
-        return Polynomial(
-            self.ring, tuple((self.unpack(m), c) for _, m, c in terms)
-        )
-
-
-_ENGINES: dict = {}
-
-
-def _engine(ring: PolyRing) -> _Engine:
-    eng = _ENGINES.get(ring)
-    if eng is None:
-        eng = _Engine(ring)
-        _ENGINES[ring] = eng
-    return eng
-
-
-def _monic(terms, field):
-    c = terms[0][2]
-    if c == 1:
-        return terms
-    inv = field.inv(c)
-    p = field.p
-    return [(k, m, (cc * inv) % p) for k, m, cc in terms]
-
-
-class _TermSum:
-    """A running sum of packed terms: a dict from order key to the term
-    (key, mono, coeff) of that key, and a max-heap (negated) holding each
-    dict key once.  Keys are injective on packed monomials, so equal keys
-    are like terms."""
-
-    __slots__ = ("p", "terms", "heap")
-
-    def __init__(self, p, terms=()):
-        """The sum of a descending term list; it holds, and pops, the list's
-        own tuples until they are added to."""
-        self.p = p
-        self.terms: dict = {t[0]: t for t in terms}
-        self.heap: list = [-t[0] for t in terms]  # ascending, so a heap
-
-    def add(self, terms, skey, smono, coef):
-        """Add coef * x^s * terms, given key(x^s) and packed x^s."""
-        p, acc, heap = self.p, self.terms, self.heap
-        push = heapq.heappush
-        for k, m, c in terms:
-            k += skey
-            old = acc.get(k)
-            if old is None:
-                acc[k] = (k, m + smono, c * coef % p)
-                push(heap, -k)
-            else:
-                acc[k] = (k, old[1], (old[2] + c * coef) % p)
-
-    def pop(self):
-        """Remove and return the leading nonzero term, or None."""
-        acc, heap = self.terms, self.heap
-        while heap:
-            t = acc.pop(-heapq.heappop(heap))
-            if t[2]:
-                return t
-        return None
-
+# lead-divisibility index and reduction
 
 class _Divisors:
     """Lead-divisibility index over a list of packed leads.
@@ -384,12 +267,12 @@ def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
     are interreduced: a lead free of the block divides no monomial that is
     not, so their tails meet no other reducer."""
     budget = active_budget()
-    eng = _engine(ring)
+    eng = ring.codec
     field = ring.field
-    p = eng.p
-    key, div, lcm, degree = eng.key, eng.div, eng.lcm, eng.degree
+    p = ring.p
+    key, div, lcm, degree = ring.order.key, eng.div, eng.lcm, eng.degree
     basis: list = []
-    divs = _Divisors(eng.n)  # the leads of basis, for reduction and the update
+    divs = _Divisors(ring.nvars)  # the leads of basis, for reduction and the update
     live: list = []  # the elements whose lead no later lead divides
     heap: list = []  # (deg, key, i, j, packed) of each queued pair's lcm
     queued: dict = {}  # (i, j) -> packed lcm of each queued pair still alive
@@ -423,7 +306,7 @@ def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
         budget.charge_basis(len(basis))
 
     for f in gens:
-        r = _reduce_full(_TermSum(p, eng.plist(f)), basis, divs)
+        r = _reduce_full(_TermSum(p, f.packed), basis, divs)
         if r:
             add(r)
 
@@ -451,7 +334,7 @@ def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
     for i in live:
         basis[i] = _reduce_full(_TermSum(p, basis[i]), basis, divs, dead | 1 << i)
     minimal = sorted((basis[i] for i in live), key=lambda t: t[0][0], reverse=True)
-    return tuple(eng.to_poly(t) for t in minimal)
+    return tuple(Polynomial(ring, tuple(t)) for t in minimal)
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +342,14 @@ def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
 
 class Ideal:
     """Generator list with a write-once cache of its reduced Groebner basis
-    and of that basis packed, with its lead index, for the reduction engine."""
+    and of that basis's lead index, for the reduction engine."""
 
-    __slots__ = ("ring", "gens", "_gb", "_packed", "_divs")
+    __slots__ = ("ring", "gens", "_gb", "_divs")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
-        self._packed = None
         self._divs = None
 
     def groebner_basis(self):
@@ -490,19 +372,16 @@ class Ideal:
 
 
 def _packed_basis(I: Ideal) -> tuple:
-    """I's reduced Groebner basis packed for the engine, and its lead index."""
+    """The packed terms of I's reduced Groebner basis, and its lead index."""
     gb = I.groebner_basis()
-    if I._packed is None:
-        eng = _engine(I.ring)
-        I._packed = [eng.plist(g) for g in gb]
-        I._divs = _Divisors(eng.n, [t[0][1] for t in I._packed])
-    return I._packed, I._divs
+    if I._divs is None:
+        I._divs = _Divisors(I.ring.nvars, [g.packed[0][1] for g in gb])
+    return [g.packed for g in gb], I._divs
 
 
 def normal_form(f: Polynomial, I: Ideal) -> Polynomial:
     """The unique fully reduced remainder of f modulo I."""
-    eng = _engine(I.ring)
-    return eng.to_poly(_reduce_full(_TermSum(eng.p, eng.plist(f)), *_packed_basis(I)))
+    return Polynomial(I.ring, tuple(_reduce_full(_TermSum(I.ring.p, f.packed), *_packed_basis(I))))
 
 
 def power_spans(gens, I: Ideal):
@@ -513,17 +392,15 @@ def power_spans(gens, I: Ideal):
     stay packed term lists; each product is summed in one _TermSum and
     reduced by I's basis, and the pivots are keyed by their leads' order
     keys.  V_r is computed only when its dimension is asked for."""
-    eng = _engine(I.ring)
-    p, field = eng.p, I.ring.field
+    p, field = I.ring.p, I.ring.field
     basis, divs = _packed_basis(I)
-    gl = [eng.plist(g) for g in gens]
-    V = [eng.plist(I.ring.one())]
+    V = [I.ring.one().packed]
     while True:
         pivots: dict = {}  # lead key -> monic echelon vector
-        for g in gl:
+        for g in gens:
             for v in V:
                 acc = _TermSum(p)
-                for k, m, c in g:
+                for k, m, c in g.packed:
                     acc.add(v, k, m, c)
                 acc = _TermSum(p, _reduce_full(acc, basis, divs))
                 w = []  # the normal form with every pivot lead cleared
@@ -590,20 +467,19 @@ def exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
     """h / g for h in the principal ideal (g), by division with one running
     remainder; each quotient term is popped from it exactly once."""
     ring = h.ring
-    eng = _engine(ring)
     p = ring.p
-    glist = _monic(eng.plist(g), ring.field)
+    glist = _monic(g.packed, ring.field)
     lt_key, lt_mono = glist[0][0], glist[0][1]
-    work = _TermSum(p, eng.plist(h))
+    work = _TermSum(p, h.packed)
     quot = []  # descending: each new leading term is below the last
     while (head := work.pop()) is not None:
         k0, m0, c0 = head
-        s = eng.div(m0, lt_mono)
+        s = ring.codec.div(m0, lt_mono)
         if s is None:
             raise ValueError("exact_divide: dividend not in the principal ideal")
         quot.append((k0 - lt_key, s, c0))
         work.add(islice(glist, 1, None), k0 - lt_key, s, p - c0)
-    return eng.to_poly(quot).scale(ring.field.inv(g.lc()))
+    return Polynomial(ring, tuple(quot)).scale(ring.field.inv(g.lc()))
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -638,10 +514,11 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     ring = I.ring
     acc = Ideal(ring, (ring.one(),))  # (I : 0) = (1)
     for k, g in enumerate(J.gens):
+        products = [h * g for h in acc.gens]
         # the test starts at the second generator, so a principal J builds no basis of I
-        if k and all(I.contains(h * g) for h in acc.gens):
+        if k and all(I.contains(f) for f in products):
             continue
-        meet = intersect(I, Ideal(ring, [g * h for h in acc.gens]))
+        meet = intersect(I, Ideal(ring, products))
         acc = Ideal(ring, [exact_divide(h, g) for h in meet.gens])
     return acc
 

@@ -1,12 +1,25 @@
 """Sparse multivariate polynomial arithmetic over F_p.
 
-Monomials are exponent tuples; polynomials store their terms sorted
-strictly descending in the ring's monomial order, so iteration order and
-printed output are canonical.
+A polynomial stores its terms packed, in the form the Groebner engine in
+`ideal` reduces: (order key, packed monomial, coefficient), sorted strictly
+descending in the ring's monomial order, so iteration order and printed
+output are canonical.  A packed monomial is one integer with one bit-field
+per variable (`_Engine`), so multiplying monomials adds integers, and the
+order key is linear, so the key of a product is the sum of the keys.
+`Polynomial.terms` and `lm` give monomials as exponent tuples, the public
+form, and `PolyRing.from_dict` is the one place that packs such tuples,
+checking each.
+
+All term arithmetic sums in one accumulator, `_TermSum`: a dict from order
+key to term plus a max-heap of the keys (Monagan & Pearce, CASC 2007).
+Sums, differences and products here add into it, as do normal forms,
+S-polynomials and exact division in `ideal`.
 """
 
 from __future__ import annotations
 
+import heapq
+from functools import reduce
 from math import comb
 from operator import mul
 
@@ -24,14 +37,6 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
     for e in out:
         if e > EXPONENT_LIMIT:
             raise ExponentOverflowError(f"exponent {e} exceeds 32-bit bound")
-    return out
-
-
-def mono_scale(a: tuple, n: int) -> tuple:
-    out = tuple(x * n for x in a)
-    if any(e > EXPONENT_LIMIT for e in out):
-        # the exponent itself may be too long to format
-        raise ExponentOverflowError("scaled exponent exceeds 32-bit bound")
     return out
 
 
@@ -63,9 +68,10 @@ def monomial_count_box(bounds) -> int:
 # ---------------------------------------------------------------------------
 # monomial orders
 
-# bits per exponent, in the order weights and in the Groebner engine's packed
-# monomials (whose guard bit needs exponents below 2**(_FIELD_BITS - 1))
+# bits per exponent, in the order weights and in packed monomials (whose
+# guard bit needs exponents below 2**(_FIELD_BITS - 1))
 _FIELD_BITS = 40
+_FIELD_MASK = (1 << _FIELD_BITS) - 1  # one exponent of a packed monomial
 
 
 def _grevlex_weights(n: int) -> list:
@@ -153,12 +159,123 @@ class MonomialOrder:
 
 
 # ---------------------------------------------------------------------------
+# packed terms
+
+class _Engine:
+    """Packed-integer monomial codec for n variables: the exponent of x_j
+    sits in the field of _FIELD_BITS bits at bit j * _FIELD_BITS.  A ring
+    owns one, and it holds no reference back to the ring."""
+
+    __slots__ = ("n", "guard", "ones", "top", "over")
+
+    def __init__(self, n: int):
+        B = _FIELD_BITS
+        self.n = n
+        self.guard = 0
+        self.ones = 0  # a 1 in every field
+        for j in range(n):
+            self.guard |= 1 << (j * B + B - 1)
+            self.ones |= 1 << (j * B)
+        self.top = max(n - 1, 0) * B  # the offset of the last field
+        self.over = self.ones * (_FIELD_MASK ^ EXPONENT_LIMIT)  # the bits past EXPONENT_LIMIT
+
+    def pack(self, t: tuple) -> int:
+        """Exponent tuple t packed, once it is checked to hold n exponents,
+        each in [0, EXPONENT_LIMIT]."""
+        if len(t) != self.n:
+            raise ValueError("monomial arity mismatch")
+        B = _FIELD_BITS
+        m = 0
+        for j, e in enumerate(t):
+            if e < 0:
+                raise ValueError("negative exponent")
+            if e > EXPONENT_LIMIT:
+                # the exponent itself may be too long to format
+                raise ExponentOverflowError("exponent exceeds 32-bit bound")
+            m |= e << (j * B)
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        B = _FIELD_BITS
+        return tuple((m >> (j * B)) & _FIELD_MASK for j in range(self.n))
+
+    def div(self, a: int, b: int):
+        """a / b as packed monomials, or None."""
+        t = (a | self.guard) - b
+        if t & self.guard == self.guard:
+            return t ^ self.guard
+        return None
+
+    def lcm(self, a: int, b: int) -> int:
+        """lcm(a, b) of packed monomials, a field-wise max."""
+        g = self.guard
+        ge = ((a | g) - b) & g  # the guard bit of each field where a >= b
+        low = ge - (ge >> (_FIELD_BITS - 1))  # the exponent bits of those fields
+        return (a & low) | (b & ~low)
+
+    def degree(self, m: int) -> int:
+        """The total degree of packed m.  The product with `ones` sums every
+        field into the last one, and no field carries: a degree stays below
+        2**_FIELD_BITS for exponents up to EXPONENT_LIMIT in fewer than 512
+        variables."""
+        return (m * self.ones >> self.top) & _FIELD_MASK
+
+
+def _monic(terms, field):
+    c = terms[0][2]
+    if c == 1:
+        return terms
+    inv = field.inv(c)
+    p = field.p
+    return [(k, m, (cc * inv) % p) for k, m, cc in terms]
+
+
+class _TermSum:
+    """A running sum of packed terms: a dict from order key to the term
+    (key, mono, coeff) of that key, and a max-heap (negated) holding each
+    dict key once.  Keys are injective on packed monomials, so equal keys
+    are like terms."""
+
+    __slots__ = ("p", "terms", "heap")
+
+    def __init__(self, p, terms=()):
+        """The sum of a descending term list; it holds, and pops, the list's
+        own tuples until they are added to."""
+        self.p = p
+        self.terms: dict = {t[0]: t for t in terms}
+        self.heap: list = [-t[0] for t in terms]  # ascending, so a heap
+
+    def add(self, terms, skey, smono, coef):
+        """Add coef * x^s * terms, given key(x^s) and packed x^s."""
+        p, acc, heap = self.p, self.terms, self.heap
+        push = heapq.heappush
+        for k, m, c in terms:
+            k += skey
+            old = acc.get(k)
+            if old is None:
+                acc[k] = (k, m + smono, c * coef % p)
+                push(heap, -k)
+            else:
+                acc[k] = (k, old[1], (old[2] + c * coef) % p)
+
+    def pop(self):
+        """Remove and return the leading nonzero term, or None."""
+        acc, heap = self.terms, self.heap
+        while heap:
+            t = acc.pop(-heapq.heappop(heap))
+            if t[2]:
+                return t
+        return None
+
+
+# ---------------------------------------------------------------------------
 # ring and polynomials
 
 class PolyRing:
-    """F_p[x_1..x_n] with a fixed monomial order (default grevlex)."""
+    """F_p[x_1..x_n] with a fixed monomial order (default grevlex) and the
+    codec that packs its monomials."""
 
-    __slots__ = ("field", "names", "order", "nvars", "_index")
+    __slots__ = ("field", "names", "order", "nvars", "codec", "_index")
 
     def __init__(self, field: FieldContext, names, order: MonomialOrder | None = None):
         names = tuple(names)
@@ -170,6 +287,7 @@ class PolyRing:
         self.order = order if order is not None else MonomialOrder.grevlex(len(names))
         if self.order.nvars != self.nvars:
             raise ValueError("order arity does not match variable count")
+        self.codec = _Engine(self.nvars)
         self._index = {n: i for i, n in enumerate(names)}
 
     @property
@@ -183,35 +301,29 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c: int) -> "Polynomial":
-        c = self.field.normalize(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        return self.from_dict({(0,) * self.nvars: c})
 
     def gen(self, i: int) -> "Polynomial":
-        mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((mono, 1),))
+        return self.from_dict({tuple(1 if j == i else 0 for j in range(self.nvars)): 1})
 
     def gens(self):
         return [self.gen(i) for i in range(self.nvars)]
 
     def monomial(self, mono, c: int = 1) -> "Polynomial":
-        c = self.field.normalize(c)
-        if c == 0:
-            return self.zero()
-        mono = tuple(mono)
-        if len(mono) != self.nvars:
-            raise ValueError("monomial arity mismatch")
-        return Polynomial(self, ((mono, c),))
+        return self.from_dict({tuple(mono): c})
 
     def from_dict(self, coeffs: dict) -> "Polynomial":
-        items = []
+        """The sum of c * x^mono over coeffs, each mono an exponent tuple of
+        the ring's arity with exponents in [0, EXPONENT_LIMIT]."""
+        key, pack, normalize = self.order.key, self.codec.pack, self.field.normalize
+        terms = []
         for mono, c in coeffs.items():
-            c = self.field.normalize(c)
+            m = pack(mono)
+            c = normalize(c)
             if c:
-                items.append((tuple(mono), c))
-        items.sort(key=lambda t: self.order.key(t[0]), reverse=True)
-        return Polynomial(self, tuple(items))
+                terms.append((key(mono), m, c))
+        terms.sort(reverse=True)  # keys are distinct, so only they are compared
+        return Polynomial(self, tuple(terms))
 
     def parse(self, src: str) -> "Polynomial":
         return parse_poly(src, self)
@@ -236,31 +348,37 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms sorted descending in the ring order."""
+    """Immutable sparse polynomial.  `packed` holds its terms as (order key,
+    packed monomial, coefficient), strictly descending in the ring's order,
+    the form the Groebner engine reduces; `terms` gives the same terms as
+    (exponent tuple, coefficient)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "packed")
 
-    def __init__(self, ring: PolyRing, terms):
+    def __init__(self, ring: PolyRing, packed: tuple):
         self.ring = ring
-        self.terms = tuple(terms)
+        self.packed = packed
 
     # -- basic queries ------------------------------------------------------
 
+    @property
+    def terms(self) -> tuple:
+        unpack = self.ring.codec.unpack
+        return tuple((unpack(m), c) for _, m, c in self.packed)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def lm(self) -> tuple:
         """Leading monomial."""
-        return self.terms[0][0]
+        return self.ring.codec.unpack(self.packed[0][1])
 
     def lc(self) -> int:
-        return self.terms[0][1]
+        return self.packed[0][2]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m, _ in self.terms)
+        return max(map(self.ring.codec.degree, (m for _, m, _ in self.packed)), default=-1)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -273,31 +391,24 @@ class Polynomial:
             return self.ring.const(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = dict(self.terms)
-        p = self.ring.p
-        for m, c in other.terms:
-            nc = (d.get(m, 0) + c) % p
-            if nc:
-                d[m] = nc
-            else:
-                d.pop(m, None)
-        return self.ring.from_dict(d)
+        acc = _TermSum(self.ring.p, self.packed)
+        acc.add(other.packed, 0, 0, sign)
+        return Polynomial(self.ring, tuple(iter(acc.pop, None)))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, tuple((m, (-c) % p) for m, c in self.terms))
+        return self.scale(-1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -306,17 +417,17 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.ring.p
-        d: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                nc = (d.get(m, 0) + c1 * c2) % p
-                if nc:
-                    d[m] = nc
-                else:
-                    d.pop(m, None)
-        return self.ring.from_dict(d)
+        acc = _TermSum(self.ring.p)
+        for k, m, c in other.packed:
+            acc.add(self.packed, k, m, c)
+        terms = tuple(iter(acc.pop, None))
+        # each variable's top power in the product is the product of the
+        # factors' top parts, never 0 in a domain, so an exponent past the
+        # limit (below 2 * EXPONENT_LIMIT, so it fits its field) is kept
+        over = self.ring.codec.over
+        if any(m & over for _, m, _ in terms):
+            raise ExponentOverflowError("exponent exceeds 32-bit bound")
+        return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
 
@@ -325,39 +436,35 @@ class Polynomial:
         if c == 0:
             return self.ring.zero()
         p = self.ring.p
-        return Polynomial(self.ring, tuple((m, (c0 * c) % p) for m, c0 in self.terms))
+        return Polynomial(self.ring, tuple((k, m, (c0 * c) % p) for k, m, c0 in self.packed))
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self.scale(self.ring.field.inv(self.lc()))
+        return Polynomial(self.ring, tuple(_monic(self.packed, self.ring.field)))
 
     def mul_monomial(self, mono: tuple, c: int = 1) -> "Polynomial":
-        c = self.ring.field.normalize(c)
-        if c == 0:
-            return self.ring.zero()
-        p = self.ring.p
-        # the order key is linear, so shifted terms stay sorted
-        return Polynomial(
-            self.ring,
-            tuple((mono_mul(m, mono), (c0 * c) % p) for m, c0 in self.terms),
-        )
+        return self * self.ring.monomial(mono, c)
 
     def __pow__(self, n: int) -> "Polynomial":
         return poly_pow(self, n)
 
     def frobenius_power(self, q: int) -> "Polynomial":
         """self**q for q a power of p, by the term-wise Frobenius (c^q = c in F_p)."""
+        eng = self.ring.codec
+        top = reduce(eng.lcm, (m for _, m, _ in self.packed), 0)
+        if max(eng.unpack(top), default=0) * q > EXPONENT_LIMIT:
+            raise ExponentOverflowError("scaled exponent exceeds 32-bit bound")
         # key(q*t) = q*key(t): the terms stay sorted
-        return Polynomial(
-            self.ring, tuple((mono_scale(m, q), c) for m, c in self.terms)
-        )
+        return Polynomial(self.ring, tuple((k * q, m * q, c) for k, m, c in self.packed))
 
     # -- calculus / evaluation ----------------------------------------------
 
     def evaluate(self, point) -> int:
         p = self.ring.p
         point = [a % p for a in point]
+        if len(point) != self.ring.nvars:
+            raise ValueError("point arity does not match the ring")
         total = 0
         for m, c in self.terms:
             v = c
@@ -405,14 +512,14 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.ring.names, self.ring.p, self.terms))
+        return hash((self.ring.names, self.ring.p, self.packed))
 
     def __str__(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
         for m, c in self.terms:

@@ -4,7 +4,8 @@ Everything here avoids the engine's Groebner machinery: dense F_p linear
 algebra (numpy), direct box enumeration, and exponent arithmetic on
 monomial ideals.  The exceptions are earlier engine routes kept to
 cross-check their replacements: parts_colon, nu_binary_search,
-hilbert_samuel_table and the Jacobian test is_smooth_point.
+hilbert_samuel_table, the Jacobian test is_smooth_point, and the
+exponent-tuple dict arithmetic dict_sum, dict_product and dict_power.
 """
 
 from itertools import product
@@ -124,6 +125,48 @@ def monomial_colon_oracle(I_monos, J_monos):
         part = colon_single(I_monos, m)
         acc = part if acc is None else meet(acc, part)
     return minimalize(acc)
+
+
+def dict_sum(a: dict, b: dict, p: int, sign: int = 1) -> dict:
+    """a + sign*b for polynomials as dicts {exponent tuple: coefficient}."""
+    d = dict(a)
+    for m, c in b.items():
+        nc = (d.get(m, 0) + sign * c) % p
+        if nc:
+            d[m] = nc
+        else:
+            d.pop(m, None)
+    return d
+
+
+def dict_product(a: dict, b: dict, p: int) -> dict:
+    """a*b term by term; mono_mul raises ExponentOverflowError on every
+    product monomial past EXPONENT_LIMIT, cancelled or not."""
+    d: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            nc = (d.get(m, 0) + c1 * c2) % p
+            if nc:
+                d[m] = nc
+            else:
+                d.pop(m, None)
+    return d
+
+
+def dict_power(a: dict, n: int, p: int, nvars: int) -> dict:
+    """a^n from the base-p digits of n, each p-th power by p - 1 products,
+    so a Frobenius power never forms a dense intermediate power."""
+    out = {(0,) * nvars: 1}
+    while n:
+        for _ in range(n % p):
+            out = dict_product(out, a, p)
+        n //= p
+        if n:
+            base = a
+            for _ in range(p - 1):
+                a = dict_product(a, base, p)
+    return out
 
 
 def ideal_from_monomials(ring: PolyRing, monos) -> Ideal:

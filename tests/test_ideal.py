@@ -20,7 +20,6 @@ from charp.ideal import (
     Ideal,
     _buchberger,
     _Divisors,
-    _engine,
     active_budget,
     bracket_power,
     colon,
@@ -37,7 +36,7 @@ from charp.ideal import (
     s_polynomial,
     standard_count,
 )
-from charp.poly import MonomialOrder, PolyRing, mono_div
+from charp.poly import MonomialOrder, Polynomial, PolyRing, mono_div
 
 from oracles import (
     box_monomials,
@@ -148,7 +147,7 @@ def test_gb_matches_the_textbook_algorithm(p, order):
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
 def test_divisor_index_matches_the_linear_scan(n):
     rng = random.Random(n)
-    eng = _engine(PolyRing(field_new(5), tuple(f"x{j}" for j in range(n))))
+    eng = PolyRing(field_new(5), tuple(f"x{j}" for j in range(n))).codec
     for size in (0, 1, 4, 30):
         leads = [eng.pack(tuple(rng.randrange(6) for _ in range(n))) for _ in range(size)]
         divs = _Divisors(n, leads)
@@ -511,6 +510,25 @@ def test_a_generator_whose_part_holds_the_colon_so_far_is_not_eliminated(monkeyp
     calls = _count_intersections(monkeypatch)
     colon(Aq, A)
     assert len(calls) == 2
+
+
+def test_colon_forms_each_product_once(monkeypatch):
+    # (I^[27] : I) of the twisted cubic: the products h*g whose containment
+    # test fails for the second generator also generate its meet
+    names, srcs = TWISTED_CUBIC
+    A = I(ring(3, names), *srcs)
+    Aq = bracket_power(A, 27)
+    products = []
+    mul = Polynomial.__mul__
+
+    def counted(f, g):
+        if f.ring == A.ring:
+            products.append(tuple(sorted((str(f), str(g)))))
+        return mul(f, g)
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    colon(Aq, A)
+    assert len(products) > len(A.gens)
+    assert len(set(products)) == len(products)
 
 
 def test_a_multiple_of_an_earlier_generator_is_skipped(monkeypatch):

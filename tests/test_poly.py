@@ -20,7 +20,7 @@ from charp.poly import (
     poly_pow,
 )
 
-from oracles import random_poly
+from oracles import dict_power, dict_product, dict_sum, random_poly
 
 
 def ring(p=5, names=("x", "y", "z"), order=None):
@@ -137,6 +137,83 @@ def test_exponent_overflow_is_loud():
     f = R.parse("x^65536")
     with pytest.raises(ExponentOverflowError):
         poly_pow(f, 65536)  # 2^32 exponent
+
+
+@pytest.mark.parametrize("mono,error", [
+    ((2**40, 0), ExponentOverflowError),  # wrapped into y's field: (x^(2^40)) held y
+    ((0, EXPONENT_LIMIT + 1), ExponentOverflowError),
+    ((-1, 0), ValueError),  # x * x^-1 was 1
+    ((1, 2, 3), ValueError),  # read as x*y^2
+    ((1,), ValueError),
+])
+def test_packing_rejects_a_monomial_it_cannot_hold(mono, error):
+    R = ring(5, ("x", "y"))
+    with pytest.raises(error):
+        R.monomial(mono)
+    with pytest.raises(error):
+        R.from_dict({mono: 1})
+    assert R.monomial((EXPONENT_LIMIT, 0)).lm() == (EXPONENT_LIMIT, 0)
+
+
+def test_evaluate_rejects_a_point_of_the_wrong_arity():
+    R = ring(7, ("x", "y"))
+    f = R.parse("x*y + y + 3")
+    with pytest.raises(ValueError, match="arity"):
+        f.evaluate((1,))
+    assert f.evaluate((1, 2)) == 0
+
+
+PACKED_ORDERS = {
+    "lex": MonomialOrder.lex(3),
+    "grevlex": MonomialOrder.grevlex(3),
+    "elim": MonomialOrder.elimination(3, 1),
+    "lazard": MonomialOrder("lazard", 3),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("order", sorted(PACKED_ORDERS))
+def test_packed_arithmetic_matches_the_dict_oracle(order, p):
+    # exponents near EXPONENT_LIMIT / 2 make some products pass the limit,
+    # and those near EXPONENT_LIMIT / q some Frobenius powers
+    R = ring(p, order=PACKED_ORDERS[order])
+    rng = random.Random(10 * p + sorted(PACKED_ORDERS).index(order))
+
+    def rand(top):
+        d = {}
+        for _ in range(rng.randint(0, 4)):
+            mono = tuple(rng.choice((rng.randint(0, 3), top - rng.randint(-1, 3))) for _ in range(3))
+            d[mono] = rng.randint(0, p - 1)  # zero coefficients too
+        return R.from_dict(d)
+
+    def same(engine, oracle):
+        try:
+            want = oracle()
+        except ExponentOverflowError:
+            with pytest.raises(ExponentOverflowError):
+                engine()
+            return False
+        got = engine()
+        assert got.terms == tuple(sorted(want.items(), key=lambda t: R.order.key(t[0]), reverse=True))
+        assert [k for k, _, _ in got.packed] == [R.order.key(m) for m, _ in got.terms]
+        return True
+
+    fits = 0
+    for _ in range(30):
+        f, g = rand(EXPONENT_LIMIT // 2), rand(EXPONENT_LIMIT // 2)
+        a, b = dict(f.terms), dict(g.terms)
+        same(lambda: f + g, lambda: dict_sum(a, b, p))
+        same(lambda: f - g, lambda: dict_sum(a, b, p, -1))
+        same(lambda: f - f, lambda: {})
+        same(lambda: -g, lambda: dict_sum({}, b, p, -1))
+        fits += same(lambda: f * g, lambda: dict_product(a, b, p))
+        small = rand(3)
+        for n in (0, 1, 2, p + 1, 2 * p + 1):
+            same(lambda: poly_pow(small, n), lambda: dict_power(dict(small.terms), n, p, 3))
+        q = p ** rng.randint(1, 3)
+        h = rand(EXPONENT_LIMIT // q)
+        fits += same(lambda: h.frobenius_power(q), lambda: dict_power(dict(h.terms), q, p, 3))
+    assert 0 < fits < 60  # both outcomes were checked
 
 
 def test_shift_moves_point_to_origin():
