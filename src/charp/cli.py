@@ -71,14 +71,16 @@ def main(argv=None) -> int:
 
     base = args.job
     stem = base.with_suffix("") if base.suffix else base
-    json_path = Path(f"{stem}.report.json")
-    json_path.write_text(report_to_json(report), encoding="utf-8")
-    wrote = [str(json_path)]
+    outputs = [(Path(f"{stem}.report.json"), report_to_json)]
     if not args.json_only:
-        tsv_path = Path(f"{stem}.report.tsv")
-        tsv_path.write_text(report_to_tsv(report), encoding="utf-8")
-        wrote.append(str(tsv_path))
-    print(f"charp: wrote {', '.join(wrote)}", file=sys.stderr)
+        outputs.append((Path(f"{stem}.report.tsv"), report_to_tsv))
+    for path, render in outputs:
+        try:
+            path.write_text(render(report), encoding="utf-8")
+        except OSError as exc:
+            print(f"charp: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+    print(f"charp: wrote {', '.join(str(path) for path, _ in outputs)}", file=sys.stderr)
 
     if report["status"] != "ok":
         for task in report["tasks"]:

@@ -119,7 +119,7 @@ class LocalRingAtPoint:
 
 
 def _leads(L: LocalRingAtPoint) -> tuple:
-    """The leading monomials of a standard basis of I at the point."""
+    """The packed leading monomials of a standard basis of I at the point."""
     return L._shared.get(("leads", L.point), lambda: local_leading_monomials(L.ideal0, L.point))
 
 
@@ -127,12 +127,9 @@ def multiplicity(L: LocalRingAtPoint) -> int:
     """e(R), that of S/L for the leading ideal L at the point: by the
     associativity formula, the sum over L's largest free sets U of the
     standard monomials of L in the other variables once x_U is set to 1."""
-    leads = _leads(L)
-    n, total = L.ring.nvars, 0
-    for U in largest_free_sets(leads, n):
-        rest = [j for j in range(n) if j not in U]
-        total += standard_count([tuple(m[j] for j in rest) for m in leads], len(rest))
-    return total
+    leads, n = _leads(L), L.ring.nvars
+    return sum(standard_count(leads, [j for j in range(n) if j not in U])
+               for U in largest_free_sets(leads, n))
 
 
 @dataclass(frozen=True)

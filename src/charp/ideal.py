@@ -10,13 +10,18 @@ The engine reduces polynomials in the form `poly` stores them: each term
 is (order key, packed monomial, coefficient), a packed monomial being one
 integer with a bit-field per variable, so multiplication is integer
 addition and divisibility is a guarded subtraction.  Order keys are the
-ring's `MonomialOrder.key`, which is linear, so the key of a product is the
-sum of the keys; this keeps the reduction loop free of tuple traffic.  A
-basis is read as its polynomials' own terms, never repacked or copied.
+ring's `MonomialOrder.key` of the packed monomial, which is linear, so the
+key of a product is the sum of the keys.  A basis is read as its
+polynomials' own terms, never repacked or copied.  No monomial here is an
+exponent tuple: a pair's lcm is keyed as packed, `intersect` and Lazard's
+homogenization move monomials by whole fields, and the counting layer
+(`standard_count`, `largest_free_sets`, `length`, `krull_dim`) reads packed
+leads, a variable set to 1 being a field masked to 0.
 
 Terms are summed in `poly._TermSum`, the accumulator of all term
 arithmetic.  Normal forms reduce into it, each S-polynomial is the sum of
-its two shifted tails, and `exact_divide` pops its quotient terms from it.
+its two shifted tails (`_s_sum`, which `s_polynomial` shares), and
+`exact_divide` pops its quotient terms from it.
 The key is injective on the exponents a polynomial admits, and the
 remainder against a fixed ordered basis does not depend on how the running
 sum is stored.
@@ -60,8 +65,6 @@ from .poly import (
     PolyRing,
     _monic,
     _TermSum,
-    mono_div,
-    monomial_count_box,
     poly_pow,
 )
 
@@ -253,6 +256,16 @@ def _reduce_full(acc: _TermSum, basis, divs: _Divisors, skip: int = 0):
     return out
 
 
+def _s_sum(fi, fj, l: int, lkey: int, p: int) -> _TermSum:
+    """The S-polynomial of the monic term lists fi and fj, whose leads have
+    the lcm l of order key lkey, as a running sum.  Its leading terms
+    cancel, so only the two shifted tails are added."""
+    acc = _TermSum(p)
+    acc.add(islice(fi, 1, None), lkey - fi[0][0], l - fi[0][1], 1)
+    acc.add(islice(fj, 1, None), lkey - fj[0][0], l - fj[0][1], p - 1)
+    return acc
+
+
 def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
     """The reduced Groebner basis of gens, descending.  Each new element
     updates the pair queue as Gebauer and Moeller do (J. Symbolic Comput. 6,
@@ -296,7 +309,7 @@ def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
                 continue
             kept.append(l)
             if l != basis[i][0][1] + h:  # leads not coprime
-                heapq.heappush(heap, (deg, key(eng.unpack(l)), i, k, l))
+                heapq.heappush(heap, (deg, key(l), i, k, l))
                 queued[i, k] = l
         gone = divs.multiples(h)
         live[:] = [i for i in live if not gone >> i & 1]
@@ -315,12 +328,7 @@ def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
         if queued.pop((i, j), None) is None:
             continue  # killed by criterion B after it was queued
         budget.charge_pair()
-        # the S-polynomial's leading terms cancel, so only the tails are added
-        fi, fj = basis[i], basis[j]
-        acc = _TermSum(p)
-        acc.add(islice(fi, 1, None), lkey - fi[0][0], l - fi[0][1], 1)
-        acc.add(islice(fj, 1, None), lkey - fj[0][0], l - fj[0][1], p - 1)
-        r = _reduce_full(acc, basis, divs)
+        r = _reduce_full(_s_sum(basis[i], basis[j], l, lkey, p), basis, divs)
         if r:
             add(r)
 
@@ -359,7 +367,7 @@ class Ideal:
 
     def is_unit(self) -> bool:
         gb = self.groebner_basis()
-        return bool(gb) and not any(gb[0].lm())
+        return bool(gb) and not gb[0].packed[0][1]
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -417,13 +425,13 @@ def power_spans(gens, I: Ideal):
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    from .poly import mono_lcm
-
+    """The S-polynomial of f and g, each scaled monic, by `_buchberger`'s
+    route."""
     ring = f.ring
-    l = mono_lcm(f.lm(), g.lm())
-    a = f.mul_monomial(mono_div(l, f.lm()), ring.field.inv(f.lc()))
-    b = g.mul_monomial(mono_div(l, g.lm()), ring.field.inv(g.lc()))
-    return a - b
+    fi, fj = _monic(f.packed, ring.field), _monic(g.packed, ring.field)
+    l = ring.codec.lcm(fi[0][1], fj[0][1])
+    acc = _s_sum(fi, fj, l, ring.order.key(l), ring.p)
+    return Polynomial(ring, tuple(iter(acc.pop, None)))
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -485,9 +493,12 @@ def exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I intersect J via elimination of a fresh leading variable t: the
     reduced basis of the t-free part of (t*I + (1-t)*J) under the block
-    order, which `_buchberger` interreduces alone, with t stripped."""
+    order, which `_buchberger` interreduces alone, with t stripped.  t is
+    the first field of a packed monomial, so m << B lifts m and m >> B
+    strips t from a t-free m."""
     ring = I.ring
     n = ring.nvars
+    B = _FIELD_BITS
     ext = PolyRing(
         ring.field,
         ("#t",) + ring.names,
@@ -495,14 +506,14 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     )
 
     def lift(f: Polynomial) -> Polynomial:
-        return ext.from_dict({(0,) + m: c for m, c in f.terms})
+        return ext.from_packed([(m << B, c) for _, m, c in f.packed])
 
     t = ext.gen(0)
     one = ext.one()
     gens = [t * lift(f) for f in I.gens]
     gens += [(one - t) * lift(g) for g in J.gens]
     gb = _buchberger(gens, ext, 1)
-    return Ideal(ring, [ring.from_dict({m[1:]: c for m, c in g.terms}) for g in gb])
+    return Ideal(ring, [ring.from_packed([(m >> B, c) for _, m, c in g.packed]) for g in gb])
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
@@ -535,69 +546,92 @@ def ideal_contains_ideal(I: Ideal, J: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 # standard monomials, length, dimension
 
-def _count_standard(gens, bounds, cache):
-    """Monomials in prod [0,b_i) divisible by none of gens, a sorted tuple of
-    exponent tuples in the box; slab by slab of the first variable."""
-    if not bounds:
+def _divides(a: int, b: int, guard: int) -> bool:
+    """Whether packed a divides packed b: b - a borrows from no field, each
+    field's guard bit (in the bitset guard) set first, and fields outside
+    guard are 0 in both."""
+    return ((b | guard) - a) & guard == guard
+
+
+def _count_standard(gens, shifts, bounds, guard, cache):
+    """Monomials in the box prod [0, b) over the fields at shifts (highest
+    first) divisible by none of gens, a sorted tuple of packed monomials in
+    the box that are 0 outside those fields; slab by slab of the first
+    field, the highest, by which an integer sort groups gens."""
+    if not shifts:
         return 0 if gens else 1
     key = (gens, bounds)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    rest = bounds[1:]
-    total, s, active = 0, 0, []  # the projections at or below the cut, minimal
-    for cut, group in groupby(gens, key=lambda g: g[0]):
-        if cut > s:
-            total += (cut - s) * _count_standard(tuple(sorted(active)), rest, cache)
-            s = cut
+    s, rest, below = shifts[0], shifts[1:], bounds[1:]
+    low = (1 << s) - 1  # the fields below this one
+    total, done, active = 0, 0, []  # the projections at or below the cut, minimal
+    for cut, group in groupby(gens, key=lambda g: g >> s):
+        if cut > done:
+            slab = _count_standard(tuple(sorted(active)), rest, below, guard, cache)
+            total += (cut - done) * slab
+            done = cut
         for g in group:
-            h = g[1:]
-            if not any(mono_div(h, a) is not None for a in active):
-                active = [a for a in active if mono_div(a, h) is None]
+            h = g & low
+            if not any(_divides(a, h, guard) for a in active):
+                active = [a for a in active if not _divides(h, a, guard)]
                 active.append(h)
-    total += (bounds[0] - s) * _count_standard(tuple(sorted(active)), rest, cache)
+    total += (bounds[0] - done) * _count_standard(tuple(sorted(active)), rest, below, guard, cache)
     cache[key] = total
     return total
 
 
-def standard_count(lms, n: int):
-    """The number of monomials in n variables divisible by none of the
-    exponent tuples lms, or INFINITE.  Pure powers give the box; a recursion
-    over the slabs of the first variable excludes the rest, keeping each
-    slab's generators minimal as the slabs grow (Bayer-Stillman, J. Symbolic
-    Comput. 14 (1992)), so the cost scales with the generator structure
-    rather than the box volume."""
-    bounds = [None] * n
-    for m in lms:
-        support = [i for i, e in enumerate(m) if e]
+def standard_count(leads, variables):
+    """The number of monomials in the given variables (indices) divisible by
+    none of the packed leads once every other variable is set to 1, or
+    INFINITE.  Pure powers give the box; a recursion over the slabs of one
+    variable excludes the rest, keeping each slab's generators minimal as
+    the slabs grow (Bayer-Stillman, J. Symbolic Comput. 14 (1992)), so the
+    cost scales with the generator structure rather than the box volume."""
+    B = _FIELD_BITS
+    shifts = tuple(sorted((j * B for j in variables), reverse=True))
+    mask = sum(_FIELD_MASK << s for s in shifts)
+    leads = {m & mask for m in leads}
+    bounds = {}
+    for m in leads:
+        support = [s for s in shifts if m >> s & _FIELD_MASK]
         if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    if any(b is None for b in bounds):
+            s = support[0]
+            bounds[s] = min(bounds.get(s, m >> s), m >> s)
+    if len(bounds) < len(shifts):
         return INFINITE
-    active_budget().charge_box(monomial_count_box(bounds))
-    bounds_t = tuple(bounds)
-    # the least pure power of x_i is bounds[i], so the box drops every pure power
-    inside = {m for m in lms if all(e < b for e, b in zip(m, bounds_t))}
-    return _count_standard(tuple(sorted(inside)), bounds_t, {})
+    box = tuple(bounds[s] for s in shifts)
+    active_budget().charge_box(math.prod(box))
+    guard = sum(1 << (s + B - 1) for s in shifts)
+    # the least pure power of x_i is its bound, so the box drops every pure power
+    top = sum((b - 1) << s for b, s in zip(box, shifts))
+    inside = [m for m in leads if _divides(m, top, guard)]
+    return _count_standard(tuple(sorted(inside)), shifts, box, guard, {})
+
+
+def _lead_monomials(I: Ideal) -> list:
+    """The packed leading monomials of I's reduced Groebner basis."""
+    return [g.packed[0][1] for g in I.groebner_basis()]
 
 
 def length(I: Ideal):
     """dim_{F_p} S/I: the number of standard monomials, or INFINITE."""
     if I.is_unit():
         return 0
-    return standard_count([g.lm() for g in I.groebner_basis()], I.ring.nvars)
+    return standard_count(_lead_monomials(I), range(I.ring.nvars))
 
 
-def largest_free_sets(lms, n: int) -> list:
+def largest_free_sets(leads, n: int) -> list:
     """The largest sets U of variables (index tuples) supporting none of the
-    non-constant monomials lms: their size is dim S/(lms), and they index
-    its minimal primes of that dimension, (x_j : j not in U)."""
-    supports = {frozenset(i for i, e in enumerate(m) if e) for m in lms}
+    non-constant packed monomials leads: their size is dim S/(leads), and
+    they index its minimal primes of that dimension, (x_j : j not in U)."""
     for size in range(n, -1, -1):
-        free = [U for U in combinations(range(n), size)
-                if not any(s <= frozenset(U) for s in supports)]
+        free = []
+        for U in combinations(range(n), size):
+            outside = ~sum(_FIELD_MASK << (j * _FIELD_BITS) for j in U)  # the other fields
+            if all(m & outside for m in leads):
+                free.append(U)
         if free:
             return free
     raise ValueError("a constant monomial supports every set")
@@ -607,8 +641,7 @@ def krull_dim(I: Ideal) -> int:
     """Dimension of S/I: that of its leading ideal."""
     if I.is_unit():
         raise UnitIdealError("krull_dim of the unit ideal")
-    lms = [g.lm() for g in I.groebner_basis()]
-    return len(largest_free_sets(lms, I.ring.nvars)[0])
+    return len(largest_free_sets(_lead_monomials(I), I.ring.nvars)[0])
 
 
 def local_leading_monomials(I: Ideal, point) -> tuple:
@@ -618,13 +651,15 @@ def local_leading_monomials(I: Ideal, point) -> tuple:
     Singular Introduction to Commutative Algebra, 1.7): translate each
     generator by `Polynomial.shift`, the one translation route, which takes
     one coordinate per variable; then homogenize with t, and keep the
-    x-parts of the leading monomials of a Groebner basis in the 'lazard'
-    order."""
+    x-parts of the packed leading monomials of a Groebner basis in the
+    'lazard' order.  t is the first field, so (m << B) | k is t^k * m, and
+    l >> B strips t from a lead l."""
     ring = I.ring
+    B, degree = _FIELD_BITS, ring.codec.degree
     hom = PolyRing(ring.field, ("#t",) + ring.names, MonomialOrder("lazard", ring.nvars + 1))
     gens = []
     for g in I.gens:
         f = g.shift(point)
         top = f.degree()
-        gens.append(hom.from_dict({(top - sum(m),) + m: c for m, c in f.terms}))
-    return tuple(g.lm()[1:] for g in Ideal(hom, gens).groebner_basis())
+        gens.append(hom.from_packed([((m << B) | (top - degree(m)), c) for _, m, c in f.packed]))
+    return tuple(l >> B for l in _lead_monomials(Ideal(hom, gens)))

@@ -1,14 +1,20 @@
 """Sparse multivariate polynomial arithmetic over F_p.
 
-A polynomial stores its terms packed, in the form the Groebner engine in
-`ideal` reduces: (order key, packed monomial, coefficient), sorted strictly
-descending in the ring's monomial order, so iteration order and printed
-output are canonical.  A packed monomial is one integer with one bit-field
-per variable (`_Engine`), so multiplying monomials adds integers, and the
-order key is linear, so the key of a product is the sum of the keys.
-`Polynomial.terms` and `lm` give monomials as exponent tuples, the public
-form, and `PolyRing.from_dict` is the one place that packs such tuples,
-checking each.
+A monomial is one integer, packed: one bit-field per variable (`_Engine`),
+so multiplying monomials adds integers, dividing subtracts them with a guard
+bit per field, and the lcm is a field-wise max.  The order key of a packed
+monomial is a linear function of its fields (`MonomialOrder.key`), so the
+key of a product is the sum of the keys.  A polynomial stores its terms as
+(order key, packed monomial, coefficient), sorted strictly descending in the
+ring's monomial order, so iteration order and printed output are canonical;
+this is the form the Groebner engine in `ideal` reduces.
+
+Exponent tuples exist only at the public edge: `Polynomial.terms` and `lm`
+unpack, and `PolyRing.from_dict` (through which `monomial`, `const` and
+`gen` go) packs, checking each tuple.  Inside the package a polynomial whose
+monomials are mapped to another ring (a variable prepended or appended, a
+homogenizing variable added) is rebuilt by `PolyRing.from_packed`, which
+keys and sorts packed terms.
 
 All term arithmetic sums in one accumulator, `_TermSum`: a dict from order
 key to term plus a max-heap of the keys (Monagan & Pearce, CASC 2007).
@@ -21,48 +27,11 @@ from __future__ import annotations
 import heapq
 from functools import reduce
 from math import comb
-from operator import mul
 
 from .errors import ExponentOverflowError, ParseError, UnknownVariableError
 from .gf import FieldContext
 
 EXPONENT_LIMIT = 2**31 - 1
-
-
-# ---------------------------------------------------------------------------
-# monomial helpers (exponent tuples)
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    out = tuple(x + y for x, y in zip(a, b))
-    for e in out:
-        if e > EXPONENT_LIMIT:
-            raise ExponentOverflowError(f"exponent {e} exceeds 32-bit bound")
-    return out
-
-
-def mono_div(a: tuple, b: tuple):
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def monomial_count_box(bounds) -> int:
-    """Number of monomials in the box prod [0, b_i): the standard monomials
-    of the pure-power ideal (x_1^b_1, ..., x_n^b_n)."""
-    out = 1
-    for b in bounds:
-        if b < 0:
-            raise ValueError("box bounds must be non-negative")
-        out *= b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +49,7 @@ def _grevlex_weights(n: int) -> list:
 
 
 class MonomialOrder:
-    """Total order on exponent tuples, compatible with multiplication and
+    """Total order on packed monomials, compatible with multiplication and
     with 1 as least element.
 
     kind is one of 'lex', 'grevlex', 'elim', 'lazard'; 'elim' compares a
@@ -89,10 +58,11 @@ class MonomialOrder:
     k[t, x_1..x_m] by degree, then the larger power of t, then grevlex in x
     (Lazard's method, `ideal.local_leading_monomials`).
 
-    Every kind is one integer weight vector w, and key(t) = sum_j t_j * w_j
-    (B = _FIELD_BITS bits per exponent):
+    Every kind is one integer weight vector w, and key(m) = sum_j t_j * w_j
+    for the exponents t_j, the fields of packed m (B = _FIELD_BITS bits per
+    exponent):
       lex      w_j = 2^((n-1-j)B)
-      grevlex  w_j = 2^(nB) - 2^(jB), i.e. key = deg(t) * 2^(nB) - packed(t)
+      grevlex  w_j = 2^(nB) - 2^(jB), i.e. key = deg(m) * 2^(nB) - m
       elim     the grevlex weights of the block, times 2^((n-k+1)B), then
                the grevlex weights of the other n-k variables.
       lazard   t: 2^((m+4)B) + 2^((m+2)B), x_j: 2^((m+4)B) + grevlex w_j.
@@ -138,9 +108,10 @@ class MonomialOrder:
     def elimination(nvars: int, block: int) -> "MonomialOrder":
         return MonomialOrder("elim", nvars, block)
 
-    def key(self, mono: tuple) -> int:
-        """Sort key: bigger key = bigger monomial."""
-        return sum(map(mul, mono, self.weights))
+    def key(self, m: int) -> int:
+        """Sort key of packed monomial m: bigger key = bigger monomial."""
+        B = _FIELD_BITS
+        return sum((m >> (j * B) & _FIELD_MASK) * w for j, w in enumerate(self.weights))
 
     def __eq__(self, other):
         return (
@@ -315,13 +286,20 @@ class PolyRing:
     def from_dict(self, coeffs: dict) -> "Polynomial":
         """The sum of c * x^mono over coeffs, each mono an exponent tuple of
         the ring's arity with exponents in [0, EXPONENT_LIMIT]."""
-        key, pack, normalize = self.order.key, self.codec.pack, self.field.normalize
+        pack, normalize = self.codec.pack, self.field.normalize
+        return self.from_packed([(pack(mono), normalize(c)) for mono, c in coeffs.items()])
+
+    def from_packed(self, pairs) -> "Polynomial":
+        """The sum of c * x^m over pairs (m, c) of distinct packed monomials
+        and coefficients in [0, p), keyed and sorted in the ring's order; an
+        exponent past EXPONENT_LIMIT is rejected."""
+        key, over = self.order.key, self.codec.over
         terms = []
-        for mono, c in coeffs.items():
-            m = pack(mono)
-            c = normalize(c)
+        for m, c in pairs:
+            if m & over:
+                raise ExponentOverflowError("exponent exceeds 32-bit bound")
             if c:
-                terms.append((key(mono), m, c))
+                terms.append((key(m), m, c))
         terms.sort(reverse=True)  # keys are distinct, so only they are compared
         return Polynomial(self, tuple(terms))
 
@@ -443,9 +421,6 @@ class Polynomial:
             return self
         return Polynomial(self.ring, tuple(_monic(self.packed, self.ring.field)))
 
-    def mul_monomial(self, mono: tuple, c: int = 1) -> "Polynomial":
-        return self * self.ring.monomial(mono, c)
-
     def __pow__(self, n: int) -> "Polynomial":
         return poly_pow(self, n)
 
@@ -453,7 +428,9 @@ class Polynomial:
         """self**q for q a power of p, by the term-wise Frobenius (c^q = c in F_p)."""
         eng = self.ring.codec
         top = reduce(eng.lcm, (m for _, m, _ in self.packed), 0)
-        if max(eng.unpack(top), default=0) * q > EXPONENT_LIMIT:
+        # top, the field-wise largest exponents, divides the box of exponents
+        # at most EXPONENT_LIMIT // q, unless some exponent times q passes the limit
+        if eng.div(eng.ones * (EXPONENT_LIMIT // q), top) is None:
             raise ExponentOverflowError("scaled exponent exceeds 32-bit bound")
         # key(q*t) = q*key(t): the terms stay sorted
         return Polynomial(self.ring, tuple((k * q, m * q, c) for k, m, c in self.packed))

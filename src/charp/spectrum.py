@@ -228,8 +228,9 @@ def semicontinuity_probe(R: RingPresentation, special: PrimeSample, nearby,
     comp = R.components[special.component]
     sp, *near = [(s, hk_function(comp.local_at(s.point), e)) for s in [special, *nearby]]
     above = [(s, rec) for s, rec in near if rec.lam > sp[1].lam]
+    degree = comp.ring.codec.degree
     if not any(a % comp.ring.p for a in special.point) and all(
-            len({sum(m) for m, _ in g.terms}) <= 1 for g in comp.gens):
+            len({degree(m) for _, m, _ in g.packed}) <= 1 for g in comp.gens):
         note = ("VIOLATION: semicontinuity failed; this indicates an engine bug" if above
                 else "upper semicontinuity holds on the sample")
     elif above:
@@ -270,9 +271,8 @@ def flat_extension_check(L: LocalRingAtPoint, n_extra_vars: int, e_max: int,
     # no parsed variable name starts with '#'
     ext = L.ring.extend(f"#t{i}" for i in range(1, n_extra_vars + 1))
 
-    def lift(I):
-        return Ideal(ext, [ext.from_dict({m + (0,) * n_extra_vars: c for m, c in f.terms})
-                           for f in I.gens])
+    def lift(I):  # the new variables' fields follow the old ones, so m stays m
+        return Ideal(ext, [ext.from_packed([(m, c) for _, m, c in f.packed]) for f in I.gens])
 
     LT = LocalRingAtPoint(lift(L.ideal0), L.point + (0,) * n_extra_vars)
     rows = []

@@ -6,6 +6,8 @@ monomial ideals.  The exceptions are earlier engine routes kept to
 cross-check their replacements: parts_colon, nu_binary_search,
 hilbert_samuel_table, the Jacobian test is_smooth_point, and the
 exponent-tuple dict arithmetic dict_sum, dict_product and dict_power.
+Monomials here are exponent tuples, multiplied, divided and lcm'd by the
+helpers below, which share no code with the engine's packed monomials.
 """
 
 from itertools import product
@@ -14,7 +16,26 @@ import numpy as np
 
 from charp.ideal import (Ideal, bracket_power, exact_divide, ideal_power, ideal_sum, intersect,
                          length, normal_form)
-from charp.poly import MonomialOrder, PolyRing, mono_div, mono_lcm, mono_mul
+from charp.errors import ExponentOverflowError
+from charp.poly import EXPONENT_LIMIT, MonomialOrder, PolyRing
+
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    out = tuple(x + y for x, y in zip(a, b))
+    if any(e > EXPONENT_LIMIT for e in out):
+        raise ExponentOverflowError("exponent exceeds 32-bit bound")
+    return out
+
+
+def mono_div(a: tuple, b: tuple):
+    """a / b, or None when b does not divide a."""
+    if any(x < y for x, y in zip(a, b)):
+        return None
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
 
 
 def box_monomials(bounds):
@@ -200,7 +221,7 @@ def textbook_remainder(f, divisors):
         for g in divisors:
             s = mono_div(m, g.lm())
             if s is not None:
-                f = f - g.mul_monomial(s, c * ring.field.inv(g.lc()))
+                f = f - g * ring.monomial(s, c * ring.field.inv(g.lc()))
                 break
         else:
             lead = ring.monomial(m, c)
@@ -217,10 +238,7 @@ def textbook_groebner(gens):
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
-        f, g = basis[i], basis[j]
-        l = mono_lcm(f.lm(), g.lm())
-        s = f.mul_monomial(mono_div(l, f.lm())) - g.mul_monomial(mono_div(l, g.lm()))
-        r = textbook_remainder(s, basis)
+        r = textbook_remainder(textbook_s_polynomial(basis[i], basis[j]), basis)
         if not r.is_zero():
             pairs += [(k, len(basis)) for k in range(len(basis))]
             basis.append(r.monic())
@@ -230,7 +248,16 @@ def textbook_groebner(gens):
             minimal = [h for h in minimal if mono_div(h.lm(), g.lm()) is None] + [g]
     reduced = [textbook_remainder(g, minimal[:i] + minimal[i + 1:]).monic()
                for i, g in enumerate(minimal)]
-    return tuple(sorted(reduced, key=lambda g: g.ring.order.key(g.lm()), reverse=True))
+    return tuple(sorted(reduced, key=lambda g: g.packed[0][0], reverse=True))
+
+
+def textbook_s_polynomial(f, g):
+    """(l / LT(f)) f - (l / LT(g)) g for l the lcm of the leading monomials,
+    each leading term LT with its coefficient."""
+    ring = f.ring
+    l = mono_lcm(f.lm(), g.lm())
+    return (f * ring.monomial(mono_div(l, f.lm()), ring.field.inv(f.lc()))
+            - g * ring.monomial(mono_div(l, g.lm()), ring.field.inv(g.lc())))
 
 
 def textbook_intersect(I: Ideal, J: Ideal, groebner=textbook_groebner) -> tuple:

@@ -8,6 +8,7 @@ import pytest
 
 import charp.ideal
 from charp.errors import (
+    ExponentOverflowError,
     NotAPowerOfPError,
     ResourceBudgetError,
     UnitIdealError,
@@ -32,16 +33,18 @@ from charp.ideal import (
     intersect,
     krull_dim,
     length,
+    local_leading_monomials,
     normal_form,
     s_polynomial,
     standard_count,
 )
-from charp.poly import MonomialOrder, Polynomial, PolyRing, mono_div
+from charp.poly import EXPONENT_LIMIT, MonomialOrder, Polynomial, PolyRing
 
 from oracles import (
     box_monomials,
     hilbert_samuel_table,
     ideal_from_monomials,
+    mono_div,
     monomial_colon_oracle,
     parts_colon,
     quotient_length_bruteforce,
@@ -51,6 +54,7 @@ from oracles import (
     textbook_groebner,
     textbook_intersect,
     textbook_remainder,
+    textbook_s_polynomial,
 )
 
 
@@ -94,8 +98,6 @@ def _assert_buchberger_certificate(J):
 
 
 def test_gb_is_reduced():
-    from charp.poly import mono_div
-
     R = ring(7)
     gb = I(R, "x*y - z^2", "x^7", "y^7", "z^7").groebner_basis()
     lts = [g.lm() for g in gb]
@@ -142,6 +144,23 @@ def test_gb_matches_the_textbook_algorithm(p, order):
         point = tuple(rng.randrange(p) for _ in range(3))
         for G in (gens, [g.shift(point) for g in gens]):
             assert Ideal(R, G).groebner_basis() == textbook_groebner(G)
+
+
+@pytest.mark.parametrize("order", sorted(GB_ORDERS))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_s_polynomial_matches_the_textbook_one(p, order):
+    # leading coefficients other than 1, coprime and equal leads included
+    rng = random.Random(100 * p + sorted(GB_ORDERS).index(order))
+    R = PolyRing(field_new(p), ("x", "y", "z"), GB_ORDERS[order])
+    nonmonic = 0
+    for _ in range(40):
+        f, g = (random_nonzero_poly(rng, R).scale(rng.randint(1, p - 1)) for _ in range(2))
+        if rng.random() < 0.1:
+            g = f.scale(rng.randint(1, p - 1)) + R.monomial((0, 0, 1))
+        nonmonic += f.lc() != 1 or g.lc() != 1
+        assert s_polynomial(f, g) == textbook_s_polynomial(f, g)
+        assert s_polynomial(f, f).is_zero()
+    assert nonmonic > 20
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
@@ -242,7 +261,7 @@ def test_membership_matches_dense_linear_algebra():
     for g in gens:
         for m in monos:
             if sum(m) + g.degree() <= deg:
-                span.append(vec(g.mul_monomial(m)))
+                span.append(vec(g * R.monomial(m)))
     base_rank = modp_rank(span, 5)
     for _ in range(20):
         f = R.from_dict(
@@ -647,6 +666,7 @@ def test_count_recursion_matches_enumeration():
     # of one variable
     for _ in range(300):
         n = rng.randint(1, 4)
+        pack = PolyRing(field_new(3), tuple(f"v{i}" for i in range(n))).codec.pack
         bounds = [rng.randint(1, 5) for _ in range(n)]
         gens = [tuple(b + rng.choice((0, 0, 2)) if i == j else 0 for j in range(n))
                 for i, b in enumerate(bounds)]
@@ -660,11 +680,29 @@ def test_count_recursion_matches_enumeration():
                 mixed += [up, tuple(e + 1 for e in up), m]
         gens += mixed
         rng.shuffle(gens)
-        assert standard_count(gens, n) == standard_count_bruteforce(gens, bounds)
-    assert standard_count([(2, 0), (1, 1)], 2) == INFINITE  # no power of y
+        assert standard_count(map(pack, gens), range(n)) == standard_count_bruteforce(gens, bounds)
+    # counting over some of the variables, the others set to 1 (multiplicity's
+    # route): a generator's projection drops the other variables' exponents
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        pack = PolyRing(field_new(3), tuple(f"v{i}" for i in range(n))).codec.pack
+        variables = sorted(rng.sample(range(n), rng.randint(0, n)))
+        bounds = [rng.randint(1, 5) for _ in variables]
+        gens = [tuple(b if i == j else rng.choice((0, 0, 3)) * (j not in variables)
+                      for j in range(n)) for i, b in zip(variables, bounds)]
+        gens += [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(0, 8))]
+        gens = [m for m in gens if any(m)]
+        rng.shuffle(gens)
+        projected = [tuple(m[j] for j in variables) for m in gens]
+        assert standard_count(map(pack, gens), variables) == \
+            standard_count_bruteforce(projected, bounds), (gens, variables)
+    pack = PolyRing(field_new(3), ("x", "y", "z")).codec.pack
+    assert standard_count([pack((2, 0, 0)), pack((1, 1, 0))], (0, 1)) == INFINITE  # no power of y
+    assert standard_count([pack((2, 0, 5)), pack((0, 3, 0))], (0, 1)) == 6
+    assert standard_count([pack((0, 0, 1)), pack((1, 0, 0))], (0,)) == 0  # z = 1 is a unit
     # the 0-variable ring F_3: one standard monomial, none modulo the unit ideal
-    assert standard_count([], 0) == 1
-    assert standard_count([(), ()], 0) == 0
+    assert standard_count([], ()) == 1
+    assert standard_count([0, 0], ()) == 0
     R0 = PolyRing(field_new(3), ())
     assert length(Ideal(R0, [])) == 1
 
@@ -673,18 +711,30 @@ def test_counting_the_quadric_lambda_3_leads_is_not_quadratic(monkeypatch):
     # the 346 leads of (xy - z^2) + m^[343] over F_7: minimalizing each slab's
     # generators from scratch made 146,547 divisibility tests here
     J = I(ring(7), "x*y - z^2", "x^343", "y^343", "z^343")
-    lms = [g.lm() for g in J.groebner_basis()]
+    leads = [g.packed[0][1] for g in J.groebner_basis()]
     calls = []
+    divides = charp.ideal._divides
 
-    def counted(a, b):
+    def counted(a, b, guard):
         calls.append(a)
-        return mono_div(a, b)
+        return divides(a, b, guard)
 
-    monkeypatch.setattr(charp.ideal, "mono_div", counted)
+    monkeypatch.setattr(charp.ideal, "_divides", counted)
     with Budget(max_box=10**8):
-        assert standard_count(lms, 3) == 176473
-    assert len(lms) == 346
+        assert standard_count(leads, range(3)) == 176473
+    assert len(leads) == 346
     assert 0 < len(calls) < 50_000
+
+
+def test_homogenizing_past_the_exponent_limit_raises():
+    # Lazard's t takes the degree a term lacks: 2 * EXPONENT_LIMIT for the
+    # constant of x^L y^L + 1, which no packed field may hold
+    R = ring(5, ("x", "y"))
+    f = R.monomial((EXPONENT_LIMIT, EXPONENT_LIMIT)) + 1
+    with pytest.raises(ExponentOverflowError):
+        local_leading_monomials(Ideal(R, [f]), (0, 0))
+    g = R.monomial((EXPONENT_LIMIT, 0)) + R.monomial((0, 1))
+    assert local_leading_monomials(Ideal(R, [g]), (0, 0)) == (R.codec.pack((0, 1)),)  # local: y
 
 
 def test_length_budget():

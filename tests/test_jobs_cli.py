@@ -1026,6 +1026,19 @@ def test_cli_task_error_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("blocked", ["json", "tsv"])
+def test_cli_unwritable_report_exits_1(tmp_path, capsys, blocked):
+    # a directory where a report goes: one line naming it, no traceback
+    path = _write(tmp_path, "p = 5\n[component]\nvars = x\nideal =\n"
+                            "[task hk]\npoint = 0\ne_max = 2\n", "job.charp")
+    (tmp_path / f"job.report.{blocked}").mkdir()
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"charp: cannot write {tmp_path / f'job.report.{blocked}'}: "
+                                "Is a directory"]
+    assert (tmp_path / "job.report.json").is_file() == (blocked == "tsv")
+
+
 def test_cli_json_only(tmp_path):
     path = _write(tmp_path, QUADRIC_JOB, "q.charp")
     res = _cli(["run", str(path), "--json-only"])

@@ -118,6 +118,24 @@ def test_translation_and_membership_each_have_one_route():
     assert membership == ["ideal.Ideal.contains"]
 
 
+def test_one_monomial_representation():
+    # below the public edge every monomial is a packed integer: exponent
+    # tuples are made only by unpacking a polynomial's terms or leading
+    # monomial, and no module past poly reads either
+    import charp.poly
+
+    assert [name for name in vars(charp.poly) if name.startswith("mono_")] == []
+    unpacks, tuples = set(), []
+    for owner, node in _owned_nodes():
+        if isinstance(node, ast.Attribute) and node.attr == "unpack":
+            unpacks.add(owner)
+        elif isinstance(node, ast.Attribute) and node.attr in ("terms", "lm") \
+                and not owner.startswith("poly."):
+            tuples.append(f"{owner}: .{node.attr}")
+    assert unpacks == {"poly.Polynomial.terms", "poly.Polynomial.lm"}
+    assert tuples == []
+
+
 def test_package_has_no_assert_statement():
     # `python -O` strips assert statements, so a check the engine relies on
     # raises an exception instead
@@ -143,6 +161,23 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
         fns[attr] = owner
     assert list(inspect.signature(fns["hk_function"]).parameters)[:2] == ["L", "e"]
     assert list(inspect.signature(fns["run_task"]).parameters)[:2] == ["job", "index"]
+    # and the attributes it reads: an Ideal's cached basis (None until it is
+    # computed) and generators, a local ring's ring, generators and point, a
+    # ring's characteristic and names, and a polynomial's terms
+    from charp.finv import LocalRingAtPoint
+    from charp.gf import field_new
+    from charp.ideal import Ideal
+    from charp.poly import Polynomial, PolyRing
+
+    R = PolyRing(field_new(5), ("x", "y"))
+    f = R.parse("x*y")
+    ideal = Ideal(R, [f])
+    assert ideal._gb is None and ideal.gens == (f,)
+    L = LocalRingAtPoint(ideal, (0, 0))
+    assert ideal._gb == (f,)
+    assert (L.ring, L.gens, L.point) == (R, (f,), (0, 0))
+    assert (R.p, R.names) == (5, ("x", "y"))
+    assert isinstance(Polynomial.terms, property) and f.terms == (((1, 1), 1),)
 
 
 def test_each_setting_has_one_source():

@@ -4,23 +4,22 @@ import os
 import random
 import subprocess
 import sys
-from operator import add
 from pathlib import Path
 
 import pytest
 
 from charp.errors import ExponentOverflowError, ParseError, UnknownVariableError
 from charp.gf import field_new
+from charp.ideal import Budget, standard_count
 from charp.poly import (
     EXPONENT_LIMIT,
     MonomialOrder,
     PolyRing,
-    mono_mul,
-    monomial_count_box,
+    _Engine,
     poly_pow,
 )
 
-from oracles import dict_power, dict_product, dict_sum, random_poly
+from oracles import dict_power, dict_product, dict_sum, mono_mul, random_poly
 
 
 def ring(p=5, names=("x", "y", "z"), order=None):
@@ -194,8 +193,9 @@ def test_packed_arithmetic_matches_the_dict_oracle(order, p):
                 engine()
             return False
         got = engine()
-        assert got.terms == tuple(sorted(want.items(), key=lambda t: R.order.key(t[0]), reverse=True))
-        assert [k for k, _, _ in got.packed] == [R.order.key(m) for m, _ in got.terms]
+        key = lambda t: R.order.key(R.codec.pack(t[0]))  # noqa: E731
+        assert got.terms == tuple(sorted(want.items(), key=key, reverse=True))
+        assert [k for k, _, _ in got.packed] == list(map(key, got.terms))
         return True
 
     fits = 0
@@ -310,29 +310,30 @@ def _random_mono(rng, n, hi=6):
 )
 def test_order_axioms(order):
     rng = random.Random(5)
+    pack = _Engine(3).pack
     one = (0, 0, 0)
     for _ in range(300):
         a, b, c = (_random_mono(rng, 3) for _ in range(3))
-        ka, kb = order.key(a), order.key(b)
+        ka, kb = order.key(pack(a)), order.key(pack(b))
         # total order, 1 least
-        assert order.key(one) <= ka
+        assert order.key(pack(one)) <= ka
         # compatible with multiplication
         if ka < kb:
-            assert order.key(mono_mul(a, c)) < order.key(mono_mul(b, c))
+            assert order.key(pack(mono_mul(a, c))) < order.key(pack(mono_mul(b, c)))
         elif ka == kb:
             assert a == b
 
 
 def test_grevlex_tie_break():
-    order = MonomialOrder.grevlex(3)
+    order, pack = MonomialOrder.grevlex(3), _Engine(3).pack
     # x*y > z^2 in grevlex with x > y > z
-    assert order.key((1, 1, 0)) > order.key((0, 0, 2))
+    assert order.key(pack((1, 1, 0))) > order.key(pack((0, 0, 2)))
 
 
 def test_elimination_order_blocks():
-    order = MonomialOrder.elimination(3, 1)
+    order, pack = MonomialOrder.elimination(3, 1), _Engine(3).pack
     # anything with the first variable beats anything without
-    assert order.key((1, 0, 0)) > order.key((0, 9, 9))
+    assert order.key(pack((1, 0, 0))) > order.key(pack((0, 9, 9)))
 
 
 # textbook comparators: 1 when a > b, -1 when a < b, 0 when a == b
@@ -372,27 +373,34 @@ def test_order_key_matches_textbook_comparators(n):
     orders = [(MonomialOrder.lex(n), _lex_cmp), (MonomialOrder.grevlex(n), _grevlex_cmp)]
     orders += [(MonomialOrder.elimination(n, k), _elim_cmp(k)) for k in range(1, n)]
     orders.append((MonomialOrder("lazard", n), _lazard_cmp))
+    packed = [_Engine(n).pack(t) for t in monos]
     for order, cmp in orders:
         key = order.key
-        assert key((0,) * n) == 0
-        for a in monos:
-            ka = key(a)
+        assert key(0) == 0
+        for a, ma in zip(monos, packed):
+            ka = key(ma)
             assert type(ka) is int
-            for b in monos:
-                kb = key(b)
+            for b, mb in zip(monos, packed):
+                kb = key(mb)
                 assert (ka > kb) - (ka < kb) == cmp(a, b), (order, a, b)
-                assert key(tuple(map(add, a, b))) == ka + kb
+                assert key(ma + mb) == ka + kb  # ma + mb is the product
 
 
 def test_terms_sorted_descending():
     R = ring(5)
     f = R.parse("1 + z + y + x + x*y + z^2")
-    keys = [R.order.key(m) for m, _ in f.terms]
+    keys = [R.order.key(R.codec.pack(m)) for m, _ in f.terms]
     assert keys == sorted(keys, reverse=True)
 
 
 # -- counting ----------------------------------------------------------------
 
-@pytest.mark.parametrize("bounds,expected", [((5, 5, 5), 125), ((2, 3), 6), ((0, 4), 0)])
-def test_monomial_count_box(bounds, expected):
-    assert monomial_count_box(bounds) == expected
+@pytest.mark.parametrize("bounds,expected", [((5, 5, 5), 125), ((2, 3), 6), ((1, 4), 4)])
+def test_standard_count_charges_the_box_of_the_pure_powers(bounds, expected):
+    # the box prod [0, b_i) of the pure powers x_i^b_i holds every standard monomial
+    R = PolyRing(field_new(3), tuple(f"v{i}" for i in range(len(bounds))))
+    leads = [R.codec.pack(tuple(b if i == j else 0 for j in range(len(bounds))))
+             for i, b in enumerate(bounds)]
+    with Budget() as budget:
+        assert standard_count(leads, range(len(bounds))) == expected
+    assert budget.used_box == expected
