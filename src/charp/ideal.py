@@ -85,9 +85,10 @@ class Charges:
 class Budget:
     """Resource caps plus usage counters, scoped like decimal.localcontext:
     inside `with budget:` every Buchberger run, standard-monomial count, nu
-    pass and flat-extension box charges `budget`.  Blocks nest, and leaving
-    one, also by an exception, restores the budget it replaced.  Outside any
-    block each such call charges a fresh default Budget.
+    pass, translation to a point and flat-extension box charges `budget`.
+    Blocks nest, and leaving one, also by an exception, restores the budget
+    it replaced.  Outside any block each such call charges a fresh default
+    Budget.
 
     Work done once and read many times lives in a `Shared` store, which
     charges a budget each item once, the first time it reads it, so a
@@ -496,14 +497,8 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     order, which `_buchberger` interreduces alone, with t stripped.  t is
     the first field of a packed monomial, so m << B lifts m and m >> B
     strips t from a t-free m."""
-    ring = I.ring
-    n = ring.nvars
-    B = _FIELD_BITS
-    ext = PolyRing(
-        ring.field,
-        ("#t",) + ring.names,
-        MonomialOrder.elimination(n + 1, 1) if n else MonomialOrder.lex(1),
-    )
+    ring, B = I.ring, _FIELD_BITS
+    ext = PolyRing(ring.field, ("#t",) + ring.names, MonomialOrder.elimination(ring.nvars + 1, 1))
 
     def lift(f: Polynomial) -> Polynomial:
         return ext.from_packed([(m << B, c) for _, m, c in f.packed])
@@ -653,12 +648,20 @@ def local_leading_monomials(I: Ideal, point) -> tuple:
     one coordinate per variable; then homogenize with t, and keep the
     x-parts of the packed leading monomials of a Groebner basis in the
     'lazard' order.  t is the first field, so (m << B) | k is t^k * m, and
-    l >> B strips t from a lead l."""
+    l >> B strips t from a lead l.  A translation turns each term x^m into
+    at most prod (m_j + 1) terms, over the variables whose coordinate is
+    not 0 mod p; each generator's sum of these bounds is charged to the box
+    budget before it is translated.  The origin moves no variable and is
+    not charged."""
     ring = I.ring
     B, degree = _FIELD_BITS, ring.codec.degree
     hom = PolyRing(ring.field, ("#t",) + ring.names, MonomialOrder("lazard", ring.nvars + 1))
+    moved = [j * B for j, a in enumerate(point) if a % ring.p]  # the offsets of moved fields
     gens = []
     for g in I.gens:
+        if moved:
+            active_budget().charge_box(sum(math.prod((m >> o & _FIELD_MASK) + 1 for o in moved)
+                                           for _, m, _ in g.packed))
         f = g.shift(point)
         top = f.degree()
         gens.append(hom.from_packed([((m << B) | (top - degree(m)), c) for _, m, c in f.packed]))

@@ -273,9 +273,18 @@ def validate_job(job: dict, flags: dict | None = None, cap: str | None = None) -
 
 def _component_parts(field, spec: dict, where: str) -> tuple:
     """(ring, generators) of a component entry, parsed without building a
-    basis; a malformed entry is a ParseError naming `where`."""
+    basis; a malformed entry is a ParseError naming `where`.  Each name must
+    parse as its own variable, so no name the engine adjoins, such as #t,
+    can clash with it."""
     try:
         ring = PolyRing(field, tuple(spec["vars"]))
+        for i, name in enumerate(ring.names):
+            try:
+                ok = ring.parse(name) == ring.gen(i)
+            except CharpError:
+                ok = False
+            if not ok:
+                raise ValueError(f"variable name '{name}' is not an identifier")
         return ring, [ring.parse(src) for src in spec["ideal"]]
     except (CharpError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from None
@@ -388,12 +397,10 @@ def _local(job: dict, task: dict, built: Shared):
     return comp.local_at(point), ci, point
 
 
-def _samples(R: RingPresentation, raw) -> list:
-    out = []
+def _samples(job: dict, raw) -> list:
     for s in raw:
-        _check_component(s["component"], len(R.components))
-        out.append(PrimeSample(s["component"], tuple(s["point"])))
-    return out
+        _check_component(s["component"], len(job["components"]))
+    return [PrimeSample(s["component"], tuple(s["point"])) for s in raw]
 
 
 def _record_rows(label, component, point, records) -> list:
@@ -456,7 +463,7 @@ def _run_nu(job, task, built, out):
 def _run_global(job, task, built, out):
     R = _presentation(job, built)
     kind = task["kind"]
-    samples = _samples(R, task["samples"])
+    samples = _samples(job, task["samples"])
     fn = global_hk if kind == "global_hk" else global_fsig
     res = fn(R, samples, task["e_max"])
     gd = res.gamma
@@ -482,14 +489,16 @@ def _run_global(job, task, built, out):
 
 
 def _run_semicontinuity(job, task, built, out):
-    R = _presentation(job, built)
-    special = _samples(R, [task["special"]])[0]
-    nearby = _samples(R, task["nearby"])
-    rep = semicontinuity_probe(R, special, nearby, task["e"])
+    # the probe compares points of one component, and reads only that one
+    special, *nearby = _samples(job, [task["special"], *task["nearby"]])
+    if any(s.component != special.component for s in nearby):
+        raise ValueError("all samples must lie on one component")
+    rep = semicontinuity_probe(_component(job, built, special.component), special.point,
+                               [s.point for s in nearby], task["e"])
     out["ok"] = rep.ok
     out["note"] = rep.note
-    for label, (s, rec) in [("special", rep.special), *(("nearby", n) for n in rep.nearby)]:
-        out["rows"] += _record_rows(f"semicontinuity:{label}", s.component, s.point, [rec])
+    for label, (point, rec) in [("special", rep.special), *(("nearby", n) for n in rep.nearby)]:
+        out["rows"] += _record_rows(f"semicontinuity:{label}", special.component, point, [rec])
     if not rep.ok:
         out["status"] = "error"
         out["error"] = rep.note
@@ -604,7 +613,11 @@ TASKS = {
 
 
 def _reads(task: dict) -> set:
-    """The indices of the components whose shared work a task reads."""
+    """The indices of the components whose shared work a task reads: a
+    local task's, or its samples'.  A global task also reads every
+    component's dimension, which the job finds before any task runs; a
+    semicontinuity task whose samples lie on two components fails before
+    it reads any."""
     if "component" in task:
         return {task["component"]}
     samples = [task["special"], *task["nearby"]] if "special" in task else task["samples"]

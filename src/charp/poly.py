@@ -54,9 +54,10 @@ class MonomialOrder:
 
     kind is one of 'lex', 'grevlex', 'elim', 'lazard'; 'elim' compares a
     leading block of variables first (grevlex within each block), which
-    eliminates the block variables in Groebner bases.  'lazard' orders
-    k[t, x_1..x_m] by degree, then the larger power of t, then grevlex in x
-    (Lazard's method, `ideal.local_leading_monomials`).
+    eliminates the block variables in Groebner bases; a block of every
+    variable is grevlex.  'lazard' orders k[t, x_1..x_m] by degree, then the
+    larger power of t, then grevlex in x (Lazard's method,
+    `ideal.local_leading_monomials`).
 
     Every kind is one integer weight vector w, and key(m) = sum_j t_j * w_j
     for the exponents t_j, the fields of packed m (B = _FIELD_BITS bits per
@@ -77,8 +78,8 @@ class MonomialOrder:
     def __init__(self, kind: str, nvars: int, block: int = 0):
         if kind not in ("lex", "grevlex", "elim", "lazard"):
             raise ValueError(f"unknown monomial order kind '{kind}'")
-        if kind == "elim" and not (0 < block < nvars):
-            raise ValueError("elimination block must be a proper prefix")
+        if kind == "elim" and not (0 < block <= nvars):
+            raise ValueError("elimination block must be a non-empty prefix")
         self.kind = kind
         self.nvars = nvars
         self.block = block

@@ -174,9 +174,7 @@ def check_semicontinuity(points=((1, 1, 1), (1, 4, 2), (4, 1, 2), (4, 4, 1))) ->
     """Normalized lambda_1 is 1 at smooth points of the F_5 cone, more at 0;
     the default points are (s^2, t^2, st) for (s, t) = (1, 1), (1, 2), (2, 1), (2, 3)."""
     R = PolyRing(field_new(5), ("x", "y", "z"))
-    cone = RingPresentation([RingComponent(R, [R.parse(_QUADRIC[0])])])
-    rep = semicontinuity_probe(cone, PrimeSample(0, (0, 0, 0)),
-                               [PrimeSample(0, pt) for pt in points], 1)
+    rep = semicontinuity_probe(RingComponent(R, [R.parse(_QUADRIC[0])]), (0, 0, 0), points, 1)
     _expect(rep.ok and len(rep.nearby) == len(points), "semicontinuity report")
     _expect(all(rec.normalized == 1 < rep.special[1].normalized for _, rec in rep.nearby),
             "normalized lambda_1 at the smooth points")

@@ -9,8 +9,9 @@ collapses to an exact zero.  A sampled extremum is a bound, labelled exact
 only with a proof over all of Spec: that zero, a certified local s = 0 for
 the minimum, or zero ideals, where every point is regular and the value 1.
 The note of an exact value names its proof; any other note names the bound.
-The semicontinuity probe compares raw lambda_e, and blames the engine for a
-failure only where a grading orders the points.
+The semicontinuity probe compares raw lambda_e at points of one component,
+which it alone reads, and blames the engine for a failure only where a
+grading orders the points.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class RingComponent:
 class RingPresentation:
     """Non-empty product of components over one characteristic p."""
 
-    __slots__ = ("components", "p")
+    __slots__ = ("components",)
 
     def __init__(self, components):
         components = tuple(components)
@@ -74,7 +75,6 @@ class RingPresentation:
             if c.ring.p != p:
                 raise ValueError("all components must share the characteristic")
         self.components = components
-        self.p = p
 
     def __repr__(self):
         return " x ".join(repr(c) for c in self.components)
@@ -206,37 +206,35 @@ def global_fsig(R: RingPresentation, samples, e_max: int) -> GlobalInvariantResu
 
 @dataclass(frozen=True)
 class SemicontinuityReport:
-    special: tuple  # (PrimeSample, HKRecord)
-    nearby: tuple  # (PrimeSample, HKRecord) per nearby sample
+    special: tuple  # (point, HKRecord)
+    nearby: tuple  # (point, HKRecord) per nearby point
     ok: bool
     note: str
 
 
-def semicontinuity_probe(R: RingPresentation, special: PrimeSample, nearby,
+def semicontinuity_probe(comp: RingComponent, special: tuple, nearby,
                          e: int) -> SemicontinuityReport:
-    """Check the raw lambda_e(special) >= lambda_e(P) for the nearby samples
-    on one component.  At a rational point lambda_e is mu(F^e_* R), and the
-    locus {mu >= k} is cut out by a Fitting ideal, homogeneous when every
-    generator is homogeneous in total degree, so it holds the origin
-    whenever it holds any point.  Only there is a violation an engine bug.
-    No theorem orders other closed points (Kunz 1976), so elsewhere the
-    note says so, and a violation names the missing order."""
+    """Check the raw lambda_e(special) >= lambda_e(P) for the nearby points
+    P, tuples like special, of the one component comp.  At a rational point
+    lambda_e is mu(F^e_* R), and the locus {mu >= k} is cut out by a Fitting
+    ideal, homogeneous when every generator is homogeneous in total degree,
+    so it holds the origin whenever it holds any point.  Only there is a
+    violation an engine bug.  No theorem orders other closed points (Kunz
+    1976), so elsewhere the note says so, and a violation names the missing
+    order."""
     if not nearby:
         raise ValueError("semicontinuity needs at least one nearby sample")
-    if any(s.component != special.component for s in nearby):
-        raise ValueError("all samples must lie on one component")
-    comp = R.components[special.component]
-    sp, *near = [(s, hk_function(comp.local_at(s.point), e)) for s in [special, *nearby]]
-    above = [(s, rec) for s, rec in near if rec.lam > sp[1].lam]
+    sp, *near = [(pt, hk_function(comp.local_at(pt), e)) for pt in [special, *nearby]]
+    above = [(pt, rec) for pt, rec in near if rec.lam > sp[1].lam]
     degree = comp.ring.codec.degree
-    if not any(a % comp.ring.p for a in special.point) and all(
+    if not any(a % comp.ring.p for a in special) and all(
             len({degree(m) for _, m, _ in g.packed}) <= 1 for g in comp.gens):
         note = ("VIOLATION: semicontinuity failed; this indicates an engine bug" if above
                 else "upper semicontinuity holds on the sample")
     elif above:
-        s, rec = above[0]
-        note = (f"lambda_{e} is {sp[1].lam} at {special.point} and {rec.lam} at "
-                f"{s.point}, but no theorem orders {special.point} against {s.point}")
+        pt, rec = above[0]
+        note = (f"lambda_{e} is {sp[1].lam} at {special} and {rec.lam} at "
+                f"{pt}, but no theorem orders {special} against {pt}")
     else:
         note = ("lambda_e(special) >= lambda_e(P) on the sample, but no theorem "
                 "orders the points: special is not the origin of a graded component")

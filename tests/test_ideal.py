@@ -441,6 +441,12 @@ def test_intersect_is_the_oracles_reduced_basis(p):
         A, B = _random_ideal(rng, R), _random_ideal(rng, R)
         meet = intersect(A, B)
         assert meet.gens == textbook_intersect(A, B) == meet.groebner_basis()
+    # F_p itself, where t is every variable of the elimination ring
+    R0 = ring(p, ())
+    for A in (Ideal(R0, []), Ideal(R0, [R0.const(p - 1)])):
+        for B in (Ideal(R0, []), Ideal(R0, [R0.one()])):
+            meet = intersect(A, B)
+            assert meet.gens == textbook_intersect(A, B) == meet.groebner_basis()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -349,6 +349,61 @@ e_max = 2
 """
 
 
+# an F_5 quadric cone, and a second component whose basis takes 27 pairs to build
+CONE = """\
+p = 5
+[component]
+vars = x y z
+ideal = x*y - z^2
+"""
+
+QUARTICS = """\
+[component]
+vars = x y z w
+ideal = x^3*y + y^3*z + z^3*w + w^3*x + x*y*z; x^2*y^2 + z^4 + w^3*y + 2*x*z*w; \
+x^4 + y*z*w^2 + 3*y^4
+"""
+
+SEMICONTINUITY_ON_THE_CONE = """\
+[task semicontinuity]
+special = 0:(0,0,0)
+nearby = 0:(1,1,1) 0:(1,4,2)
+e = 1
+"""
+
+# the semicontinuity task fits 60 pairs only if it pays for the cone alone
+CONE_AND_QUARTICS_JOB = ("budget_pairs = 60\n" + CONE + QUARTICS + SEMICONTINUITY_ON_THE_CONE
+                         + "[task fedder]\ncomponent = 1\n")
+
+
+@pytest.mark.parametrize("task", [
+    "[task hk]\n", "[task fsig]\n", "[task fedder]\n", "[task pair]\na = x\nt_grid = 0 1/2\n",
+    "[task nu]\na = x\n", "[task flat_check]\n", "[task classify]\n",
+    SEMICONTINUITY_ON_THE_CONE,
+], ids=lambda task: task[6:task.index("]")])
+def test_a_task_on_one_component_pays_for_that_component_alone(task):
+    # the quartics are built before any task runs, and no task on the cone reads them
+    alone, beside = [run_job(validate_job(parse_job_text(text + task)))["tasks"][0]
+                     for text in (CONE, CONE + QUARTICS)]
+    assert alone["status"] == "ok"
+    assert (beside["status"], beside["budget"]) == (alone["status"], alone["budget"])
+
+
+@pytest.mark.parametrize("nearby, error", [
+    pytest.param("1:()", "ValueError: all samples must lie on one component",
+                 id="mixed components"),
+    pytest.param("0:() 7:()", "ValueError: component index 7 out of range (presentation has 2)",
+                 id="nearby out of range"),
+])
+def test_semicontinuity_samples_lie_on_one_component(tmp_path, nearby, error):
+    # the job, not the probe, holds samples to one component
+    path = _write(tmp_path, PRODUCT_JOB.split("[task")[0]
+                  + f"[task semicontinuity]\nspecial = 0:()\nnearby = {nearby}\n")
+    assert main(["run", str(path)]) == 2
+    saved = json.loads((tmp_path / "job.report.json").read_text())
+    assert saved["tasks"][0]["error"] == error
+
+
 def test_task_groups_join_the_tasks_that_share_a_component(monkeypatch):
     job = validate_job(parse_job_text(SHARED_POINTS_JOB))
     # (4,4,4) shares no point with another task, but it shares component 0
@@ -399,7 +454,8 @@ component = 1
 def test_parallel_jobs_match_sequential():
     # one group of tasks, which runs in-process, and two on a pool each;
     # the tasks that read a component's shared work run on one worker
-    for text in (QUADRIC_JOB, SHARED_POINTS_JOB, TWISTED_CUBIC_AND_QUADRIC_JOB):
+    for text in (QUADRIC_JOB, SHARED_POINTS_JOB, TWISTED_CUBIC_AND_QUADRIC_JOB,
+                 CONE_AND_QUARTICS_JOB):
         job = validate_job(parse_job_text(text))
         seq = run_job(job)
         par = run_job(job | {"jobs": 2})
@@ -920,6 +976,20 @@ def test_huge_pair_power_hits_the_box_budget_quickly(tmp_path):
     assert saved["tasks"][0]["error"].startswith("ResourceBudgetError: ")
 
 
+def test_a_huge_translation_hits_the_box_budget_before_it_runs(tmp_path):
+    # x^1500*y^1500 at (1, 1) expands into 1501^2 terms; that bound is
+    # charged before the generator is translated
+    path = _write(tmp_path, "p = 10007\n[component]\nvars = x y\n"
+                            "ideal = x^1500*y^1500 - 1; x*y - 1\n[task hk]\npoint = 1 1\n")
+    t0 = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - t0 < 2
+    saved = json.loads((tmp_path / "job.report.json").read_text())
+    assert saved["tasks"][0]["error"] == (
+        "ResourceBudgetError: resource budget exceeded: "
+        "standard monomial box used 2253002 > limit 1000000")
+
+
 @pytest.mark.parametrize("k", [600, 10**9])
 def test_many_extra_vars_hit_the_box_budget_at_once(tmp_path, k):
     # every box over the extension holds at least 3^k monomials; that bound is
@@ -994,6 +1064,11 @@ def test_classify_counts_the_basis_its_dimension_comes_from():
                  id="unknown variable"),
     pytest.param("vars = x x\nideal = x\n", "component 1: duplicate variable names",
                  id="duplicate variable"),
+    # the engine adjoins variables named #t, #t1, ..., which no name can clash with
+    pytest.param("vars = #t y z w\nideal = y*w - z^2\n",
+                 "component 1: variable name '#t' is not an identifier", id="engine name"),
+    pytest.param("vars = x 2y\nideal = x\n",
+                 "component 1: variable name '2y' is not an identifier", id="leading digit"),
     # minimal primes are no longer declared: the key is unknown
     pytest.param("vars = x y\nideal = x*y\nmin_primes = x | y\n",
                  "line 8: unknown key 'min_primes'", id="bad min_primes"),
@@ -1009,6 +1084,13 @@ def test_malformed_component_exits_1(tmp_path, capsys, monkeypatch, component, m
     assert main(["run", str(path)]) == 1
     assert f"charp: job parse error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.report.*"))
+
+
+@pytest.mark.parametrize("name", ["#t1", "x y", "", "(x)"])
+def test_a_json_variable_name_must_be_an_identifier(name):
+    with pytest.raises(ParseError, match=re.escape(
+            f"component 0: variable name '{name}' is not an identifier")):
+        validate_job({"p": 3, "components": [{"vars": ["x", name]}]})
 
 
 def test_cli_parse_error_exits_1(tmp_path):

@@ -371,7 +371,7 @@ def test_order_key_matches_textbook_comparators(n):
     monos = [(0,) * n] + [tuple(rng.choice(exponents)() for _ in range(n))
                           for _ in range(60)]
     orders = [(MonomialOrder.lex(n), _lex_cmp), (MonomialOrder.grevlex(n), _grevlex_cmp)]
-    orders += [(MonomialOrder.elimination(n, k), _elim_cmp(k)) for k in range(1, n)]
+    orders += [(MonomialOrder.elimination(n, k), _elim_cmp(k)) for k in range(1, n + 1)]
     orders.append((MonomialOrder("lazard", n), _lazard_cmp))
     packed = [_Engine(n).pack(t) for t in monos]
     for order, cmp in orders:

@@ -184,17 +184,16 @@ def test_global_ties_pick_the_first_sample():
 # -- semicontinuity ----------------------------------------------------------
 
 def test_semicontinuity_quadric():
-    R = RingPresentation([component(5, ("x", "y", "z"), ["x*y - z^2"])])
+    comp = component(5, ("x", "y", "z"), ["x*y - z^2"])
     rng = random.Random(5)
     nearby = []
     while len(nearby) < 5:
         s, t = rng.randint(0, 4), rng.randint(0, 4)
         if (s, t) != (0, 0):
-            pt = ((s * s) % 5, (t * t) % 5, (s * t) % 5)
-            nearby.append(PrimeSample(0, pt))
-    rep = semicontinuity_probe(R, PrimeSample(0, (0, 0, 0)), nearby, e=1)
+            nearby.append(((s * s) % 5, (t * t) % 5, (s * t) % 5))
+    rep = semicontinuity_probe(comp, (0, 0, 0), nearby, e=1)
     assert rep.ok
-    assert rep.special[0] == PrimeSample(0, (0, 0, 0))
+    assert rep.special[0] == (0, 0, 0)
     assert rep.special[1].normalized > 1
     assert [s for s, _ in rep.nearby] == nearby
     for _, rec in rep.nearby:
@@ -202,46 +201,36 @@ def test_semicontinuity_quadric():
 
 
 def test_semicontinuity_regular_constant():
-    R = RingPresentation([component(5, ("x", "y"), [])])
-    rep = semicontinuity_probe(
-        R, PrimeSample(0, (0, 0)), [PrimeSample(0, (1, 2))], e=1)
+    rep = semicontinuity_probe(component(5, ("x", "y"), []), (0, 0), [(1, 2)], e=1)
     assert rep.ok and rep.special[1].normalized == 1
 
 
 def test_semicontinuity_e0():
     # lambda_e is defined for e >= 1 only, as a job's `e` key requires
-    R = RingPresentation([component(5, ("x", "y"), ["x*y"])])
     with pytest.raises(ValueError, match="e must be at least 1"):
-        semicontinuity_probe(R, PrimeSample(0, (0, 0)), [PrimeSample(0, (1, 0))], e=0)
-
-
-def test_semicontinuity_rejects_mixed_components():
-    R = RingPresentation([fp_point(5), fp_point(5)])
-    with pytest.raises(ValueError):
-        semicontinuity_probe(R, PrimeSample(0, ()), [PrimeSample(1, ())], e=1)
+        semicontinuity_probe(component(5, ("x", "y"), ["x*y"]), (0, 0), [(1, 0)], e=0)
 
 
 def test_semicontinuity_rejects_an_empty_nearby():
     # with nothing compared, "holds on the sample" would be vacuous
-    R = RingPresentation([component(5, ("x", "y"), ["x*y"])])
     with pytest.raises(ValueError, match="at least one nearby sample"):
-        semicontinuity_probe(R, PrimeSample(0, (0, 0)), [], e=1)
+        semicontinuity_probe(component(5, ("x", "y"), ["x*y"]), (0, 0), [], e=1)
 
 
 def test_semicontinuity_compares_raw_lambda_across_local_dimensions():
     # a plane and a doubled line over F_3: the origin has d = 2 and (1,0,0)
     # has d = 1, so the normalized values, 35/27 against 3 at e = 2, are not
     # comparable, but the raw lambda_e is ordered with no equidimensionality
-    R = RingPresentation([component(3, ("x", "y", "z"), ["x*y^2", "x*y*z", "x*z^2"])])
+    comp = component(3, ("x", "y", "z"), ["x*y^2", "x*y*z", "x*z^2"])
     for e, lams in [(1, (15, 9)), (2, (105, 27))]:
-        rep = semicontinuity_probe(R, PrimeSample(0, (0, 0, 0)), [PrimeSample(0, (1, 0, 0))], e)
+        rep = semicontinuity_probe(comp, (0, 0, 0), [(1, 0, 0)], e)
         assert (rep.special[1].lam, rep.nearby[0][1].lam) == lams
         assert rep.ok and rep.note == "upper semicontinuity holds on the sample"
 
 
 def test_semicontinuity_pass_off_a_graded_origin_says_no_theorem_orders_the_points():
-    R = RingPresentation([component(3, ("x", "y", "z"), ["x*y - z^2"])])
-    rep = semicontinuity_probe(R, PrimeSample(0, (1, 1, 1)), [PrimeSample(0, (2, 2, 1))], e=1)
+    rep = semicontinuity_probe(component(3, ("x", "y", "z"), ["x*y - z^2"]),
+                               (1, 1, 1), [(2, 2, 1)], e=1)
     assert rep.ok and "no theorem orders the points" in rep.note
 
 
@@ -269,8 +258,7 @@ def test_a_violation_blames_the_engine_only_on_a_certified_component(
         return dataclasses.replace(rec, lam=rec.lam + 10) if L.point == nearby else rec
 
     monkeypatch.setattr(charp.spectrum, "hk_function", inflated)
-    rep = semicontinuity_probe(RingPresentation([comp]), PrimeSample(0, special),
-                               [PrimeSample(0, nearby)], e=1)
+    rep = semicontinuity_probe(comp, special, [nearby], e=1)
     assert not rep.ok
     assert ("engine bug" in rep.note) == blamed
     assert rep.note.endswith(f"no theorem orders {special} against {nearby}") == (not blamed)
