@@ -23,6 +23,15 @@ is labelled by its last step against the fixed CONVERGENCE_THRESHOLD.
 Equal values alone prove nothing: F_2[x,y,z]/(xz, x^2y^2) at the origin
 has lambda_e/q^2 = 3/2, 3/2, 21/16, ... and e_HK = e(R) = 1.
 
+`classify` reads its exact flags from the same records: regularity is
+lambda_1 = p^d, F-purity a_1 > 0, and where R_m is certified Cohen-Macaulay
+(a complete intersection, `_is_ci`) it checks the integer law of
+Huneke-Leuschke, lambda_e - q^d <= (e(R) - 1)(q^d - a_e), at every e and
+raises on a violation, like Kunz's bound.  Elsewhere the law has no
+hypothesis to stand on and is not reported: the F_2 ring above is not
+Cohen-Macaulay.  Only the prediction of strong F-regularity reads an
+estimate.
+
 F-purity, splitting numbers and pairs read one multiplier (I^[q] : I): by
 Fedder's lemma (F^(q-1)), F = f_1...f_c, when the generators are a complete
 intersection at the point, else a colon by elimination.  Every splitting
@@ -71,8 +80,6 @@ from .ideal import (
     standard_count,
 )
 from .poly import EXPONENT_LIMIT, poly_pow
-
-HL_TOLERANCE = Fraction(5, 100)
 
 
 class LocalRingAtPoint:
@@ -163,9 +170,7 @@ class LimitEstimate:
     """
 
     value: Fraction
-    e_used: int
     raw: tuple
-    successive_diffs: tuple
     confidence: str
     records: tuple  # the HKRecords or SplitRecords behind raw
 
@@ -175,24 +180,24 @@ CONVERGENCE_THRESHOLD = 1e-2
 
 
 def _extrapolate(records, p: int, lo, hi=None) -> LimitEstimate:
-    """The estimate from the records of e = 1, 2, ...: a normalized value 1
-    at e = 1 certifies the limit 1, and every value must then be 1."""
+    """The estimate from the records of e = 1, 2, ...: a normalized value 0
+    or 1 at e = 1 certifies that limit, and every value must then be it."""
     values = [r.normalized if isinstance(r, HKRecord) else r.s_e for r in records]
-    diffs = tuple(b - a for a, b in zip(values, values[1:]))
-    if values[0] == 1:
-        if any(v != 1 for v in values):
-            raise RuntimeError(f"normalized values {values} leave 1 after a certificate of 1")
-        return LimitEstimate(values[0], len(values), tuple(values), diffs, "exact", tuple(records))
+    if values[0] in (0, 1):
+        if any(v != values[0] for v in values):
+            raise RuntimeError(f"normalized values {values} leave {values[0]} after a certificate")
+        return LimitEstimate(values[0], tuple(values), "exact", tuple(records))
     # model v_e = v + c/p^e fitted on the last two points, clamped to the
     # invariant's a-priori range (the model can overshoot when the true
     # error term decays faster than 1/q)
-    value = values[-1] + (values[-1] - values[-2]) / (p - 1)
+    step = values[-1] - values[-2]
+    value = values[-1] + step / (p - 1)
     if value < lo:
         value = Fraction(lo)
     if hi is not None and value > hi:
         value = Fraction(hi)
-    conf = "converged" if abs(float(diffs[-1])) < CONVERGENCE_THRESHOLD else "inconclusive"
-    return LimitEstimate(value, len(values), tuple(values), diffs, conf, tuple(records))
+    conf = "converged" if abs(float(step)) < CONVERGENCE_THRESHOLD else "inconclusive"
+    return LimitEstimate(value, tuple(values), conf, tuple(records))
 
 
 def _frobenius(L: LocalRingAtPoint, e: int) -> tuple:
@@ -321,9 +326,8 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int) -> LimitEstimate:
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
     recs = [splitting_number(L, 1)]
-    if recs[0].a_e == 0:
-        return LimitEstimate(Fraction(0), 1, (Fraction(0),), (), "exact", tuple(recs))
-    recs += [splitting_number(L, e) for e in range(2, e_max + 1)]
+    if recs[0].a_e:
+        recs += [splitting_number(L, e) for e in range(2, e_max + 1)]
     return _extrapolate(recs, L.p, lo=0, hi=1)
 
 
@@ -388,9 +392,7 @@ class DiagnosticFlags:
     hilbert_samuel: int
     threshold: Fraction
     predicted_sfr_gorenstein: bool
-    hl_satisfied: bool
-    hl_near_equality: bool | None
-    hl_note: str
+    hl_satisfied: bool | None  # None where R_m is not certified Cohen-Macaulay
     basis: str = "limit flags are estimate-based, never proved"
 
     def as_dict(self) -> dict:
@@ -401,35 +403,46 @@ class DiagnosticFlags:
 
 
 def classify(L: LocalRingAtPoint, e_max: int) -> DiagnosticFlags:
-    """Diagnostic flags: exact regularity test (lambda_1 = p^d), Fedder
-    F-purity, the strict small-multiplicity bound e_HK < 1 + max{1/d!,
-    1/e(R)} on the estimate (the node F_p[x,y]/(xy) sits on it, with
-    e_HK = 2, and is not strongly F-regular), and the multiplicity bound
-    (e(R)-1)(1-s) >= e_HK - 1 on the estimates.  Strong F-regularity
-    implies F-purity, so only an F-pure ring is predicted."""
+    """Diagnostic flags, read from the records of `hk_estimate`,
+    `fsig_estimate` and `multiplicity`; only `predicted_sfr_gorenstein` reads
+    an estimate.
+
+    - `regular` is lambda_1 = p^d (Kunz).
+    - `f_pure` is a_1 > 0.  a_1 = lambda(S/m^[p]) - lambda(S/(m^[p] + U))
+      for Fedder's multiplier U = (I^[p] : I), so it is positive exactly when
+      U is not inside m^[p], which is Fedder's criterion.
+    - `hl_satisfied` is True once the integer law of Huneke-Leuschke,
+      lambda_e - q^d <= (e(R) - 1)(q^d - a_e), has been checked at every
+      e <= e_max, where R_m is certified Cohen-Macaulay (`_is_ci`); else
+      None.  Proof: write F^e_*R as the direct sum of R^(a_e) and M.  It is
+      maximal Cohen-Macaulay, so M is too, and mu(M) <= e(m, M) =
+      (q^d - a_e) e(R), since e(m, F^e_*R) = q^d e(R) at a rational point
+      over the perfect field F_p; and lambda_e = mu(F^e_*R) = a_e + mu(M).
+      Divided by q^d, the law tends to (e(R) - 1)(1 - s) >= e_HK - 1.  A
+      violation is an engine bug and raises, like Kunz's bound.  Off the
+      hypothesis the law can fail: at the origin of F_3[x,y,z]/(xz, yz).
+    - `predicted_sfr_gorenstein` is the strict small-multiplicity bound
+      e_HK < 1 + max{1/d!, 1/e(R)} on the estimate (the node F_p[x,y]/(xy)
+      sits on it, with e_HK = 2, and is not strongly F-regular), for an
+      F-pure ring only, since strong F-regularity implies F-purity."""
     hk = hk_estimate(L, e_max)
-    regular = hk.records[0].lam == L.p**L.d
-    f_pure = fedder_is_fpure(L)
     fsig = fsig_estimate(L, e_max)
     e_hs = multiplicity(L)
     threshold = 1 + max(Fraction(1, math.factorial(L.d)), Fraction(1, e_hs))
-    if e_hs == 1:
-        hl_satisfied, hl_near, hl_note = True, None, "vacuous (e(R) = 1)"
-    else:
-        lhs = (e_hs - 1) * (1 - fsig.value)
-        rhs = hk.value - 1
-        hl_satisfied = lhs >= rhs - HL_TOLERANCE
-        hl_near = abs(lhs - rhs) <= HL_TOLERANCE
-        hl_note = f"(e-1)(1-s) = {lhs}, e_HK - 1 = {rhs}"
+    f_pure = fsig.records[0].a_e > 0
+    if cohen_macaulay := _is_ci(L):
+        # a_1 = 0 ends fsig's records: R is not F-split, so every a_e is 0
+        for r, a_e in zip(hk.records, [s.a_e for s in fsig.records] + [0] * e_max):
+            if r.lam - r.q**L.d > (e_hs - 1) * (r.q**L.d - a_e):
+                raise RuntimeError(f"lambda_{r.e} = {r.lam} and a_{r.e} = {a_e} break lambda_e - q^d "
+                                   f"<= (e(R) - 1)(q^d - a_e) for e(R) = {e_hs}")
     return DiagnosticFlags(
-        regular=regular,
+        regular=hk.records[0].lam == L.p**L.d,
         f_pure=f_pure,
         hk=hk,
         fsig=fsig,
         hilbert_samuel=e_hs,
         threshold=threshold,
         predicted_sfr_gorenstein=f_pure and hk.value < threshold,
-        hl_satisfied=hl_satisfied,
-        hl_near_equality=hl_near,
-        hl_note=hl_note,
+        hl_satisfied=True if cohen_macaulay else None,
     )

@@ -340,9 +340,9 @@ def _fraction_cell(x: Fraction) -> dict:
 def _estimate_payload(est) -> dict:
     return {
         "value": _fraction_cell(est.value),
-        "e_used": est.e_used,
+        "e_used": len(est.raw),
         "raw": [_fraction_cell(v) for v in est.raw],
-        "successive_diffs": [_fraction_cell(v) for v in est.successive_diffs],
+        "successive_diffs": [_fraction_cell(b - a) for a, b in zip(est.raw, est.raw[1:])],
         "confidence": est.confidence,
     }
 
@@ -603,11 +603,11 @@ TASKS = {
         "integer-exactly for each e (Kunz's flat comparison with equality)."
     )),
     "classify": TaskKind(_LIMIT, _NONE, _run_classify, (
-        "flags: regular (lambda_1 = p^d, exact), F-pure (Fedder),\n"
-        "small-multiplicity prediction F-pure and e_HK < 1 + max{1/d!, 1/e(R)}\n"
-        "(strongly F-regular and Gorenstein), and the bound\n"
-        "(e(R)-1)(1-s) >= e_HK - 1 (Huneke-Leuschke).  Limit-based flags are\n"
-        "estimate-based, never proofs."
+        "flags: regular (lambda_1 = p^d) and F-pure (a_1 > 0, Fedder), exact;\n"
+        "hl_satisfied, the law lambda_e - q^d <= (e(R)-1)(q^d - a_e) of\n"
+        "Huneke-Leuschke checked at every e, or null where R_m is not certified\n"
+        "Cohen-Macaulay; and the estimate-based prediction (strongly F-regular\n"
+        "and Gorenstein) F-pure and e_HK < 1 + max{1/d!, 1/e(R)}."
     ), least_e_max=2),
 }
 

@@ -1,16 +1,17 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here avoids the engine's Groebner machinery: dense F_p linear
-algebra (numpy), direct box enumeration, and exponent arithmetic on
-monomial ideals.  The exceptions are earlier engine routes kept to
-cross-check their replacements: parts_colon, nu_binary_search,
-hilbert_samuel_table, the Jacobian test is_smooth_point, and the
-exponent-tuple dict arithmetic dict_sum, dict_product and dict_power.
+algebra (numpy), direct box enumeration, exponent arithmetic on monomial
+ideals, and face counts of simplicial complexes.  The exceptions are
+earlier engine routes kept to cross-check their replacements:
+parts_colon, nu_binary_search, hilbert_samuel_table, the Jacobian test
+is_smooth_point, and the exponent-tuple dict arithmetic dict_sum,
+dict_product and dict_power.
 Monomials here are exponent tuples, multiplied, divided and lcm'd by the
 helpers below, which share no code with the engine's packed monomials.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -367,3 +368,13 @@ def is_smooth_point(comp, point) -> bool:
     rows = [[g.derivative(j).evaluate(L.point) for j in range(L.ring.nvars)]
             for g in L.gens]
     return modp_rank(rows, L.p) == L.ring.nvars - L.d
+
+
+def stanley_reisner_lambda(nonfaces, n: int, q: int) -> int:
+    """lambda(S/(I + m^[q])) for the Stanley-Reisner ideal I of the simplicial
+    complex on vertices 0..n-1 whose minimal non-faces are `nonfaces`
+    (tuples of vertices).  The standard monomials of S/(I + m^[q]) are the
+    monomials with exponents below q whose support is a face F, and there are
+    (q - 1)^|F| of them for each F."""
+    return sum((q - 1) ** k for k in range(n + 1) for F in combinations(range(n), k)
+               if not any(set(N) <= set(F) for N in nonfaces))

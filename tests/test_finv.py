@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -26,7 +26,7 @@ from charp.finv import (
 )
 from charp.poly import PolyRing
 
-from oracles import multiplication_image_rank
+from oracles import multiplication_image_rank, stanley_reisner_lambda
 
 
 def local(p, names, srcs, point=None):
@@ -77,7 +77,8 @@ def test_hk_node_estimate_converges_to_2():
         est = hk_estimate(L, 3)
         assert est.value == 2  # the 1/q model is exact for lambda = 2q - 1
         # successive differences shrink by a factor ~1/p
-        d1, d2 = est.successive_diffs
+        v1, v2, v3 = est.raw
+        d1, d2 = v2 - v1, v3 - v2
         assert abs(float(d2 / d1) - 1 / p) < 0.05
 
 
@@ -551,7 +552,7 @@ def test_segre_cone_values():
         assert abs(float(fs.value) - 2 / 3) < 0.02
         flags = classify(L, 2)
         assert flags.hilbert_samuel == 2
-        assert flags.hl_satisfied and flags.hl_near_equality
+        assert flags.hl_satisfied  # with equality: lambda_e + a_e = 2 q^d above
 
 
 # -- pairs -------------------------------------------------------------------
@@ -743,7 +744,7 @@ def test_classify_regular():
     flags = classify(local(5, ("x", "y"), []), 2)
     assert flags.regular and flags.f_pure
     assert flags.hilbert_samuel == 1
-    assert flags.hl_satisfied and flags.hl_note.startswith("vacuous")
+    assert flags.hl_satisfied is True  # lambda_e - q^d = 0 <= 0
 
 
 def test_classify_quadric():
@@ -752,7 +753,9 @@ def test_classify_quadric():
     assert flags.f_pure
     assert flags.hilbert_samuel == 2
     assert flags.hl_satisfied
-    assert flags.hl_near_equality  # (2-1)(1-1/2) = 1/2 = 3/2 - 1
+    # the law holds with equality at every e: (2-1)(q^d - a_e) = lambda_e - q^d
+    for h, s in zip(flags.hk.records, flags.fsig.records):
+        assert h.lam - h.q**2 == s.q**2 - s.a_e
 
 
 def test_classify_non_fpure_cubic():
@@ -768,6 +771,101 @@ def test_classify_predicts_strong_f_regularity_only_when_f_pure():
     assert not flags.f_pure
     assert flags.hk.value == Fraction(3, 2) < flags.threshold == 2
     assert flags.predicted_sfr_gorenstein is False
+
+
+def test_classify_hl_law_is_an_equality_on_the_f3_quadric():
+    # lambda_e - q^d <= (e(R) - 1)(q^d - a_e): 13 - 9 = 4 = 9 - 5 and
+    # 121 - 81 = 40 = 81 - 41
+    flags = classify(local(3, ("x", "y", "z"), ["x*y - z^2"]), 2)
+    assert [r.lam for r in flags.hk.records] == [13, 121]
+    assert [r.a_e for r in flags.fsig.records] == [5, 41]
+    assert flags.hilbert_samuel == 2 and flags.hl_satisfied is True
+
+
+def test_classify_reports_no_hl_law_off_a_complete_intersection():
+    # the F_2 ring is not Cohen-Macaulay: its hk estimate 3/2 exceeds e(R) = 1
+    flags = classify(local(2, ("x", "y", "z"), ["x*z", "x^2*y^2"]), 2)
+    assert flags.hilbert_samuel == 1 and flags.hk.value == Fraction(3, 2)
+    assert flags.hl_satisfied is None
+    # two planes meeting in a line over F_3 break the law at e = 1, so the
+    # hypothesis is needed and a failure off it is no engine bug
+    L = local(3, ("x", "y", "z"), ["x*z", "y*z"])
+    flags = classify(L, 2)
+    lam, a = hk_function(L, 1).lam, splitting_number(L, 1).a_e
+    assert lam - 3**L.d > (flags.hilbert_samuel - 1) * (3**L.d - a)
+    assert flags.hl_satisfied is None
+
+
+def test_classify_raises_when_the_hl_law_breaks(monkeypatch):
+    # one more free summand at e = 2 than the quadric has breaks 40 <= 40
+    import dataclasses
+
+    import charp.finv as finv
+
+    def one_more_a2(L, e_max, _fn=finv.fsig_estimate):
+        est = _fn(L, e_max)
+        a1, a2 = est.records
+        return dataclasses.replace(est, records=(a1, dataclasses.replace(a2, a_e=a2.a_e + 1)))
+
+    monkeypatch.setattr(finv, "fsig_estimate", one_more_a2)
+    with pytest.raises(RuntimeError, match=r"lambda_2 = 121 and a_2 = 42 break"):
+        classify(local(3, ("x", "y", "z"), ["x*y - z^2"]), 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_classify_integer_laws_on_random_ideals(p):
+    # random ideals at the origin: the HL law is checked exactly at the
+    # complete intersections, and in every local ring F^e_*R needs at most
+    # lambda_1^2 generators at e = 2 and has at least a_1^2 free summands
+    import random
+
+    rng = random.Random(31 + p)
+    R = PolyRing(field_new(p), ("x", "y", "z"))
+    monos = [m for m in product(range(3), repeat=3) if 0 < sum(m) <= 3]
+    checked = {True: 0, None: 0}
+    for _ in range(50):
+        gens = [R.from_dict({rng.choice(monos): rng.randint(1, p - 1)
+                             for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(1, 3))]
+        L = LocalRingAtPoint(Ideal(R, gens), (0, 0, 0))
+        flags = classify(L, 2)
+        assert flags.hl_satisfied is (True if _is_ci(L) else None), gens
+        checked[flags.hl_satisfied] += 1
+        lam = [r.lam for r in flags.hk.records]
+        a = [r.a_e for r in flags.fsig.records] + [0]
+        assert lam[1] <= lam[0] ** 2 and a[1] >= a[0] ** 2, gens
+    assert min(checked.values()) >= 5, checked
+
+
+def _complexes(n):
+    """Every simplicial complex on the vertices 0..n-1, each a vertex, as its
+    antichain of minimal non-faces (sets of at least 2 vertices)."""
+    sets = [F for k in range(2, n + 1) for F in combinations(range(n), k)]
+    for chosen in product((False, True), repeat=len(sets)):
+        N = [F for F, c in zip(sets, chosen) if c]
+        if not any(set(A) < set(B) for A in N for B in N):
+            yield N
+
+
+def test_stanley_reisner_lambda_and_hl_flag():
+    # lambda_e against the face count at p = 2, 3 and e = 1, 2; a monomial
+    # ideal is a complete intersection iff its minimal generators have
+    # disjoint supports, and exactly there the HL law is checked
+    count = ci = 0
+    for n in (2, 3, 4):
+        names = ("x", "y", "z", "w")[:n]
+        for N in _complexes(n):
+            count += 1
+            disjoint = sum(map(len, N)) == len(set().union(*N))
+            ci += disjoint
+            for p in (2, 3):
+                R = PolyRing(field_new(p), names)
+                gens = [R.parse("*".join(names[i] for i in F)) for F in N]
+                flags = classify(LocalRingAtPoint(Ideal(R, gens), (0,) * n), 2)
+                assert [r.lam for r in flags.hk.records] == \
+                    [stanley_reisner_lambda(N, n, p**e) for e in (1, 2)], (N, p)
+                assert flags.hl_satisfied is (True if disjoint else None), (N, p)
+    assert (count, ci) == (125, 22)  # OEIS A006126: 2 + 9 + 114 complexes
 
 
 # -- the Frobenius cache on the local ring -----------------------------------
@@ -795,7 +893,7 @@ def test_fsig_walks_the_ci_chain_once(monkeypatch):
 
 
 def test_classify_reads_one_multiplier_per_q(monkeypatch):
-    # Fedder and a_1 share (I^[3] : I); a_2 adds (I^[9] : I)
+    # F-purity is a_1 > 0, read from (I^[3] : I); a_2 adds (I^[9] : I)
     L = local(3, *_TWISTED_CUBIC)
     calls = _counted(monkeypatch)
     flags = classify(L, 2)

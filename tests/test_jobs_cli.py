@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -177,7 +178,10 @@ def test_run_job_quadric():
     v1, v2 = (float(r["norm"]["decimal"]) for r in rows)
     assert abs(v2 - 1.5) < abs(v1 - 1.5) < 0.011
     flags = report["tasks"][1]["flags"]
-    assert flags["hl_satisfied"] and flags["hl_near_equality"]
+    assert flags["hl_satisfied"] is True
+    # the law holds with equality: lambda_e/q^d - 1 = 1 - a_e/q^d at every e
+    assert [Fraction(h["fraction"]) + Fraction(s["fraction"])
+            for h, s in zip(flags["hk"]["raw"], flags["fsig"]["raw"])] == [2, 2]
 
 
 def test_run_job_product_global():
