@@ -29,7 +29,6 @@ from .finv import (
 from .spectrum import (
     PrimeSample,
     RingComponent,
-    RingPresentation,
     flat_extension_check,
     gamma_data,
     global_fsig,
@@ -45,7 +44,7 @@ __all__ = [
     "LocalRingAtPoint", "classify", "fedder_is_fpure", "fsig_estimate",
     "hk_estimate", "hk_function", "multiplicity", "nu_invariant",
     "pair_splitting_number", "splitting_ideal", "splitting_number",
-    "PrimeSample", "RingComponent", "RingPresentation",
+    "PrimeSample", "RingComponent",
     "flat_extension_check", "gamma_data", "global_fsig", "global_hk",
     "semicontinuity_probe",
 ]

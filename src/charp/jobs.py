@@ -39,7 +39,6 @@ from .poly import PolyRing
 from .spectrum import (
     PrimeSample,
     RingComponent,
-    RingPresentation,
     flat_extension_check,
     global_fsig,
     global_hk,
@@ -103,7 +102,8 @@ def _positive(default) -> _KeyType:
 _NAMES = _KeyType(str.split, _list_of(lambda v: isinstance(v, str)), "a list of strings")
 _POLYS = _KeyType(_gens, _NAMES.check, "a list of polynomial strings")
 _SAMPLES = _KeyType(lambda text: [_sample(tok) for tok in text.split()],
-                   _list_of(_is_sample), "a list of samples comp:(c1,c2,...)")
+                   lambda v: v != [] and _list_of(_is_sample)(v),
+                   "a non-empty list of samples comp:(c1,c2,...)")
 
 # the one table of settings: type, valid range and constant default of each key
 _KEY_TYPES = {
@@ -125,8 +125,7 @@ _KEY_TYPES = {
     "t_grid": _KeyType(str.split, lambda v: v != [] and _list_of(_is_rational)(v),
                        "a non-empty list of rational strings >= 0", ["0"]),
     "samples": _SAMPLES,
-    "nearby": _SAMPLES._replace(check=lambda v: v != [] and _SAMPLES.check(v),
-                                expected="a non-empty list of samples comp:(c1,c2,...)"),
+    "nearby": _SAMPLES,
     "special": _KeyType(_sample, _is_sample, "a sample comp:(c1,c2,...)"),
 }
 
@@ -324,11 +323,6 @@ def _component(job: dict, built: Shared, index: int) -> RingComponent:
     return built.get(index, lambda: _build_component(job, index))
 
 
-def _presentation(job: dict, built: Shared) -> RingPresentation:
-    """Every component, for the tasks that read them all."""
-    return RingPresentation(_component(job, built, i) for i in range(len(job["components"])))
-
-
 def _fraction_cell(x: Fraction) -> dict:
     x = Fraction(x)
     return {
@@ -460,12 +454,16 @@ def _run_nu(job, task, built, out):
     out["nu"] = nu_invariant(L, _ideal(L.ring, task["a"]), task["e"])
 
 
+def _sample_cell(s: PrimeSample) -> dict:
+    return {"component": s.component, "point": list(s.point)}
+
+
 def _run_global(job, task, built, out):
-    R = _presentation(job, built)
+    components = [_component(job, built, i) for i in range(len(job["components"]))]
     kind = task["kind"]
     samples = _samples(job, task["samples"])
     fn = global_hk if kind == "global_hk" else global_fsig
-    res = fn(R, samples, task["e_max"])
+    res = fn(components, samples, task["e_max"])
     gd = res.gamma
     out["gamma"] = {
         "dims": list(gd.dims),
@@ -476,14 +474,8 @@ def _run_global(job, task, built, out):
     out["value"] = _fraction_cell(res.value)
     out["exact"] = res.exact
     out["bound_note"] = res.note
-    out["arg_sample"] = None if res.arg_sample is None else {
-        "component": res.arg_sample.component,
-        "point": list(res.arg_sample.point),
-    }
-    out["excluded_samples"] = [
-        {"component": s.component, "point": list(s.point)}
-        for s in res.excluded
-    ]
+    out["arg_sample"] = None if res.arg_sample is None else _sample_cell(res.arg_sample)
+    out["excluded_samples"] = [_sample_cell(s) for s in res.excluded]
     for s, est in res.per_sample:
         out["rows"] += _record_rows(kind, s.component, s.point, est.records)
 
@@ -575,17 +567,18 @@ TASKS = {
     )),
     "global_hk": TaskKind(frozenset({"samples", "e_max"}),
                           frozenset({"samples"}), _run_global, (
-        "max of the local Hilbert-Kunz estimates over sampled primes on the\n"
-        "gamma-attaining locus; a lower bound for the global value under\n"
-        "incomplete sampling, exact only with a proof that the note names.\n"
-        "Off-locus samples are excluded."
+        "max of the local Hilbert-Kunz estimates over the sampled primes whose\n"
+        "local ring has dimension gamma, the one locus test; a lower bound for the\n"
+        "global value under incomplete sampling, exact only with a proof that the\n"
+        "note names.  A sample that is not a point of its component is an error."
     ), least_e_max=2),
     "global_fsig": TaskKind(frozenset({"samples", "e_max"}),
                             frozenset({"samples"}), _run_global, (
         "min of the local F-signature estimates over sampled primes; exactly 0\n"
         "whenever some component or sampled local ring misses the global gamma.\n"
-        "An upper bound for the global value under incomplete sampling,\n"
-        "exact only with a proof that the note names."
+        "An upper bound for the global value under incomplete sampling, exact only\n"
+        "with a proof that the note names.  A sample that is not a point of its\n"
+        "component is an error."
     ), least_e_max=2),
     "semicontinuity": TaskKind(frozenset({"special", "nearby", "e"}),
                                frozenset({"special", "nearby"}), _run_semicontinuity, (

@@ -43,7 +43,6 @@ from .poly import PolyRing
 from .spectrum import (
     PrimeSample,
     RingComponent,
-    RingPresentation,
     flat_extension_check,
     gamma_data,
     global_fsig,
@@ -150,12 +149,12 @@ def check_products() -> None:
     """Two points: e_HK = 1; a line and a point: s = 0 (the point misses gamma)."""
     F5 = field_new(5)
     pt = RingComponent(PolyRing(F5, ()), [])
-    pp = RingPresentation([pt, RingComponent(PolyRing(F5, ()), [])])
+    pp = [pt, RingComponent(PolyRing(F5, ()), [])]
     gd = gamma_data(pp)
     _expect(gd.z_components == (0, 1) and gd.z_is_spec, "gamma of two points")
     res = global_hk(pp, [PrimeSample(0, ()), PrimeSample(1, ())], 2)
     _expect(res.value == 1 and res.exact, "global e_HK of two points")
-    lp = RingPresentation([RingComponent(PolyRing(F5, ("x",)), []), pt])
+    lp = [RingComponent(PolyRing(F5, ("x",)), []), pt]
     res = global_fsig(lp, [PrimeSample(0, (0,))], 2)
     _expect(res.value == 0 and res.exact, "global s of a line and a point")
 

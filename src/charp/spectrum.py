@@ -1,14 +1,18 @@
 """Global invariants over Spec for finite products of polynomial quotients.
 
-Each component is F_p[x_1..x_n]/I with F_p-rational sample points, so the
+A product is given by its factors, a list of components F_p[x_1..x_n]/I
+over one p, and a sample is an F_p-rational point of one of them, so the
 residue-field degree correction vanishes at every sampled prime and each
 sample's normalization exponent is its local dimension.  The global
-Hilbert-Kunz value is a max and the global F-signature a min over the
-sampled primes, with the locus bookkeeping deciding when the minimum
-collapses to an exact zero.  A sampled extremum is a bound, labelled exact
-only with a proof over all of Spec: that zero, a certified local s = 0 for
-the minimum, or zero ideals, where every point is regular and the value 1.
-The note of an exact value names its proof; any other note names the bound.
+functions build every sample's local ring, so a sample off its component
+is an error, and the one locus test is that ring's dimension against
+gamma, the largest component dimension.  The global Hilbert-Kunz value is
+a max over the samples that pass it and the global F-signature a min,
+which collapses to an exact zero when a component or a sample misses
+gamma.  A sampled extremum is a bound, labelled exact only with a proof
+over all of Spec: that zero, a certified local s = 0 for the minimum, or
+zero ideals, where every point is regular and the value 1.  The note of
+an exact value names its proof; any other note names the bound.
 The semicontinuity probe compares raw lambda_e at points of one component,
 which it alone reads, and blames the engine for a failure only where a
 grading orders the points.
@@ -61,25 +65,6 @@ class RingComponent:
         return f"RingComponent(F_{self.ring.p}[{','.join(self.ring.names)}]/({', '.join(map(str, self.gens))}))"
 
 
-class RingPresentation:
-    """Non-empty product of components over one characteristic p."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("a presentation needs at least one component")
-        p = components[0].ring.p
-        for c in components:
-            if c.ring.p != p:
-                raise ValueError("all components must share the characteristic")
-        self.components = components
-
-    def __repr__(self):
-        return " x ".join(repr(c) for c in self.components)
-
-
 @dataclass(frozen=True)
 class PrimeSample:
     """A rational point on one component (empty point for 0-variable
@@ -97,10 +82,16 @@ class GammaData:
     z_is_spec: bool
 
 
-def gamma_data(R: RingPresentation) -> GammaData:
+def gamma_data(components) -> GammaData:
     """Per-component dimension = gamma (rational closed points have alpha 0),
-    the global gamma as their max, and the components attaining it."""
-    dims = tuple(c.dim for c in R.components)
+    the global gamma as their max, and the components attaining it.  The
+    components, the factors of the product, are at least one and share
+    the characteristic p."""
+    if not components:
+        raise ValueError("a presentation needs at least one component")
+    if len({c.ring.p for c in components}) > 1:
+        raise ValueError("all components must share the characteristic")
+    dims = tuple(c.dim for c in components)
     gamma = max(dims)
     z = tuple(i for i, d in enumerate(dims) if d == gamma)
     return GammaData(
@@ -122,83 +113,71 @@ class GlobalInvariantResult:
     gamma: GammaData
 
 
-def _locals(R: RingPresentation, samples) -> list:
-    """(sample, local ring) per sample."""
-    return [(s, R.components[s.component].local_at(s.point)) for s in samples]
-
-
-def _sweep(rings, estimate, e_max: int) -> tuple:
-    """(sample, local estimate) per (sample, local ring)."""
-    return tuple((s, estimate(L, e_max)) for s, L in rings)
-
-
-def _regular_everywhere(R: RingPresentation, gd: GammaData) -> str | None:
+def _regular_everywhere(components, gd: GammaData) -> str | None:
     """The proof, if every component attaining gamma, all a sampled extremum
     ranges over, has the zero ideal: every point is regular, where
     e_HK = s = 1."""
-    if all(R.components[i].ideal.is_zero() for i in gd.z_components):
+    if all(components[i].ideal.is_zero() for i in gd.z_components):
         return ("exact: every component attaining gamma has the zero ideal, "
                 "so every point is regular and the value is 1")
     return None
 
 
-def _extremum(per, pick, proof, bound, excluded, gd) -> GlobalInvariantResult:
-    """The result at the first sample attaining pick (max or min).  A sample
-    sees only its own point, so a certified local value proves nothing about
-    the extremum over Spec: the caller passes the proof that makes the value
-    exact, if any, and the note names it; else the note is the bound."""
-    s, est = pick(per, key=lambda t: t[1].value)
-    return GlobalInvariantResult(value=est.value, exact=proof is not None, arg_sample=s,
-                                 per_sample=per, excluded=excluded, note=proof or bound,
-                                 gamma=gd)
-
-
-def global_hk(R: RingPresentation, samples, e_max: int) -> GlobalInvariantResult:
+def global_hk(components, samples, e_max: int) -> GlobalInvariantResult:
     """Max of the local Hilbert-Kunz estimates over the sampled primes of
-    local dimension gamma; off-locus samples (on a component below gamma,
-    or at a point of lower local dimension) are excluded.  The result is a
-    lower bound for the global value, exact, with a note that says so, only
-    when every component attaining gamma has the zero ideal."""
-    gd = gamma_data(R)
-    rings = _locals(R, [s for s in samples if s.component in gd.z_components])
-    included = [(s, L) for s, L in rings if L.d == gd.gamma]
-    kept = {s for s, _ in included}
-    excluded = tuple(s for s in samples if s not in kept)
-    if not included:
+    local dimension gamma, the one locus test: each sample's local ring on
+    `components[s.component]` is built, so a sample that is not a point of
+    its component raises, and one of lower local dimension is excluded.
+    A sample sees only its own point, so a certified local value proves
+    nothing about the max over Spec: the max, at the first sample attaining
+    it, is a lower bound for the global value, exact, with a note that says
+    so, only when every component attaining gamma has the zero ideal."""
+    gd = gamma_data(components)
+    rings = [(s, components[s.component].local_at(s.point)) for s in samples]
+    per = tuple((s, hk_estimate(L, e_max)) for s, L in rings if L.d == gd.gamma)
+    if not per:
         raise ValueError("no samples lie on the gamma-attaining locus")
-    return _extremum(_sweep(included, hk_estimate, e_max), max,
-                     _regular_everywhere(R, gd), "max over sampled primes: a "
-                     "lower bound for the global value under incomplete "
-                     "sampling", excluded, gd)
+    arg, est = max(per, key=lambda t: t[1].value)
+    proof = _regular_everywhere(components, gd)
+    return GlobalInvariantResult(
+        value=est.value, exact=proof is not None, arg_sample=arg, per_sample=per,
+        excluded=tuple(s for s, L in rings if L.d != gd.gamma), gamma=gd,
+        note=proof or "max over sampled primes: a lower bound for the global "
+                      "value under incomplete sampling")
 
 
-def global_fsig(R: RingPresentation, samples, e_max: int) -> GlobalInvariantResult:
+def global_fsig(components, samples, e_max: int) -> GlobalInvariantResult:
     """Min of the local F-signature estimates over the sampled primes, or
     exactly 0 whenever some component, or the local ring at some sample,
     misses the global gamma (the free-rank of every module then grows a
-    full power of p too slowly).  The min is an upper bound for the global
-    value, exact, with a note that names the proof, only when a sample
-    certifies s = 0 or every component has the zero ideal."""
-    gd = gamma_data(R)
-    samples = list(samples)
-    rings = _locals(R, samples) if gd.z_is_spec else []
+    full power of p too slowly).  Each sample's local ring is built, as in
+    `global_hk`, so a sample off its component raises.  The min, at the
+    first sample attaining it, is an upper bound for the global value,
+    exact, with a note that names the proof, only when a sample certifies
+    s = 0 or every component has the zero ideal."""
+    gd = gamma_data(components)
+    rings = [(s, components[s.component].local_at(s.point)) for s in samples]
     low = [s for s, L in rings if L.d < gd.gamma]
     if low or not gd.z_is_spec:
-        miss = f"the local ring at {low[0].point}" if low else "a component"
+        miss = f"the local ring at {low[0].point}" if gd.z_is_spec else "a component"
         return GlobalInvariantResult(
             value=Fraction(0), exact=True, arg_sample=None,
-            per_sample=(), excluded=tuple(samples), gamma=gd,
+            per_sample=(), excluded=tuple(s for s, _ in rings), gamma=gd,
             note=f"exact 0: {miss} misses the global gamma, so free "
                  "summands are asymptotically negligible")
-    if not samples:
+    if not rings:
         raise ValueError("global_fsig needs at least one sample")
-    per = _sweep(rings, fsig_estimate, e_max)
+    per = tuple((s, fsig_estimate(L, e_max)) for s, L in rings)
     # a certified local 0 (a_1 = 0) is the minimum, as s >= 0 everywhere
     zero = any(est.value == 0 and est.confidence == "exact" for _, est in per)
     proof = ("exact 0: a sample certifies a_1 = 0, and s >= 0 at every point"
-             if zero else _regular_everywhere(R, gd))
-    return _extremum(per, min, proof, "min over sampled primes: an upper "
-                     "bound for the global value under incomplete sampling", (), gd)
+             if zero else _regular_everywhere(components, gd))
+    arg, est = min(per, key=lambda t: t[1].value)
+    return GlobalInvariantResult(
+        value=est.value, exact=proof is not None, arg_sample=arg, per_sample=per,
+        excluded=(), gamma=gd,
+        note=proof or "min over sampled primes: an upper bound for the global "
+                      "value under incomplete sampling")
 
 
 # ---------------------------------------------------------------------------

@@ -455,11 +455,36 @@ component = 1
 """
 
 
+# the F_5 quadric cone (gamma = 2), the coordinate axes below it, sampled
+# at two points whose local rings are built only to be excluded, and a
+# third component with a task of its own: groups [[0, 1], [2]]
+CONE_AXES_AND_CROSS_JOB = """\
+p = 5
+[component]
+vars = x y z
+ideal = x*y - z^2
+[component]
+vars = x y z
+ideal = x*y; y*z; x*z
+[component]
+vars = x y
+ideal = x*y
+[task global_hk]
+samples = 0:(1,1,1) 1:(1,0,0) 1:(0,0,0)
+[task global_fsig]
+samples = 0:(1,1,1) 1:(1,0,0) 1:(0,0,0)
+[task hk]
+component = 2
+"""
+
+
 def test_parallel_jobs_match_sequential():
     # one group of tasks, which runs in-process, and two on a pool each;
     # the tasks that read a component's shared work run on one worker
+    assert charp.jobs._groups(validate_job(parse_job_text(CONE_AXES_AND_CROSS_JOB))) \
+        == [[0, 1], [2]]
     for text in (QUADRIC_JOB, SHARED_POINTS_JOB, TWISTED_CUBIC_AND_QUADRIC_JOB,
-                 CONE_AND_QUARTICS_JOB):
+                 CONE_AND_QUARTICS_JOB, CONE_AXES_AND_CROSS_JOB):
         job = validate_job(parse_job_text(text))
         seq = run_job(job)
         par = run_job(job | {"jobs": 2})
@@ -741,6 +766,20 @@ def test_a_sampled_global_value_is_exact_only_with_a_proof():
         assert task["value"]["fraction"] == "1/1" and task["exact"] is True
         assert task["bound_note"].startswith("exact: every component attaining gamma "
                                              "has the zero ideal")
+
+
+def test_a_global_sample_off_its_component_is_a_task_error(tmp_path, capsys):
+    # (3) is no point of F_5[x]/(x), a component below gamma: both global
+    # tasks build its local ring and fail, rather than leave it out
+    path = _write(tmp_path, "p = 5\n[component]\nvars = x y\nideal = x\n"
+                            "[component]\nvars = x\nideal = x\n"
+                            "[task global_hk]\nsamples = 0:(0,1) 1:(3)\n"
+                            "[task global_fsig]\nsamples = 0:(0,1) 1:(3)\n")
+    assert main(["run", str(path)]) == 2
+    capsys.readouterr()
+    for task in json.loads((tmp_path / "job.report.json").read_text())["tasks"]:
+        assert task["status"] == "error"
+        assert task["error"] == "ValueError: generator x does not vanish at (3,)"
 
 
 def test_semicontinuity_off_a_graded_origin_names_the_missing_order(tmp_path, capsys):
@@ -1196,6 +1235,10 @@ def _bad_task_key(kind, key, text, value):
     *_bad_task_key("pair", "t_grid", "", []),
     # unchecked, an empty sample was "upper semicontinuity holds" with nothing compared
     *_bad_task_key("semicontinuity", "nearby", "", []),
+    # unchecked, no sample was an error inside global_hk and, with a component
+    # below gamma, an exact 0 from global_fsig
+    *_bad_task_key("global_hk", "samples", "", []),
+    *_bad_task_key("global_fsig", "samples", "", []),
 ])
 def test_bad_settings_exit_1_from_every_source(tmp_path, capsys, key, args, kind, line,
                                                json_value):

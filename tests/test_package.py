@@ -5,8 +5,12 @@ import contextlib
 import importlib
 import io
 import inspect
+import os
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "charp"
@@ -178,6 +182,25 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
     assert (L.ring, L.gens, L.point) == (R, (f,), (0, 0))
     assert (R.p, R.names) == (5, ("x", "y"))
     assert isinstance(Polynomial.terms, property) and f.terms == (((1, 1), 1),)
+
+
+@pytest.mark.parametrize("name", ["hk_tower", "split_colon", "point_sweep"])
+def test_the_benchmark_setup_code_runs(tmp_path, monkeypatch, name):
+    # every benchmark run times perfbench/run.py's SETUP_CODE on its job; a
+    # change to a name it calls would fail every run, so run it here
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    code = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"])
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    job = tmp_path / "job.charp"
+    job.write_text(workloads.build(name, 1).job_text(), encoding="utf-8")
+    res = subprocess.run([sys.executable, "-c", code, str(job)], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_each_setting_has_one_source():

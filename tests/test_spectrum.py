@@ -14,7 +14,6 @@ from charp.poly import PolyRing
 from charp.spectrum import (
     PrimeSample,
     RingComponent,
-    RingPresentation,
     flat_extension_check,
     gamma_data,
     global_fsig,
@@ -38,7 +37,7 @@ def fp_point(p):
 # -- gamma -------------------------------------------------------------------
 
 def test_gamma_fp_times_fp():
-    R = RingPresentation([fp_point(5), fp_point(5)])
+    R = [fp_point(5), fp_point(5)]
     gd = gamma_data(R)
     assert gd.gamma == 0
     assert gd.z_components == (0, 1)
@@ -46,7 +45,7 @@ def test_gamma_fp_times_fp():
 
 
 def test_gamma_line_times_point():
-    R = RingPresentation([component(5, ("x",), []), fp_point(5)])
+    R = [component(5, ("x",), []), fp_point(5)]
     gd = gamma_data(R)
     assert gd.gamma == 1
     assert gd.z_components == (0,)
@@ -54,34 +53,39 @@ def test_gamma_line_times_point():
 
 
 def test_gamma_single_domain():
-    R = RingPresentation([component(7, ("x", "y", "z"), ["x*y - z^2"])])
+    R = [component(7, ("x", "y", "z"), ["x*y - z^2"])]
     gd = gamma_data(R)
     assert gd.z_is_spec
     assert gd.dims == (2,)
 
 
 def test_characteristics_must_match():
-    with pytest.raises(ValueError):
-        RingPresentation([fp_point(5), fp_point(7)])
+    with pytest.raises(ValueError, match="all components must share the characteristic"):
+        gamma_data([fp_point(5), fp_point(7)])
+
+
+def test_a_product_needs_a_component():
+    with pytest.raises(ValueError, match="a presentation needs at least one component"):
+        gamma_data([])
 
 
 # -- global HK ---------------------------------------------------------------
 
 def test_global_hk_product_of_points():
-    R = RingPresentation([fp_point(5), fp_point(5)])
+    R = [fp_point(5), fp_point(5)]
     res = global_hk(R, [PrimeSample(0, ()), PrimeSample(1, ())], e_max=2)
     assert res.value == 1 and res.exact
 
 
 def test_global_hk_excludes_off_locus_samples():
-    R = RingPresentation([component(5, ("x",), []), fp_point(5)])
+    R = [component(5, ("x",), []), fp_point(5)]
     res = global_hk(R, [PrimeSample(0, (0,)), PrimeSample(1, ())], e_max=2)
     assert res.value == 1
     assert res.excluded == (PrimeSample(1, ()),)
 
 
 def test_global_hk_quadric_max_at_origin():
-    R = RingPresentation([component(7, ("x", "y", "z"), ["x*y - z^2"])])
+    R = [component(7, ("x", "y", "z"), ["x*y - z^2"])]
     samples = [PrimeSample(0, (0, 0, 0)), PrimeSample(0, (1, 1, 1)),
                PrimeSample(0, (1, 4, 2)), PrimeSample(0, (2, 2, 5))]
     res = global_hk(R, samples, e_max=2)
@@ -97,7 +101,7 @@ def test_global_hk_quadric_max_at_origin():
 def test_global_tasks_read_gamma_per_point():
     # (xz, yz) is the plane z = 0 and the line x = y = 0: gamma = 2, but the
     # local ring at (0,0,1), on the line alone, has dimension 1
-    R = RingPresentation([component(5, ("x", "y", "z"), ["x*z", "y*z"])])
+    R = [component(5, ("x", "y", "z"), ["x*z", "y*z"])]
     line, plane = PrimeSample(0, (0, 0, 1)), PrimeSample(0, (1, 1, 0))
     res = global_hk(R, [line, plane], e_max=2)
     assert res.value == 1 and res.arg_sample == plane
@@ -107,8 +111,18 @@ def test_global_tasks_read_gamma_per_point():
     assert res.note.startswith("exact 0: the local ring at (0, 0, 1) misses")
 
 
+@pytest.mark.parametrize("fn", [global_hk, global_fsig])
+def test_a_sample_off_its_component_is_an_error(fn):
+    # the local ring of every sample is built, on a component below gamma
+    # too, so a point of no component is not silently left out
+    R = [component(5, ("x", "y"), ["x"]), component(5, ("x",), ["x"])]
+    for bad in (PrimeSample(1, (3,)), PrimeSample(0, (1, 1))):
+        with pytest.raises(ValueError, match="generator x does not vanish at"):
+            fn(R, [PrimeSample(0, (0, 1)), bad], e_max=2)
+
+
 def test_global_hk_needs_on_locus_sample():
-    R = RingPresentation([component(5, ("x",), []), fp_point(5)])
+    R = [component(5, ("x",), []), fp_point(5)]
     with pytest.raises(ValueError):
         global_hk(R, [PrimeSample(1, ())], e_max=2)
 
@@ -116,20 +130,20 @@ def test_global_hk_needs_on_locus_sample():
 # -- global F-signature ------------------------------------------------------
 
 def test_global_fsig_z_rule_exact_zero():
-    R = RingPresentation([component(5, ("x",), []), fp_point(5)])
+    R = [component(5, ("x",), []), fp_point(5)]
     res = global_fsig(R, [PrimeSample(0, (0,))], e_max=2)
     assert res.value == 0 and res.exact
     assert res.arg_sample is None
 
 
 def test_global_fsig_product_of_points():
-    R = RingPresentation([fp_point(5), fp_point(5)])
+    R = [fp_point(5), fp_point(5)]
     res = global_fsig(R, [PrimeSample(0, ()), PrimeSample(1, ())], e_max=2)
     assert res.value == 1
 
 
 def test_global_fsig_quadric_min_at_origin():
-    R = RingPresentation([component(7, ("x", "y", "z"), ["x*y - z^2"])])
+    R = [component(7, ("x", "y", "z"), ["x*y - z^2"])]
     samples = [PrimeSample(0, (0, 0, 0)), PrimeSample(0, (1, 1, 1)),
                PrimeSample(0, (4, 1, 2))]
     res = global_fsig(R, samples, e_max=2)
@@ -139,18 +153,18 @@ def test_global_fsig_quadric_min_at_origin():
 
 
 def test_global_fsig_regular_domain_is_one():
-    R = RingPresentation([component(5, ("x", "y"), [])])
+    R = [component(5, ("x", "y"), [])]
     res = global_fsig(R, [PrimeSample(0, (0, 0)), PrimeSample(0, (1, 2))], e_max=2)
     assert res.value == 1 and res.exact
 
 
 def test_regularity_equivalences_on_corpus():
     # all-regular samples give 1/1; a singular sample breaks both
-    smooth = RingPresentation([component(5, ("x", "y"), [])])
+    smooth = [component(5, ("x", "y"), [])]
     samples = [PrimeSample(0, (0, 0)), PrimeSample(0, (2, 3))]
     assert global_hk(smooth, samples, 2).value == 1
     assert global_fsig(smooth, samples, 2).value == 1
-    sing = RingPresentation([component(5, ("x", "y"), ["x*y"])])
+    sing = [component(5, ("x", "y"), ["x*y"])]
     samples = [PrimeSample(0, (0, 0)), PrimeSample(0, (1, 0))]
     assert global_hk(sing, samples, 2).value > 1
     assert global_fsig(sing, samples, 2).value < 1
@@ -160,7 +174,7 @@ def test_jacobian_certified_samples_give_unit_globals():
     # every sample certified smooth by the Jacobian rank test on a singular
     # presentation: the sweep sees only regular points, so both globals are 1
     comp = component(3, ("x", "y", "z"), ["x*y - z^2"])
-    R = RingPresentation([comp])
+    R = [comp]
     samples = [PrimeSample(0, (1, 1, 1)), PrimeSample(0, (1, 4 % 3, 2 % 3))]
     assert all(is_smooth_point(comp, s.point) for s in samples)
     assert global_hk(R, samples, 2).value == 1
@@ -172,7 +186,7 @@ def test_jacobian_certified_samples_give_unit_globals():
 def test_global_ties_pick_the_first_sample():
     # every sample is smooth, so all estimates tie at 1: the extremum is
     # attained first by the first sample
-    R = RingPresentation([component(5, ("x", "y", "z"), ["x*y - z^2"])])
+    R = [component(5, ("x", "y", "z"), ["x*y - z^2"])]
     samples = [PrimeSample(0, (1, 4, 2)), PrimeSample(0, (1, 1, 1)),
                PrimeSample(0, (4, 1, 2))]
     for fn in (global_hk, global_fsig):
