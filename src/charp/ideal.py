@@ -31,8 +31,10 @@ variable, the sorted distinct lead exponents with a bitset of the basis
 elements at or below each.  The leads dividing a monomial are the AND of
 one bitset per variable, and the lowest set bit is the first of them in
 basis order, the reducer a linear scan would pick.  The growing basis, the
-final interreduction and `normal_form` all use it, and the pair update asks
-it which leads a new lead divides.
+final interreduction and `normal_form` all use it.  The pair update asks it
+which leads a new lead divides, and reads from it the pure powers of the
+monomial colon of the live leads by the new lead, which bound the leads
+the new pairs can come from (`_new_pairs`).
 
 `intersect` eliminates a fresh variable t (Becker-Weispfenning, 6.2):
 given the block, `_buchberger` returns the reduced basis of the elements
@@ -237,6 +239,84 @@ class _Divisors:
                 acc &= ~bits[pos - 1]
         return acc
 
+    def below(self, m: int) -> list:
+        """Per variable, the bitset of the indices whose lead is at or below
+        packed m in that variable."""
+        out = []
+        for s, vals, bits in zip(self.shifts, self.vals, self.bits):
+            pos = bisect_right(vals, (m >> s) & _FIELD_MASK)
+            out.append(bits[pos - 1] if pos else 0)
+        return out
+
+    def least(self, j: int, among: int) -> tuple:
+        """For the least exponent c of x_j among the indices in the nonempty
+        bitset among: the bitsets of the indices at or below c in x_j, and
+        of those below c.  A binary search, as the bitsets grow with c."""
+        bits = self.bits[j]
+        lo, hi = 0, len(bits) - 1
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if bits[mid] & among:
+                hi = mid
+            else:
+                lo = mid + 1
+        return bits[lo], bits[lo - 1] if lo else 0
+
+
+def _members(bits: int) -> list:
+    """The indices in a bitset, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _new_pairs(divs: _Divisors, live: int, leads, h: int, eng) -> list:
+    """The pairs (degree, i, lcm) a new lead h, which no lead in divs
+    divides, makes with the live leads (the bitset live of indices into
+    leads) under criteria M and F: for each minimal generator g of the
+    monomial colon (L : h), L the ideal of the live leads, the first live i
+    in (degree, index) order with lcm(leads[i], h) = h*g, unless those two
+    leads are coprime.
+
+    The candidates come from the index, not from every live lead.  Where
+    x_j^c is the least power of x_j in (L : h), c + h_j is the least x_j
+    exponent among the live leads at or below h in every other variable,
+    and the first of those at or below h_j + c in x_j gives that
+    generator.  Every other minimal generator has x_j-degree below c, so
+    its first lead is at or below h*x_j^(c-1) in each such variable j.  A
+    colon with no pure power leaves every live lead a candidate."""
+    below = divs.below(h)
+    after = [live] * (len(below) + 1)  # live and at or below h from variable j on
+    for j in range(len(below) - 1, -1, -1):
+        after[j] = after[j + 1] & below[j]
+    cand, firsts, before = live, 0, -1
+    for j, b in enumerate(below):
+        others = before & after[j + 1]
+        before &= b
+        if others:
+            at, under = divs.least(j, others)
+            first = others & at
+            firsts |= first & -first
+            cand &= under
+    lcm, degree, div = eng.lcm, eng.degree, eng.div
+    new = []
+    for i in _members(cand | firsts):
+        l = lcm(leads[i], h)
+        new.append((degree(l), i, l))
+    new.sort()
+    kept: list = []  # lcms of the new pairs no other one divides
+    out = []
+    for deg, i, l in new:
+        if any(div(l, m) is not None for m in kept):
+            continue
+        kept.append(l)
+        if l != leads[i] + h:  # leads not coprime
+            out.append((deg, i, l))
+    return out
+
 
 def _reduce_full(acc: _TermSum, basis, divs: _Divisors, skip: int = 0):
     """Full normal form of the sum in acc against basis entries, each a
@@ -273,7 +353,11 @@ def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
     1988; Becker-Weispfenning, ch. 5): criterion B kills queued pairs, the
     new pairs keep one of each minimal lcm (criteria M and F) and drop
     coprime leads, and elements whose lead the new lead divides make no
-    further pairs.
+    further pairs.  The minimal lcms of a new lead h are h times the
+    minimal generators of the monomial colon of the live leads by h
+    (Caboara-Kreuzer-Robbiano, J. Symbolic Comput. 38, 2004), and
+    `_new_pairs` finds them through the lead index, not by a scan of every
+    live lead.
 
     With eliminate = k > 0 the order must eliminate the first k variables,
     and the result is the reduced basis of the elements free of them, the
@@ -284,38 +368,29 @@ def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
     eng = ring.codec
     field = ring.field
     p = ring.p
-    key, div, lcm, degree = ring.order.key, eng.div, eng.lcm, eng.degree
+    key, div, lcm = ring.order.key, eng.div, eng.lcm
     basis: list = []
+    leads: list = []  # the lead of each basis element
     divs = _Divisors(ring.nvars)  # the leads of basis, for reduction and the update
-    live: list = []  # the elements whose lead no later lead divides
+    live = 0  # the bitset of the elements whose lead no later lead divides
     heap: list = []  # (deg, key, i, j, packed) of each queued pair's lcm
     queued: dict = {}  # (i, j) -> packed lcm of each queued pair still alive
 
     def add(r):
+        nonlocal live
         r = _monic(r, field)
         h = r[0][1]
         k = len(basis)
         for (i, j), l in list(queued.items()):  # criterion B
-            if (div(l, h) is not None and l != lcm(basis[i][0][1], h)
-                    and l != lcm(basis[j][0][1], h)):
+            if (div(l, h) is not None and l != lcm(leads[i], h)
+                    and l != lcm(leads[j], h)):
                 del queued[i, j]
-        new = []
-        for i in live:
-            l = lcm(basis[i][0][1], h)
-            new.append((degree(l), i, l))
-        new.sort()
-        kept: list = []  # lcms of the new pairs no other one divides
-        for deg, i, l in new:  # criteria M and F
-            if any(div(l, m) is not None for m in kept):
-                continue
-            kept.append(l)
-            if l != basis[i][0][1] + h:  # leads not coprime
-                heapq.heappush(heap, (deg, key(l), i, k, l))
-                queued[i, k] = l
-        gone = divs.multiples(h)
-        live[:] = [i for i in live if not gone >> i & 1]
-        live.append(k)
+        for deg, i, l in _new_pairs(divs, live, leads, h, eng):
+            heapq.heappush(heap, (deg, key(l), i, k, l))
+            queued[i, k] = l
+        live = live & ~divs.multiples(h) | 1 << k
         basis.append(r)
+        leads.append(h)
         divs.add(h)
         budget.charge_basis(len(basis))
 
@@ -334,9 +409,8 @@ def _buchberger(gens, ring: PolyRing, eliminate: int = 0):
             add(r)
 
     # the live elements form a minimal basis; tail-reduce each by the others
-    if eliminate:
-        block = (1 << eliminate * _FIELD_BITS) - 1  # the block's exponent fields
-        live = [i for i in live if not basis[i][0][1] & block]
+    block = (1 << eliminate * _FIELD_BITS) - 1  # the block's exponent fields
+    live = [i for i in _members(live) if not leads[i] & block]
     dead = divs.all
     for i in live:
         dead ^= 1 << i

@@ -123,6 +123,16 @@ def _regular_everywhere(components, gd: GammaData) -> str | None:
     return None
 
 
+def _local_rings(components, samples) -> list:
+    """(sample, its local ring) for each sample; a sample's component index
+    must name one of the components."""
+    for s in samples:
+        if not 0 <= s.component < len(components):
+            raise ValueError(f"component index {s.component} out of range "
+                             f"(presentation has {len(components)})")
+    return [(s, components[s.component].local_at(s.point)) for s in samples]
+
+
 def global_hk(components, samples, e_max: int) -> GlobalInvariantResult:
     """Max of the local Hilbert-Kunz estimates over the sampled primes of
     local dimension gamma, the one locus test: each sample's local ring on
@@ -133,7 +143,7 @@ def global_hk(components, samples, e_max: int) -> GlobalInvariantResult:
     it, is a lower bound for the global value, exact, with a note that says
     so, only when every component attaining gamma has the zero ideal."""
     gd = gamma_data(components)
-    rings = [(s, components[s.component].local_at(s.point)) for s in samples]
+    rings = _local_rings(components, samples)
     per = tuple((s, hk_estimate(L, e_max)) for s, L in rings if L.d == gd.gamma)
     if not per:
         raise ValueError("no samples lie on the gamma-attaining locus")
@@ -156,7 +166,7 @@ def global_fsig(components, samples, e_max: int) -> GlobalInvariantResult:
     exact, with a note that names the proof, only when a sample certifies
     s = 0 or every component has the zero ideal."""
     gd = gamma_data(components)
-    rings = [(s, components[s.component].local_at(s.point)) for s in samples]
+    rings = _local_rings(components, samples)
     low = [s for s, L in rings if L.d < gd.gamma]
     if low or not gd.z_is_spec:
         miss = f"the local ring at {low[0].point}" if gd.z_is_spec else "a component"

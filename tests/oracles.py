@@ -4,7 +4,7 @@ Everything here avoids the engine's Groebner machinery: dense F_p linear
 algebra (numpy), direct box enumeration, exponent arithmetic on monomial
 ideals, and face counts of simplicial complexes.  The exceptions are
 earlier engine routes kept to cross-check their replacements:
-parts_colon, nu_binary_search, hilbert_samuel_table, the Jacobian test
+scan_new_pairs, parts_colon, nu_binary_search, hilbert_samuel_table, the Jacobian test
 is_smooth_point, and the exponent-tuple dict arithmetic dict_sum,
 dict_product and dict_power.
 Monomials here are exponent tuples, multiplied, divided and lcm'd by the
@@ -304,6 +304,25 @@ def textbook_colon(I: Ideal, J: Ideal, groebner=textbook_groebner) -> tuple:
         part = Ideal(ring, [textbook_quotient(h, g) for h in meet])
         acc = textbook_intersect(Ideal(ring, acc), part, groebner)
     return acc
+
+
+def scan_new_pairs(live: int, leads, h: int, eng) -> list:
+    """The pairs (degree, i, lcm) a new packed lead h makes with the live
+    leads (the bitset live of indices into leads) by the engine's earlier
+    Gebauer-Moeller scan: every live lead's lcm with h, sorted by degree
+    and index, keeping each lcm no kept one divides (criteria M and F), and
+    queueing it unless the two leads are coprime."""
+    t = eng.unpack(h)
+    new = sorted((sum(mono_lcm(eng.unpack(l), t)), i, mono_lcm(eng.unpack(l), t))
+                 for i, l in enumerate(leads) if live >> i & 1)
+    kept, out = [], []
+    for deg, i, l in new:
+        if any(mono_div(l, m) is not None for m in kept):
+            continue
+        kept.append(l)
+        if l != mono_mul(eng.unpack(leads[i]), t):
+            out.append((deg, i, eng.pack(l)))
+    return out
 
 
 def parts_colon(I: Ideal, J: Ideal) -> Ideal:

@@ -13,7 +13,7 @@ from charp.errors import (
     ResourceBudgetError,
     UnitIdealError,
 )
-from charp.finv import LocalRingAtPoint, multiplicity
+from charp.finv import LocalRingAtPoint, hk_function, multiplicity
 from charp.gf import field_new
 from charp.ideal import (
     INFINITE,
@@ -21,6 +21,7 @@ from charp.ideal import (
     Ideal,
     _buchberger,
     _Divisors,
+    _new_pairs,
     active_budget,
     bracket_power,
     colon,
@@ -38,7 +39,7 @@ from charp.ideal import (
     s_polynomial,
     standard_count,
 )
-from charp.poly import EXPONENT_LIMIT, MonomialOrder, Polynomial, PolyRing
+from charp.poly import EXPONENT_LIMIT, MonomialOrder, Polynomial, PolyRing, _Engine
 
 from oracles import (
     box_monomials,
@@ -49,6 +50,7 @@ from oracles import (
     parts_colon,
     quotient_length_bruteforce,
     random_nonzero_poly,
+    scan_new_pairs,
     standard_count_bruteforce,
     textbook_colon,
     textbook_groebner,
@@ -182,6 +184,64 @@ def test_divisor_index_matches_the_linear_scan(n):
             for l in leads:
                 assert eng.lcm(m, l) == eng.pack(tuple(map(max, t, eng.unpack(l))))
             assert eng.degree(m) == sum(t)
+            exps = [eng.unpack(l) for l in leads]
+            assert divs.below(m) == [sum(1 << i for i, u in enumerate(exps) if u[j] <= t[j])
+                                     for j in range(n)]
+            among = rng.getrandbits(size)
+            for j in range(n if among else 0):
+                c = min(u[j] for i, u in enumerate(exps) if among >> i & 1)
+                assert divs.least(j, among) == (
+                    sum(1 << i for i, u in enumerate(exps) if u[j] <= c),
+                    sum(1 << i for i, u in enumerate(exps) if u[j] < c))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pairs_from_the_colon_match_the_scan_over_every_live_lead(n):
+    # random lead sets, with repeated leads (ties for one lcm), pure powers
+    # (a box) and any live subset; h is a lead no indexed lead divides
+    rng = random.Random(n)
+    eng = PolyRing(field_new(5), tuple(f"x{j}" for j in range(n))).codec
+
+    def mono(top):
+        return eng.pack(tuple(rng.randrange(top) if rng.random() < 0.6 else 0 for _ in range(n)))
+
+    powers = 0
+    for size in (0, 1, 3, 10, 40):
+        for _ in range(40):
+            leads = [mono(7) for _ in range(size)]
+            if rng.random() < 0.5:
+                leads += [eng.pack(tuple(8 * (k == j) for k in range(n))) for j in range(n)]
+            leads += rng.sample(leads, len(leads) // 4)
+            rng.shuffle(leads)
+            h = mono(9)
+            leads = [l for l in leads if eng.div(h, l) is None]
+            divs = _Divisors(n, leads)
+            live = rng.getrandbits(len(leads)) if rng.random() < 0.5 else divs.all
+            pairs = _new_pairs(divs, live, leads, h, eng)
+            assert pairs == scan_new_pairs(live, leads, h, eng), (leads, live, h)
+            t = eng.unpack(h)
+            powers += any(all(u[k] <= t[k] for k in range(n) if k != j)  # (L : h) has x_j^c
+                          for i, u in enumerate(map(eng.unpack, leads)) if live >> i & 1
+                          for j in range(n))
+    assert powers > 50
+
+
+def test_pairs_from_the_colon_match_the_scan_at_every_step_of_lambda_3(monkeypatch):
+    steps = []
+    new_pairs = charp.ideal._new_pairs
+
+    def checked(divs, live, leads, h, eng):
+        pairs = new_pairs(divs, live, leads, h, eng)
+        assert pairs == scan_new_pairs(live, leads, h, eng)
+        steps.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(charp.ideal, "_new_pairs", checked)
+    R = ring(7)
+    for f, size in (("x*y - z^2", 346), ("x^3 + y^3 + z^3", 140)):
+        box = [R.parse(f)] + [R.parse(f"{v}^343") for v in R.names]
+        assert len(_buchberger(box, R)) == size
+    assert len(steps) == 346 + 140 and sum(steps) > 0
 
 
 def test_gb_budget():
@@ -730,6 +790,38 @@ def test_counting_the_quadric_lambda_3_leads_is_not_quadratic(monkeypatch):
         assert standard_count(leads, range(3)) == 176473
     assert len(leads) == 346
     assert 0 < len(calls) < 50_000
+
+
+def test_the_quadric_lambda_3_basis_pairs_each_lead_with_few_lcms(monkeypatch):
+    # the pair update scanned every live lead, 60,368 lcms here: each new
+    # lead kept 3 pairs on average against up to 172 live leads
+    R = ring(7)
+    box = [R.parse("x*y - z^2")] + [R.parse(f"{v}^343") for v in R.names]
+    calls = []
+    lcm = _Engine.lcm
+
+    def counted(self, a, b):
+        calls.append(a)
+        return lcm(self, a, b)
+
+    monkeypatch.setattr(_Engine, "lcm", counted)
+    with Budget() as b:
+        assert len(_buchberger(box, R)) == 346
+    assert b.used_pairs == 688
+    assert 0 < len(calls) < 5_000
+
+
+@pytest.mark.parametrize("f, lam, pairs, size", [
+    ("x*y - z^2", (3 * 2401**2 - 1) // 2, 4_804, 2_404),
+    ("x^3 + y^3 + z^3", (9 * 2401**2 - 5) // 4, 1_376, 690),
+])
+def test_lambda_4_at_the_origin_with_raised_caps(f, lam, pairs, size):
+    # item 9's closed forms at q = 7^4; the quadric's basis passes the
+    # default max_basis, and every box the default max_box
+    L = LocalRingAtPoint(I(ring(7), f), (0, 0, 0))
+    with Budget(max_basis=5_000, max_box=10**11) as b:
+        assert hk_function(L, 4).lam == lam
+    assert (b.used_pairs, b.used_basis) == (pairs, size)
 
 
 def test_homogenizing_past_the_exponent_limit_raises():

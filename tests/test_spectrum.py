@@ -121,6 +121,17 @@ def test_a_sample_off_its_component_is_an_error(fn):
             fn(R, [PrimeSample(0, (0, 1)), bad], e_max=2)
 
 
+@pytest.mark.parametrize("fn", [global_hk, global_fsig])
+@pytest.mark.parametrize("index", [-1, 2, 5])
+def test_a_sample_index_past_the_components_is_an_error(fn, index):
+    # a negative index read the last component, and one past the end raised
+    # a bare IndexError
+    R = [component(5, ("x",), []), component(5, ("x", "y"), [])]
+    with pytest.raises(ValueError, match=rf"component index {index} out of range "
+                                         r"\(presentation has 2\)"):
+        fn(R, [PrimeSample(index, (0, 0))], e_max=2)
+
+
 def test_global_hk_needs_on_locus_sample():
     R = [component(5, ("x",), []), fp_point(5)]
     with pytest.raises(ValueError):
