@@ -17,6 +17,9 @@ which refuses e < 1 and rejects a q past EXPONENT_LIMIT before forming p^e.
 The records it returns (HKRecord, SplitRecord) carry q and the normalized
 values lambda_e/q^d and a_e/q^d, and no other module forms them.
 
+Each estimate checks its records against the multiplicative laws
+lambda_(i+j) <= lambda_i lambda_j and a_(i+j) >= a_i a_j, which hold in
+every local ring, and raises on a violation, like Kunz's bound.
 A limit estimate is labelled exact only under a certificate: lambda_1 = p^d
 (R is regular, e_HK = 1), a_1 = p^d (s = 1) or a_1 = 0 (s = 0); any other
 is labelled by its last step against the fixed CONVERGENCE_THRESHOLD.
@@ -58,8 +61,8 @@ time it reads it, what computing the item cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ExponentOverflowError, ZeroIdealError
 from .ideal import (
@@ -139,24 +142,21 @@ def multiplicity(L: LocalRingAtPoint) -> int:
                for U in largest_free_sets(leads, n))
 
 
-@dataclass(frozen=True)
-class HKRecord:
+class HKRecord(NamedTuple):
     e: int
     q: int
     lam: int
     normalized: Fraction
 
 
-@dataclass(frozen=True)
-class SplitRecord:
+class SplitRecord(NamedTuple):
     e: int
     q: int
     a_e: int
     s_e: Fraction
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(NamedTuple):
     """Extrapolated limit of a normalized sequence.
 
     confidence is 'exact' only under a certificate: a normalized value 1 at
@@ -225,11 +225,26 @@ def hk_function(L: LocalRingAtPoint, e: int) -> HKRecord:
     return HKRecord(e, q, lam, Fraction(lam, q**L.d))
 
 
+def _products(values) -> list:
+    """(i, j, v_i * v_j, v_(i+j)) for 1 <= i <= j and i + j <= e_max, where
+    values = v_1..v_(e_max).  F^(i+j)_*R = F^i_*(F^j_*R), so the laws
+    lambda_(i+j) <= lambda_i lambda_j (F^j_*R is a quotient of R^(lambda_j))
+    and a_(i+j) >= a_i a_j (a free summand of a free summand is free) hold
+    in every local ring."""
+    return [(i, j, values[i - 1] * values[j - 1], values[i + j - 1])
+            for i in range(1, len(values)) for j in range(i, len(values) - i + 1)]
+
+
 def hk_estimate(L: LocalRingAtPoint, e_max: int) -> LimitEstimate:
-    """Normalized Hilbert-Kunz sequence with a 1/q-model extrapolation."""
+    """Normalized Hilbert-Kunz sequence with a 1/q-model extrapolation,
+    checked against lambda_(i+j) <= lambda_i lambda_j (`_products`)."""
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
     recs = [hk_function(L, e) for e in range(1, e_max + 1)]
+    for i, j, product, lam in _products([r.lam for r in recs]):
+        if lam > product:
+            raise RuntimeError(f"lambda_{i + j} = {lam} > lambda_{i} lambda_{j} = {product} "
+                               "breaks the multiplicative law")
     return _extrapolate(recs, L.p, lo=1)
 
 
@@ -321,13 +336,18 @@ def fsig_estimate(L: LocalRingAtPoint, e_max: int) -> LimitEstimate:
 
     a_1 = 0 means R is not F-split, hence a_e = 0 for every e and the limit
     is exactly 0; that short-circuit is sound and is taken.  a_1 = p^d
-    certifies s = 1 (`LimitEstimate`).
+    certifies s = 1 (`LimitEstimate`).  The records are checked against
+    a_(i+j) >= a_i a_j (`_products`).
     """
     if e_max < 2:
         raise ValueError("e_max must be at least 2")
     recs = [splitting_number(L, 1)]
     if recs[0].a_e:
         recs += [splitting_number(L, e) for e in range(2, e_max + 1)]
+    for i, j, product, a_e in _products([r.a_e for r in recs]):
+        if a_e < product:
+            raise RuntimeError(f"a_{i + j} = {a_e} < a_{i} a_{j} = {product} "
+                               "breaks the multiplicative law")
     return _extrapolate(recs, L.p, lo=0, hi=1)
 
 
@@ -383,8 +403,7 @@ def nu_invariant(L: LocalRingAtPoint, a: Ideal, e: int) -> int:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class DiagnosticFlags:
+class DiagnosticFlags(NamedTuple):
     regular: bool
     f_pure: bool
     hk: LimitEstimate
@@ -397,7 +416,7 @@ class DiagnosticFlags:
 
     def as_dict(self) -> dict:
         """The flags without the estimates, multiplicity and threshold as text."""
-        out = {k: v for k, v in vars(self).items() if k not in ("hk", "fsig")}
+        out = {k: v for k, v in self._asdict().items() if k not in ("hk", "fsig")}
         return {**out, "hilbert_samuel": str(self.hilbert_samuel),
                 "threshold": str(self.threshold)}
 

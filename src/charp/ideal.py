@@ -49,8 +49,8 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass
 from itertools import combinations, combinations_with_replacement, groupby, islice
+from typing import NamedTuple
 
 from .errors import (
     ExponentOverflowError,
@@ -73,8 +73,7 @@ from .poly import (
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class Charges:
+class Charges(NamedTuple):
     """What one piece of work charged its budget: the pairs it popped and
     the largest basis and box it charged."""
 
@@ -83,7 +82,6 @@ class Charges:
     box: int = 0
 
 
-@dataclass
 class Budget:
     """Resource caps plus usage counters, scoped like decimal.localcontext:
     inside `with budget:` every Buchberger run, standard-monomial count, nu
@@ -96,14 +94,14 @@ class Budget:
     charges a budget each item once, the first time it reads it, so a
     budget's counters do not depend on who did the work first."""
 
-    max_basis: int = 2000
-    max_pairs: int = 200_000
-    max_box: int = 1_000_000
-    used_basis: int = 0
-    used_pairs: int = 0
-    used_box: int = 0
+    # the default caps, which the job keys' defaults read (`jobs._KEY_TYPES`)
+    max_basis = 2000
+    max_pairs = 200_000
+    max_box = 1_000_000
 
-    def __post_init__(self):
+    def __init__(self, max_basis=max_basis, max_pairs=max_pairs, max_box=max_box):
+        self.max_basis, self.max_pairs, self.max_box = max_basis, max_pairs, max_box
+        self.used_basis = self.used_pairs = self.used_box = 0
         self.charged: set = set()  # the (store, key) of each shared item paid for
 
     def charge_basis(self, n: int):
@@ -122,7 +120,12 @@ class Budget:
             raise ResourceBudgetError("standard monomial box", n, self.max_box)
 
     def snapshot(self) -> dict:
-        return asdict(self)  # the caps and counters; `charged` is no field
+        """The caps and counters."""
+        return dict(max_basis=self.max_basis, max_pairs=self.max_pairs, max_box=self.max_box,
+                    used_basis=self.used_basis, used_pairs=self.used_pairs, used_box=self.used_box)
+
+    def __repr__(self):
+        return f"Budget({', '.join(f'{k}={v}' for k, v in self.snapshot().items())})"
 
     def __enter__(self):
         _ACTIVE.append(self)

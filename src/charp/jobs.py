@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 from .errors import CharpError, ParseError, UnitIdealError
 from .finv import (
     HKRecord,
+    SplitRecord,
     classify,
     fedder_is_fpure,
     fsig_estimate,
@@ -402,8 +403,9 @@ def _record_rows(label, component, point, records) -> list:
     s_e), or (HKRecord, SplitRecord) of one e (lambda_e, its norm and s_e)."""
     rows = []
     for r in records:
-        hk, split = r if isinstance(r, tuple) else \
-            (r, None) if isinstance(r, HKRecord) else (None, r)
+        # records are tuples too, so they are told apart from the pair first
+        hk, split = (r, None) if isinstance(r, HKRecord) else \
+            (None, r) if isinstance(r, SplitRecord) else r
         rows.append({
             "task": label,
             "component": component,

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import CharpError
 from .finv import (
@@ -67,16 +68,15 @@ def local_ring(p, vars_, ideal=(), point=None) -> LocalRingAtPoint:
                             point or (0,) * R.nvars)
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """One corpus row: a local ring and the values it pins."""
     criterion: int  # the acceptance criterion that owns the row
     p: int
     vars: str
     ideal: tuple = ()
     point: tuple | None = None  # the origin when None
-    lam: dict = field(default_factory=dict)  # e -> lambda_e
-    a: dict = field(default_factory=dict)  # e -> a_e
+    lam: dict = MappingProxyType({})  # e -> lambda_e; read-only, as the default is shared
+    a: dict = MappingProxyType({})  # e -> a_e
     fedder: bool | None = None  # F-pure, and a_1 > 0 exactly then
     nu: tuple | None = None  # (generators of a, e, nu)
     hk: tuple | None = None  # (limit, tolerance, e_max) of the estimate

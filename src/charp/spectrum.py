@@ -20,8 +20,8 @@ grading orders the points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import UnitIdealError
 from .finv import (
@@ -65,8 +65,7 @@ class RingComponent:
         return f"RingComponent(F_{self.ring.p}[{','.join(self.ring.names)}]/({', '.join(map(str, self.gens))}))"
 
 
-@dataclass(frozen=True)
-class PrimeSample:
+class PrimeSample(NamedTuple):
     """A rational point on one component (empty point for 0-variable
     components, whose whole Spec is that single point)."""
 
@@ -74,8 +73,7 @@ class PrimeSample:
     point: tuple
 
 
-@dataclass(frozen=True)
-class GammaData:
+class GammaData(NamedTuple):
     dims: tuple
     gamma: int
     z_components: tuple
@@ -102,8 +100,7 @@ def gamma_data(components) -> GammaData:
     )
 
 
-@dataclass(frozen=True)
-class GlobalInvariantResult:
+class GlobalInvariantResult(NamedTuple):
     value: Fraction
     exact: bool
     arg_sample: PrimeSample | None
@@ -193,8 +190,7 @@ def global_fsig(components, samples, e_max: int) -> GlobalInvariantResult:
 # ---------------------------------------------------------------------------
 # semicontinuity
 
-@dataclass(frozen=True)
-class SemicontinuityReport:
+class SemicontinuityReport(NamedTuple):
     special: tuple  # (point, HKRecord)
     nearby: tuple  # (point, HKRecord) per nearby point
     ok: bool
@@ -233,8 +229,7 @@ def semicontinuity_probe(comp: RingComponent, special: tuple, nearby,
 # ---------------------------------------------------------------------------
 # flat extension checks
 
-@dataclass(frozen=True)
-class FlatExtensionReport:
+class FlatExtensionReport(NamedTuple):
     rows: tuple  # per e: (HKRecord, SplitRecord) of R, the same of T
     pair_rows: tuple  # per e: the pair's (SplitRecord of R, SplitRecord of T)
     ok: bool

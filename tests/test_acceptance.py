@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -150,7 +149,7 @@ def test_selftest_passes():
 
 def test_selftest_reports_a_wrong_value(monkeypatch):
     *rows, ci = selftest.CORPUS
-    monkeypatch.setattr(selftest, "CORPUS", (*rows, replace(ci, a={**ci.a, 2: ci.a[2] + 1})))
+    monkeypatch.setattr(selftest, "CORPUS", (*rows, ci._replace(a={**ci.a, 2: ci.a[2] + 1})))
     lines = []
     assert selftest.run_selftest(lines.append) == 1
     assert lines.pop() == "selftest: 1 FAILURE(S)"
@@ -163,10 +162,10 @@ def test_selftest_fails_a_wrong_value_under_optimize():
     # `python -O` strips `assert` statements (the child's own `assert False`
     # proves it ran optimized); the corpus checks must still fail
     code = "\n".join([
-        "import dataclasses, sys",
+        "import sys",
         "from charp import selftest",
         "assert False",
-        "case = dataclasses.replace(selftest.CORPUS[0], lam={1: 26})",
+        "case = selftest.CORPUS[0]._replace(lam={1: 26})",
         "try:",
         "    selftest.check_case(case)",
         "except selftest.SelftestError as exc:",

@@ -708,12 +708,12 @@ def test_local_ring_outside_a_budget_block_charges_one_budget(monkeypatch):
     # on a non-CI ideal with no basis yet, the dimension reads a basis of I
     # and a local standard basis: both charge the one budget that is active
     built = []
-    post_init = Budget.__post_init__
+    init = Budget.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
-    monkeypatch.setattr(Budget, "__post_init__", counted)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Budget, "__init__", counted)
     R = PolyRing(field_new(5), ("x", "y", "z"))
     L = LocalRingAtPoint(Ideal(R, [R.parse("x*z"), R.parse("y*z")]), (0, 0, 1))
     assert L.d == 1
@@ -798,18 +798,35 @@ def test_classify_reports_no_hl_law_off_a_complete_intersection():
 
 def test_classify_raises_when_the_hl_law_breaks(monkeypatch):
     # one more free summand at e = 2 than the quadric has breaks 40 <= 40
-    import dataclasses
-
     import charp.finv as finv
 
     def one_more_a2(L, e_max, _fn=finv.fsig_estimate):
         est = _fn(L, e_max)
         a1, a2 = est.records
-        return dataclasses.replace(est, records=(a1, dataclasses.replace(a2, a_e=a2.a_e + 1)))
+        return est._replace(records=(a1, a2._replace(a_e=a2.a_e + 1)))
 
     monkeypatch.setattr(finv, "fsig_estimate", one_more_a2)
     with pytest.raises(RuntimeError, match=r"lambda_2 = 121 and a_2 = 42 break"):
         classify(local(3, ("x", "y", "z"), ["x*y - z^2"]), 2)
+
+
+def test_estimates_raise_when_a_multiplicative_law_breaks(monkeypatch):
+    # F^2_*R = F_*(F_*R) needs at most lambda_1^2 generators and has at
+    # least a_1^2 free summands; each inflated record keeps Kunz's bound:
+    # the node's lambda_2 = 26 >= 9 and the F_3 quadric's a_1 = 7 <= 9
+    import charp.finv as finv
+
+    def inflate(name, e, **value):
+        real = getattr(finv, name)
+        monkeypatch.setattr(finv, name, lambda L, k: real(L, k)._replace(**value) if k == e
+                            else real(L, k))
+
+    inflate("hk_function", 2, lam=26)
+    with pytest.raises(RuntimeError, match=r"lambda_2 = 26 > lambda_1 lambda_1 = 25 breaks"):
+        hk_estimate(local(3, ("x", "y"), ["x*y"]), 2)
+    inflate("splitting_number", 1, a_e=7)
+    with pytest.raises(RuntimeError, match=r"a_2 = 41 < a_1 a_1 = 49 breaks"):
+        fsig_estimate(local(3, ("x", "y", "z"), ["x*y - z^2"]), 2)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -858,7 +858,7 @@ def test_budget_blocks_nest_and_restore_the_outer_budget():
     assert (inner.used_box, outer.used_box) == (16, 16)
     # outside any block each call gets a fresh default budget, caps included
     assert active_budget() is not active_budget()
-    assert active_budget() == Budget()
+    assert active_budget().snapshot() == Budget().snapshot()
     L = LocalRingAtPoint(I(R, "x*y"), (0, 0))
     for work in (lambda: flat_extension_check(L, 10**9, 1),
                  lambda: length(I(R, "x^2000", "y^2000"))):

@@ -35,6 +35,21 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    # every record is a typing.NamedTuple: importing dataclasses also loads
+    # inspect, and each short `charp run` process would pay for both
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Import) and "dataclasses" in [a.name for a in node.names]
+                 or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert importers == []
+    code = "import sys, charp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_budget_is_built_in_two_places_and_passed_to_no_function():
     # the engine charges the active budget (`with budget:`); a `budget`
     # parameter or a Budget() built on the side would let work escape the

@@ -1,6 +1,5 @@
 """Global invariants, gamma bookkeeping, semicontinuity, flat extensions."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -280,7 +279,7 @@ def test_a_violation_blames_the_engine_only_on_a_certified_component(
 
     def inflated(L, e):  # a nearby value above the special one
         rec = real(L, e)
-        return dataclasses.replace(rec, lam=rec.lam + 10) if L.point == nearby else rec
+        return rec._replace(lam=rec.lam + 10) if L.point == nearby else rec
 
     monkeypatch.setattr(charp.spectrum, "hk_function", inflated)
     rep = semicontinuity_probe(comp, special, [nearby], e=1)
