@@ -17,7 +17,17 @@ which refuses e < 1 and rejects a q past EXPONENT_LIMIT before forming p^e.
 The records it returns (HKRecord, SplitRecord) carry q and the normalized
 values lambda_e/q^d and a_e/q^d, and no other module forms them.
 
-Each estimate checks its records against the multiplicative laws
+A regular point needs no Groebner basis, length or colon.  R_m is
+regular iff the Jacobian of I's generators has rank n - d at the point:
+that rank is the dimension of the span of their linear parts in m/m^2
+over S, so n minus it is the embedding dimension of R_m.  There
+lambda_e = a_e = q^d (Kunz) and R_m is F-pure, and `hk_function`,
+`splitting_number`, `fedder_is_fpure` and `classify` read the cached
+flag `is_regular` before any other work.  Pairs, nu and
+`splitting_ideal` keep their routes, and so does every value at a
+singular point.
+
+Each computed estimate checks its records against the multiplicative laws
 lambda_(i+j) <= lambda_i lambda_j and a_(i+j) >= a_i a_j, which hold in
 every local ring, and raises on a violation, like Kunz's bound.
 A limit estimate is labelled exact only under a certificate: lambda_1 = p^d
@@ -26,11 +36,11 @@ is labelled by its last step against the fixed CONVERGENCE_THRESHOLD.
 Equal values alone prove nothing: F_2[x,y,z]/(xz, x^2y^2) at the origin
 has lambda_e/q^2 = 3/2, 3/2, 21/16, ... and e_HK = e(R) = 1.
 
-`classify` reads its exact flags from the same records: regularity is
-lambda_1 = p^d, F-purity a_1 > 0, and where R_m is certified Cohen-Macaulay
-(a complete intersection, `_is_ci`) it checks the integer law of
-Huneke-Leuschke, lambda_e - q^d <= (e(R) - 1)(q^d - a_e), at every e and
-raises on a violation, like Kunz's bound.  Elsewhere the law has no
+`classify` reads its exact flags from the flag and the same records:
+regularity is `is_regular`, F-purity a_1 > 0, and where R_m is certified
+Cohen-Macaulay (a complete intersection, `_is_ci`) it checks the integer
+law of Huneke-Leuschke, lambda_e - q^d <= (e(R) - 1)(q^d - a_e), at every
+e and raises on a violation, like Kunz's bound.  Elsewhere the law has no
 hypothesis to stand on and is not reported: the F_2 ring above is not
 Cohen-Macaulay.  Only the prediction of strong F-regularity reads an
 estimate.
@@ -49,13 +59,14 @@ enters the same difference over M = m^[q].
 A LocalRingAtPoint is a view of an Ideal that may already hold its
 Groebner basis.  Its data lives in one store (`ideal.Shared`), its
 component's (`spectrum.RingComponent`), under keys that name the
-normalized point a: the standard basis ("leads", a), lambda_e
-("lam", a, e) and the walk's steps ("step", a, e).  Both multipliers,
-("fedder", q) and ("colon", q), depend on I alone, so each is computed
-once per q for all of the component's points.  No function here takes a
-budget: the work charges the active one (`with budget:`, see
-`ideal.Budget`), and a budget is charged each shared item once, the first
-time it reads it, what computing the item cost.
+normalized point a: the standard basis ("leads", a), the regularity
+flag ("regular", a), lambda_e ("lam", a, e) and the walk's steps
+("step", a, e).  Both multipliers, ("fedder", q) and ("colon", q),
+depend on I alone, so each is computed once per q for all of the
+component's points.  No function here takes a budget: the work charges
+the active one (`with budget:`, see `ideal.Budget`), and a budget is
+charged each shared item once, the first time it reads it, what
+computing the item cost.
 """
 
 from __future__ import annotations
@@ -131,6 +142,36 @@ class LocalRingAtPoint:
 def _leads(L: LocalRingAtPoint) -> tuple:
     """The packed leading monomials of a standard basis of I at the point."""
     return L._shared.get(("leads", L.point), lambda: local_leading_monomials(L.ideal0, L.point))
+
+
+def _rank(rows, p: int) -> int:
+    """The rank over F_p of a matrix given by its rows of integers in [0, p):
+    each step takes one nonzero row as pivot, clears its first nonzero column
+    from the others and drops the rows that vanish."""
+    rank, rows = 0, [r for r in rows if any(r)]
+    while rows:
+        pivot = rows.pop()
+        j = next(j for j, v in enumerate(pivot) if v)
+        scale = pow(pivot[j], -1, p)
+        rows = [r2 for r in rows
+                if any(r2 := [(a - r[j] * scale * b) % p for a, b in zip(r, pivot)])]
+        rank += 1
+    return rank
+
+
+def is_regular(L: LocalRingAtPoint) -> bool:
+    """R_m is regular, by the Jacobian criterion at the rational point a:
+    the linear parts of the generators in x - a, the rows
+    (df/dx_j (a))_j, span the image of I in m/m^2, so R_m has embedding
+    dimension n - rank, and is regular iff the rank is n - d.  Cached for
+    the point; it reads d, and builds no Groebner basis of its own."""
+    n = L.ring.nvars
+
+    def jacobian():
+        rows = [[g.derivative(j).evaluate(L.point) for j in range(n)] for g in L.gens]
+        return _rank(rows, L.p) == n - L.d
+
+    return L._shared.get(("regular", L.point), jacobian)
 
 
 def multiplicity(L: LocalRingAtPoint) -> int:
@@ -216,9 +257,12 @@ def _frobenius(L: LocalRingAtPoint, e: int) -> tuple:
 # Hilbert-Kunz
 
 def hk_function(L: LocalRingAtPoint, e: int) -> HKRecord:
-    """lambda_e = lambda(R/m^[q]R) for q = p^e and e >= 1, cached for the
-    point and checked against Kunz's lambda_e >= q^d."""
+    """lambda_e = lambda(R/m^[q]R) for q = p^e and e >= 1: q^d at a regular
+    point (Kunz), else cached for the point and checked against Kunz's
+    lambda_e >= q^d."""
     q, mq = _frobenius(L, e)
+    if is_regular(L):
+        return HKRecord(e, q, q**L.d, Fraction(1))
     lam = L._shared.get(("lam", L.point, e), lambda: length(ideal_sum(L.ideal0, mq)))
     if lam < q**L.d:
         raise RuntimeError(f"lambda_{e} = {lam} < q^d = {q**L.d} breaks Kunz's bound")
@@ -311,8 +355,11 @@ def _splitting_step(L: LocalRingAtPoint, e: int):
 
 
 def fedder_is_fpure(L: LocalRingAtPoint) -> bool:
-    """Fedder's criterion: F-pure iff (I^[p] : I) is not inside m^[p]."""
+    """Fedder's criterion: F-pure iff (I^[p] : I) is not inside m^[p].  A
+    regular ring is F-pure, and reads no multiplier."""
     p, mp = _frobenius(L, 1)
+    if is_regular(L):
+        return True
     return not ideal_contains_ideal(mp, _multiplier(L, p))
 
 
@@ -325,9 +372,10 @@ def splitting_ideal(L: LocalRingAtPoint, e: int) -> Ideal:
 
 
 def splitting_number(L: LocalRingAtPoint, e: int) -> SplitRecord:
-    """a_e = lambda(R/I_e), normalized by q^d."""
+    """a_e = lambda(R/I_e), normalized by q^d: q^d at a regular point, where
+    F^e_*R is free of rank q^d (Kunz), else the splitting step's."""
     q, _ = _frobenius(L, e)
-    a_e = _splitting_step(L, e)[2]
+    a_e = q**L.d if is_regular(L) else _splitting_step(L, e)[2]
     return SplitRecord(e, q, a_e, Fraction(a_e, q**L.d))
 
 
@@ -426,7 +474,8 @@ def classify(L: LocalRingAtPoint, e_max: int) -> DiagnosticFlags:
     `fsig_estimate` and `multiplicity`; only `predicted_sfr_gorenstein` reads
     an estimate.
 
-    - `regular` is lambda_1 = p^d (Kunz).
+    - `regular` is `is_regular`, the Jacobian criterion; it equals
+      lambda_1 = p^d (Kunz).
     - `f_pure` is a_1 > 0.  a_1 = lambda(S/m^[p]) - lambda(S/(m^[p] + U))
       for Fedder's multiplier U = (I^[p] : I), so it is positive exactly when
       U is not inside m^[p], which is Fedder's criterion.
@@ -456,7 +505,7 @@ def classify(L: LocalRingAtPoint, e_max: int) -> DiagnosticFlags:
                 raise RuntimeError(f"lambda_{r.e} = {r.lam} and a_{r.e} = {a_e} break lambda_e - q^d "
                                    f"<= (e(R) - 1)(q^d - a_e) for e(R) = {e_hs}")
     return DiagnosticFlags(
-        regular=hk.records[0].lam == L.p**L.d,
+        regular=is_regular(L),
         f_pure=f_pure,
         hk=hk,
         fsig=fsig,

@@ -571,16 +571,17 @@ TASKS = {
                           frozenset({"samples"}), _run_global, (
         "max of the local Hilbert-Kunz estimates over the sampled primes whose\n"
         "local ring has dimension gamma, the one locus test; a lower bound for the\n"
-        "global value under incomplete sampling, exact only with a proof that the\n"
-        "note names.  A sample that is not a point of its component is an error."
+        "global value under incomplete sampling when every estimate is exact,\n"
+        "exact only with a proof that the note names.  A sample that is not a\n"
+        "point of its component is an error."
     ), least_e_max=2),
     "global_fsig": TaskKind(frozenset({"samples", "e_max"}),
                             frozenset({"samples"}), _run_global, (
         "min of the local F-signature estimates over sampled primes; exactly 0\n"
         "whenever some component or sampled local ring misses the global gamma.\n"
-        "An upper bound for the global value under incomplete sampling, exact only\n"
-        "with a proof that the note names.  A sample that is not a point of its\n"
-        "component is an error."
+        "An upper bound for the global value under incomplete sampling when every\n"
+        "estimate is exact, exact only with a proof that the note names.  A sample\n"
+        "that is not a point of its component is an error."
     ), least_e_max=2),
     "semicontinuity": TaskKind(frozenset({"special", "nearby", "e"}),
                                frozenset({"special", "nearby"}), _run_semicontinuity, (

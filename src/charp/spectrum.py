@@ -9,10 +9,12 @@ is an error, and the one locus test is that ring's dimension against
 gamma, the largest component dimension.  The global Hilbert-Kunz value is
 a max over the samples that pass it and the global F-signature a min,
 which collapses to an exact zero when a component or a sample misses
-gamma.  A sampled extremum is a bound, labelled exact only with a proof
-over all of Spec: that zero, a certified local s = 0 for the minimum, or
+gamma.  A sampled extremum is labelled exact only with a proof over
+all of Spec: that zero, a certified local s = 0 for the minimum, or
 zero ideals, where every point is regular and the value 1.  The note of
-an exact value names its proof; any other note names the bound.
+an exact value names its proof.  Any other note names the bound only
+when every estimate it compares is exact; an extremum over heuristic
+estimates is no proven bound, and its note says so.
 The semicontinuity probe compares raw lambda_e at points of one component,
 which it alone reads, and blames the engine for a failure only where a
 grading orders the points.
@@ -120,6 +122,16 @@ def _regular_everywhere(components, gd: GammaData) -> str | None:
     return None
 
 
+def _sampled_note(extremum: str, bound: str, per) -> str:
+    """The note of a sampled extremum without a proof: a bound for the
+    global value only when every local estimate it compares is exact."""
+    if all(est.confidence == "exact" for _, est in per):
+        return (f"{extremum} over sampled primes: {bound} for the global value "
+                "under incomplete sampling")
+    return (f"{extremum} over sampled primes of heuristic estimates: no proven "
+            "bound for the global value")
+
+
 def _local_rings(components, samples) -> list:
     """(sample, its local ring) for each sample; a sample's component index
     must name one of the components."""
@@ -137,8 +149,9 @@ def global_hk(components, samples, e_max: int) -> GlobalInvariantResult:
     its component raises, and one of lower local dimension is excluded.
     A sample sees only its own point, so a certified local value proves
     nothing about the max over Spec: the max, at the first sample attaining
-    it, is a lower bound for the global value, exact, with a note that says
-    so, only when every component attaining gamma has the zero ideal."""
+    it, is exact, with a note that says so, only when every component
+    attaining gamma has the zero ideal.  Otherwise it is a lower bound for
+    the global value when every estimate is exact (`_sampled_note`)."""
     gd = gamma_data(components)
     rings = _local_rings(components, samples)
     per = tuple((s, hk_estimate(L, e_max)) for s, L in rings if L.d == gd.gamma)
@@ -149,8 +162,7 @@ def global_hk(components, samples, e_max: int) -> GlobalInvariantResult:
     return GlobalInvariantResult(
         value=est.value, exact=proof is not None, arg_sample=arg, per_sample=per,
         excluded=tuple(s for s, L in rings if L.d != gd.gamma), gamma=gd,
-        note=proof or "max over sampled primes: a lower bound for the global "
-                      "value under incomplete sampling")
+        note=proof or _sampled_note("max", "a lower bound", per))
 
 
 def global_fsig(components, samples, e_max: int) -> GlobalInvariantResult:
@@ -159,9 +171,10 @@ def global_fsig(components, samples, e_max: int) -> GlobalInvariantResult:
     misses the global gamma (the free-rank of every module then grows a
     full power of p too slowly).  Each sample's local ring is built, as in
     `global_hk`, so a sample off its component raises.  The min, at the
-    first sample attaining it, is an upper bound for the global value,
-    exact, with a note that names the proof, only when a sample certifies
-    s = 0 or every component has the zero ideal."""
+    first sample attaining it, is exact, with a note that names the proof,
+    only when a sample certifies s = 0 or every component has the zero
+    ideal.  Otherwise it is an upper bound for the global value when every
+    estimate is exact (`_sampled_note`)."""
     gd = gamma_data(components)
     rings = _local_rings(components, samples)
     low = [s for s, L in rings if L.d < gd.gamma]
@@ -183,8 +196,7 @@ def global_fsig(components, samples, e_max: int) -> GlobalInvariantResult:
     return GlobalInvariantResult(
         value=est.value, exact=proof is not None, arg_sample=arg, per_sample=per,
         excluded=(), gamma=gd,
-        note=proof or "min over sampled primes: an upper bound for the global "
-                      "value under incomplete sampling")
+        note=proof or _sampled_note("min", "an upper bound", per))
 
 
 # ---------------------------------------------------------------------------

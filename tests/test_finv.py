@@ -8,7 +8,7 @@ import pytest
 
 from charp.errors import ExponentOverflowError, ZeroIdealError
 from charp.gf import field_new
-from charp.ideal import Budget, Ideal, ideal_equal, length
+from charp.ideal import Budget, Ideal, bracket_power, ideal_equal, ideal_sum, length
 from charp.finv import (
     LocalRingAtPoint,
     _is_ci,
@@ -18,6 +18,7 @@ from charp.finv import (
     fsig_estimate,
     hk_estimate,
     hk_function,
+    is_regular,
     multiplicity,
     nu_invariant,
     pair_splitting_number,
@@ -25,8 +26,10 @@ from charp.finv import (
     splitting_number,
 )
 from charp.poly import PolyRing
+from charp.selftest import CORPUS
+from charp.spectrum import RingComponent
 
-from oracles import multiplication_image_rank, stanley_reisner_lambda
+from oracles import is_smooth_point, multiplication_image_rank, stanley_reisner_lambda
 
 
 def local(p, names, srcs, point=None):
@@ -949,3 +952,74 @@ def test_budget_error_mid_walk_leaves_the_cache_consistent():
         splitting_number(L, 3)
     assert [k for k in (1, 2, 3) if ("step", L.point, k) in L._shared.items] == [1, 2]
     assert [r.a_e for r in fsig_estimate(L, 4).records] == [5, 41, 365, 3281]
+
+
+# -- regular points: the Jacobian criterion ----------------------------------
+
+# the CORPUS rings read over F_2 and F_3, and the F_5 rings of the benchmark's
+# point sweep: the quadric and twisted cubic cones, and the plane and line
+_REGULARITY_RINGS = [
+    *((p, vars_, ideal) for p in (2, 3) for vars_, ideal in sorted({(c.vars, c.ideal) for c in CORPUS})),
+    (5, "x y z", ("x*y - z^2",)),
+    (5, "x y z w", _TWISTED_CUBIC[1]),
+    (5, "x y z", ("x*z", "y*z")),
+]
+
+
+def _component(p, vars_, ideal):
+    R = PolyRing(field_new(p), tuple(vars_.split()))
+    return RingComponent(R, [R.parse(s) for s in ideal])
+
+
+def _rational_points(comp):
+    """Every F_p-rational point of V(I)."""
+    return [pt for pt in product(range(comp.ring.p), repeat=comp.ring.nvars)
+            if all(g.evaluate(pt) == 0 for g in comp.gens)]
+
+
+_regularity_params = pytest.mark.parametrize("p, vars_, ideal", [
+    pytest.param(p, vars_, ideal, id=f"F_{p}[{vars_}]/({', '.join(ideal)})")
+    for p, vars_, ideal in _REGULARITY_RINGS])
+
+
+@_regularity_params
+def test_is_regular_is_lambda_1_equal_to_p_to_d(p, vars_, ideal):
+    # Kunz: R_m is regular iff lambda_1 = p^d, read here from the length of
+    # S/(I + m^[p]) itself; the oracle takes the Jacobian's rank by numpy
+    comp = _component(p, vars_, ideal)
+    for pt in _rational_points(comp):
+        L = comp.local_at(pt)
+        lam_1 = length(ideal_sum(L.ideal0, bracket_power(L.m0, p)))
+        assert is_regular(L) == (lam_1 == p**L.d) == is_smooth_point(comp, pt), pt
+        assert L._shared.items[("regular", L.point)][0] == is_regular(L)
+
+
+@_regularity_params
+def test_the_engine_route_gives_q_to_d_at_regular_points(monkeypatch, p, vars_, ideal):
+    # with the flag bypassed, the Groebner route computes what the regular
+    # route returns: lambda_e = a_e = q^d, and F-purity
+    import charp.finv
+
+    comp = _component(p, vars_, ideal)
+    regular = [pt for pt in _rational_points(comp) if is_regular(comp.local_at(pt))]
+    monkeypatch.setattr(charp.finv, "is_regular", lambda L: False)
+    for pt in regular:
+        L = comp.local_at(pt)
+        assert fedder_is_fpure(L), pt
+        for e in (1, 2):
+            q = p**e
+            assert hk_function(L, e).lam == splitting_number(L, e).a_e == q**L.d, (pt, e)
+
+
+def test_a_regular_point_builds_no_groebner_basis(monkeypatch):
+    # past the basis d comes from, hk, fsig and Fedder at a smooth point of
+    # the F_5 quadric read the flag alone, to any e
+    import charp.ideal
+
+    L = local(5, ("x", "y", "z"), ["x*y - z^2"], (1, 4, 2))
+    monkeypatch.setattr(charp.ideal, "_buchberger", None)
+    assert is_regular(L) and fedder_is_fpure(L)
+    for est in (hk_estimate(L, 6), fsig_estimate(L, 6)):
+        assert est.value == 1 and est.confidence == "exact"
+        assert [r.q for r in est.records] == [5**e for e in range(1, 7)]
+    assert splitting_number(L, 6).a_e == hk_function(L, 6).lam == 5**12

@@ -251,9 +251,11 @@ def test_component_index_out_of_range_is_task_error(n_jobs):
 
 
 def test_budget_error_isolated_to_task():
+    # the node's origin is singular, so hk counts the box of lambda_1, 25
+    # monomials, past the cap; at a regular point it would count none
     job = validate_job(parse_job_text(
         "p = 5\nbudget_monomials = 10\n"
-        "[component]\nvars = x y\nideal =\n"
+        "[component]\nvars = x y\nideal = x*y\n"
         "[task hk]\npoint = 0 0\ne_max = 2\n"
         "[task fedder]\npoint = 0 0\n"))
     report = run_job(job)
@@ -579,17 +581,18 @@ p = 5
 vars = x y z
 ideal = x*y - z^2
 [task global_fsig]
-samples = 0:(1,1,1) 0:(1,4,2) 0:(4,1,2) 0:(4,4,1)
+samples = 0:(1,1,1) 0:(1,4,2) 0:(0,0,0) 0:(4,1,2) 0:(4,4,1)
 e_max = 2
 [task fedder]
-point = 2 2 2
+point = 0 0 0
 """
 
 
 def test_the_local_rings_of_a_component_share_fedders_multiplier(monkeypatch):
     # the quadric is a complete intersection at every point, so F-purity
-    # and a_1 read (F^(q-1)) for q = 5, which depends on I alone: one power
-    # for the job's five points, where one per point made 5
+    # and a_1 at the singular origin read (F^(q-1)) for q = 5, which depends
+    # on I alone: one power for both tasks; the smooth points are regular
+    # and read none
     import charp.finv
 
     calls = []
@@ -601,12 +604,29 @@ def test_the_local_rings_of_a_component_share_fedders_multiplier(monkeypatch):
     monkeypatch.setattr(charp.finv, "poly_pow", counted)
     job = validate_job(parse_job_text(QUADRIC_SWEEP_JOB))
     report = run_job(job)
-    assert report["status"] == "ok" and len(report["tasks"][0]["rows"]) == 8
+    assert report["status"] == "ok" and len(report["tasks"][0]["rows"]) == 10
     assert calls == [("x*y + 4*z^2", 4)]  # x*y - z^2 over F_5
     # poly_pow charges no budget: each task's counters are those it has alone
     for i in (0, 1):
         alone = run_task(job, i, charp.jobs.build_presentation(job))
         assert report["tasks"][i]["budget"] == alone["budget"]
+
+
+def test_regular_points_reach_any_e_under_the_default_caps(tmp_path):
+    # at a smooth point of the F_5 quadric lambda_e = a_e = q^d without a
+    # box: lambda_6 alone would count 61,230,625 monomials, past the cap
+    path = _write(tmp_path, "p = 5\n[component]\nvars = x y z\nideal = x*y - z^2\n" + "".join(
+        f"[task {kind}]\npoint = 1 1 1\ne_max = 6\n" for kind in ("hk", "fsig", "classify")))
+    assert main(["run", str(path)]) == 0
+    hk, fsig, flags = json.loads((tmp_path / "job.report.json").read_text())["tasks"]
+    assert [(r["e"], r["norm"]["fraction"]) for r in hk["rows"]] == [(e, "1/1") for e in range(1, 7)]
+    assert [(r["e"], r["s_e"]["fraction"]) for r in fsig["rows"]] == [(e, "1/1") for e in range(1, 7)]
+    estimates = [hk["estimate"], fsig["estimate"], flags["flags"]["hk"], flags["flags"]["fsig"]]
+    assert all(est["value"]["fraction"] == "1/1" and est["confidence"] == "exact"
+               for est in estimates)
+    flags = flags["flags"]
+    assert flags["regular"] and flags["f_pure"] and flags["hl_satisfied"]
+    assert flags["hilbert_samuel"] == "1"
 
 
 REPLAY_JOB = """\
@@ -665,8 +685,8 @@ def test_a_task_that_reads_one_local_ring_twice_is_charged_once():
     assert report["status"] == "ok"
     caps = {"max_basis": 2000, "max_pairs": 200_000, "max_box": 1_000_000}
     assert [t["budget"] for t in report["tasks"]] == [
-        caps | {"used_basis": 31, "used_pairs": 162, "used_box": 15625},
-        caps | {"used_basis": 31, "used_pairs": 131, "used_box": 15625},
+        caps | {"used_basis": 28, "used_pairs": 64, "used_box": 15625},
+        caps | {"used_basis": 28, "used_pairs": 52, "used_box": 15625},
     ]
     # each is what the task charges with the repeated point left out
     once = REPEATED_POINT_JOB.replace(" 0:(1,1,1) 0:(0,0,0)", " 0:(1,1,1)")
@@ -731,6 +751,10 @@ def test_global_hk_over_equal_values_without_a_certificate_is_not_exact():
     assert task["status"] == "ok"
     assert task["value"]["fraction"] == "3/2"
     assert task["exact"] is False
+    # 3/2 is a 'converged' estimate, not exact, and every local ring on the
+    # gamma-locus has e(R_P) = 1, so e_HK = 1: the note calls it no lower bound
+    assert task["bound_note"] == ("max over sampled primes of heuristic estimates: "
+                                  "no proven bound for the global value")
 
 
 def test_a_sampled_global_value_is_exact_only_with_a_proof():
@@ -744,7 +768,8 @@ def test_a_sampled_global_value_is_exact_only_with_a_proof():
         assert task["status"] == "ok"
         assert task["value"]["fraction"] == "1/1"
         assert task["exact"] is False
-    # without a proof the note keeps the bound sentence
+    # without a proof the note keeps the bound sentence, as every local
+    # estimate is exact
     assert hk["bound_note"] == ("max over sampled primes: a lower bound for the "
                                 "global value under incomplete sampling")
     assert fsig["bound_note"] == ("min over sampled primes: an upper bound for the "
@@ -1093,9 +1118,12 @@ def test_the_task_budget_covers_the_component_bases(tmp_path, pairs, code):
 
 
 def test_classify_counts_the_basis_its_dimension_comes_from():
+    # (0,0,1) lies on the line of (xz, yz), where the ring is regular: d = 1
+    # comes from the standard basis at the point, which also gives e(R), and
+    # the component's basis, one pair each; lambda_e and a_e cost nothing
     job = validate_job(parse_job_text("p = 5\n[component]\nvars = x y z\nideal = x*z; y*z\n"
                                       "[task classify]\npoint = 0 0 1\n"))
-    assert run_job(job)["tasks"][0]["budget"]["used_pairs"] == 43
+    assert run_job(job)["tasks"][0]["budget"]["used_pairs"] == 2
 
 
 # a malformed component is a parse error naming it, found when the job is
@@ -1145,7 +1173,7 @@ def test_cli_parse_error_exits_1(tmp_path):
 def test_cli_task_error_exits_2(tmp_path):
     path = _write(tmp_path,
                   "p = 5\nbudget_monomials = 10\n"
-                  "[component]\nvars = x y\nideal =\n"
+                  "[component]\nvars = x y\nideal = x*y\n"
                   "[task hk]\npoint = 0 0\ne_max = 2\n")
     res = _cli(["run", str(path)])
     assert res.returncode == 2

@@ -95,6 +95,10 @@ def test_global_hk_quadric_max_at_origin():
         assert est.value == 1
     # per-sample values never exceed the global max
     assert all(est.value <= res.value for _, est in res.per_sample)
+    # the max is the origin's extrapolated estimate, which proves no bound
+    assert res.per_sample[0][1].confidence != "exact"
+    assert res.note == ("max over sampled primes of heuristic estimates: no proven "
+                        "bound for the global value")
 
 
 def test_global_tasks_read_gamma_per_point():
@@ -160,6 +164,8 @@ def test_global_fsig_quadric_min_at_origin():
     assert res.arg_sample == samples[0]
     assert abs(float(res.value) - 0.5) < 0.01
     assert all(est.value >= res.value for _, est in res.per_sample)
+    assert res.note == ("min over sampled primes of heuristic estimates: no proven "
+                        "bound for the global value")
 
 
 def test_global_fsig_regular_domain_is_one():
@@ -187,8 +193,13 @@ def test_jacobian_certified_samples_give_unit_globals():
     R = [comp]
     samples = [PrimeSample(0, (1, 1, 1)), PrimeSample(0, (1, 4 % 3, 2 % 3))]
     assert all(is_smooth_point(comp, s.point) for s in samples)
-    assert global_hk(R, samples, 2).value == 1
-    assert global_fsig(R, samples, 2).value == 1
+    hk, fsig = global_hk(R, samples, 2), global_fsig(R, samples, 2)
+    assert hk.value == fsig.value == 1 and not hk.exact and not fsig.exact
+    # every local estimate is exact, so the notes name the bounds
+    assert hk.note == ("max over sampled primes: a lower bound for the global value "
+                       "under incomplete sampling")
+    assert fsig.note == ("min over sampled primes: an upper bound for the global value "
+                         "under incomplete sampling")
     # and the known singular point is flagged by the same triage
     assert not is_smooth_point(comp, (0, 0, 0))
 
