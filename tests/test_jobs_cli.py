@@ -457,6 +457,42 @@ component = 1
 """
 
 
+# (x*y, x*z), the hyperplane x = 0 and the plane y = z = 0 of A^4 over F_5,
+# is not a complete intersection at any point: d = 3 against two
+# generators.  Its local rings are singular on the line x = y = z = 0,
+# where the planes meet, and regular elsewhere, as at (0,1,1,0)
+PLANES_GLOBAL_FSIG_JOB = """\
+p = 5
+[component]
+vars = x y z w
+ideal = x*y; x*z
+[task global_fsig]
+samples = 0:(0,0,0,0) 0:(0,0,0,1) 0:(0,1,1,0) 0:(0,0,0,2) 0:(0,0,0,3) 0:(0,0,0,4)
+e_max = 2
+"""
+
+# tasks at three of the line's points, and a second component with one
+# task, so that --jobs 2 starts a pool of two
+PLANES_AND_QUADRIC_JOB = """\
+p = 5
+[component]
+vars = x y z w
+ideal = x*y; x*z
+[task fsig]
+point = 0 0 0 0
+e_max = 2
+[task fedder]
+point = 0 0 0 2
+[task fedder]
+point = 0 0 0 3
+[component]
+vars = x y z
+ideal = x*y - z^2
+[task fedder]
+component = 1
+"""
+
+
 # the F_5 quadric cone (gamma = 2), the coordinate axes below it, sampled
 # at two points whose local rings are built only to be excluded, and a
 # third component with a task of its own: groups [[0, 1], [2]]
@@ -486,7 +522,7 @@ def test_parallel_jobs_match_sequential():
     assert charp.jobs._groups(validate_job(parse_job_text(CONE_AXES_AND_CROSS_JOB))) \
         == [[0, 1], [2]]
     for text in (QUADRIC_JOB, SHARED_POINTS_JOB, TWISTED_CUBIC_AND_QUADRIC_JOB,
-                 CONE_AND_QUARTICS_JOB, CONE_AXES_AND_CROSS_JOB):
+                 PLANES_AND_QUADRIC_JOB, CONE_AND_QUARTICS_JOB, CONE_AXES_AND_CROSS_JOB):
         job = validate_job(parse_job_text(text))
         seq = run_job(job)
         par = run_job(job | {"jobs": 2})
@@ -512,9 +548,9 @@ def test_a_job_leaves_no_cyclic_garbage(text):
 
 
 def test_the_local_rings_of_a_component_share_its_colons(monkeypatch):
-    # the twisted cubic is not a complete intersection at any point, so each
-    # splitting number reads (I^[q] : I), which depends on I alone: 2 colons
-    # for q = 3, 9, where one per point and q made 8
+    # each splitting number at the five singular samples reads
+    # (I^[q] : I), which depends on I alone: 2 colons for q = 5, 25, where
+    # one per point and q would make 10; the regular sample reads none
     import charp.finv
 
     calls = []
@@ -524,8 +560,8 @@ def test_the_local_rings_of_a_component_share_its_colons(monkeypatch):
         return _fn(*args)
 
     monkeypatch.setattr(charp.finv, "colon", counted)
-    report = run_job(validate_job(parse_job_text(TWISTED_CUBIC_GLOBAL_FSIG_JOB)))
-    assert report["status"] == "ok" and len(report["tasks"][0]["rows"]) == 8
+    report = run_job(validate_job(parse_job_text(PLANES_GLOBAL_FSIG_JOB)))
+    assert report["status"] == "ok" and len(report["tasks"][0]["rows"]) == 12
     assert len(calls) == 2
 
 
@@ -552,9 +588,10 @@ def test_a_pool_makes_the_buchberger_runs_of_an_in_process_run(tmp_path, monkeyp
 
 
 def test_a_pool_builds_each_colon_once(tmp_path, monkeypatch):
-    # the twisted cubic's tasks read (I^[q] : I) for q = 3, 9 and run on one
-    # worker, the quadric's on another; grouping the tasks by point put them
-    # on three workers, each of which built the colon for q = 3: 4 in all
+    # the planes' tasks read (I^[q] : I) for q = 5, 25 at the singular
+    # origin and q = 5 at (0,0,0,2) and (0,0,0,3), and run on one worker,
+    # the quadric's on another; grouping the tasks by point would put them
+    # on three workers, each of which builds the colon for q = 5: 4 in all
     import charp.finv
 
     log = tmp_path / "colons.log"  # appended to by every process, pool workers included
@@ -568,31 +605,33 @@ def test_a_pool_builds_each_colon_once(tmp_path, monkeypatch):
     colons = []
     for n_jobs in ("1", "2"):
         log.write_text("", encoding="utf-8")
-        job = validate_job(parse_job_text(TWISTED_CUBIC_AND_QUADRIC_JOB), {"jobs": n_jobs})
+        job = validate_job(parse_job_text(PLANES_AND_QUADRIC_JOB), {"jobs": n_jobs})
         assert charp.jobs._groups(job) == [[0, 1, 2], [3]]
         assert run_job(job)["status"] == "ok"
         colons.append(len(log.read_text(encoding="utf-8").split()))
     assert colons == [2, 2]
 
 
-QUADRIC_SWEEP_JOB = """\
+# the planes x = 0 and y = 0 of A^3 over F_5, singular on the line
+# x = y = 0 where they meet; (1,0,3) and (0,4,4) are regular
+PLANES_SWEEP_JOB = """\
 p = 5
 [component]
 vars = x y z
-ideal = x*y - z^2
+ideal = x*y
 [task global_fsig]
-samples = 0:(1,1,1) 0:(1,4,2) 0:(0,0,0) 0:(4,1,2) 0:(4,4,1)
+samples = 0:(0,0,0) 0:(0,0,1) 0:(1,0,3) 0:(0,0,2) 0:(0,4,4)
 e_max = 2
 [task fedder]
-point = 0 0 0
+point = 0 0 3
 """
 
 
 def test_the_local_rings_of_a_component_share_fedders_multiplier(monkeypatch):
-    # the quadric is a complete intersection at every point, so F-purity
-    # and a_1 at the singular origin read (F^(q-1)) for q = 5, which depends
-    # on I alone: one power for both tasks; the smooth points are regular
-    # and read none
+    # x*y is a complete intersection at every point, so F-purity and a_1 at
+    # the four singular points read (F^(q-1)) for q = 5, which depends on I
+    # alone: one power for both tasks, where one per point would make 4; the
+    # regular points read none
     import charp.finv
 
     calls = []
@@ -602,10 +641,10 @@ def test_the_local_rings_of_a_component_share_fedders_multiplier(monkeypatch):
         return _fn(f, k)
 
     monkeypatch.setattr(charp.finv, "poly_pow", counted)
-    job = validate_job(parse_job_text(QUADRIC_SWEEP_JOB))
+    job = validate_job(parse_job_text(PLANES_SWEEP_JOB))
     report = run_job(job)
     assert report["status"] == "ok" and len(report["tasks"][0]["rows"]) == 10
-    assert calls == [("x*y + 4*z^2", 4)]  # x*y - z^2 over F_5
+    assert calls == [("x*y", 4)]
     # poly_pow charges no budget: each task's counters are those it has alone
     for i in (0, 1):
         alone = run_task(job, i, charp.jobs.build_presentation(job))
